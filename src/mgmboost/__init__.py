@@ -18,8 +18,7 @@ from .synthgen import (GraphInstance, SynthParams, build_affinity_gauss,
                        load_instances, load_pointset, save_instances,
                        truth_config)
 from .boost import (BoostParams, BoostTrace, best_anchor,
-                    enforce_full_consistency, mst, run_boost,
-                    run_isb_acc_oracle)
+                    enforce_full_consistency, mst, run_boost)
 from .bench import (ExperimentSpec, ResultRow, accuracy, emit_csv,
                     emit_plotdata, inlier_rows_from_instances, run_experiment)
 

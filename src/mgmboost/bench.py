@@ -99,6 +99,8 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     count = 0
     for i in range(cfg_alg.N - 1):
         rows = np.asarray(inlier_rows[i], dtype=np.int64)
+        if rows.size == 0:
+            raise ValueError(f"graph {i} has no inlier rows; accuracy is undefined")
         for j in range(i + 1, cfg_alg.N):
             total += float((alg[i, j][rows] == tru[i, j][rows]).sum()) / rows.size
             count += 1

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatchConfig, Permutation, ScoreNormalizer, total_score)
-from .consistency import (InlierEstimate, elicited_pairwise_consistency_all,
+from .core import MatchConfig, Permutation, ScoreNormalizer, total_score
+from .consistency import (InlierEstimate, candidate_consistency, compositions,
+                          elicited_pairwise_consistency_all,
                           elicited_unary_consistency_all, is_fully_consistent,
                           keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
@@ -82,39 +83,28 @@ class BoostTrace:
         return len(self.scores)
 
 
-class _Dims:
-    """Shape-only stand-in for a configuration: the consistency helpers
-    need just N and n alongside an explicit index table."""
-
-    __slots__ = ("N", "n")
-
-    def __init__(self, n_graphs, n_nodes):
-        self.N = n_graphs
-        self.n = n_nodes
-
-
 class _IterTables:
     """Frozen per-iteration state shared by every pair update."""
 
-    def __init__(self, dims, table, kset, kind, norm, est=None, score_cache=None):
-        self.dims = dims
+    def __init__(self, cfg, kset, kind, norm, est=None, score_cache=None):
+        self.cfg = cfg
         self.kset = kset
         self.kind = kind
         self.norm = norm
         self.est = est
-        self.table = table
+        self.table = cfg.perm_table()
         self.cache = score_cache if score_cache is not None else {}
         self.keep = None
         if est is not None:
-            self.keep = keep_masks(dims, est, kset, table)
+            self.keep = keep_masks(cfg, est, kset)
         self.cu = None
         self.cp = None
         if kind == "gc_u":
-            self.cu = (elicited_unary_consistency_all(dims, est, kset, table, self.keep)
-                       if est is not None else unary_consistency_all(dims, table))
+            self.cu = (elicited_unary_consistency_all(cfg, est, kset, self.keep)
+                       if est is not None else unary_consistency_all(cfg))
         elif kind == "gc_p":
-            self.cp = (elicited_pairwise_consistency_all(dims, est, kset, table, self.keep)
-                       if est is not None else pairwise_consistency_all(dims, table))
+            self.cp = (elicited_pairwise_consistency_all(cfg, est, kset, self.keep)
+                       if est is not None else pairwise_consistency_all(cfg))
 
     def scores_for(self, i, j, cands):
         """Normalized (possibly row-masked) affinity scores of candidate
@@ -153,15 +143,12 @@ class _IterTables:
             vals[c] = vals[first[key]]
         return vals
 
-    def cp_of_candidates(self, i, j, cands, comps):
-        """Pairwise consistency of each candidate against the snapshot."""
-        mism = cands[:, None, :] != comps[None, :, :]
-        if self.keep is not None:
-            mism = mism & self.keep[i][None, None, :]
-            denom = self.est.n_est * self.dims.N
-        else:
-            denom = self.dims.n * self.dims.N
-        return 1.0 - mism.sum(axis=(1, 2)) / denom
+    def cp_of_candidates(self, i, cands, comps):
+        """Pairwise consistency of each candidate for a pair (i, j) against
+        the snapshot's compositions X_ik X_kj of that pair."""
+        if self.keep is None:
+            return candidate_consistency(cands, comps, self.cfg.n)
+        return candidate_consistency(cands, comps, self.est.n_est, self.keep[i])
 
 
 def _anchor_pool(i, j, n_graphs, sample_rate, rng):
@@ -190,21 +177,18 @@ def _pair_best(i, j, tbl, lam, sample_rate, rng):
     scored once (inside scores_for), while anchor-dependent consistency
     terms stay per-anchor so the argmax is exact. The anchor scan order
     makes exact ties keep the incumbent, then the smallest anchor."""
-    table = tbl.table
-    n_graphs = table.shape[0]
-    rows = np.arange(n_graphs)[:, None]
-    comps = table[:, j][rows, table[i]]   # [k] = X_ik X_kj
-    anchors = _anchor_pool(i, j, n_graphs, sample_rate, rng)
+    comps = compositions(tbl.table, i, j)
+    anchors = _anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
     cands = comps[anchors]
     kind = tbl.kind
 
     if kind == "score":
         vals = tbl.scores_for(i, j, cands)
     elif kind == "cst":
-        vals = tbl.cp_of_candidates(i, j, cands, comps)
+        vals = tbl.cp_of_candidates(i, cands, comps)
     elif kind in ("gc", "gc_inv"):
         j_vals = tbl.scores_for(i, j, cands)
-        c_vals = tbl.cp_of_candidates(i, j, cands, comps)
+        c_vals = tbl.cp_of_candidates(i, cands, comps)
         if kind == "gc":
             vals = (1.0 - lam) * j_vals + lam * c_vals
         else:
@@ -223,7 +207,7 @@ def _pair_best(i, j, tbl, lam, sample_rate, rng):
 
 
 def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
-                rng=None, norm=None, tables=None):
+                rng=None, norm=None):
     """Best third-party graph k and composed candidate X_ik X_kj for one
     pair, under one of the evaluation kinds: "score" (normalized affinity
     only), "cst" (pairwise consistency only), "gc"/"gc_inv" (weighted
@@ -234,36 +218,26 @@ def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
         raise ValueError("pair indices must differ")
     if kind not in EVAL_KINDS:
         raise ValueError(f"kind must be one of {EVAL_KINDS}")
-    if tables is None:
-        if norm is None:
-            norm = ScoreNormalizer.from_initial(cfg_prev, kset)
-        tables = _IterTables(_Dims(cfg_prev.N, cfg_prev.n), cfg_prev.perm_table(),
-                             kset, kind, norm, est)
-    anchor, cand = _pair_best(i, j, tables, lam, sample_rate, rng)
+    if norm is None:
+        norm = ScoreNormalizer.from_initial(cfg_prev, kset)
+    tbl = _IterTables(cfg_prev, kset, kind, norm, est)
+    anchor, cand = _pair_best(i, j, tbl, lam, sample_rate, rng)
     return anchor, Permutation(cand)
 
 
 def _pair_best_2nd(i, j, tbl, sample_rate, rng):
     """Second-order search: best X_iv X_vu X_uj over anchor pairs (u, v),
-    scored by normalized affinity alone."""
+    scored by normalized affinity alone. Returns the candidate; exact
+    ties keep the first in (v, u) scan order."""
     table = tbl.table
-    n_graphs = table.shape[0]
-    pool = _anchor_pool(i, j, n_graphs, sample_rate, rng)
+    pool = _anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
     cands = []
-    origins = []
     for v in pool:
         first = np.take_along_axis(table[v], np.broadcast_to(table[i, v], table[v].shape),
                                    axis=1)   # [u] = X_iv then X_vu
         for u in pool:
             cands.append(table[u, j][first[u]])
-            origins.append((u, v))
-    cands = np.asarray(cands)
-    uniq_rows, first_pos = np.unique(cands, axis=0, return_index=True)
-    order = np.sort(first_pos)
-    uniq = cands[order]
-    vals = tbl.scores_for(i, j, list(uniq))
-    best = order[_first_max(vals)]
-    return origins[best], cands[best]
+    return cands[_first_max(tbl.scores_for(i, j, cands))]
 
 
 def _eval_kind(mode, t, t0):
@@ -300,57 +274,54 @@ def run_boost(cfg0, kset, params):
     rng = np.random.default_rng(params.seed)
     cache = {}
     trace = BoostTrace()
-    dims = _Dims(cfg0.N, cfg0.n)
-    table = cfg0.perm_table()
-    upper = [(i, j) for i in range(dims.N - 1) for j in range(i + 1, dims.N)]
+    upper = [(i, j) for i, j, _ in cfg0.pairs()]
 
-    def snapshot(tab):
+    def snapshot(cfg):
+        tab = cfg.perm_table()
         score = sum(kset.get(i, j).quad_form(tab[i, j]) for i, j in upper) / norm.value
-        return score, float(unary_consistency_all(dims, tab).mean())
+        return score, overall_consistency(cfg)
 
     started = time.perf_counter()
-    score0, cons0 = snapshot(table)
+    cfg = cfg0
+    score0, cons0 = snapshot(cfg)
     trace.record(score0, cons0, 0, time.perf_counter() - started)
     lam = params.lambda0
-    best_val, best_table = -np.inf, table
+    best_val, best_cfg = -np.inf, cfg
     if params.mode in _CYCLING_MODES:
         best_val = cons0 if params.mode == "isb_cst" else score0
 
-    ident = np.arange(dims.n)
     for t in range(1, params.t_max + 1):
         kind = _eval_kind(params.mode, t, params.t0)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
-        tbl = _IterTables(dims, table, kset, kind, norm, params.elicit, cache)
-        new_table = table.copy()
+        tbl = _IterTables(cfg, kset, kind, norm, params.elicit, cache)
+        new_table = tbl.table.copy()
         changed = 0
         change_norm = 0.0
         for i, j in upper:
             if params.mode == "isb_2nd":
-                _, cand = _pair_best_2nd(i, j, tbl, params.sample_rate, rng)
+                cand = _pair_best_2nd(i, j, tbl, params.sample_rate, rng)
             else:
                 _, cand = _pair_best(i, j, tbl, lam if weighted else 0.0,
                                      params.sample_rate, rng)
-            mism = int((cand != table[i, j]).sum())
+            mism = int((cand != tbl.table[i, j]).sum())
             if mism:
                 changed += 1
                 change_norm += 2.0 * mism
                 new_table[i, j] = cand
-                new_table[j, i][cand] = ident
-        table = new_table
-        score_t, cons_t = snapshot(table)
+        cfg = MatchConfig.from_table(new_table)
+        score_t, cons_t = snapshot(cfg)
         trace.record(score_t, cons_t, changed, time.perf_counter() - started)
         if params.mode in _CYCLING_MODES:
             cur = cons_t if params.mode == "isb_cst" else score_t
             if cur > best_val:
-                best_val, best_table = cur, table
+                best_val, best_cfg = cur, cfg
         if change_norm < params.delta and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
 
     if params.mode in _CYCLING_MODES:
-        table = best_table
-    cfg = MatchConfig.from_table(table)
+        cfg = best_cfg
     if params.enforce_final_consistency:
         cfg = enforce_full_consistency(cfg, kset, params.gamma)
     return cfg, trace
@@ -407,14 +378,16 @@ def _config_from_tree(cfg, tree):
             root_to[nxt] = table[cur, nxt][root_to[cur]]
             seen.add(nxt)
             queue.append(nxt)
-    inv = np.empty_like(root_to)
-    for k in range(n_graphs):
-        inv[k][root_to[k]] = np.arange(n)
-    pairs = {}
-    for i in range(n_graphs - 1):
-        for j in range(i + 1, n_graphs):
-            pairs[(i, j)] = Permutation(root_to[j][inv[i]])
-    return MatchConfig(n_graphs, n, pairs)
+    return _config_from_basis(np.argsort(root_to, axis=1))
+
+
+def _config_from_basis(basis):
+    """Exactly cycle-consistent configuration through a common reference:
+    basis[k] maps graph k's nodes to the reference, and X_ij is basis[i]
+    followed by the inverse of basis[j]."""
+    inv = np.argsort(basis, axis=1)
+    return MatchConfig.from_table(inv[np.arange(basis.shape[0])[None, :, None],
+                                      basis[:, None, :]])
 
 
 def _spectral_sync(cfg):
@@ -436,14 +409,7 @@ def _spectral_sync(cfg):
     basis[0] = rows
     for k in range(1, n_graphs):
         basis[k] = hungarian(lead[k * n:(k + 1) * n] @ base.T).perm
-    inv = np.empty_like(basis)
-    for k in range(n_graphs):
-        inv[k][basis[k]] = rows
-    pairs = {}
-    for i in range(n_graphs - 1):
-        for j in range(i + 1, n_graphs):
-            pairs[(i, j)] = Permutation(inv[j][basis[i]])
-    return MatchConfig(n_graphs, n, pairs)
+    return _config_from_basis(basis)
 
 
 def enforce_full_consistency(cfg, kset, gamma=0.3):
@@ -456,44 +422,17 @@ def enforce_full_consistency(cfg, kset, gamma=0.3):
     consistency-weighted super graph is used, falling back to spectral
     synchronization when there are more graphs than nodes.
     """
-    table = cfg.perm_table()
-    if is_fully_consistent(cfg, table):
+    if is_fully_consistent(cfg):
         return cfg
-    c_val = overall_consistency(cfg, table)
+    c_val = overall_consistency(cfg)
     if c_val < gamma:
         weights = np.zeros((cfg.N, cfg.N))
         for i, j, x in cfg.pairs():
             weights[i, j] = weights[j, i] = kset.get(i, j).quad_form(x)
         return _config_from_tree(cfg, mst(weights))
     if cfg.n >= cfg.N:
-        weights = pairwise_consistency_all(cfg, table)
+        weights = pairwise_consistency_all(cfg)
         np.fill_diagonal(weights, 0.0)
         return _config_from_tree(cfg, mst(weights))
     return _spectral_sync(cfg)
 
-
-def run_isb_acc_oracle(cfg0, cfg_truth, inlier_rows, t_max=50):
-    """Test-harness upper bound: the boosting loop driven by the true
-    per-pair accuracy instead of any observable evaluation. Never part of
-    a real algorithm; it quantifies the best the composition search could
-    possibly do from a given initial configuration."""
-    cfg = cfg0
-    for _ in range(t_max):
-        table = cfg.perm_table()
-        tru = cfg_truth.perm_table()
-        updates = {}
-        changed = 0
-        for i in range(cfg.N - 1):
-            rows = np.asarray(inlier_rows[i])
-            for j in range(i + 1, cfg.N):
-                comps = np.take_along_axis(table[:, j], table[i], axis=1)
-                anchors = [i] + [k for k in range(cfg.N) if k != i and k != j]
-                hits = (comps[anchors][:, rows] == tru[i, j][rows]).sum(axis=1)
-                best = anchors[_first_max(hits)]
-                cand = comps[best]
-                updates[(i, j)] = Permutation(cand)
-                changed += int(not np.array_equal(cand, table[i, j]))
-        cfg = cfg.replace(updates)
-        if changed == 0:
-            break
-    return cfg

@@ -1,11 +1,11 @@
 """Consistency and node-affinity metrics over a matching configuration,
 plus the inlier-eliciting row masks and their elicited metric variants.
 
-All metrics reduce to Hamming arithmetic on permutation index vectors:
-under the squared Frobenius norm, ||X - Y||_F equals twice the number of
-rows where the two permutations disagree. Every function accepts an
-optional precomputed ``table`` (the (N, N, n) index table of the
-configuration) so per-iteration callers pay the table cost once.
+All metrics reduce to Hamming arithmetic on the configuration's (N, N, n)
+index table: under the squared Frobenius norm, ||X - Y||_F equals twice
+the number of rows where the two permutations disagree. Every
+configuration-wide metric comes from one pass over the anchors k, which
+compares each X_ij with its composition X_ik X_kj.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation
+from .core import Permutation, check_graph_index
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -34,10 +34,6 @@ class InlierEstimate:
             raise ValueError(f"mode must be one of {MASK_MODES}")
 
 
-def _table(cfg, table=None):
-    return cfg.perm_table() if table is None else table
-
-
 def _compositions_through(table, k):
     """(N, N, n) array whose [i, j] row is the composition X_ik X_kj."""
     a = table[:, k]          # a[i] = X_ik
@@ -45,112 +41,117 @@ def _compositions_through(table, k):
     return b[:, a].transpose(1, 0, 2)   # [i, j, u] = b[j, a[i, u]]
 
 
-def _pair_mismatch_counts(table, k, keep=None):
-    """Row-disagreement counts between X_ij and X_ik X_kj for all (i, j).
-
-    With ``keep`` (an (N, n) boolean mask) only rows kept for the row
-    graph i are counted.
-    """
-    comp = _compositions_through(table, k)
-    mism = comp != table
-    if keep is not None:
-        mism = mism & keep[:, None, :]
-    return mism.sum(axis=2)
+def _mismatch_rows(table):
+    """Per anchor k, the (N, N, n) boolean array that is True at [i, j, u]
+    where row u of X_ij and of X_ik X_kj disagree."""
+    for k in range(table.shape[0]):
+        yield _compositions_through(table, k) != table
 
 
-def unary_consistency(k, cfg, table=None):
+def _anchor_mismatch_counts(cfg, keep=None):
+    """(N, N, N) row-disagreement counts: entry [k, i, j] compares X_ij
+    with X_ik X_kj. With ``keep`` (an (N, n) boolean mask) only rows kept
+    for the row graph i are counted."""
+    out = np.empty((cfg.N, cfg.N, cfg.N), dtype=np.int64)
+    for k, mism in enumerate(_mismatch_rows(cfg.perm_table())):
+        if keep is not None:
+            mism &= keep[:, None, :]
+        out[k] = mism.sum(axis=2)
+    return out
+
+
+def compositions(table, i, j):
+    """(N, n) array whose row k is the composition X_ik X_kj."""
+    return table[:, j][np.arange(table.shape[0])[:, None], table[i]]
+
+
+def candidate_consistency(cands, comps, rows_counted, keep_row=None):
+    """Pairwise consistency of each (C, n) candidate row against the (N, n)
+    compositions X_ik X_kj of one pair: 1 minus the mismatching rows
+    (only those in ``keep_row``, when given) over rows_counted * N."""
+    mism = cands[:, None, :] != comps[None, :, :]
+    if keep_row is not None:
+        mism = mism & keep_row[None, None, :]
+    return 1.0 - mism.sum(axis=(1, 2)) / (rows_counted * comps.shape[0])
+
+
+def _candidate_and_compositions(x, cfg, i, j):
+    """The candidate as a (1, n) row and the compositions of pair (i, j)."""
+    p = x.perm if isinstance(x, Permutation) else np.asarray(x)
+    if p.shape != (cfg.n,):
+        raise ValueError(f"candidate has {p.size} nodes, expected {cfg.n}")
+    check_graph_index(i, cfg.N)
+    check_graph_index(j, cfg.N)
+    return p[None, :], compositions(cfg.perm_table(), i, j)
+
+
+def unary_consistency(k, cfg):
     """How self-consistent the configuration is when routed through graph
     k: 1 minus the normalized residual between every stored matching and
     its composition through k. In (0, 1]; exactly 1 when all residuals
     vanish."""
-    t = _table(cfg, table)
-    if not 0 <= k < cfg.N:
-        raise IndexError(f"graph index {k} out of range")
-    counts = _pair_mismatch_counts(t, k)
-    total = np.triu(counts, 1).sum()
-    return 1.0 - total / (cfg.n * cfg.N * (cfg.N - 1) / 2.0)
+    return unary_consistency_all(cfg)[check_graph_index(k, cfg.N)]
 
 
-def unary_consistency_all(cfg, table=None):
-    t = _table(cfg, table)
-    denom = cfg.n * cfg.N * (cfg.N - 1) / 2.0
-    return np.array([1.0 - np.triu(_pair_mismatch_counts(t, k), 1).sum() / denom
-                     for k in range(cfg.N)])
+def unary_consistency_all(cfg):
+    counts = np.triu(_anchor_mismatch_counts(cfg), 1).sum(axis=(1, 2))
+    return 1.0 - counts / (cfg.n * cfg.N * (cfg.N - 1) / 2.0)
 
 
-def pairwise_consistency(x, cfg, i, j, table=None):
+def pairwise_consistency(x, cfg, i, j):
     """Consistency of an arbitrary candidate matching for the pair (i, j)
     against all single-anchor compositions of the configuration; the
     candidate need not belong to the configuration itself."""
-    t = _table(cfg, table)
-    p = x.perm if isinstance(x, Permutation) else np.asarray(x)
-    if p.size != cfg.n:
-        raise ValueError(f"candidate has {p.size} nodes, expected {cfg.n}")
-    comps = np.take_along_axis(t[:, j], t[i], axis=1)   # [k] = X_ik X_kj
-    mism = (comps != p[None, :]).sum()
-    return 1.0 - mism / (cfg.n * cfg.N)
+    return candidate_consistency(*_candidate_and_compositions(x, cfg, i, j), cfg.n)[0]
 
 
-def pairwise_consistency_all(cfg, table=None):
+def pairwise_consistency_all(cfg):
     """C_p of every stored matching, as a symmetric (N, N) array with unit
     diagonal."""
-    t = _table(cfg, table)
-    mism = np.zeros((cfg.N, cfg.N))
-    for k in range(cfg.N):
-        mism += _pair_mismatch_counts(t, k)
-    return 1.0 - mism / (cfg.n * cfg.N)
+    return 1.0 - _anchor_mismatch_counts(cfg).sum(axis=0) / (cfg.n * cfg.N)
 
 
 def overall_consistency(cfg, table=None):
     """Mean unary consistency; always identical to the mean pairwise
-    consistency over stored pairs."""
-    return float(unary_consistency_all(cfg, table).mean())
+    consistency over stored pairs. ``table`` is accepted for older callers
+    and ignored: the configuration holds its own table."""
+    return float(unary_consistency_all(cfg).mean())
 
 
 def is_fully_consistent(cfg, table=None):
-    """Exact check that every composition reproduces the stored matching."""
-    t = _table(cfg, table)
-    return all(np.array_equal(_compositions_through(t, k), t) for k in range(cfg.N))
+    """Exact check that every composition reproduces the stored matching.
+    ``table`` is accepted for older callers and ignored."""
+    return not any(mism.any() for mism in _mismatch_rows(cfg.perm_table()))
 
 
-def node_consistency(u, k, cfg, table=None):
-    return float(node_consistency_all(cfg, table)[k, u])
+def node_consistency(u, k, cfg):
+    return float(node_consistency_all(cfg)[check_graph_index(k, cfg.N), u])
 
 
-def node_consistency_all(cfg, table=None):
+def node_consistency_all(cfg):
     """Node-level consistency for every node of every graph, (N, n).
 
     Node u of graph k is penalized once for each graph pair (i, j) whose
     direct matching from k disagrees, at row u, with the route through i.
     """
-    t = _table(cfg, table)
-    big_n, n = cfg.N, cfg.n
-    out = np.empty((big_n, n))
-    denom = big_n * (big_n - 1) / 2.0
-    iu, ju = np.triu_indices(big_n, 1)
-    for k in range(big_n):
-        a = t[k]   # a[i] = X_ki
-        comp_all = np.empty((big_n, big_n, n), dtype=t.dtype)
-        for i in range(big_n):
-            comp_all[i] = t[i][:, a[i]]   # [j, u] = X_ij[X_ki[u]]
-        mism = comp_all != t[k][None, :, :]   # vs X_kj, rows are nodes of k
-        counts = mism[iu, ju].sum(axis=0)
-        out[k] = 1.0 - counts / denom
-    return out
+    counts = np.zeros((cfg.N, cfg.n), dtype=np.int64)
+    for i, mism in enumerate(_mismatch_rows(cfg.perm_table())):
+        counts += mism[:, i + 1:].sum(axis=1)   # [k, j, u]: X_kj vs X_ki X_ij, j > i
+    return 1.0 - counts / (cfg.N * (cfg.N - 1) / 2.0)
 
 
-def node_affinity(u, k, cfg, kset, table=None):
-    return float(node_affinity_all(cfg, kset, table)[k, u])
+def node_affinity(u, k, cfg, kset):
+    return float(node_affinity_all(cfg, kset)[check_graph_index(k, cfg.N), u])
 
 
-def node_affinity_all(cfg, kset, table=None):
+def node_affinity_all(cfg, kset):
     """Node-level affinity mass for every node of every graph, (N, n).
 
     Node u of graph k accumulates, over all other graphs i, the affinity
     between its own match in X_ki and every match of X_ki; summed over u
     this recovers the full pairwise scores.
     """
-    t = _table(cfg, table)
+    t = cfg.perm_table()
     out = np.zeros((cfg.N, cfg.n))
     for k in range(cfg.N):
         for i in range(cfg.N):
@@ -160,7 +161,7 @@ def node_affinity_all(cfg, kset, table=None):
     return out
 
 
-def keep_masks(cfg, est, kset=None, table=None):
+def keep_masks(cfg, est, kset=None):
     """(N, n) boolean mask keeping, per graph, the n_est top-ranked nodes.
 
     Ranking is node-wise consistency or node-wise affinity depending on
@@ -172,75 +173,63 @@ def keep_masks(cfg, est, kset=None, table=None):
     if est.mode == "affinity":
         if kset is None:
             raise ValueError("affinity-ranked masks need the affinity set")
-        scores = node_affinity_all(cfg, kset, table)
+        scores = node_affinity_all(cfg, kset)
     else:
-        scores = node_consistency_all(cfg, table)
+        scores = node_consistency_all(cfg)
     order = np.argsort(-scores, axis=1, kind="stable")
     keep = np.zeros((cfg.N, cfg.n), dtype=bool)
     np.put_along_axis(keep, order[:, :est.n_est], True, axis=1)
     return keep
 
 
-def inlier_mask(x, row_graph, cfg, est, kset=None, table=None, keep=None):
+def inlier_mask(x, row_graph, cfg, est, kset=None, keep=None):
     """Apply the row mask to a matching matrix: rows of the top-n_est
     nodes of the row graph stay, all other rows become zero. Returns the
     masked dense matrix (no longer a permutation unless n_est = n)."""
+    check_graph_index(row_graph, cfg.N)
     if keep is None:
-        keep = keep_masks(cfg, est, kset, table)
+        keep = keep_masks(cfg, est, kset)
     m = x.matrix if isinstance(x, Permutation) else np.array(x, dtype=float)
     out = m.copy()
     out[~keep[row_graph]] = 0.0
     return out
 
 
-def elicited_unary_consistency(k, cfg, est, kset=None, table=None, keep=None):
+def elicited_unary_consistency(k, cfg, est, kset=None, keep=None):
     """Unary consistency restricted to presumed inliers: residual rows
     outside each row graph's keep set are ignored and the normalizer
     counts only the kept capacity."""
-    t = _table(cfg, table)
+    return elicited_unary_consistency_all(cfg, est, kset, keep)[check_graph_index(k, cfg.N)]
+
+
+def elicited_unary_consistency_all(cfg, est, kset=None, keep=None):
     if keep is None:
-        keep = keep_masks(cfg, est, kset, t)
-    counts = _pair_mismatch_counts(t, k, keep)
-    total = np.triu(counts, 1).sum()
-    return 1.0 - 2.0 * total / (est.n_est * cfg.N * (cfg.N - 1))
+        keep = keep_masks(cfg, est, kset)
+    counts = np.triu(_anchor_mismatch_counts(cfg, keep), 1).sum(axis=(1, 2))
+    return 1.0 - 2.0 * counts / (est.n_est * cfg.N * (cfg.N - 1))
 
 
-def elicited_unary_consistency_all(cfg, est, kset=None, table=None, keep=None):
-    t = _table(cfg, table)
-    if keep is None:
-        keep = keep_masks(cfg, est, kset, t)
-    denom = est.n_est * cfg.N * (cfg.N - 1)
-    return np.array([1.0 - 2.0 * np.triu(_pair_mismatch_counts(t, k, keep), 1).sum() / denom
-                     for k in range(cfg.N)])
-
-
-def elicited_pairwise_consistency(x, cfg, est, i, j, kset=None, table=None, keep=None):
+def elicited_pairwise_consistency(x, cfg, est, i, j, kset=None, keep=None):
     """Pairwise consistency of a candidate with residual rows masked to
     the row graph's keep set."""
-    t = _table(cfg, table)
+    cand, comps = _candidate_and_compositions(x, cfg, i, j)
     if keep is None:
-        keep = keep_masks(cfg, est, kset, t)
-    p = x.perm if isinstance(x, Permutation) else np.asarray(x)
-    comps = np.take_along_axis(t[:, j], t[i], axis=1)
-    mism = ((comps != p[None, :]) & keep[i][None, :]).sum()
-    return 1.0 - mism / (est.n_est * cfg.N)
+        keep = keep_masks(cfg, est, kset)
+    return candidate_consistency(cand, comps, est.n_est, keep[i])[0]
 
 
-def elicited_pairwise_consistency_all(cfg, est, kset=None, table=None, keep=None):
+def elicited_pairwise_consistency_all(cfg, est, kset=None, keep=None):
     """Elicited C_p of every stored matching, oriented: entry (i, j) masks
     by graph i's keep set, so the result is not symmetric in general."""
-    t = _table(cfg, table)
     if keep is None:
-        keep = keep_masks(cfg, est, kset, t)
-    mism = np.zeros((cfg.N, cfg.N))
-    for k in range(cfg.N):
-        mism += _pair_mismatch_counts(t, k, keep)
-    return 1.0 - mism / (est.n_est * cfg.N)
+        keep = keep_masks(cfg, est, kset)
+    return 1.0 - _anchor_mismatch_counts(cfg, keep).sum(axis=0) / (est.n_est * cfg.N)
 
 
-def elicited_score(x, row_graph, cfg, k_mat, est, kset=None, table=None, keep=None):
+def elicited_score(x, row_graph, cfg, k_mat, est, kset=None, keep=None):
     """Affinity score of the row-masked matching: only affinities among
     kept rows survive, so the value never exceeds the unmasked score."""
+    check_graph_index(row_graph, cfg.N)
     if keep is None:
-        keep = keep_masks(cfg, est, kset, table)
+        keep = keep_masks(cfg, est, kset)
     return k_mat.quad_form_masked(x, keep[row_graph])

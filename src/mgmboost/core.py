@@ -23,6 +23,27 @@ import scipy.sparse as sp
 DENSE_NODE_LIMIT = 12
 
 
+def _index_array(values):
+    """``values`` as a new int64 array; raises when a value is not a whole
+    number, instead of truncating it."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = ~(np.isfinite(a) & (a == np.trunc(a)))
+        if bad.any():
+            raise ValueError(f"index {a[bad].flat[0]!r} is not an integer")
+    elif a.dtype.kind not in "biu":
+        raise ValueError(f"indices must be integers, got dtype {a.dtype}")
+    return np.array(a, dtype=np.int64)
+
+
+def check_graph_index(k, n_graphs):
+    """Raise IndexError unless 0 <= k < n_graphs; negative indices do not
+    wrap around."""
+    if not 0 <= k < n_graphs:
+        raise IndexError(f"graph index {k} out of range 0..{n_graphs - 1}")
+    return k
+
+
 class Permutation:
     """One-to-one node correspondence between two equal-size graphs.
 
@@ -33,14 +54,21 @@ class Permutation:
     __slots__ = ("perm",)
 
     def __init__(self, perm):
-        p = np.array(perm, dtype=np.int64)
+        p = _index_array(perm)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("permutation must be a non-empty 1-D index vector")
         n = p.size
         if p.min() < 0 or p.max() >= n or np.bincount(p, minlength=n).max() != 1:
-            raise ValueError("indices are not a permutation of 0..n-1")
+            raise ValueError(f"indices {p.tolist()} are not a permutation of 0..{n - 1}")
         p.setflags(write=False)
         self.perm = p
+
+    @classmethod
+    def _wrap(cls, row):
+        """Wrap a read-only row already known to be a permutation."""
+        x = object.__new__(cls)
+        x.perm = row
+        return x
 
     @property
     def n(self):
@@ -91,6 +119,10 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.perm.tobytes())
+
+    def __reduce__(self):
+        # unpickled arrays come back writeable; rebuilding keeps them read-only
+        return Permutation, (self.perm,)
 
     def __repr__(self):
         return f"Permutation({self.perm.tolist()})"
@@ -275,93 +307,102 @@ class AffinitySet:
 class MatchConfig:
     """All pairwise matchings over N graphs on a common node count n.
 
-    Only the upper triangle i < j is stored; X_ji is derived as the
-    inverse (transpose) and X_ii as the identity, so the symmetry
-    invariant cannot be broken. Immutable after construction.
+    Held as one read-only (N, N, n) int64 index table whose row [i, j] is
+    X_ij. Only the upper triangle i < j is read from the caller; X_ji is
+    filled in as the inverse (transpose) and X_ii as the identity, so the
+    symmetry invariant cannot be broken. Immutable after construction.
     """
 
-    __slots__ = ("N", "n", "_pairs")
+    __slots__ = ("N", "n", "_perms")
 
     def __init__(self, n_graphs, n_nodes, pairs):
+        rows = []
+        for i, j in _upper_pairs(n_graphs):
+            try:
+                x = pairs[(i, j)]
+            except KeyError:
+                raise ValueError(f"missing matching for pair ({i}, {j})") from None
+            if x.n != n_nodes:
+                raise ValueError(f"pair ({i}, {j}) has node count {x.n}, expected {n_nodes}")
+            rows.append(x.perm)
+        self._fill(n_graphs, np.array(rows, dtype=np.int64).reshape(-1, n_nodes))
+
+    def _fill(self, n_graphs, upper):
+        """Build the table from validated upper-triangle rows, listed in
+        row-major (i, j) order."""
         if n_graphs < 2:
             raise ValueError("need at least two graphs")
+        n = upper.shape[1]
+        iu, ju = np.triu_indices(n_graphs, 1)
+        ident = np.arange(n)
+        inv = np.empty_like(upper)
+        np.put_along_axis(inv, upper, np.broadcast_to(ident, upper.shape), axis=1)
+        t = np.empty((n_graphs, n_graphs, n), dtype=np.int64)
+        t[np.arange(n_graphs), np.arange(n_graphs)] = ident
+        t[iu, ju] = upper
+        t[ju, iu] = inv
+        t.setflags(write=False)
         self.N = n_graphs
-        self.n = n_nodes
-        store = {}
-        for i in range(n_graphs - 1):
-            for j in range(i + 1, n_graphs):
-                try:
-                    x = pairs[(i, j)]
-                except KeyError:
-                    raise ValueError(f"missing matching for pair ({i}, {j})") from None
-                if x.n != n_nodes:
-                    raise ValueError(f"pair ({i}, {j}) has node count {x.n}, expected {n_nodes}")
-                store[(i, j)] = x
-        self._pairs = store
+        self.n = n
+        self._perms = t
 
     @classmethod
     def identity(cls, n_graphs, n_nodes):
         ident = Permutation.identity(n_nodes)
-        return cls(n_graphs, n_nodes, {(i, j): ident
-                                       for i in range(n_graphs - 1)
-                                       for j in range(i + 1, n_graphs)})
+        return cls(n_graphs, n_nodes, dict.fromkeys(_upper_pairs(n_graphs), ident))
 
     @classmethod
     def random(cls, n_graphs, n_nodes, rng):
         return cls(n_graphs, n_nodes, {(i, j): Permutation.random(n_nodes, rng)
-                                       for i in range(n_graphs - 1)
-                                       for j in range(i + 1, n_graphs)})
+                                       for i, j in _upper_pairs(n_graphs)})
 
     @classmethod
     def from_table(cls, table):
-        """Build from an (N, N, n) index table, reading the upper triangle."""
-        table = np.asarray(table)
-        n_graphs = table.shape[0]
-        n_nodes = table.shape[2]
-        return cls(n_graphs, n_nodes, {(i, j): Permutation(table[i, j])
-                                       for i in range(n_graphs - 1)
-                                       for j in range(i + 1, n_graphs)})
+        """Build from an (N, N, n) index table, reading the upper triangle;
+        every row there must be a permutation of 0..n-1."""
+        t = np.asarray(table)
+        if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] == 0:
+            raise ValueError(f"table must have shape (N, N, n) with n >= 1, got {t.shape}")
+        n_graphs, _, n = t.shape
+        upper = _index_array(t[np.triu_indices(n_graphs, 1)])
+        bad = (np.sort(upper, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            i, j = _upper_pairs(n_graphs)[int(np.argmax(bad))]
+            raise ValueError(f"pair ({i}, {j}) indices {t[i, j].tolist()} "
+                             f"are not a permutation of 0..{n - 1}")
+        cfg = cls.__new__(cls)
+        cfg._fill(n_graphs, upper)
+        return cfg
 
     def get(self, i, j):
-        if i == j:
-            return Permutation.identity(self.n)
-        if i < j:
-            return self._pairs[(i, j)]
-        return self._pairs[(j, i)].inverse()
+        check_graph_index(i, self.N)
+        check_graph_index(j, self.N)
+        return Permutation._wrap(self._perms[i, j])
 
     def pairs(self):
-        """Iterate (i, j, X_ij) over the stored upper triangle."""
-        for (i, j), x in sorted(self._pairs.items()):
-            yield i, j, x
+        """Iterate (i, j, X_ij) over the upper triangle."""
+        for i, j in _upper_pairs(self.N):
+            yield i, j, Permutation._wrap(self._perms[i, j])
 
     def perm_table(self):
-        """Full (N, N, n) index table including inverses and identities."""
-        t = np.empty((self.N, self.N, self.n), dtype=np.int64)
-        ident = np.arange(self.n)
-        for i in range(self.N):
-            t[i, i] = ident
-        for (i, j), x in self._pairs.items():
-            t[i, j] = x.perm
-            inv = np.empty(self.n, dtype=np.int64)
-            inv[x.perm] = ident
-            t[j, i] = inv
-        return t
-
-    def replace(self, updates):
-        """New configuration with some upper-triangle pairs replaced."""
-        pairs = dict(self._pairs)
-        for (i, j), x in updates.items():
-            if not i < j:
-                raise ValueError("updates must target the upper triangle")
-            pairs[(i, j)] = x
-        return MatchConfig(self.N, self.n, pairs)
+        """The read-only (N, N, n) index table, inverses and identities
+        included; the same array on every call."""
+        return self._perms
 
     def __eq__(self, other):
         return (isinstance(other, MatchConfig) and self.N == other.N
-                and self.n == other.n and self._pairs == other._pairs)
+                and self.n == other.n and np.array_equal(self._perms, other._perms))
 
     def __hash__(self):
-        return hash((self.N, self.n, tuple(sorted((k, v) for k, v in self._pairs.items()))))
+        return hash((self.N, self.n, self._perms.tobytes()))
+
+    def __reduce__(self):
+        return MatchConfig.from_table, (self._perms,)
+
+
+def _upper_pairs(n_graphs):
+    """Pairs (i, j) with i < j in row-major order."""
+    return [(i, j) for i in range(n_graphs - 1) for j in range(i + 1, n_graphs)]
 
 
 @dataclass(frozen=True)

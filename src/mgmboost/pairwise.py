@@ -20,15 +20,12 @@ from .core import AffinityMatrix, Permutation
 class SolverOptions:
     max_power_iters: int = 500
     tol: float = 1e-9
-    discretizer: str = "hungarian"
 
     def __post_init__(self):
         if self.max_power_iters < 1:
             raise ValueError("max_power_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.discretizer != "hungarian":
-            raise ValueError(f"unknown discretizer {self.discretizer!r}")
 
 
 def power_iteration(k, opts=None):

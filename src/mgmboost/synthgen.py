@@ -36,8 +36,8 @@ class SynthParams:
     def __post_init__(self):
         if self.n_graphs < 2 or self.inliers < 1 or self.outliers < 0:
             raise ValueError("need n_graphs >= 2, inliers >= 1, outliers >= 0")
-        if self.deform < 0:
-            raise ValueError("deform must be >= 0")
+        if not (np.isfinite(self.deform) and self.deform >= 0):
+            raise ValueError(f"deform must be finite and >= 0, got {self.deform!r}")
         if not 0.0 <= self.density <= 1.0 or not 0.0 <= self.coverage <= 1.0:
             raise ValueError("density and coverage live in [0, 1]")
         if not self.sigma2 > 0:

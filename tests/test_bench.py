@@ -55,6 +55,12 @@ class TestAccuracy:
                                  (1, 2): bad_on_outliers})
         assert accuracy(alg, truth, [np.arange(2)] * 3) == 1.0
 
+    def test_graph_without_inlier_rows_rejected(self):
+        cfg = MatchConfig.identity(3, 3)
+        rows = [np.arange(3), np.array([], dtype=np.int64), np.arange(3)]
+        with pytest.raises(ValueError, match="graph 1 has no inlier rows"):
+            accuracy(cfg, cfg, rows)
+
     def test_symmetric_under_relabeling(self, rng):
         # relabeling every graph's nodes consistently leaves accuracy fixed
         n_graphs, n = 3, 4

@@ -19,7 +19,7 @@ from mgmboost import (AffinityMatrix, AffinitySet, BoostParams, InlierEstimate,
                       MatchConfig, Permutation, ScoreNormalizer, best_anchor,
                       compose, enforce_full_consistency, is_fully_consistent,
                       keep_masks, mst, overall_consistency, run_boost,
-                      run_isb_acc_oracle, total_score)
+                      total_score)
 from mgmboost.boost import EVAL_KINDS
 
 from conftest import (naive_elicited_pairwise, naive_elicited_unary,
@@ -351,6 +351,31 @@ class TestEnforceFullConsistency:
             out = enforce_full_consistency(cfg, kset, gamma=gamma)
             assert is_fully_consistent(out)
             assert overall_consistency(out) == 1.0
+
+
+def run_isb_acc_oracle(cfg0, cfg_truth, inlier_rows, t_max=50):
+    """Upper bound for the tests: the boosting loop driven by the true
+    per-pair accuracy instead of any observable evaluation. It quantifies
+    the best the composition search could possibly do from a given
+    initial configuration."""
+    cfg = cfg0
+    tru = cfg_truth.perm_table()
+    for _ in range(t_max):
+        table = cfg.perm_table()
+        new_table = table.copy()
+        changed = 0
+        for i in range(cfg.N - 1):
+            rows = np.asarray(inlier_rows[i])
+            for j in range(i + 1, cfg.N):
+                comps = np.take_along_axis(table[:, j], table[i], axis=1)
+                anchors = [i] + [k for k in range(cfg.N) if k != i and k != j]
+                hits = (comps[anchors][:, rows] == tru[i, j][rows]).sum(axis=1)
+                new_table[i, j] = comps[anchors[int(np.argmax(hits))]]
+                changed += int(not np.array_equal(new_table[i, j], table[i, j]))
+        cfg = MatchConfig.from_table(new_table)
+        if changed == 0:
+            break
+    return cfg
 
 
 class TestAccuracyOracle:

@@ -36,6 +36,38 @@ def three_graph_example():
     return MatchConfig(3, 2, {(0, 1): ident, (0, 2): swap, (1, 2): ident})
 
 
+def _index_users():
+    """Every public call taking a graph index, as f(cfg, kset, est, g)."""
+    x = Permutation.identity(3)
+    return {
+        "get_row": lambda cfg, kset, est, g: cfg.get(g, 0),
+        "get_col": lambda cfg, kset, est, g: cfg.get(0, g),
+        "unary": lambda cfg, kset, est, g: unary_consistency(g, cfg),
+        "pairwise_i": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, g, 0),
+        "pairwise_j": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, 0, g),
+        "node": lambda cfg, kset, est, g: node_consistency(0, g, cfg),
+        "node_affinity": lambda cfg, kset, est, g: node_affinity(0, g, cfg, kset),
+        "inlier_mask": lambda cfg, kset, est, g: inlier_mask(x, g, cfg, est),
+        "elicited_unary": lambda cfg, kset, est, g: elicited_unary_consistency(g, cfg, est),
+        "elicited_pairwise_i": lambda cfg, kset, est, g:
+            elicited_pairwise_consistency(x, cfg, est, g, 0),
+        "elicited_pairwise_j": lambda cfg, kset, est, g:
+            elicited_pairwise_consistency(x, cfg, est, 0, g),
+        "elicited_score": lambda cfg, kset, est, g:
+            elicited_score(x, g, cfg, kset.get(0, 1), est),
+    }
+
+
+@pytest.mark.parametrize("graph", [-1, -4, 4])
+@pytest.mark.parametrize("name", sorted(_index_users()))
+def test_graph_index_out_of_range_raises(name, graph, rng):
+    # negative indices must not wrap around to the last graphs
+    cfg = random_config(rng, 4, 3)
+    kset = random_kset(rng, 4, 3)
+    with pytest.raises(IndexError, match=f"graph index {graph}"):
+        _index_users()[name](cfg, kset, InlierEstimate(2, "consistency"), graph)
+
+
 class TestUnaryConsistency:
     def test_fully_consistent_is_one(self, rng):
         cfg = MatchConfig.identity(4, 3)

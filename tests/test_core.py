@@ -7,6 +7,7 @@ Property coverage:
 """
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ class TestPermutation:
             Permutation([0, 2])
         with pytest.raises(ValueError):
             Permutation([])
+
+    @pytest.mark.parametrize("bad", [[0.7, 1.2], [0.0, float("nan")], ["0", "1"]])
+    def test_rejects_non_integer_indices(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            Permutation(bad)
+
+    def test_accepts_whole_floats(self):
+        assert Permutation([1.0, 0.0]) == Permutation([1, 0])
 
     def test_matrix_roundtrip(self, rng):
         for _ in range(10):
@@ -230,3 +239,51 @@ class TestMatchConfig:
         for i in range(4):
             for j in range(4):
                 assert np.array_equal(t[i, j], cfg.get(i, j).perm)
+
+    def test_perm_table_read_only_and_shared(self, rng):
+        cfg = MatchConfig.random(4, 3, rng)
+        t = cfg.perm_table()
+        assert t is cfg.perm_table()
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 1, 0] = t[0, 1, 1]
+        with pytest.raises(ValueError):
+            cfg.get(0, 1).perm[0] = 0
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and not back.perm_table().flags.writeable
+        assert not pickle.loads(pickle.dumps(cfg.get(0, 1))).perm.flags.writeable
+
+    def test_from_table_round_trip(self, rng):
+        for n_graphs, n in [(2, 1), (3, 4), (5, 6)]:
+            cfg = MatchConfig.random(n_graphs, n, rng)
+            back = MatchConfig.from_table(cfg.perm_table())
+            assert back == cfg
+            assert hash(back) == hash(cfg)
+            assert np.array_equal(back.perm_table(), cfg.perm_table())
+
+    def test_from_table_fills_lower_triangle(self, rng):
+        # only the upper triangle is read; inverses and identities are derived
+        cfg = MatchConfig.random(4, 5, rng)
+        scribbled = cfg.perm_table().copy()
+        for i in range(4):
+            for j in range(i + 1):
+                scribbled[i, j] = rng.permutation(5)
+        assert MatchConfig.from_table(scribbled) == cfg
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 4), (3, 3, 0), (1, 1, 3)])
+    def test_from_table_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError):
+            MatchConfig.from_table(np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("row", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+    def test_from_table_rejects_non_permutation_upper_row(self, row):
+        t = MatchConfig.identity(3, 3).perm_table().copy()
+        t[1, 2] = row
+        with pytest.raises(ValueError, match=r"pair \(1, 2\)"):
+            MatchConfig.from_table(t)
+
+    def test_from_table_rejects_non_integer_indices(self):
+        t = MatchConfig.identity(3, 2).perm_table().astype(float)
+        t[0, 1] = [0.7, 1.2]
+        with pytest.raises(ValueError, match="integer"):
+            MatchConfig.from_table(t)

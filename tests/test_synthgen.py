@@ -86,6 +86,11 @@ class TestRandomGraphs:
         assert [p.deform for p in params] == eps_grid
         assert all(p.n_nodes == 10 for p in params)
 
+    @pytest.mark.parametrize("deform", [float("nan"), float("inf"), -0.1])
+    def test_bad_deform_rejected_naming_value(self, deform):
+        with pytest.raises(ValueError, match=f"deform .*{deform}"):
+            SynthParams(n_graphs=3, inliers=4, deform=deform)
+
     def test_density_zero_gives_empty_graphs(self):
         p = SynthParams(n_graphs=3, inliers=4, density=0.0, seed=5)
         for g in gen_random_graphs(p):
