@@ -18,6 +18,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .core import MatchConfig, Permutation, ScoreNormalizer, total_score
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
@@ -166,11 +169,6 @@ def _anchor_pool(i, j, n_graphs, sample_rate, rng):
     return [i, j] + pool
 
 
-def _first_max(values):
-    """Index of the maximum, lowest index on exact ties."""
-    return int(np.argmax(values))
-
-
 def _pair_best(i, j, tbl, lam, sample_rate, rng):
     """Best anchor and replacement candidate for one pair under the
     iteration's evaluation function. Duplicate candidate matrices are
@@ -202,7 +200,7 @@ def _pair_best(i, j, tbl, lam, sample_rate, rng):
         vals = (1.0 - lam) * j_vals + lam * cons
     else:
         raise ValueError(f"unknown evaluation kind {kind!r}")
-    best = _first_max(vals)
+    best = np.argmax(vals)     # lowest index on exact ties
     return anchors[best], cands[best]
 
 
@@ -230,14 +228,13 @@ def _pair_best_2nd(i, j, tbl, sample_rate, rng):
     scored by normalized affinity alone. Returns the candidate; exact
     ties keep the first in (v, u) scan order."""
     table = tbl.table
-    pool = _anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
-    cands = []
-    for v in pool:
-        first = np.take_along_axis(table[v], np.broadcast_to(table[i, v], table[v].shape),
-                                   axis=1)   # [u] = X_iv then X_vu
-        for u in pool:
-            cands.append(table[u, j][first[u]])
-    return cands[_first_max(tbl.scores_for(i, j, cands))]
+    pool = np.array(_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng))
+    shape = (len(pool), len(pool), tbl.cfg.n)
+    via = np.take_along_axis(table[np.ix_(pool, pool)], table[i, pool][:, None, :],
+                             axis=2)   # [v, u] = X_iv then X_vu
+    cands = np.take_along_axis(np.broadcast_to(table[pool, j], shape), via,
+                               axis=2).reshape(-1, tbl.cfg.n)   # then X_uj
+    return cands[np.argmax(tbl.scores_for(i, j, cands))]
 
 
 def _eval_kind(mode, t, t0):
@@ -361,23 +358,13 @@ def _config_from_tree(cfg, tree):
     """Rebuild every pairwise matching by composing along tree paths;
     the result is exactly cycle-consistent."""
     table = cfg.perm_table()
-    n_graphs, n = cfg.N, cfg.n
-    adj = {k: [] for k in range(n_graphs)}
-    for i, j in tree:
-        adj[i].append(j)
-        adj[j].append(i)
-    root_to = np.empty((n_graphs, n), dtype=np.int64)
-    root_to[0] = np.arange(n)
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        for nxt in adj[cur]:
-            if nxt in seen:
-                continue
-            root_to[nxt] = table[cur, nxt][root_to[cur]]
-            seen.add(nxt)
-            queue.append(nxt)
+    rows, cols = np.array(tree, dtype=np.int64).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(cfg.N, cfg.N))
+    order, pred = breadth_first_order(adj, 0, directed=False)
+    root_to = np.empty((cfg.N, cfg.n), dtype=np.int64)
+    root_to[0] = np.arange(cfg.n)
+    for k in order[1:]:        # each parent is filled before its children
+        root_to[k] = table[pred[k], k][root_to[pred[k]]]
     return _config_from_basis(np.argsort(root_to, axis=1))
 
 
@@ -391,22 +378,23 @@ def _config_from_basis(basis):
 
 
 def _spectral_sync(cfg):
-    """Consistent configuration from the leading eigenvectors of the
+    """Consistent configuration from the n leading eigenvectors of the
     stacked block matrix of all matchings, each block re-projected to a
     permutation by the Hungarian method; the first block anchors the
-    gauge at the identity."""
+    gauge at the identity. The re-projection does not depend on the
+    basis chosen inside the leading eigenspace, so only that space is
+    computed."""
     table = cfg.perm_table()
     n_graphs, n = cfg.N, cfg.n
-    stack = np.zeros((n_graphs * n, n_graphs * n))
-    rows = np.arange(n)
-    for i in range(n_graphs):
-        for j in range(n_graphs):
-            stack[i * n + rows, j * n + table[i, j]] = 1.0
-    _, vecs = np.linalg.eigh(stack)
-    lead = vecs[:, -n:]
+    size = n_graphs * n
+    stack = np.zeros((size, size))
+    rows = np.arange(size).reshape(n_graphs, 1, n)            # [i, j, u] -> i*n + u
+    cols = table + n * np.arange(n_graphs).reshape(1, n_graphs, 1)  # -> j*n + X_ij[u]
+    stack[rows, cols] = 1.0
+    _, lead = eigh(stack, subset_by_index=[size - n, size - 1])
     base = lead[:n]
     basis = np.empty((n_graphs, n), dtype=np.int64)
-    basis[0] = rows
+    basis[0] = np.arange(n)
     for k in range(1, n_graphs):
         basis[k] = hungarian(lead[k * n:(k + 1) * n] @ base.T).perm
     return _config_from_basis(basis)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, check_graph_index
+from .core import Permutation, check_graph_index, check_node_index
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -125,7 +125,8 @@ def is_fully_consistent(cfg, table=None):
 
 
 def node_consistency(u, k, cfg):
-    return float(node_consistency_all(cfg)[check_graph_index(k, cfg.N), u])
+    k, u = check_graph_index(k, cfg.N), check_node_index(u, cfg.n)
+    return float(node_consistency_all(cfg)[k, u])
 
 
 def node_consistency_all(cfg):
@@ -141,7 +142,8 @@ def node_consistency_all(cfg):
 
 
 def node_affinity(u, k, cfg, kset):
-    return float(node_affinity_all(cfg, kset)[check_graph_index(k, cfg.N), u])
+    k, u = check_graph_index(k, cfg.N), check_node_index(u, cfg.n)
+    return float(node_affinity_all(cfg, kset)[k, u])
 
 
 def node_affinity_all(cfg, kset):

@@ -44,6 +44,14 @@ def check_graph_index(k, n_graphs):
     return k
 
 
+def check_node_index(u, n_nodes):
+    """Raise IndexError unless 0 <= u < n_nodes; negative indices do not
+    wrap around."""
+    if not 0 <= u < n_nodes:
+        raise IndexError(f"node index u={u} out of range 0..{n_nodes - 1}")
+    return u
+
+
 class Permutation:
     """One-to-one node correspondence between two equal-size graphs.
 

@@ -323,6 +323,8 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
                 pts[row] = [float(toks[0]), float(toks[1])]
             except ValueError:
                 raise ValueError(f"line {no}: non-numeric coordinate") from None
+            if not np.isfinite(pts[row]).all():
+                raise ValueError(f"line {no}: non-finite coordinate")
         if with_perms:
             no, ln = chunk[n_points]
             toks = ln.split()

@@ -132,6 +132,55 @@ def spanning_tree_best(weights):
     return best
 
 
+def stacked_matching_matrix(cfg):
+    """(N n) x (N n) block matrix whose (i, j) block is X_ij."""
+    n = cfg.n
+    stack = np.zeros((cfg.N * n, cfg.N * n))
+    for i in range(cfg.N):
+        for j in range(cfg.N):
+            stack[i * n:(i + 1) * n, j * n:(j + 1) * n] = cfg.get(i, j).matrix
+    return stack
+
+
+def naive_spectral_sync(cfg):
+    """Spectral synchronization from the full eigendecomposition: the
+    n leading eigenvectors, each block projected onto the first block
+    and rounded to its best permutation by enumeration, and X_ij rebuilt
+    as B_i B_j^T. Returns the configuration and the smallest margin
+    between a block's best and second-best permutation totals."""
+    n = cfg.n
+    _, vecs = np.linalg.eigh(stacked_matching_matrix(cfg))
+    lead = vecs[:, -n:]
+    base = lead[:n]
+    perms = [np.array(p) for p in itertools.permutations(range(n))]
+    mats = [np.eye(n)]
+    margin = np.inf
+    for k in range(1, cfg.N):
+        profit = lead[k * n:(k + 1) * n] @ base.T
+        totals = np.array([profit[np.arange(n), p].sum() for p in perms])
+        order = np.argsort(-totals, kind="stable")
+        if len(perms) > 1:
+            margin = min(margin, totals[order[0]] - totals[order[1]])
+        mats.append(Permutation(perms[order[0]]).matrix)
+    pairs = {(i, j): Permutation.from_matrix(mats[i] @ mats[j].T)
+             for i in range(cfg.N - 1) for j in range(i + 1, cfg.N)}
+    return MatchConfig(cfg.N, n, pairs), margin
+
+
+def corrupted_config(rng, n_graphs, n_nodes, flip):
+    """A consistent configuration in which each stored pair is replaced,
+    with probability ``flip``, by a uniformly random permutation."""
+    basis = [rng.permutation(n_nodes) for _ in range(n_graphs)]
+    pairs = {}
+    for i in range(n_graphs - 1):
+        for j in range(i + 1, n_graphs):
+            if rng.uniform() < flip:
+                pairs[(i, j)] = Permutation(rng.permutation(n_nodes))
+            else:
+                pairs[(i, j)] = Permutation(basis[j][np.argsort(basis[i])])
+    return MatchConfig(n_graphs, n_nodes, pairs)
+
+
 def random_config(rng, n_graphs, n_nodes):
     return MatchConfig.random(n_graphs, n_nodes, rng)
 

@@ -20,12 +20,14 @@ from mgmboost import (AffinityMatrix, AffinitySet, BoostParams, InlierEstimate,
                       compose, enforce_full_consistency, is_fully_consistent,
                       keep_masks, mst, overall_consistency, run_boost,
                       total_score)
-from mgmboost.boost import EVAL_KINDS
+from mgmboost.boost import (EVAL_KINDS, _anchor_pool, _config_from_tree,
+                            _IterTables, _pair_best_2nd, _spectral_sync)
 
-from conftest import (naive_elicited_pairwise, naive_elicited_unary,
-                      naive_pairwise_consistency, naive_quad_form,
+from conftest import (corrupted_config, naive_elicited_pairwise,
+                      naive_elicited_unary, naive_pairwise_consistency,
+                      naive_quad_form, naive_spectral_sync,
                       naive_unary_consistency, random_config, random_kset,
-                      spanning_tree_best)
+                      spanning_tree_best, stacked_matching_matrix)
 
 
 def naive_eval(kind, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=None):
@@ -148,6 +150,134 @@ class TestBestAnchor:
         b = best_anchor(0, 1, cfg, kset, "score", sample_rate=0.4,
                         rng=np.random.default_rng(3), norm=norm)
         assert a[0] == b[0] and a[1] == b[1]
+
+
+class TestPairBest2nd:
+    """The vectorized second-order search against an exhaustive (v, u)
+    enumeration of X_iv X_vu X_uj scored by the dense quadratic form."""
+
+    @staticmethod
+    def exhaustive(i, j, cfg, kset, norm, pool):
+        """Every candidate in (v, u) scan order with its score, and the
+        first one attaining the maximum."""
+        k_dense = kset.get(i, j).dense()
+        scored = []
+        for v in pool:
+            for u in pool:
+                cand = compose(compose(cfg.get(i, v), cfg.get(v, u)), cfg.get(u, j))
+                scored.append((cand, naive_quad_form(cand.matrix, k_dense) / norm.value))
+        best = max(val for _, val in scored)
+        return scored, next(cand for cand, val in scored if val == best)
+
+    @pytest.mark.parametrize("n,storage", [(4, "dense"), (13, "sparse")])
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
+    def test_matches_exhaustive_enumeration(self, n, storage, sample_rate):
+        for seed in range(3):
+            srng = np.random.default_rng(300 + seed)
+            cfg = random_config(srng, 6, n)
+            kset = random_kset(srng, 6, n, storage=storage)
+            norm = ScoreNormalizer.from_initial(cfg, kset)
+            tbl = _IterTables(cfg, kset, "score", norm)
+            for i, j in [(0, 1), (1, 4), (3, 5)]:
+                pool = _anchor_pool(i, j, cfg.N, sample_rate, np.random.default_rng(seed))
+                got = _pair_best_2nd(i, j, tbl, sample_rate, np.random.default_rng(seed))
+                _, want = self.exhaustive(i, j, cfg, kset, norm, pool)
+                assert Permutation(got) == want
+
+    def test_exact_ties_keep_first_in_scan_order(self):
+        # only the match 0 -> 1 earns affinity, so every candidate that
+        # holds it ties at the maximum
+        n, n_graphs = 4, 6
+        k = np.zeros((n * n, n * n))
+        k[1 * n + 0, 1 * n + 0] = 1.0         # vec index p(u) * n + u
+        kset = AffinitySet(n_graphs, {(i, j): AffinityMatrix(k) for i in range(n_graphs - 1)
+                                      for j in range(i + 1, n_graphs)})
+        norm = ScoreNormalizer(1.0)
+        distinct_ties = 0
+        for seed in range(8):
+            cfg = random_config(np.random.default_rng(400 + seed), n_graphs, n)
+            tbl = _IterTables(cfg, kset, "score", norm)
+            got = Permutation(_pair_best_2nd(0, 1, tbl, 1.0, None))
+            scored, want = self.exhaustive(0, 1, cfg, kset, norm, range(n_graphs))
+            assert got == want
+            top = {cand for cand, val in scored if val == 1.0}
+            distinct_ties += len(top) > 1 and cfg.get(0, 1) not in top
+        assert distinct_ties > 0   # some seed ties distinct non-incumbent candidates
+
+
+class TestSpectralSync:
+    """Top-n eigensolve against the full eigendecomposition."""
+
+    def test_matches_full_eigendecomposition(self):
+        compared = 0
+        for seed in range(40):
+            srng = np.random.default_rng(500 + seed)
+            n = int(srng.integers(2, 5))
+            cfg = corrupted_config(srng, int(srng.integers(n + 1, 9)), n,
+                                   float(srng.uniform(0.1, 0.9)))
+            if is_fully_consistent(cfg):
+                continue
+            vals = np.linalg.eigvalsh(stacked_matching_matrix(cfg))
+            want, margin = naive_spectral_sync(cfg)
+            # with a repeated n-th eigenvalue or a tied block rounding the
+            # result is not determined by the matchings; skip those
+            if vals[-n] - vals[-n - 1] < 1e-9 or margin < 1e-9:
+                continue
+            assert _spectral_sync(cfg) == want
+            compared += 1
+        assert compared >= 25
+
+    def test_close_nth_eigenvalues(self):
+        # N = 6, n = 4: the 4th and 5th largest eigenvalues are 0.0047 apart
+        srng = np.random.default_rng(5036)
+        n_graphs, n = int(srng.integers(5, 10)), int(srng.integers(3, 5))
+        cfg = corrupted_config(srng, n_graphs, n, float(srng.uniform(0.1, 0.9)))
+        assert (n_graphs, n) == (6, 4)
+        vals = np.linalg.eigvalsh(stacked_matching_matrix(cfg))
+        gap = vals[-n] - vals[-n - 1]
+        assert 1e-9 < gap < 0.005
+        want, margin = naive_spectral_sync(cfg)
+        assert margin > 1e-9
+        assert _spectral_sync(cfg) == want
+
+
+class TestConfigFromTree:
+    @staticmethod
+    def tree_path(tree, i, j):
+        adj = {}
+        for a, b in tree:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        prev, frontier = {i: None}, [i]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in adj.get(a, []):
+                    if b not in prev:
+                        prev[b] = a
+                        nxt.append(b)
+            frontier = nxt
+        path = [j]
+        while path[-1] != i:
+            path.append(prev[path[-1]])
+        return path[::-1]
+
+    def test_matches_path_composition(self):
+        for seed in range(15):
+            srng = np.random.default_rng(600 + seed)
+            n_graphs = int(srng.integers(2, 9))
+            cfg = random_config(srng, n_graphs, int(srng.integers(1, 6)))
+            label = srng.permutation(n_graphs)
+            tree = sorted(tuple(sorted((int(label[k]), int(label[srng.integers(k)]))))
+                          for k in range(1, n_graphs))
+            out = _config_from_tree(cfg, tree)
+            for i in range(n_graphs):
+                for j in range(n_graphs):
+                    path = self.tree_path(tree, i, j)
+                    want = Permutation.identity(cfg.n)
+                    for a, b in zip(path, path[1:]):
+                        want = compose(want, cfg.get(a, b))
+                    assert out.get(i, j) == want
 
 
 class TestRunBoost:

@@ -68,6 +68,18 @@ def test_graph_index_out_of_range_raises(name, graph, rng):
         _index_users()[name](cfg, kset, InlierEstimate(2, "consistency"), graph)
 
 
+@pytest.mark.parametrize("node", [-1, -3, 3])
+@pytest.mark.parametrize("name", ["node", "node_affinity"])
+def test_node_index_out_of_range_raises(name, node, rng):
+    # n = 3: negative node indices must not wrap around either
+    cfg = random_config(rng, 4, 3)
+    kset = random_kset(rng, 4, 3)
+    call = {"node": lambda: node_consistency(node, 0, cfg),
+            "node_affinity": lambda: node_affinity(node, 0, cfg, kset)}[name]
+    with pytest.raises(IndexError, match=f"node index u={node}"):
+        call()
+
+
 class TestUnaryConsistency:
     def test_fully_consistent_is_one(self, rng):
         cfg = MatchConfig.identity(4, 3)

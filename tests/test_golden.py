@@ -1,0 +1,86 @@
+"""Output stability: sha256 digests of the final int64 index tables of
+small fixed-seed runs.
+
+The digests pin the exact matchings, so any change to the numerics that
+alters one result fails here, even where every property test still
+holds. A change that alters an output on purpose updates the digest and
+says why. The cases cover every post-processing route, second-order
+search on CSR affinities and elicited boosting on point sets.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mgmboost import (BoostParams, InlierEstimate, SynthParams, build_affinity_set,
+                      enforce_full_consistency, gen_random_graphs,
+                      gen_random_points, init_config, is_fully_consistent,
+                      overall_consistency, run_boost)
+
+# name: (generator, instance params, boost params, post-processing route)
+CASES = {
+    "none": (gen_random_graphs,
+             SynthParams(n_graphs=5, inliers=6, deform=0.0, sigma2=0.05, seed=1),
+             BoostParams(mode="isb_gc", t_max=6), "none"),
+    "affinity_mst": (gen_random_graphs,
+                     SynthParams(n_graphs=6, inliers=6, deform=0.3, density=0.8,
+                                 sigma2=0.05, seed=2),
+                     BoostParams(mode="isb", t_max=2, gamma=0.95), "affinity_mst"),
+    "consistency_mst": (gen_random_graphs,
+                        SynthParams(n_graphs=5, inliers=8, deform=0.2, sigma2=0.05,
+                                    seed=3),
+                        BoostParams(mode="isb_gc_u", t_max=6, gamma=0.05),
+                        "consistency_mst"),
+    "spectral": (gen_random_graphs,
+                 SynthParams(n_graphs=10, inliers=5, deform=0.15, sigma2=0.05, seed=4),
+                 BoostParams(mode="isb_gc_p", t_max=6, gamma=0.05), "spectral"),
+    "isb_2nd_csr": (gen_random_graphs,
+                    SynthParams(n_graphs=4, inliers=13, deform=0.05, density=0.9,
+                                sigma2=0.05, seed=5),
+                    BoostParams(mode="isb_2nd", t_max=3), "consistency_mst"),
+    "elicited_points": (gen_random_points,
+                        SynthParams(n_graphs=6, inliers=5, outliers=3, deform=0.02,
+                                    sigma2=0.05, seed=6),
+                        BoostParams(mode="isb_gc", t_max=6,
+                                    elicit=InlierEstimate(5, "affinity")),
+                        "consistency_mst"),
+}
+
+GOLDEN = {
+    "affinity_mst": "37864505ea78ac6dec56840b5777ff14dba6ce86ac0ee415ebf978b31f1f6a05",
+    "consistency_mst": "ee545f760ebdafd5668c03c06d0adc3e657354bc53ce9b14f8c55378c1165ae7",
+    "elicited_points": "303b84332cb53fc894ba95458570b82d26725d6823b259c874b4110fd10a7350",
+    "isb_2nd_csr": "a9106b488550f8faf6de1e2f514e4f618b44c769fa1490f8d22cc66fcbab7957",
+    "none": "dd75f15b2b80ebec9bf099b0adb55815b4fc8a77a4d91bb23b737bef016dbd5c",
+    "spectral": "da3808d641b8a39cac8c24c5c5cd11be1e13fdad8b3816d423fabb9321ba2706",
+}
+
+
+def route(cfg, gamma):
+    """The branch enforce_full_consistency takes for cfg."""
+    if is_fully_consistent(cfg):
+        return "none"
+    if overall_consistency(cfg) < gamma:
+        return "affinity_mst"
+    return "consistency_mst" if cfg.n >= cfg.N else "spectral"
+
+
+def run_case(name):
+    """(route taken, sha256 of the final table) of one case."""
+    generate, synth, params, _ = CASES[name]
+    instances = generate(synth)
+    kset = build_affinity_set(instances, synth.sigma2)
+    cfg0 = init_config(kset, synth.coverage, synth.seed)
+    boosted, _ = run_boost(cfg0, kset, replace(params, enforce_final_consistency=False))
+    final = enforce_full_consistency(boosted, kset, params.gamma)
+    table = np.ascontiguousarray(final.perm_table(), dtype="<i8")
+    return route(boosted, params.gamma), hashlib.sha256(table.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_final_table_digest(name):
+    taken, digest = run_case(name)
+    assert taken == CASES[name][3]
+    assert digest == GOLDEN[name]

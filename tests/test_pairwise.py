@@ -26,6 +26,12 @@ class TestHungarian:
             p = hungarian(np.eye(n))
             assert p == Permutation.identity(n)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_constant_profit_is_identity(self, n, value):
+        # every assignment ties; the solver must still pick the identity
+        assert hungarian(np.full((n, n), value)) == Permutation.identity(n)
+
     def test_two_by_two(self):
         # [[2,1],[1,2]]: identity totals 4, the swap totals 2
         profit = np.array([[2.0, 1.0], [1.0, 2.0]])

@@ -265,6 +265,12 @@ class TestLoadPointset(object):
         with pytest.raises(ValueError, match="line 3"):
             load_pointset(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite(self, tmp_path, token):
+        path = self._write(tmp_path, f"1 2\n0 0\n1 {token}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite coordinate"):
+            load_pointset(path)
+
     def test_bad_header(self, tmp_path):
         path = self._write(tmp_path, "2\n0 0\n")
         with pytest.raises(ValueError, match="line 1"):
