@@ -124,7 +124,8 @@ def _make_instances(spec, params, data_seed):
 
 def _run_trial(spec, sweep_idx, trial):
     """One (swept value, trial) cell: returns {algorithm: metrics} or None
-    when generation/solving fails (logged, trial dropped)."""
+    when generation, solving, boosting or scoring fails (logged, cell
+    dropped)."""
     value = spec.sweep_values[sweep_idx]
     seeds = np.random.SeedSequence([spec.seed_base, sweep_idx, trial]).generate_state(3)
     data_seed, init_seed, boost_seed = (int(s) for s in seeds)
@@ -146,12 +147,17 @@ def _run_trial(spec, sweep_idx, trial):
     out = {}
     for name, bp in spec.algorithms:
         run_params = replace(bp, seed=boost_seed)
-        tic = time.perf_counter()
-        cfg_out, _ = run_boost(cfg0, kset, run_params)
-        elapsed = time.perf_counter() - tic
-        out[name] = (accuracy(cfg_out, cfg_truth, rows), elapsed,
-                     overall_consistency(cfg_out),
-                     total_score(cfg_out, kset) / norm.value)
+        try:
+            tic = time.perf_counter()
+            cfg_out, _ = run_boost(cfg0, kset, run_params)
+            elapsed = time.perf_counter() - tic
+            out[name] = (accuracy(cfg_out, cfg_truth, rows), elapsed,
+                         overall_consistency(cfg_out),
+                         total_score(cfg_out, kset) / norm.value)
+        except Exception:
+            log.warning("trial (%s=%s, trial %d) aborted in algorithm %s",
+                        spec.sweep_param, value, trial, name, exc_info=True)
+            return None
     return out
 
 

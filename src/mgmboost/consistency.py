@@ -151,15 +151,17 @@ def node_affinity_all(cfg, kset):
 
     Node u of graph k accumulates, over all other graphs i, the affinity
     between its own match in X_ki and every match of X_ki; summed over u
-    this recovers the full pairwise scores.
+    this recovers the full pairwise scores. Each sum is read from the
+    stored orientation of the pair, so no commuted matrix is built.
     """
     t = cfg.perm_table()
     out = np.zeros((cfg.N, cfg.n))
     for k in range(cfg.N):
         for i in range(cfg.N):
-            if i == k:
-                continue
-            out[k] += kset.get(k, i).node_sums(t[k, i])
+            if i < k:
+                out[k] += kset.get(i, k).col_node_sums(t[k, i])
+            elif i > k:
+                out[k] += kset.get(k, i).node_sums(t[k, i])
     return out
 
 

@@ -259,7 +259,18 @@ class AffinityMatrix:
     def node_sums(self, x):
         """Per-row contributions: entry u is the affinity mass between the
         single match of node u and every match of X (row-masked quad form)."""
-        idx = _vec_indices(self._perm_array(x), self.n)
+        return self._index_row_sums(_vec_indices(self._perm_array(x), self.n))
+
+    def col_node_sums(self, y):
+        """Node sums of the column graph, equal to
+        ``commuted().node_sums(y)`` bit for bit, for the matching y from
+        column-graph nodes to row-graph nodes (the transpose of X). Reads
+        this orientation at vec indices u*n + y[u], the entries the
+        commuted matrix holds, so no commuted copy is built."""
+        return self._index_row_sums(np.arange(self.n) * self.n + self._perm_array(y))
+
+    def _index_row_sums(self, idx):
+        """Row sums of the submatrix at the vec indices idx, in idx order."""
         if self.is_sparse:
             return _csr_submatrix_sum(self.data, idx, idx, per_row=True)
         return self.data[idx[:, None], idx[None, :]].sum(axis=1)

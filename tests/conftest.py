@@ -7,11 +7,14 @@ optimized library internals they check.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from mgmboost import AffinityMatrix, AffinitySet, MatchConfig, Permutation
+from mgmboost import (AffinityMatrix, AffinitySet, MatchConfig, Permutation,
+                      SynthParams, build_affinity_set, gen_random_graphs,
+                      gen_random_points)
 
 
 def sq_fro(m):
@@ -165,6 +168,94 @@ def naive_spectral_sync(cfg):
     pairs = {(i, j): Permutation.from_matrix(mats[i] @ mats[j].T)
              for i in range(cfg.N - 1) for j in range(i + 1, cfg.N)}
     return MatchConfig(cfg.N, n, pairs), margin
+
+
+def reference_hungarian(profit):
+    """The vectorized form of ``pairwise.hungarian``: the same
+    shortest-augmenting-path algorithm with every column scan done by
+    numpy array operations. Returns the index vector. The library form
+    performs the same IEEE operations in the same order on Python floats,
+    so the two must agree bit for bit."""
+    cost = -np.asarray(profit, dtype=float)
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n + 1)
+    col_row = np.full(n + 1, -1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for r in range(n):
+        col_row[n] = r
+        j0 = n
+        minv = np.full(n, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = col_row[j0]
+            free = ~used[:n]
+            reduced = cost[i0, :n] - u[i0] - v[:n]
+            better = free & (reduced < minv)
+            minv[better] = reduced[better]
+            way[:n][better] = j0
+            scan = np.where(free, minv, np.inf)
+            j1 = int(np.argmin(scan))
+            delta = scan[j1]
+            used_cols = np.flatnonzero(used)
+            u[col_row[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if col_row[j0] == -1:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            col_row[j0] = col_row[j1]
+            j0 = j1
+    perm = np.empty(n, dtype=np.int64)
+    perm[col_row[:n]] = np.arange(n)
+    return perm
+
+
+def reference_power_iteration(k, opts):
+    """Power iteration with both norms taken by ``np.linalg.norm``; the
+    library computes them as sqrt(w . w), which must agree bit for bit."""
+    data = k.data
+    dim = data.shape[0]
+    v = np.full(dim, 1.0 / np.sqrt(dim))
+    for _ in range(opts.max_power_iters):
+        w = data @ v
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return v
+        w /= nrm
+        if np.linalg.norm(w - v) < opts.tol:
+            return w
+        v = w
+    warnings.warn("power iteration did not converge; returning best iterate")
+    return v
+
+
+def commuted_node_affinity_all(cfg, kset):
+    """Node affinities read through ``kset.get(k, i)`` in both orientations,
+    so every swapped pair goes through the commuted matrix."""
+    t = cfg.perm_table()
+    out = np.zeros((cfg.N, cfg.n))
+    for k in range(cfg.N):
+        for i in range(cfg.N):
+            if i != k:
+                out[k] += kset.get(k, i).node_sums(t[k, i])
+    return out
+
+
+def builder_affinity_sets(seed):
+    """Affinity sets from both builders, each stored dense and CSR:
+    Gaussian edge affinities on random graphs, and length+angle
+    affinities on point sets with outliers."""
+    graphs = gen_random_graphs(SynthParams(n_graphs=4, inliers=8, deform=0.1,
+                                           density=0.7, seed=seed))
+    points = gen_random_points(SynthParams(n_graphs=4, inliers=6, outliers=4,
+                                           deform=0.05, seed=seed))
+    return [build_affinity_set(insts, 0.05, kind, storage=storage)
+            for storage in ("dense", "sparse")
+            for insts, kind in ((graphs, "gauss"), (points, "len_angle"))]
 
 
 def corrupted_config(rng, n_graphs, n_nodes, flip):

@@ -7,6 +7,8 @@ Property coverage:
 """
 
 import csv
+import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from mgmboost import (BoostParams, ExperimentSpec, MatchConfig, Permutation,
                       ResultRow, SynthParams, accuracy, emit_csv, emit_plotdata,
                       run_experiment)
+from mgmboost import bench
 from mgmboost.bench import CSV_HEADER, _run_trial
 from mgmboost.cli import main as cli_main
 
@@ -120,6 +123,35 @@ class TestRunExperiment:
         assert out["a"][0] == out["b"][0]
         assert out["a"][2] == out["b"][2]
         assert out["a"][3] == out["b"][3]
+
+    def test_boost_failure_drops_only_its_cell(self, monkeypatch, caplog):
+        spec = replace(_tiny_spec(trials=2, deform=0.1), sweep_values=(0.0, 0.2))
+        real_run_boost = bench.run_boost
+        calls = []
+
+        def flaky(cfg0, kset, params):
+            calls.append(params.seed)
+            if len(calls) == 8:    # cell (deform=0.2, trial 0), algorithm "isb"
+                raise RuntimeError("boom")
+            return real_run_boost(cfg0, kset, params)
+
+        monkeypatch.setattr(bench, "run_boost", flaky)
+        with caplog.at_level(logging.WARNING, logger="mgmboost.bench"):
+            rows = run_experiment(spec)
+        assert len(calls) == 11   # the failed cell skips its last algorithm
+        (record,) = [r for r in caplog.records if "aborted" in r.getMessage()]
+        assert "deform=0.2" in record.getMessage()
+        assert "trial 0" in record.getMessage() and "isb" in record.getMessage()
+        assert record.exc_info is not None
+        assert [(r.swept_value, r.algorithm) for r in rows] == [
+            (v, a) for v in (0.0, 0.2) for a in ("init", "isb", "isb_gc")]
+        monkeypatch.undo()
+        full = run_experiment(spec)
+        assert [r.trial_mean_acc for r in rows[:3]] == [r.trial_mean_acc for r in full[:3]]
+        survivor = _run_trial(spec, 1, 1)
+        for r in rows[3:]:
+            assert r.trial_mean_acc == survivor[r.algorithm][0]
+            assert r.acc_std == 0.0
 
     def test_deterministic_apart_from_wall_time(self):
         spec = _tiny_spec(trials=2, deform=0.1)

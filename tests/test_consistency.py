@@ -23,7 +23,8 @@ from mgmboost.consistency import (elicited_pairwise_consistency_all,
                                   pairwise_consistency_all,
                                   unary_consistency_all)
 
-from conftest import (naive_elicited_pairwise, naive_elicited_unary,
+from conftest import (builder_affinity_sets, commuted_node_affinity_all,
+                      naive_elicited_pairwise, naive_elicited_unary,
                       naive_node_affinity, naive_node_consistency,
                       naive_pairwise_consistency, naive_quad_form,
                       naive_unary_consistency, random_config, random_kset)
@@ -239,6 +240,36 @@ class TestNodeAffinity:
                     assert table[k, u] <= full + 1e-9
                 # left-masking is linear in the mask: rows sum to the total
                 assert table[k].sum() == pytest.approx(full, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stored_orientation_equals_commuted(self, seed, monkeypatch):
+        # the swapped pairs are read from the stored orientation: same bits
+        # as the commuted matrices, and no commuted copy is requested
+        rng = np.random.default_rng(seed)
+        ksets = builder_affinity_sets(seed) + [random_kset(rng, 4, 5, storage=s)
+                                               for s in ("dense", "sparse")]
+        real_get = AffinitySet.get
+        asked = []
+
+        def spy(self, i, j):
+            asked.append((i, j))
+            return real_get(self, i, j)
+
+        for kset in ksets:
+            cfg = random_config(rng, kset.N, kset.n)
+            est = InlierEstimate(max(1, kset.n - 3), "affinity")
+            with monkeypatch.context() as m:
+                m.setattr(AffinitySet, "get", spy)
+                got = node_affinity_all(cfg, kset)
+                keep = keep_masks(cfg, est, kset)
+            assert asked and all(i < j for i, j in asked)
+            asked.clear()
+            ref = commuted_node_affinity_all(cfg, kset)
+            assert np.array_equal(got, ref)
+            expected = np.zeros_like(keep)
+            order = np.argsort(-ref, axis=1, kind="stable")[:, :est.n_est]
+            np.put_along_axis(expected, order, True, axis=1)
+            assert np.array_equal(keep, expected)
 
     def test_contrast_between_connected_and_isolated(self):
         # node 0 matched through a high-affinity edge scores above node 2,

@@ -5,6 +5,8 @@ Property coverage:
 - solve_pairwise always returns a valid permutation, any K conditioning
 - identical-graph instances (n <= 5): solver attains the brute-force
   optimal quadratic-assignment score
+- hungarian and power_iteration equal their vectorized references in
+  conftest bit for bit, on exact ties and extreme magnitudes too
 """
 
 import itertools
@@ -17,7 +19,22 @@ from mgmboost import (AffinityMatrix, Permutation, SolverOptions, SynthParams,
                       affinity_score, build_affinity_gauss, gen_random_graphs,
                       hungarian, power_iteration, solve_pairwise)
 
-from conftest import brute_assignment_best, brute_qap_best, random_affinity
+from conftest import (brute_assignment_best, brute_qap_best,
+                      builder_affinity_sets, random_affinity,
+                      reference_hungarian, reference_power_iteration)
+
+
+def _profits(rng, n):
+    """Profit matrices that stress the column scan: uniform, integer
+    valued with exact ties, constant, all zero, negative, and mixed
+    magnitudes from 1e-12 to 1e12."""
+    yield rng.uniform(size=(n, n))
+    yield rng.integers(1, 9, size=(n, n)).astype(float)
+    yield np.full((n, n), 2.5)
+    yield np.zeros((n, n))
+    yield -rng.uniform(0.0, 10.0, size=(n, n))
+    yield (rng.choice([-1.0, 1.0], size=(n, n)) * rng.uniform(1.0, 10.0, size=(n, n))
+           * 10.0 ** rng.integers(-12, 12, size=(n, n)))
 
 
 class TestHungarian:
@@ -60,7 +77,40 @@ class TestHungarian:
             assert total == pytest.approx(brute_assignment_best(profit), rel=1e-12)
 
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_equals_vectorized_reference(self, n, rng):
+        for _ in range(3):
+            for profit in _profits(rng, n):
+                assert np.array_equal(hungarian(profit).perm, reference_hungarian(profit))
+
+
 class TestPowerIteration:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_norm_reference(self, seed):
+        opts = SolverOptions()
+        for kset in builder_affinity_sets(seed):
+            for i, j in kset.pairs():
+                k = kset.get(i, j)
+                assert np.array_equal(power_iteration(k, opts),
+                                      reference_power_iteration(k, opts))
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_zero_matrix_equals_norm_reference(self, storage):
+        k = AffinityMatrix(np.zeros((9, 9)), storage=storage)
+        opts = SolverOptions()
+        assert np.array_equal(power_iteration(k, opts), reference_power_iteration(k, opts))
+
+    def test_nonconvergence_equals_norm_reference(self):
+        opts = SolverOptions(max_power_iters=1)
+        for kset in builder_affinity_sets(2):
+            k = kset.get(0, 1)
+            with pytest.warns(UserWarning, match="did not converge"):
+                got = power_iteration(k, opts)
+            with pytest.warns(UserWarning, match="did not converge"):
+                ref = reference_power_iteration(k, opts)
+            assert np.array_equal(got, ref)
+
+
     def test_identity_returns_uniform(self):
         v = power_iteration(AffinityMatrix(np.eye(9)))
         assert np.allclose(v, np.full(9, 1.0 / 3.0))
