@@ -22,7 +22,8 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import MatchConfig, Permutation, ScoreNormalizer, total_score
+from .core import (MatchConfig, Permutation, ScoreNormalizer, kernel_sums, pair_scores,
+                   total_score)
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
                           elicited_pairwise_consistency_all,
                           elicited_unary_consistency_all, is_fully_consistent,
@@ -36,6 +37,11 @@ EVAL_KINDS = ("score", "cst", "gc", "gc_inv", "gc_u", "gc_p")
 # Modes whose iterates may cycle instead of converging; for these the best
 # iterate along the trace is returned rather than the last one.
 _CYCLING_MODES = ("isb_cst", "isb_gc_p")
+
+# A sweep evaluates its pairs together, in row-major groups whose
+# candidates (and their comparisons with every anchor's composition) hold
+# at most about this many entries.
+SWEEP_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,17 +95,19 @@ class BoostTrace:
 class _IterTables:
     """Frozen per-iteration state shared by every pair update."""
 
-    def __init__(self, cfg, kset, kind, norm, est=None, score_cache=None):
+    def __init__(self, cfg, kset, kind, norm, est=None):
         self.cfg = cfg
         self.kset = kset
         self.kind = kind
         self.norm = norm
         self.est = est
         self.table = cfg.perm_table()
-        self.cache = score_cache if score_cache is not None else {}
         self.keep = None
+        self.kept_rows = None
         if est is not None:
             self.keep = keep_masks(cfg, est, kset)
+            # every graph keeps exactly n_est rows: (N, n_est), ascending
+            self.kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
         self.cu = None
         self.cp = None
         if kind == "gc_u":
@@ -109,49 +117,19 @@ class _IterTables:
             self.cp = (elicited_pairwise_consistency_all(cfg, est, kset, self.keep)
                        if est is not None else pairwise_consistency_all(cfg))
 
-    def scores_for(self, i, j, cands):
-        """Normalized (possibly row-masked) affinity scores of candidate
-        index vectors for pair (i, j). Duplicate candidates are scored
-        once (keyed by their bytes), and sparse-matrix scores are also
-        memoized across iterations since they dominate the sweep cost."""
-        k_mat = self.kset.get(i, j)
-        keep_i = self.keep[i] if self.keep is not None else None
-        mask_key = keep_i.tobytes() if keep_i is not None else b""
-        count = len(cands)
-        vals = np.empty(count)
-        keys = [cands[c].tobytes() for c in range(count)]
-        first = {}
-        missing = []
-        for c, key in enumerate(keys):
-            if key in first:
-                continue
-            first[key] = c
-            cache_key = (i, j, key, mask_key)
-            hit = self.cache.get(cache_key) if k_mat.is_sparse else None
-            if hit is None:
-                missing.append((c, cache_key))
-            else:
-                vals[c] = hit
-        if missing:
-            if keep_i is None:
-                raw = k_mat.quad_form_batch(np.stack([cands[c] for c, _ in missing]))
-            else:
-                raw = [k_mat.quad_form_masked(cands[c], keep_i) for c, _ in missing]
-            for (c, cache_key), value in zip(missing, raw):
-                v = float(value) / self.norm.value
-                if k_mat.is_sparse:
-                    self.cache[cache_key] = v
-                vals[c] = v
-        for c, key in enumerate(keys):
-            vals[c] = vals[first[key]]
-        return vals
+    def scores_for(self, ii, jj, cands):
+        """Normalized affinity scores of the (P, A, n) candidates of the
+        pairs (ii[p], jj[p]), as a (P, A) array; when eliciting, only the
+        rows kept for the row graph count."""
+        rows = None if self.kept_rows is None else self.kept_rows[ii]
+        return kernel_sums(self.kset, ii, jj, cands, rows) / self.norm.value
 
-    def cp_of_candidates(self, i, cands, comps):
-        """Pairwise consistency of each candidate for a pair (i, j) against
-        the snapshot's compositions X_ik X_kj of that pair."""
+    def cp_of_candidates(self, ii, cands, comps):
+        """Pairwise consistency of the (P, A, n) candidates of pairs
+        (ii[p], j) against the snapshot's (P, N, n) compositions X_ik X_kj."""
         if self.keep is None:
             return candidate_consistency(cands, comps, self.cfg.n)
-        return candidate_consistency(cands, comps, self.est.n_est, self.keep[i])
+        return candidate_consistency(cands, comps, self.est.n_est, self.keep[ii])
 
 
 def _anchor_pool(i, j, n_graphs, sample_rate, rng):
@@ -169,39 +147,56 @@ def _anchor_pool(i, j, n_graphs, sample_rate, rng):
     return [i, j] + pool
 
 
-def _pair_best(i, j, tbl, lam, sample_rate, rng):
-    """Best anchor and replacement candidate for one pair under the
-    iteration's evaluation function. Duplicate candidate matrices are
-    scored once (inside scores_for), while anchor-dependent consistency
-    terms stay per-anchor so the argmax is exact. The anchor scan order
-    makes exact ties keep the incumbent, then the smallest anchor."""
-    comps = compositions(tbl.table, i, j)
-    anchors = _anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
-    cands = comps[anchors]
-    kind = tbl.kind
+def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
+    """Best anchor and replacement candidate for each pair (ii[p], jj[p])
+    under the iteration's evaluation function, all pairs as one batch.
+    Anchor pools are drawn pair by pair in the given order. Every anchor's
+    candidate is scored, duplicates included, so anchor-dependent
+    consistency terms stay per-anchor and the argmax is exact; the anchor
+    scan order makes exact ties keep the incumbent, then the smallest
+    anchor.
 
+    The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u),
+    scored by normalized affinity alone; exact ties keep the first in
+    (v, u) scan order, and no anchor is reported.
+    """
+    table = tbl.table
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    pools = np.array([_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
+                      for i, j in zip(ii.tolist(), jj.tolist())])
+    pairs = np.arange(len(ii))
+    if second_order:
+        via = table[pools[:, :, None, None], pools[:, None, :, None],
+                    table[ii[:, None], pools][:, :, None, :]]   # [., v, u] = X_iv then X_vu
+        cands = table[pools[:, None, :, None], jj[:, None, None, None],
+                      via].reshape(len(ii), -1, tbl.cfg.n)      # then X_uj
+        return None, cands[pairs, np.argmax(tbl.scores_for(ii, jj, cands), axis=1)]
+
+    comps = compositions(table, ii, jj)
+    cands = comps[pairs[:, None], pools]
+    kind = tbl.kind
     if kind == "score":
-        vals = tbl.scores_for(i, j, cands)
+        vals = tbl.scores_for(ii, jj, cands)
     elif kind == "cst":
-        vals = tbl.cp_of_candidates(i, cands, comps)
+        vals = tbl.cp_of_candidates(ii, cands, comps)
     elif kind in ("gc", "gc_inv"):
-        j_vals = tbl.scores_for(i, j, cands)
-        c_vals = tbl.cp_of_candidates(i, cands, comps)
+        j_vals = tbl.scores_for(ii, jj, cands)
+        c_vals = tbl.cp_of_candidates(ii, cands, comps)
         if kind == "gc":
             vals = (1.0 - lam) * j_vals + lam * c_vals
         else:
             vals = lam * j_vals + (1.0 - lam) * c_vals
     elif kind in ("gc_u", "gc_p"):
-        j_vals = tbl.scores_for(i, j, cands) if lam < 1.0 else np.zeros(len(anchors))
+        j_vals = tbl.scores_for(ii, jj, cands) if lam < 1.0 else np.zeros(pools.shape)
         if kind == "gc_u":
-            cons = tbl.cu[np.array(anchors)]
+            cons = tbl.cu[pools]
         else:
-            cons = np.sqrt(tbl.cp[i, anchors] * tbl.cp[np.array(anchors), j])
+            cons = np.sqrt(tbl.cp[ii[:, None], pools] * tbl.cp[pools, jj[:, None]])
         vals = (1.0 - lam) * j_vals + lam * cons
     else:
         raise ValueError(f"unknown evaluation kind {kind!r}")
-    best = np.argmax(vals)     # lowest index on exact ties
-    return anchors[best], cands[best]
+    best = np.argmax(vals, axis=1)     # lowest index on exact ties
+    return pools[pairs, best], cands[pairs, best]
 
 
 def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
@@ -219,22 +214,8 @@ def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
     if norm is None:
         norm = ScoreNormalizer.from_initial(cfg_prev, kset)
     tbl = _IterTables(cfg_prev, kset, kind, norm, est)
-    anchor, cand = _pair_best(i, j, tbl, lam, sample_rate, rng)
-    return anchor, Permutation(cand)
-
-
-def _pair_best_2nd(i, j, tbl, sample_rate, rng):
-    """Second-order search: best X_iv X_vu X_uj over anchor pairs (u, v),
-    scored by normalized affinity alone. Returns the candidate; exact
-    ties keep the first in (v, u) scan order."""
-    table = tbl.table
-    pool = np.array(_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng))
-    shape = (len(pool), len(pool), tbl.cfg.n)
-    via = np.take_along_axis(table[np.ix_(pool, pool)], table[i, pool][:, None, :],
-                             axis=2)   # [v, u] = X_iv then X_vu
-    cands = np.take_along_axis(np.broadcast_to(table[pool, j], shape), via,
-                               axis=2).reshape(-1, tbl.cfg.n)   # then X_uj
-    return cands[np.argmax(tbl.scores_for(i, j, cands))]
+    anchors, cands = _pairs_best([i], [j], tbl, lam, sample_rate, rng)
+    return int(anchors[0]), Permutation(cands[0])
 
 
 def _eval_kind(mode, t, t0):
@@ -269,14 +250,15 @@ def run_boost(cfg0, kset, params):
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
         raise ValueError("elicit.n_est exceeds the node count")
     rng = np.random.default_rng(params.seed)
-    cache = {}
     trace = BoostTrace()
-    upper = [(i, j) for i, j, _ in cfg0.pairs()]
+    second_order = params.mode == "isb_2nd"
+    iu, ju = np.triu_indices(cfg0.N, 1)
+    # pairs evaluated together, row-major; a bound on the candidate entries
+    # (and consistency comparisons) that one batch holds
+    group = max(1, SWEEP_BATCH_ENTRIES // (cfg0.N ** (3 if second_order else 2) * cfg0.n))
 
     def snapshot(cfg):
-        tab = cfg.perm_table()
-        score = sum(kset.get(i, j).quad_form(tab[i, j]) for i, j in upper) / norm.value
-        return score, overall_consistency(cfg)
+        return total_score(cfg, kset) / norm.value, overall_consistency(cfg)
 
     started = time.perf_counter()
     cfg = cfg0
@@ -290,21 +272,18 @@ def run_boost(cfg0, kset, params):
     for t in range(1, params.t_max + 1):
         kind = _eval_kind(params.mode, t, params.t0)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
-        tbl = _IterTables(cfg, kset, kind, norm, params.elicit, cache)
+        tbl = _IterTables(cfg, kset, kind, norm, params.elicit)
         new_table = tbl.table.copy()
         changed = 0
         change_norm = 0.0
-        for i, j in upper:
-            if params.mode == "isb_2nd":
-                cand = _pair_best_2nd(i, j, tbl, params.sample_rate, rng)
-            else:
-                _, cand = _pair_best(i, j, tbl, lam if weighted else 0.0,
-                                     params.sample_rate, rng)
-            mism = int((cand != tbl.table[i, j]).sum())
-            if mism:
-                changed += 1
-                change_norm += 2.0 * mism
-                new_table[i, j] = cand
+        for start in range(0, len(iu), group):
+            ii, jj = iu[start:start + group], ju[start:start + group]
+            _, cands = _pairs_best(ii, jj, tbl, lam if weighted else 0.0,
+                                   params.sample_rate, rng, second_order)
+            mism = (cands != tbl.table[ii, jj]).sum(axis=1)
+            changed += int(np.count_nonzero(mism))
+            change_norm += 2.0 * int(mism.sum())
+            new_table[ii, jj] = cands
         cfg = MatchConfig.from_table(new_table)
         score_t, cons_t = snapshot(cfg)
         trace.record(score_t, cons_t, changed, time.perf_counter() - started)
@@ -415,8 +394,8 @@ def enforce_full_consistency(cfg, kset, gamma=0.3):
     c_val = overall_consistency(cfg)
     if c_val < gamma:
         weights = np.zeros((cfg.N, cfg.N))
-        for i, j, x in cfg.pairs():
-            weights[i, j] = weights[j, i] = kset.get(i, j).quad_form(x)
+        iu, ju = np.triu_indices(cfg.N, 1)
+        weights[iu, ju] = weights[ju, iu] = pair_scores(cfg, kset)
         return _config_from_tree(cfg, mst(weights))
     if cfg.n >= cfg.N:
         weights = pairwise_consistency_all(cfg)

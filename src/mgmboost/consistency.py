@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, check_graph_index, check_node_index
+from .core import Permutation, check_graph_index, check_node_index, kernel_sums
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -61,18 +61,21 @@ def _anchor_mismatch_counts(cfg, keep=None):
 
 
 def compositions(table, i, j):
-    """(N, n) array whose row k is the composition X_ik X_kj."""
-    return table[:, j][np.arange(table.shape[0])[:, None], table[i]]
+    """(N, n) array whose row k is the composition X_ik X_kj; with ``i``
+    and ``j`` arrays of P graph indices, the (P, N, n) stack of them."""
+    k = np.arange(table.shape[0])[:, None]
+    return table[k, np.asarray(j)[..., None, None], table[i]]
 
 
 def candidate_consistency(cands, comps, rows_counted, keep_row=None):
-    """Pairwise consistency of each (C, n) candidate row against the (N, n)
-    compositions X_ik X_kj of one pair: 1 minus the mismatching rows
-    (only those in ``keep_row``, when given) over rows_counted * N."""
-    mism = cands[:, None, :] != comps[None, :, :]
+    """Pairwise consistency of each (..., C, n) candidate row against the
+    (..., N, n) compositions X_ik X_kj of its pair: 1 minus the
+    mismatching rows (only those in the (..., n) mask ``keep_row``, when
+    given) over rows_counted * N."""
+    mism = cands[..., :, None, :] != comps[..., None, :, :]
     if keep_row is not None:
-        mism = mism & keep_row[None, None, :]
-    return 1.0 - mism.sum(axis=(1, 2)) / (rows_counted * comps.shape[0])
+        mism = mism & keep_row[..., None, None, :]
+    return 1.0 - mism.sum(axis=(-2, -1)) / (rows_counted * comps.shape[-2])
 
 
 def _candidate_and_compositions(x, cfg, i, j):
@@ -151,17 +154,18 @@ def node_affinity_all(cfg, kset):
 
     Node u of graph k accumulates, over all other graphs i, the affinity
     between its own match in X_ki and every match of X_ki; summed over u
-    this recovers the full pairwise scores. Each sum is read from the
-    stored orientation of the pair, so no commuted matrix is built.
+    this recovers the full pairwise scores. Each term is a row sum of the
+    kernel block of X_ki with graph k as the row graph, all N(N-1) blocks
+    in one batch; the terms are added in ascending i.
     """
-    t = cfg.perm_table()
-    out = np.zeros((cfg.N, cfg.n))
-    for k in range(cfg.N):
-        for i in range(cfg.N):
-            if i < k:
-                out[k] += kset.get(i, k).col_node_sums(t[k, i])
-            elif i > k:
-                out[k] += kset.get(k, i).node_sums(t[k, i])
+    n_graphs = cfg.N
+    k = np.repeat(np.arange(n_graphs), n_graphs - 1)
+    i = np.array([o for g in range(n_graphs) for o in range(n_graphs) if o != g])
+    rows = kernel_sums(kset, k, i, cfg.perm_table()[k, i][:, None], axis=3)
+    rows = rows.reshape(n_graphs, n_graphs - 1, cfg.n)
+    out = np.zeros((n_graphs, cfg.n))
+    for col in range(n_graphs - 1):
+        out += rows[:, col]
     return out
 
 
@@ -236,4 +240,4 @@ def elicited_score(x, row_graph, cfg, k_mat, est, kset=None, keep=None):
     check_graph_index(row_graph, cfg.N)
     if keep is None:
         keep = keep_masks(cfg, est, kset)
-    return k_mat.quad_form_masked(x, keep[row_graph])
+    return k_mat.quad_form(x, keep[row_graph])

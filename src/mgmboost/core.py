@@ -22,6 +22,11 @@ import scipy.sparse as sp
 # below it a dense array is faster and still small (n^2 x n^2 <= 144^2).
 DENSE_NODE_LIMIT = 12
 
+# Kernel blocks are built at most this many entries at a time (8 bytes
+# each per temporary), so scoring many pairs in one batch holds a bounded
+# amount of memory.
+BLOCK_CHUNK_ENTRIES = 1 << 16
+
 
 def _index_array(values):
     """``values`` as a new int64 array; raises when a value is not a whole
@@ -141,41 +146,15 @@ def compose(x_ik, x_kj):
     return x_ik.compose(x_kj)
 
 
-def _vec_indices(perm, n):
-    """vec indices of the n unit entries of the permutation matrix."""
-    return perm * n + np.arange(n)
-
-
-def _csr_submatrix_sum(mat, rows, cols, per_row=False):
-    """Sum of mat[rows][:, cols] for a CSR matrix without building the
-    intermediate slices (scipy's fancy indexing dominates the boosting
-    hot loop otherwise). ``cols`` need not be sorted."""
-    starts = mat.indptr[rows]
-    counts = mat.indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(rows.size) if per_row else 0.0
-    flat = np.repeat(starts, counts) + (np.arange(total)
-                                        - np.repeat(np.cumsum(counts) - counts, counts))
-    entry_cols = mat.indices[flat]
-    vals = mat.data[flat]
-    cols_sorted = np.sort(cols)
-    pos = np.searchsorted(cols_sorted, entry_cols)
-    pos[pos == cols_sorted.size] = 0
-    member = cols_sorted[pos] == entry_cols
-    if not per_row:
-        return float(vals[member].sum())
-    row_of_entry = np.repeat(np.arange(rows.size), counts)
-    return np.bincount(row_of_entry[member], weights=vals[member], minlength=rows.size)
-
-
 class AffinityMatrix:
     """Non-negative symmetric affinity matrix between two n-node graphs.
 
     Sized n^2 x n^2; stored dense for n <= DENSE_NODE_LIMIT and CSR above,
     unless ``storage`` forces one representation. Graphs of unequal sizes
     must be padded with isolated dummy nodes before construction, so a
-    single common ``n`` is stored.
+    single common ``n`` is stored. The boosting loop never holds one of
+    these: ``AffinitySet`` builds a pair's matrix on request for the
+    pairwise solver, and ``quad_form`` is the explicit-matrix scorer.
     """
 
     __slots__ = ("n", "data", "is_sparse")
@@ -220,107 +199,156 @@ class AffinityMatrix:
     def dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
 
-    def matvec(self, v):
-        return self.data @ v
-
-    def _perm_array(self, x):
+    def quad_form(self, x, keep=None):
+        """vec(X)^T K vec(X), gathering only the submatrix touched by the
+        unit entries of X. With ``keep`` (a boolean row mask) the rows of X
+        outside it are zeroed first."""
         p = x.perm if isinstance(x, Permutation) else np.asarray(x, dtype=np.int64)
         if p.size != self.n:
             raise ValueError(f"permutation size {p.size} does not match n={self.n}")
-        return p
-
-    def quad_form(self, x):
-        """vec(X)^T K vec(X), gathering only the n x n submatrix touched by
-        the n unit entries of X instead of forming dense n^2 vectors."""
-        idx = _vec_indices(self._perm_array(x), self.n)
-        if self.is_sparse:
-            return _csr_submatrix_sum(self.data, idx, idx)
-        return float(self.data[idx[:, None], idx[None, :]].sum())
-
-    def quad_form_masked(self, x, keep):
-        """Quad form of X with all rows outside ``keep`` zeroed out."""
-        p = self._perm_array(x)
-        rows = np.flatnonzero(np.asarray(keep, dtype=bool))
+        rows = (np.arange(self.n) if keep is None
+                else np.flatnonzero(np.asarray(keep, dtype=bool)))
         idx = p[rows] * self.n + rows
-        if idx.size == 0:
-            return 0.0
-        if self.is_sparse:
-            return _csr_submatrix_sum(self.data, idx, idx)
-        return float(self.data[idx[:, None], idx[None, :]].sum())
-
-    def quad_form_batch(self, perms):
-        """Quad forms for a (C, n) stack of permutation index vectors."""
-        perms = np.asarray(perms, dtype=np.int64)
-        idx = perms * self.n + np.arange(self.n)[None, :]
-        if not self.is_sparse:
-            return self.data[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
-        return np.array([_csr_submatrix_sum(self.data, r, r) for r in idx])
-
-    def node_sums(self, x):
-        """Per-row contributions: entry u is the affinity mass between the
-        single match of node u and every match of X (row-masked quad form)."""
-        return self._index_row_sums(_vec_indices(self._perm_array(x), self.n))
-
-    def col_node_sums(self, y):
-        """Node sums of the column graph, equal to
-        ``commuted().node_sums(y)`` bit for bit, for the matching y from
-        column-graph nodes to row-graph nodes (the transpose of X). Reads
-        this orientation at vec indices u*n + y[u], the entries the
-        commuted matrix holds, so no commuted copy is built."""
-        return self._index_row_sums(np.arange(self.n) * self.n + self._perm_array(y))
-
-    def _index_row_sums(self, idx):
-        """Row sums of the submatrix at the vec indices idx, in idx order."""
-        if self.is_sparse:
-            return _csr_submatrix_sum(self.data, idx, idx, per_row=True)
-        return self.data[idx[:, None], idx[None, :]].sum(axis=1)
-
-    def commuted(self):
-        """The same affinities with the two graphs' roles swapped."""
-        n = self.n
-        x = np.arange(n * n)
-        sigma = (x % n) * n + x // n
-        if self.is_sparse:
-            return AffinityMatrix(self.data[sigma][:, sigma], storage="sparse", validate=False)
-        return AffinityMatrix(self.data[np.ix_(sigma, sigma)], storage="dense", validate=False)
+        return float(self.data[idx][:, idx].sum())
 
 
 class AffinitySet:
-    """Affinity matrices for every unordered pair of N graphs.
+    """Edge-kernel affinities between every pair of N graphs on n nodes.
 
-    ``get(i, j)`` returns the matrix oriented with graph i as the row
-    graph; the swapped orientation is derived (and cached) on demand.
+    No n^2 x n^2 matrix is stored. Per graph the set holds an (n, n) edge
+    mask, and per kernel channel c an (n, n) edge attribute a_c with a
+    weight w_c and a bandwidth s_c. With graph i as the row graph, the
+    affinity matrix of the pair (i, j) has the entry
+
+        K[a*n + u, b*n + v] = sum_c w_c exp(-(a_c[i, u, v] - a_c[j, a, b])^2 / s_c)
+
+    where edge (u, v) exists in graph i and edge (a, b) in graph j, and 0
+    elsewhere, the diagonal included. A matching p of the pair therefore
+    touches only the n x n block B[u, v] = K[p(u)*n + u, p(v)*n + v],
+    which ``kernel_blocks`` computes from a_c[i] and the gathered
+    a_c[j][p][:, p]; its sum is the score vec(X)^T K vec(X) and its row
+    sums are node affinities (Zhou & De la Torre, "Factorized Graph
+    Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
+    solver and keeps nothing.
     """
 
-    def __init__(self, n_graphs, mats):
-        self.N = n_graphs
-        self.n = None
-        self._mats = {}
-        self._swapped = {}
-        for (i, j), k in mats.items():
-            if not (0 <= i < j < n_graphs):
-                raise ValueError(f"bad pair ({i}, {j})")
-            if self.n is None:
-                self.n = k.n
-            elif k.n != self.n:
-                raise ValueError("all affinity matrices must share one node count")
-            self._mats[(i, j)] = k
-        for i in range(n_graphs - 1):
-            for j in range(i + 1, n_graphs):
-                if (i, j) not in self._mats:
-                    raise ValueError(f"missing affinity matrix for pair ({i}, {j})")
-
-    def get(self, i, j):
-        if i == j:
-            raise ValueError("affinity is defined between distinct graphs")
-        if i < j:
-            return self._mats[(i, j)]
-        if (i, j) not in self._swapped:
-            self._swapped[(i, j)] = self._mats[(j, i)].commuted()
-        return self._swapped[(i, j)]
+    def __init__(self, mask, channels):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 3 or mask.shape[1] != mask.shape[2]:
+            raise ValueError(f"edge mask must have shape (N, n, n), got {mask.shape}")
+        self.N, self.n = mask.shape[0], mask.shape[1]
+        self._mask = mask
+        # Per channel (weight, bandwidth), and the attribute twice: as the
+        # row graph's, +inf off the edges, and as the column graph's, -inf
+        # off the edges, so a missing edge on either side makes the
+        # difference +inf and the kernel exactly 0.
+        self._channels = []
+        self._own = []
+        self._other = []
+        for weight, attr, sigma2 in channels:
+            attr = np.asarray(attr, dtype=float)
+            if attr.shape != mask.shape:
+                raise ValueError(f"edge attributes have shape {attr.shape}, "
+                                 f"expected {mask.shape}")
+            self._channels.append((float(weight), float(sigma2)))
+            self._own.append(np.where(mask, attr, np.inf))
+            self._other.append(np.where(mask, attr, -np.inf))
 
     def pairs(self):
-        return sorted(self._mats)
+        """Graph pairs (i, j) with i < j in row-major order."""
+        return _upper_pairs(self.N)
+
+    def _kernel(self, own, other):
+        """Kernel values of row-graph attributes ``own`` against
+        column-graph attributes ``other``, one array per channel, the two
+        broadcast together."""
+        out = None
+        for (weight, sigma2), a, b in zip(self._channels, own, other):
+            k = a - b
+            np.square(k, out=k)
+            np.divide(k, -sigma2, out=k)   # = -(d^2) / sigma2, bit for bit
+            np.exp(k, out=k)
+            if weight != 1.0:
+                k *= weight
+            if out is None:
+                out = k
+            else:
+                out += k
+        return out
+
+    def get(self, i, j):
+        """K of the pair (i, j) with graph i as the row graph, built from
+        the edge lists of both graphs: dense for n <= DENSE_NODE_LIMIT,
+        CSR above. Built on every call and kept nowhere."""
+        check_graph_index(i, self.N)
+        check_graph_index(j, self.N)
+        if i == j:
+            raise ValueError("affinity is defined between distinct graphs")
+        n, size = self.n, self.n * self.n
+        ui, vi = np.nonzero(self._mask[i])
+        uj, vj = np.nonzero(self._mask[j])
+        vals = self._kernel([a[i, ui, vi][None, :] for a in self._own],
+                            [a[j, uj, vj][:, None] for a in self._other]).ravel()
+        rows = (uj[:, None] * n + ui[None, :]).ravel()
+        cols = (vj[:, None] * n + vi[None, :]).ravel()
+        if n <= DENSE_NODE_LIMIT:
+            k = np.zeros((size, size))
+            k[rows, cols] = vals
+        else:
+            k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+        return AffinityMatrix(k, validate=False)
+
+    def kernel_blocks(self, i, j, perms, rows=None):
+        """Kernel blocks of candidate matchings, chunk by chunk.
+
+        ``perms`` is a (P, A, n) stack of index vectors: A candidates for
+        each of P pairs (i[p], j[p]), where ``i`` and ``j`` are length-P
+        arrays of graph indices (or single indices). ``rows`` selects the
+        kept rows of each pair's row graph, ascending: all of them by
+        default, one (m,) index vector for every pair, or a (P, m) array.
+        Yields C-contiguous (p, A, m, m) arrays in pair order, each with at
+        most BLOCK_CHUNK_ENTRIES entries (or one pair's blocks); entry
+        [p, a, u, v] is the K entry linking rows r[u] and r[v] of the
+        candidate.
+        """
+        n = self.n
+        perms = np.asarray(perms, dtype=np.int64)
+        pairs, count = perms.shape[:2]
+        if rows is None:
+            r = np.broadcast_to(np.arange(n), (pairs, n))
+            picked = perms
+        else:
+            r = np.broadcast_to(np.asarray(rows, dtype=np.int64), (pairs, np.shape(rows)[-1]))
+            picked = np.take_along_axis(perms, r[:, None, :], axis=2)
+        own_graph = np.broadcast_to(np.reshape(i, (-1, 1)) * (n * n), (pairs, 1))
+        other_graph = np.broadcast_to(np.reshape(j, (-1, 1, 1)) * (n * n), (pairs, 1, 1))
+        step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * r.shape[1] ** 2))
+        for s in range(0, pairs, step):
+            own_flat = _flat_pairs(r[s:s + step], n, own_graph[s:s + step])[:, None]
+            other_flat = _flat_pairs(picked[s:s + step], n, other_graph[s:s + step])
+            yield self._kernel([a.take(own_flat) for a in self._own],
+                               [a.take(other_flat) for a in self._other])
+
+
+def _flat_pairs(nodes, n, offset):
+    """Flat indices offset + u*n + v of every pair of nodes (u, v) of each
+    row of ``nodes``: shape (..., m) becomes (..., m, m)."""
+    return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
+
+
+def kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
+    """Sums of each candidate's kernel block over ``axis``: its score with
+    the default, a (P, A) array; its per-row node affinities with
+    ``axis=3``, a (P, A, m) array."""
+    return np.concatenate([block.sum(axis=axis)
+                           for block in kset.kernel_blocks(i, j, perms, rows)])
+
+
+def pair_scores(cfg, kset):
+    """Raw scores vec(X_ij)^T K_ij vec(X_ij) of every stored pair i < j,
+    in row-major order, computed as one batch."""
+    iu, ju = np.triu_indices(cfg.N, 1)
+    return kernel_sums(kset, iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
 
 
 class MatchConfig:
@@ -437,8 +465,7 @@ class ScoreNormalizer:
 
     @classmethod
     def from_initial(cls, cfg, kset):
-        best = max(kset.get(i, j).quad_form(x) for i, j, x in cfg.pairs())
-        return cls(best)
+        return cls(float(pair_scores(cfg, kset).max()))
 
 
 def affinity_score(x, k):
@@ -455,5 +482,6 @@ def normalized_score(x, k, norm):
 
 
 def total_score(cfg, kset):
-    """Sum of raw pairwise affinity scores over the upper triangle."""
-    return float(sum(kset.get(i, j).quad_form(x) for i, j, x in cfg.pairs()))
+    """Sum of raw pairwise affinity scores over the upper triangle, added
+    in row-major pair order."""
+    return float(sum(pair_scores(cfg, kset).tolist()))

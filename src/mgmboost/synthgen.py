@@ -10,10 +10,10 @@ parameter struct, bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import Delaunay, QhullError
 
 from .core import AffinityMatrix, AffinitySet, MatchConfig, Permutation
@@ -40,8 +40,7 @@ class SynthParams:
             raise ValueError(f"deform must be finite and >= 0, got {self.deform!r}")
         if not 0.0 <= self.density <= 1.0 or not 0.0 <= self.coverage <= 1.0:
             raise ValueError("density and coverage live in [0, 1]")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        _check_bandwidth("sigma2", self.sigma2)
 
     @property
     def n_nodes(self):
@@ -62,6 +61,9 @@ class GraphInstance:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
+        _check_finite("adjacency", a)
+        if self.coords is not None:
+            _check_finite("coords", np.asarray(self.coords, dtype=float))
         if not np.array_equal(a, a.T) or np.any(np.diag(a) != 0):
             raise ValueError("adjacency must be symmetric with zero diagonal")
         if not 0 <= self.inlier_count <= a.shape[0]:
@@ -92,6 +94,14 @@ class GraphInstance:
         adj[:self.n, :self.n] = self.adjacency
         perm = np.concatenate([self.truth.perm, np.arange(self.n, n_total)])
         return GraphInstance(adj, self.inlier_count, Permutation(perm))
+
+
+def _check_finite(name, a):
+    """Raise ValueError naming the first non-finite entry of ``a``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise ValueError(f"{name}[{', '.join(map(str, at))}] = {float(a[at])} is not finite")
 
 
 def _relabel(adjacency, coords, inlier_count, rng):
@@ -170,50 +180,11 @@ def gen_random_points(p):
     return instances
 
 
-def _directed_edges(adjacency):
-    """(rows, cols, weights) of all nonzero directed edges."""
-    i, j = np.nonzero(adjacency)
-    return i, j, adjacency[i, j]
-
-
-def _assemble_affinity(n, rows, cols, vals, storage):
-    if storage is None:
-        storage = "dense" if n <= 12 else "sparse"
-    if storage == "dense":
-        k = np.zeros((n * n, n * n))
-        k[rows, cols] = vals
-        return AffinityMatrix(k, storage="dense", validate=False)
-    k = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
-    return AffinityMatrix(k, storage="sparse", validate=False)
-
-
-def _pad_pair(g1, g2):
-    n = max(g1.n, g2.n)
-    return g1.padded(n), g2.padded(n), n
-
-
-def _gauss_entries(e1, e2, n, sigma2):
-    i1, j1, w1 = e1
-    i2, j2, w2 = e2
-    vals = np.exp(-((w1[None, :] - w2[:, None]) ** 2) / sigma2)
-    rows = (i2[:, None] * n + i1[None, :]).ravel()
-    cols = (j2[:, None] * n + j1[None, :]).ravel()
-    return rows, cols, vals.ravel()
-
-
 def build_affinity_gauss(g1, g2, sigma2, storage=None):
-    """Gaussian edge-affinity matrix between two instances.
-
-    Entry for edge pair ((i, j), (a, b)) is exp(-(q_ij - q_ab)^2 / sigma2)
-    wherever both edges exist, zero otherwise; node-to-node (diagonal)
-    affinities stay zero so matching is driven purely by structure.
-    """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    g1, g2, n = _pad_pair(g1, g2)
-    rows, cols, vals = _gauss_entries(_directed_edges(g1.adjacency),
-                                      _directed_edges(g2.adjacency), n, sigma2)
-    return _assemble_affinity(n, rows, cols, vals, storage)
+    """Gaussian edge-affinity matrix between two instances, g1 as the row
+    graph: the ``gauss`` kernel of ``build_affinity_set``. ``storage``
+    forces a dense or CSR matrix."""
+    return _pair_matrix(build_affinity_set([g1, g2], sigma2), storage)
 
 
 def delaunay_edges(coords):
@@ -248,29 +219,16 @@ def _delaunay_geometry(g):
 
 
 def build_affinity_len_angle(g1, g2, sigma2, beta_w, sigma2_angle=None, storage=None):
-    """Length+angle affinity on Delaunay edges of two coordinate instances.
+    """Length+angle affinity matrix on Delaunay edges of two coordinate
+    instances, g1 as the row graph: the ``len_angle`` kernel of
+    ``build_affinity_set``. ``storage`` forces a dense or CSR matrix."""
+    return _pair_matrix(build_affinity_set([g1, g2], sigma2, "len_angle", beta_w,
+                                           sigma2_angle), storage)
 
-    A convex combination beta_w * K_len + (1 - beta_w) * K_ang of two
-    Gaussian kernels: one on edge lengths (normalized per graph by the
-    largest Delaunay edge), one on each edge's absolute angle to the
-    horizontal. The angle kernel reuses sigma2 unless overridden.
-    """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    if not 0.0 <= beta_w <= 1.0:
-        raise ValueError("beta_w must lie in [0, 1]")
-    if g1.n != g2.n:
-        raise ValueError("coordinate instances must have equal node counts")
-    s2a = sigma2 if sigma2_angle is None else sigma2_angle
-    n = g1.n
-    i1, j1, l1, t1 = _delaunay_geometry(g1)
-    i2, j2, l2, t2 = _delaunay_geometry(g2)
-    k_len = np.exp(-((l1[None, :] - l2[:, None]) ** 2) / sigma2)
-    k_ang = np.exp(-((t1[None, :] - t2[:, None]) ** 2) / s2a)
-    vals = beta_w * k_len + (1.0 - beta_w) * k_ang
-    rows = (i2[:, None] * n + i1[None, :]).ravel()
-    cols = (j2[:, None] * n + j1[None, :]).ravel()
-    return _assemble_affinity(n, rows, cols, vals.ravel(), storage)
+
+def _pair_matrix(kset, storage):
+    k = kset.get(0, 1)
+    return k if storage is None else AffinityMatrix(k.data, storage=storage, validate=False)
 
 
 def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
@@ -364,22 +322,50 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
     return instances
 
 
-def build_affinity_set(instances, sigma2=None, kind="gauss", beta_w=0.9,
-                       sigma2_angle=None, storage=None):
-    """All pairwise affinity matrices for a list of instances."""
-    mats = {}
-    for i in range(len(instances) - 1):
-        for j in range(i + 1, len(instances)):
-            if kind == "gauss":
-                mats[(i, j)] = build_affinity_gauss(instances[i], instances[j],
-                                                    sigma2, storage)
-            elif kind == "len_angle":
-                mats[(i, j)] = build_affinity_len_angle(instances[i], instances[j],
-                                                        sigma2, beta_w, sigma2_angle,
-                                                        storage)
-            else:
-                raise ValueError(f"unknown affinity kind {kind!r}")
-    return AffinitySet(len(instances), mats)
+def _check_bandwidth(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle=None):
+    """Edge-kernel affinity set of a list of instances (see AffinitySet).
+
+    ``gauss``: the affinity of edge (u, v) of one graph and edge (a, b) of
+    another is exp(-(q_uv - q_ab)^2 / sigma2) for edge weights q, wherever
+    both edges exist. Node-to-node (diagonal) affinities stay zero, so
+    matching is driven purely by structure. Smaller instances are padded
+    with isolated dummy nodes to the largest node count.
+
+    ``len_angle``: on the Delaunay edges of coordinate instances of equal
+    size, beta_w * K_len + (1 - beta_w) * K_ang: a Gaussian kernel on edge
+    lengths (normalized per graph by the largest Delaunay edge) and one on
+    each edge's absolute angle to the horizontal, whose bandwidth is
+    sigma2 unless ``sigma2_angle`` is given.
+    """
+    _check_bandwidth("sigma2", sigma2)
+    if kind == "gauss":
+        n = max(g.n for g in instances)
+        weights = np.stack([g.padded(n).adjacency for g in instances])
+        return AffinitySet(weights != 0, [(1.0, weights, sigma2)])
+    if kind != "len_angle":
+        raise ValueError(f"unknown affinity kind {kind!r}")
+    if sigma2_angle is not None:
+        _check_bandwidth("sigma2_angle", sigma2_angle)
+    if not 0.0 <= beta_w <= 1.0:
+        raise ValueError("beta_w must lie in [0, 1]")
+    if len({g.n for g in instances}) != 1:
+        raise ValueError("coordinate instances must have equal node counts")
+    shape = (len(instances), instances[0].n, instances[0].n)
+    mask = np.zeros(shape, dtype=bool)
+    lengths = np.zeros(shape)
+    angles = np.zeros(shape)
+    for k, g in enumerate(instances):
+        u, v, lens, angs = _delaunay_geometry(g)
+        mask[k, u, v] = True
+        lengths[k, u, v] = lens
+        angles[k, u, v] = angs
+    s2a = sigma2 if sigma2_angle is None else sigma2_angle
+    return AffinitySet(mask, [(beta_w, lengths, sigma2), (1.0 - beta_w, angles, s2a)])
 
 
 def truth_config(instances):

@@ -12,9 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mgmboost import (AffinityMatrix, AffinitySet, MatchConfig, Permutation,
-                      SynthParams, build_affinity_set, gen_random_graphs,
-                      gen_random_points)
+from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
+                      build_affinity_set, gen_random_graphs, gen_random_points)
 
 
 def sq_fro(m):
@@ -234,28 +233,33 @@ def reference_power_iteration(k, opts):
 
 
 def commuted_node_affinity_all(cfg, kset):
-    """Node affinities read through ``kset.get(k, i)`` in both orientations,
-    so every swapped pair goes through the commuted matrix."""
+    """Node affinities from the explicit matrices ``kset.get(k, i)`` in
+    both orientations (k > i is the commuted one): row sums of the dense
+    submatrix touched by X_ki, added in ascending i."""
     t = cfg.perm_table()
     out = np.zeros((cfg.N, cfg.n))
     for k in range(cfg.N):
         for i in range(cfg.N):
             if i != k:
-                out[k] += kset.get(k, i).node_sums(t[k, i])
+                idx = t[k, i] * cfg.n + np.arange(cfg.n)
+                out[k] += kset.get(k, i).dense()[np.ix_(idx, idx)].sum(axis=1)
     return out
 
 
 def builder_affinity_sets(seed):
-    """Affinity sets from both builders, each stored dense and CSR:
-    Gaussian edge affinities on random graphs, and length+angle
-    affinities on point sets with outliers."""
-    graphs = gen_random_graphs(SynthParams(n_graphs=4, inliers=8, deform=0.1,
-                                           density=0.7, seed=seed))
-    points = gen_random_points(SynthParams(n_graphs=4, inliers=6, outliers=4,
-                                           deform=0.05, seed=seed))
-    return [build_affinity_set(insts, 0.05, kind, storage=storage)
-            for storage in ("dense", "sparse")
-            for insts, kind in ((graphs, "gauss"), (points, "len_angle"))]
+    """Affinity sets from both builders, at n <= 12 (whose pair matrices
+    are dense) and n > 12 (CSR): Gaussian edge affinities on random
+    graphs, and length+angle affinities on point sets with outliers."""
+    sets = []
+    for inliers, (pt_inliers, pt_outliers) in ((8, (6, 4)), (14, (9, 5))):
+        graphs = gen_random_graphs(SynthParams(n_graphs=4, inliers=inliers, deform=0.1,
+                                               density=0.7, seed=seed))
+        points = gen_random_points(SynthParams(n_graphs=4, inliers=pt_inliers,
+                                               outliers=pt_outliers, deform=0.05,
+                                               seed=seed))
+        sets += [build_affinity_set(graphs, 0.05, "gauss"),
+                 build_affinity_set(points, 0.05, "len_angle")]
+    return sets
 
 
 def corrupted_config(rng, n_graphs, n_nodes, flip):
@@ -284,10 +288,66 @@ def random_affinity(rng, n, density=0.6, storage=None):
     return AffinityMatrix(m, storage=storage)
 
 
+def swapped_affinity(k):
+    """The same affinities with the two graphs' roles swapped: entry
+    (a*n + u, b*n + v) moves to (u*n + a, v*n + b)."""
+    x = np.arange(k.n * k.n)
+    sigma = (x % k.n) * k.n + x // k.n
+    return AffinityMatrix(k.dense()[np.ix_(sigma, sigma)],
+                          storage="sparse" if k.is_sparse else "dense", validate=False)
+
+
+class ReferenceAffinitySet:
+    """Explicit affinity matrices for every unordered pair of N graphs,
+    with the interface of the library's edge-kernel ``AffinitySet``
+    (``N``, ``n``, ``pairs``, ``get``, ``kernel_blocks``), so tests can
+    boost on arbitrary K. ``get(i, j)`` with i > j returns the swapped
+    matrix; kernel blocks are gathered from the dense matrices."""
+
+    def __init__(self, n_graphs, mats):
+        self.N = n_graphs
+        self.n = None
+        self._mats = {}
+        for (i, j), k in mats.items():
+            if not (0 <= i < j < n_graphs):
+                raise ValueError(f"bad pair ({i}, {j})")
+            if self.n is None:
+                self.n = k.n
+            elif k.n != self.n:
+                raise ValueError("all affinity matrices must share one node count")
+            self._mats[(i, j)] = k
+        for i in range(n_graphs - 1):
+            for j in range(i + 1, n_graphs):
+                if (i, j) not in self._mats:
+                    raise ValueError(f"missing affinity matrix for pair ({i}, {j})")
+
+    def get(self, i, j):
+        if i == j:
+            raise ValueError("affinity is defined between distinct graphs")
+        return self._mats[(i, j)] if i < j else swapped_affinity(self._mats[(j, i)])
+
+    def pairs(self):
+        return sorted(self._mats)
+
+    def kernel_blocks(self, i, j, perms, rows=None):
+        perms = np.asarray(perms, dtype=np.int64)
+        pairs, count = perms.shape[:2]
+        rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
+        rows = np.broadcast_to(rows, (pairs, rows.shape[-1]))
+        blocks = np.empty((pairs, count, rows.shape[1], rows.shape[1]))
+        for p, (a, b) in enumerate(zip(np.broadcast_to(i, pairs).tolist(),
+                                       np.broadcast_to(j, pairs).tolist())):
+            dense = self.get(a, b).dense()
+            for c in range(count):
+                idx = perms[p, c, rows[p]] * self.n + rows[p]
+                blocks[p, c] = dense[np.ix_(idx, idx)]
+        yield blocks
+
+
 def random_kset(rng, n_graphs, n_nodes, density=0.6, storage=None):
     mats = {(i, j): random_affinity(rng, n_nodes, density, storage)
             for i in range(n_graphs - 1) for j in range(i + 1, n_graphs)}
-    return AffinitySet(n_graphs, mats)
+    return ReferenceAffinitySet(n_graphs, mats)
 
 
 @pytest.fixture

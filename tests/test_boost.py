@@ -15,19 +15,24 @@ Property coverage:
 import numpy as np
 import pytest
 
-from mgmboost import (AffinityMatrix, AffinitySet, BoostParams, InlierEstimate,
+from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate,
                       MatchConfig, Permutation, ScoreNormalizer, best_anchor,
                       compose, enforce_full_consistency, is_fully_consistent,
                       keep_masks, mst, overall_consistency, run_boost,
                       total_score)
 from mgmboost.boost import (EVAL_KINDS, _anchor_pool, _config_from_tree,
-                            _IterTables, _pair_best_2nd, _spectral_sync)
+                            _IterTables, _pairs_best, _spectral_sync)
 
-from conftest import (corrupted_config, naive_elicited_pairwise,
+from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
                       naive_elicited_unary, naive_pairwise_consistency,
                       naive_quad_form, naive_spectral_sync,
                       naive_unary_consistency, random_config, random_kset,
                       spanning_tree_best, stacked_matching_matrix)
+
+
+def _pair_best_2nd(i, j, tbl, sample_rate, rng):
+    """The second-order search of the single pair (i, j)."""
+    return _pairs_best([i], [j], tbl, 0.0, sample_rate, rng, second_order=True)[1][0]
 
 
 def naive_eval(kind, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=None):
@@ -190,8 +195,9 @@ class TestPairBest2nd:
         n, n_graphs = 4, 6
         k = np.zeros((n * n, n * n))
         k[1 * n + 0, 1 * n + 0] = 1.0         # vec index p(u) * n + u
-        kset = AffinitySet(n_graphs, {(i, j): AffinityMatrix(k) for i in range(n_graphs - 1)
-                                      for j in range(i + 1, n_graphs)})
+        kset = ReferenceAffinitySet(n_graphs, {(i, j): AffinityMatrix(k)
+                                               for i in range(n_graphs - 1)
+                                               for j in range(i + 1, n_graphs)})
         norm = ScoreNormalizer(1.0)
         distinct_ties = 0
         for seed in range(8):
@@ -461,7 +467,7 @@ class TestEnforceFullConsistency:
         strong[0, 3] = strong[3, 0] = 5.0    # rewards the identity matching
         mats = {(0, 1): AffinityMatrix(strong), (1, 2): AffinityMatrix(strong),
                 (0, 2): AffinityMatrix(np.zeros((4, 4)))}
-        kset = AffinitySet(3, mats)
+        kset = ReferenceAffinitySet(3, mats)
         out = enforce_full_consistency(cfg, kset, gamma=0.99)
         assert out.get(0, 2) == compose(cfg.get(0, 1), cfg.get(1, 2))
         assert is_fully_consistent(out)

@@ -188,8 +188,8 @@ class TestNormalizedScore:
         high[0, 3] = high[3, 0] = 10.0        # identity would score 20
         mats = {(0, 1): AffinityMatrix(low), (1, 2): AffinityMatrix(low),
                 (0, 2): AffinityMatrix(high)}
-        from mgmboost import AffinitySet
-        kset = AffinitySet(3, mats)
+        from conftest import ReferenceAffinitySet
+        kset = ReferenceAffinitySet(3, mats)
         norm = ScoreNormalizer.from_initial(cfg, kset)
         composed = compose(cfg.get(0, 1), cfg.get(1, 2))   # identity
         assert normalized_score(composed, kset.get(0, 2), norm) > 1.0
@@ -201,15 +201,21 @@ class TestNormalizedScore:
 
 class TestAffinityOrientation:
     def test_commuted_matches_freshly_built_swap(self, rng):
-        # swapping the two graphs' roles must equal building the affinity
-        # matrix with the arguments swapped (independent construction)
-        from mgmboost import SynthParams, build_affinity_gauss, gen_random_graphs
+        # the set's swapped orientation must equal the index-swapped matrix
+        # and building the affinity matrix with the arguments swapped
+        # (independent construction)
+        from mgmboost import (SynthParams, build_affinity_gauss, build_affinity_set,
+                              gen_random_graphs)
         p = SynthParams(n_graphs=2, inliers=4, deform=0.1, density=0.8,
                         sigma2=0.1, seed=33)
         g1, g2 = gen_random_graphs(p)
-        k12 = build_affinity_gauss(g1, g2, p.sigma2)
-        k21 = build_affinity_gauss(g2, g1, p.sigma2)
-        assert np.allclose(k12.commuted().dense(), k21.dense(), atol=1e-15)
+        kset = build_affinity_set([g1, g2], p.sigma2)
+        x = np.arange(16)
+        sigma = (x % 4) * 4 + x // 4
+        k01, k10 = kset.get(0, 1).dense(), kset.get(1, 0).dense()
+        assert np.array_equal(k01[np.ix_(sigma, sigma)], k10)
+        assert np.array_equal(build_affinity_gauss(g2, g1, p.sigma2).dense(), k10)
+        assert np.array_equal(build_affinity_gauss(g1, g2, p.sigma2).dense(), k01)
 
     def test_score_invariant_under_orientation(self, rng):
         # J(X) against K_ij equals J(X^T) against the swapped orientation

@@ -7,10 +7,14 @@ Property coverage:
   quadruple-loop builder (n <= 5)
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mgmboost import (Permutation, SynthParams, accuracy,
+from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
                       affinity_score, build_affinity_gauss,
                       build_affinity_len_angle, build_affinity_set,
                       gen_random_graphs, gen_random_points, init_config,
@@ -365,3 +369,79 @@ class TestInstanceRoundTrip:
             assert np.array_equal(a.coords, b.coords)
             assert a.truth == b.truth
             assert a.inlier_count == b.inlier_count
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+BAD_BANDWIDTH = st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_nan=False))
+
+
+class TestBoundaries:
+    """Bad values fail where they enter, with the value named."""
+
+    @staticmethod
+    def _graphs():
+        return gen_random_graphs(SynthParams(n_graphs=3, inliers=4, deform=0.1, seed=3))
+
+    def test_sigma2_is_required(self):
+        with pytest.raises(TypeError, match="sigma2"):
+            build_affinity_set(self._graphs())
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma2=BAD_BANDWIDTH)
+    def test_bad_sigma2_rejected_naming_value(self, sigma2):
+        named = re.escape(f"sigma2 must be finite and positive, got {sigma2!r}")
+        with pytest.raises(ValueError, match=named):
+            build_affinity_set(self._graphs(), sigma2)
+        with pytest.raises(ValueError, match=named):
+            SynthParams(n_graphs=3, inliers=4, sigma2=sigma2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma2_angle=BAD_BANDWIDTH)
+    def test_bad_sigma2_angle_rejected_naming_value(self, sigma2_angle):
+        points = gen_random_points(SynthParams(n_graphs=3, inliers=5, seed=3))
+        named = re.escape(f"sigma2_angle must be finite and positive, got {sigma2_angle!r}")
+        with pytest.raises(ValueError, match=named):
+            build_affinity_set(points, 0.05, "len_angle", sigma2_angle=sigma2_angle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma2=st.floats(min_value=1e-3, max_value=1e3))
+    def test_finite_positive_sigma2_gives_finite_affinities(self, sigma2):
+        k = build_affinity_set(self._graphs(), sigma2).get(0, 1).dense()
+        assert np.isfinite(k).all() and k.max() <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data(), value=NON_FINITE,
+           symmetric=st.booleans())
+    def test_non_finite_adjacency_named(self, n, data, value, symmetric):
+        u = data.draw(st.integers(0, n - 1))
+        v = data.draw(st.integers(0, n - 1))
+        adj = np.zeros((n, n))
+        adj[u, v] = value
+        if symmetric:
+            adj[v, u] = value
+        first = min((u, v), (v, u)) if symmetric else (u, v)
+        with pytest.raises(ValueError, match=rf"adjacency\[{first[0]}, {first[1]}\] = "
+                                             rf"{value} is not finite"):
+            GraphInstance(adj, n, Permutation.identity(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 6), data=st.data(), value=NON_FINITE)
+    def test_non_finite_coordinates_named(self, n, data, value):
+        row = data.draw(st.integers(0, n - 1))
+        col = data.draw(st.integers(0, 1))
+        pts = np.random.default_rng(n).normal(size=(n, 2))
+        adj = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        pts[row, col] = value
+        with pytest.raises(ValueError, match=rf"coords\[{row}, {col}\] = {value} is not finite"):
+            GraphInstance(adj, n, Permutation.identity(n), pts)
+
+    def test_load_instances_rejects_non_finite(self, tmp_path):
+        instances = self._graphs()
+        path = str(tmp_path / "dump.npz")
+        save_instances(path, instances)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["adjacency"][1, 0, 2] = np.inf
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=r"adjacency\[0, 2\] = inf is not finite"):
+            load_instances(path)
