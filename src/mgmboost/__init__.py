@@ -3,14 +3,15 @@ with graduated consistency regularization, outlier-robust inlier
 eliciting, and full-consistency post-processing, plus the synthetic
 benchmark protocols and a self-contained pairwise matcher."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (AffinityMatrix, AffinitySet, MatchConfig, Permutation,
                    ScoreNormalizer, affinity_score, compose, normalized_score,
                    total_score)
-from .consistency import (InlierEstimate, elicited_pairwise_consistency,
-                          elicited_score, elicited_unary_consistency,
-                          inlier_mask, is_fully_consistent, keep_masks,
-                          node_affinity, node_consistency, overall_consistency,
-                          pairwise_consistency, unary_consistency)
+from .consistency import (InlierEstimate, inlier_mask, is_fully_consistent,
+                          keep_masks, node_affinity_all, node_consistency_all,
+                          overall_consistency, pairwise_consistency,
+                          pairwise_consistency_all, unary_consistency_all)
 from .pairwise import SolverOptions, hungarian, power_iteration, solve_pairwise
 from .synthgen import (GraphInstance, SynthParams, build_affinity_gauss,
                        build_affinity_len_angle, build_affinity_set,
@@ -22,5 +23,7 @@ from .boost import (BoostParams, BoostTrace, best_anchor,
 from .bench import (ExperimentSpec, ResultRow, accuracy, emit_csv,
                     emit_plotdata, inlier_rows_from_instances, run_experiment)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules bound by the imports stay out
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
 __version__ = "0.1.0"

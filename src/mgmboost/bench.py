@@ -24,7 +24,6 @@ import numpy as np
 from .boost import run_boost
 from .consistency import overall_consistency
 from .core import ScoreNormalizer, total_score
-from .pairwise import SolverOptions, solve_pairwise
 from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
                        gen_random_points, init_config, load_pointset,
                        truth_config)
@@ -49,7 +48,6 @@ class ExperimentSpec:
     affinity: str = "gauss"        # or "len_angle"
     beta_w: float = 0.9
     file_path: str | None = None
-    solver_opts: SolverOptions = SolverOptions()
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
@@ -135,8 +133,7 @@ def _run_trial(spec, sweep_idx, trial):
         instances = _make_instances(spec, params, data_seed)
         kset = build_affinity_set(instances, params.sigma2, kind=spec.affinity,
                                   beta_w=spec.beta_w)
-        solver = lambda k: solve_pairwise(k, spec.solver_opts)
-        cfg0 = init_config(kset, params.coverage, init_seed, solver)
+        cfg0 = init_config(kset, params.coverage, init_seed)
         cfg_truth = truth_config(instances)
         rows = inlier_rows_from_instances(instances)
         norm = ScoreNormalizer.from_initial(cfg0, kset)

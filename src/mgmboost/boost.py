@@ -25,9 +25,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from .core import (MatchConfig, Permutation, ScoreNormalizer, kernel_sums, pair_scores,
                    total_score)
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
-                          elicited_pairwise_consistency_all,
-                          elicited_unary_consistency_all, is_fully_consistent,
-                          keep_masks, overall_consistency,
+                          is_fully_consistent, keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
 from .pairwise import hungarian
 
@@ -100,7 +98,6 @@ class _IterTables:
         self.kset = kset
         self.kind = kind
         self.norm = norm
-        self.est = est
         self.table = cfg.perm_table()
         self.keep = None
         self.kept_rows = None
@@ -108,14 +105,8 @@ class _IterTables:
             self.keep = keep_masks(cfg, est, kset)
             # every graph keeps exactly n_est rows: (N, n_est), ascending
             self.kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
-        self.cu = None
-        self.cp = None
-        if kind == "gc_u":
-            self.cu = (elicited_unary_consistency_all(cfg, est, kset, self.keep)
-                       if est is not None else unary_consistency_all(cfg))
-        elif kind == "gc_p":
-            self.cp = (elicited_pairwise_consistency_all(cfg, est, kset, self.keep)
-                       if est is not None else pairwise_consistency_all(cfg))
+        self.cu = unary_consistency_all(cfg, self.keep) if kind == "gc_u" else None
+        self.cp = pairwise_consistency_all(cfg, self.keep) if kind == "gc_p" else None
 
     def scores_for(self, ii, jj, cands):
         """Normalized affinity scores of the (P, A, n) candidates of the
@@ -126,10 +117,10 @@ class _IterTables:
 
     def cp_of_candidates(self, ii, cands, comps):
         """Pairwise consistency of the (P, A, n) candidates of pairs
-        (ii[p], j) against the snapshot's (P, N, n) compositions X_ik X_kj."""
-        if self.keep is None:
-            return candidate_consistency(cands, comps, self.cfg.n)
-        return candidate_consistency(cands, comps, self.est.n_est, self.keep[ii])
+        (ii[p], j) against the snapshot's (P, N, n) compositions X_ik X_kj;
+        when eliciting, only the rows kept for the row graph count."""
+        return candidate_consistency(cands, comps,
+                                     None if self.keep is None else self.keep[ii])
 
 
 def _anchor_pool(i, j, n_graphs, sample_rate, rng):
@@ -205,8 +196,8 @@ def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
     pair, under one of the evaluation kinds: "score" (normalized affinity
     only), "cst" (pairwise consistency only), "gc"/"gc_inv" (weighted
     blends), "gc_u" (unary-consistency proxy), "gc_p" (geometric-mean
-    pairwise proxy). With ``est`` set, score and consistency terms are
-    replaced by their inlier-elicited variants."""
+    pairwise proxy). With ``est`` set, score and consistency terms count
+    only the rows its keep masks keep."""
     if i == j:
         raise ValueError("pair indices must differ")
     if kind not in EVAL_KINDS:
@@ -238,14 +229,10 @@ def run_boost(cfg0, kset, params):
     grow the consistency weight by min(1, beta * lam) after each weighted
     sweep. Iteration stops early once the total update norm drops below
     delta (with the default, as soon as no pair changes). Modes that can
-    cycle return the best iterate seen instead of the last one.
+    cycle return the best iterate seen instead of the last one. With
+    t_max = 0 no sweep runs, and the initial configuration is returned
+    as it is, without post-processing.
     """
-    if params.t_max == 0:
-        trace = BoostTrace()
-        trace.record(total_score(cfg0, kset) / ScoreNormalizer.from_initial(cfg0, kset).value,
-                     overall_consistency(cfg0), 0, 0.0)
-        return cfg0, trace
-
     norm = ScoreNormalizer.from_initial(cfg0, kset)
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
         raise ValueError("elicit.n_est exceeds the node count")
@@ -298,7 +285,7 @@ def run_boost(cfg0, kset, params):
 
     if params.mode in _CYCLING_MODES:
         cfg = best_cfg
-    if params.enforce_final_consistency:
+    if params.enforce_final_consistency and len(trace) > 1:   # a sweep ran
         cfg = enforce_full_consistency(cfg, kset, params.gamma)
     return cfg, trace
 
@@ -344,16 +331,7 @@ def _config_from_tree(cfg, tree):
     root_to[0] = np.arange(cfg.n)
     for k in order[1:]:        # each parent is filled before its children
         root_to[k] = table[pred[k], k][root_to[pred[k]]]
-    return _config_from_basis(np.argsort(root_to, axis=1))
-
-
-def _config_from_basis(basis):
-    """Exactly cycle-consistent configuration through a common reference:
-    basis[k] maps graph k's nodes to the reference, and X_ij is basis[i]
-    followed by the inverse of basis[j]."""
-    inv = np.argsort(basis, axis=1)
-    return MatchConfig.from_table(inv[np.arange(basis.shape[0])[None, :, None],
-                                      basis[:, None, :]])
+    return MatchConfig.from_basis(np.argsort(root_to, axis=1))
 
 
 def _spectral_sync(cfg):
@@ -376,7 +354,7 @@ def _spectral_sync(cfg):
     basis[0] = np.arange(n)
     for k in range(1, n_graphs):
         basis[k] = hungarian(lead[k * n:(k + 1) * n] @ base.T).perm
-    return _config_from_basis(basis)
+    return MatchConfig.from_basis(basis)
 
 
 def enforce_full_consistency(cfg, kset, gamma=0.3):

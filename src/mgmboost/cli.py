@@ -14,7 +14,6 @@ from .bench import (ExperimentSpec, accuracy, emit_csv, emit_plotdata,
 from .boost import MODES, BoostParams, run_boost
 from .consistency import InlierEstimate, overall_consistency
 from .core import ScoreNormalizer, total_score
-from .pairwise import solve_pairwise
 from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
                        gen_random_points, init_config, load_instances,
                        load_pointset, save_instances, truth_config)
@@ -107,7 +106,7 @@ def _cmd_match(args):
         instances = _instances(args, _synth_params(args))
     kset = build_affinity_set(instances, args.sigma2, kind=_affinity_kind(args),
                               beta_w=args.beta_w)
-    cfg0 = init_config(kset, args.coverage, args.seed, solve_pairwise)
+    cfg0 = init_config(kset, args.coverage, args.seed)
     norm = ScoreNormalizer.from_initial(cfg0, kset)
     cfg, trace = run_boost(cfg0, kset, _boost_params(args))
     truth = truth_config(instances)

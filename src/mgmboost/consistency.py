@@ -1,5 +1,10 @@
 """Consistency and node-affinity metrics over a matching configuration,
-plus the inlier-eliciting row masks and their elicited metric variants.
+plus the inlier-eliciting row masks.
+
+Eliciting keeps, per graph, the rows of its top-ranked nodes. Each
+consistency metric takes that (N, n) boolean ``keep`` mask as an option:
+with it, the metric counts only the kept rows of each row graph and its
+normalizer counts the kept rows in place of n.
 
 All metrics reduce to Hamming arithmetic on the configuration's (N, N, n)
 index table: under the squared Frobenius norm, ||X - Y||_F equals twice
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, check_graph_index, check_node_index, kernel_sums
+from .core import Permutation, _kept_count, check_graph_index, kernel_sums
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -67,51 +72,55 @@ def compositions(table, i, j):
     return table[k, np.asarray(j)[..., None, None], table[i]]
 
 
-def candidate_consistency(cands, comps, rows_counted, keep_row=None):
+def candidate_consistency(cands, comps, keep_row=None):
     """Pairwise consistency of each (..., C, n) candidate row against the
     (..., N, n) compositions X_ik X_kj of its pair: 1 minus the
-    mismatching rows (only those in the (..., n) mask ``keep_row``, when
-    given) over rows_counted * N."""
+    mismatching rows over rows * N, where only the rows in the (..., n)
+    mask ``keep_row`` count, when it is given."""
     mism = cands[..., :, None, :] != comps[..., None, :, :]
+    rows = cands.shape[-1]
     if keep_row is not None:
         mism = mism & keep_row[..., None, None, :]
-    return 1.0 - mism.sum(axis=(-2, -1)) / (rows_counted * comps.shape[-2])
+        rows = keep_row.sum(axis=-1, keepdims=True)
+    return 1.0 - mism.sum(axis=(-2, -1)) / (rows * comps.shape[-2])
 
 
-def _candidate_and_compositions(x, cfg, i, j):
-    """The candidate as a (1, n) row and the compositions of pair (i, j)."""
+def unary_consistency_all(cfg, keep=None):
+    """Unary consistency of every graph k, as an (N,) array: how
+    self-consistent the configuration is when routed through k, 1 minus
+    the normalized residual between every stored matching and its
+    composition through k. With an (N, n) boolean ``keep`` mask, as
+    keep_masks returns it, only the kept rows of each row graph count and
+    the normalizer counts the kept rows. In (0, 1]; exactly 1 when all
+    counted residuals vanish."""
+    rows = _kept_count(keep, (cfg.N, cfg.n))
+    counts = np.triu(_anchor_mismatch_counts(cfg, keep), 1).sum(axis=(1, 2))
+    return 1.0 - counts / (rows * cfg.N * (cfg.N - 1) / 2.0)
+
+
+def pairwise_consistency(x, cfg, i, j, keep=None):
+    """Consistency of an arbitrary candidate matching for the pair (i, j)
+    against all single-anchor compositions of the configuration; the
+    candidate need not belong to the configuration itself. With an
+    (N, n) boolean ``keep`` mask only the rows kept for graph i count."""
     p = x.perm if isinstance(x, Permutation) else np.asarray(x)
     if p.shape != (cfg.n,):
         raise ValueError(f"candidate has {p.size} nodes, expected {cfg.n}")
     check_graph_index(i, cfg.N)
     check_graph_index(j, cfg.N)
-    return p[None, :], compositions(cfg.perm_table(), i, j)
+    _kept_count(keep, (cfg.N, cfg.n))
+    keep_row = None if keep is None else keep[i]
+    return candidate_consistency(p[None, :], compositions(cfg.perm_table(), i, j),
+                                 keep_row)[0]
 
 
-def unary_consistency(k, cfg):
-    """How self-consistent the configuration is when routed through graph
-    k: 1 minus the normalized residual between every stored matching and
-    its composition through k. In (0, 1]; exactly 1 when all residuals
-    vanish."""
-    return unary_consistency_all(cfg)[check_graph_index(k, cfg.N)]
-
-
-def unary_consistency_all(cfg):
-    counts = np.triu(_anchor_mismatch_counts(cfg), 1).sum(axis=(1, 2))
-    return 1.0 - counts / (cfg.n * cfg.N * (cfg.N - 1) / 2.0)
-
-
-def pairwise_consistency(x, cfg, i, j):
-    """Consistency of an arbitrary candidate matching for the pair (i, j)
-    against all single-anchor compositions of the configuration; the
-    candidate need not belong to the configuration itself."""
-    return candidate_consistency(*_candidate_and_compositions(x, cfg, i, j), cfg.n)[0]
-
-
-def pairwise_consistency_all(cfg):
-    """C_p of every stored matching, as a symmetric (N, N) array with unit
-    diagonal."""
-    return 1.0 - _anchor_mismatch_counts(cfg).sum(axis=0) / (cfg.n * cfg.N)
+def pairwise_consistency_all(cfg, keep=None):
+    """C_p of every stored matching, as an (N, N) array with unit
+    diagonal; symmetric without a mask. With an (N, n) boolean ``keep``
+    mask entry (i, j) counts only the rows kept for graph i, so the
+    result is not symmetric in general."""
+    rows = _kept_count(keep, (cfg.N, cfg.n))
+    return 1.0 - _anchor_mismatch_counts(cfg, keep).sum(axis=0) / (rows * cfg.N)
 
 
 def overall_consistency(cfg, table=None):
@@ -127,11 +136,6 @@ def is_fully_consistent(cfg, table=None):
     return not any(mism.any() for mism in _mismatch_rows(cfg.perm_table()))
 
 
-def node_consistency(u, k, cfg):
-    k, u = check_graph_index(k, cfg.N), check_node_index(u, cfg.n)
-    return float(node_consistency_all(cfg)[k, u])
-
-
 def node_consistency_all(cfg):
     """Node-level consistency for every node of every graph, (N, n).
 
@@ -142,11 +146,6 @@ def node_consistency_all(cfg):
     for i, mism in enumerate(_mismatch_rows(cfg.perm_table())):
         counts += mism[:, i + 1:].sum(axis=1)   # [k, j, u]: X_kj vs X_ki X_ij, j > i
     return 1.0 - counts / (cfg.N * (cfg.N - 1) / 2.0)
-
-
-def node_affinity(u, k, cfg, kset):
-    k, u = check_graph_index(k, cfg.N), check_node_index(u, cfg.n)
-    return float(node_affinity_all(cfg, kset)[k, u])
 
 
 def node_affinity_all(cfg, kset):
@@ -174,7 +173,7 @@ def keep_masks(cfg, est, kset=None):
 
     Ranking is node-wise consistency or node-wise affinity depending on
     the estimate mode; ties break toward lower node indices. Computed
-    once per configuration snapshot and reused by every elicited metric.
+    once per configuration snapshot and passed as ``keep`` to every metric.
     """
     if est.n_est > cfg.n:
         raise ValueError(f"n_est={est.n_est} exceeds node count {cfg.n}")
@@ -190,54 +189,12 @@ def keep_masks(cfg, est, kset=None):
     return keep
 
 
-def inlier_mask(x, row_graph, cfg, est, kset=None, keep=None):
-    """Apply the row mask to a matching matrix: rows of the top-n_est
-    nodes of the row graph stay, all other rows become zero. Returns the
-    masked dense matrix (no longer a permutation unless n_est = n)."""
-    check_graph_index(row_graph, cfg.N)
-    if keep is None:
-        keep = keep_masks(cfg, est, kset)
+def inlier_mask(x, keep_row):
+    """Apply a row mask to a matching matrix: the rows in the boolean
+    ``keep_row`` (one graph's row of keep_masks) stay, all other rows
+    become zero. Returns the masked dense matrix (no longer a permutation
+    unless every row is kept)."""
     m = x.matrix if isinstance(x, Permutation) else np.array(x, dtype=float)
-    out = m.copy()
-    out[~keep[row_graph]] = 0.0
-    return out
-
-
-def elicited_unary_consistency(k, cfg, est, kset=None, keep=None):
-    """Unary consistency restricted to presumed inliers: residual rows
-    outside each row graph's keep set are ignored and the normalizer
-    counts only the kept capacity."""
-    return elicited_unary_consistency_all(cfg, est, kset, keep)[check_graph_index(k, cfg.N)]
-
-
-def elicited_unary_consistency_all(cfg, est, kset=None, keep=None):
-    if keep is None:
-        keep = keep_masks(cfg, est, kset)
-    counts = np.triu(_anchor_mismatch_counts(cfg, keep), 1).sum(axis=(1, 2))
-    return 1.0 - 2.0 * counts / (est.n_est * cfg.N * (cfg.N - 1))
-
-
-def elicited_pairwise_consistency(x, cfg, est, i, j, kset=None, keep=None):
-    """Pairwise consistency of a candidate with residual rows masked to
-    the row graph's keep set."""
-    cand, comps = _candidate_and_compositions(x, cfg, i, j)
-    if keep is None:
-        keep = keep_masks(cfg, est, kset)
-    return candidate_consistency(cand, comps, est.n_est, keep[i])[0]
-
-
-def elicited_pairwise_consistency_all(cfg, est, kset=None, keep=None):
-    """Elicited C_p of every stored matching, oriented: entry (i, j) masks
-    by graph i's keep set, so the result is not symmetric in general."""
-    if keep is None:
-        keep = keep_masks(cfg, est, kset)
-    return 1.0 - _anchor_mismatch_counts(cfg, keep).sum(axis=0) / (est.n_est * cfg.N)
-
-
-def elicited_score(x, row_graph, cfg, k_mat, est, kset=None, keep=None):
-    """Affinity score of the row-masked matching: only affinities among
-    kept rows survive, so the value never exceeds the unmasked score."""
-    check_graph_index(row_graph, cfg.N)
-    if keep is None:
-        keep = keep_masks(cfg, est, kset)
-    return k_mat.quad_form(x, keep[row_graph])
+    _kept_count(keep_row, (m.shape[0],))
+    m[~keep_row] = 0.0
+    return m

@@ -49,12 +49,24 @@ def check_graph_index(k, n_graphs):
     return k
 
 
-def check_node_index(u, n_nodes):
-    """Raise IndexError unless 0 <= u < n_nodes; negative indices do not
-    wrap around."""
-    if not 0 <= u < n_nodes:
-        raise IndexError(f"node index u={u} out of range 0..{n_nodes - 1}")
-    return u
+def _kept_count(keep, shape):
+    """Rows kept per graph by ``keep``, a boolean array of the given shape:
+    (N, n) as keep_masks returns it, or (n,) for one graph; shape[-1]
+    when there is no mask. Raises ValueError for a mask of another shape
+    or dtype, or one that does not keep the same positive number of rows
+    in every graph."""
+    if keep is None:
+        return shape[-1]
+    if np.shape(keep) != shape:
+        raise ValueError(f"keep mask has shape {np.shape(keep)}, expected {shape}")
+    if getattr(keep, "dtype", None) != bool:
+        raise ValueError("keep mask must be a boolean array, got "
+                         f"{getattr(keep, 'dtype', type(keep).__name__)}")
+    counts = keep.sum(axis=-1).reshape(-1)
+    if counts.min() == 0 or (counts != counts[0]).any():
+        raise ValueError("keep mask must keep the same positive number of rows in "
+                         f"every graph, got per-graph counts {counts.tolist()}")
+    return int(counts[0])
 
 
 class Permutation:
@@ -421,6 +433,17 @@ class MatchConfig:
         cfg._fill(n_graphs, upper)
         return cfg
 
+    @classmethod
+    def from_basis(cls, basis):
+        """Exactly cycle-consistent configuration through a common
+        reference: basis[k] is an index vector mapping graph k's nodes to
+        the reference, and X_ij is basis[i] followed by the inverse of
+        basis[j]."""
+        basis = np.asarray(basis)
+        inv = np.argsort(basis, axis=1)
+        return cls.from_table(inv[np.arange(basis.shape[0])[None, :, None],
+                                  basis[:, None, :]])
+
     def get(self, i, j):
         check_graph_index(i, self.N)
         check_graph_index(j, self.N)
@@ -468,12 +491,15 @@ class ScoreNormalizer:
         return cls(float(pair_scores(cfg, kset).max()))
 
 
-def affinity_score(x, k):
+def affinity_score(x, k, keep=None):
     """Raw matching score vec(X)^T K vec(X) of a permutation against an
-    affinity matrix; non-negative since K is."""
+    affinity matrix; non-negative since K is. With ``keep``, the row
+    graph's (n,) boolean row of keep_masks, the rows of X outside it are
+    zeroed first, so only affinities among kept rows count."""
     if x.n != k.n:
         raise ValueError(f"permutation has {x.n} nodes but affinity matrix expects {k.n}")
-    return k.quad_form(x)
+    _kept_count(keep, (k.n,))
+    return k.quad_form(x, keep)
 
 
 def normalized_score(x, k, norm):

@@ -108,8 +108,6 @@ def _relabel(adjacency, coords, inlier_count, rng):
     """Shuffle node order; truth maps instance positions back to the
     reference ordering."""
     order = rng.permutation(adjacency.shape[0])
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
     adj = adjacency[np.ix_(order, order)]
     pts = coords[order] if coords is not None else None
     # instance node u is reference node order[u]
@@ -188,7 +186,8 @@ def build_affinity_gauss(g1, g2, sigma2, storage=None):
 
 
 def delaunay_edges(coords):
-    """Undirected edge set of the Delaunay triangulation of 2-D points."""
+    """Undirected edges of the Delaunay triangulation of 2-D points, as an
+    (E, 2) array of rows (u, v) with u < v, sorted lexicographically."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape[0] < 3:
         raise ValueError("Delaunay triangulation needs at least 3 points")
@@ -197,13 +196,8 @@ def delaunay_edges(coords):
     except QhullError as exc:
         raise ValueError("Delaunay triangulation undefined "
                          "(fewer than 3 non-collinear points)") from exc
-    edges = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                u, v = int(simplex[a]), int(simplex[b])
-                edges.add((min(u, v), max(u, v)))
-    return sorted(edges)
+    sides = tri.simplices[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+    return np.unique(np.sort(sides, axis=1), axis=0)
 
 
 def _delaunay_geometry(g):
@@ -369,15 +363,9 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle
 
 
 def truth_config(instances):
-    """Ground-truth matching configuration induced by the instances'
-    reference labelings; fully consistent by construction."""
-    n = instances[0].n
-    pairs = {}
-    for i in range(len(instances) - 1):
-        inv_i = instances[i].truth
-        for j in range(i + 1, len(instances)):
-            pairs[(i, j)] = inv_i.compose(instances[j].truth.inverse())
-    return MatchConfig(len(instances), n, pairs)
+    """Ground-truth matching configuration: the consistent configuration
+    through the instances' reference labelings."""
+    return MatchConfig.from_basis(np.stack([g.truth.perm for g in instances]))
 
 
 def init_config(kset, coverage, seed, solver=None):

@@ -298,6 +298,11 @@ class TestRunBoost:
         assert out == cfg
         assert len(trace) == 1
 
+    def test_t_max_zero_checks_n_est(self, rng):
+        cfg, kset = self._instance(rng)
+        with pytest.raises(ValueError, match="n_est"):
+            run_boost(cfg, kset, BoostParams(mode="isb", t_max=0, elicit=InlierEstimate(5)))
+
     def test_isb_monotone_and_converges(self, rng):
         for seed in range(5):
             srng = np.random.default_rng(300 + seed)

@@ -1,4 +1,4 @@
-"""Consistency metrics, node metrics, eliciting masks, elicited variants.
+"""Consistency metrics, node metrics, eliciting masks, keep-masked metrics.
 
 Property coverage:
 - all metrics in (0, 1], exactly 1 iff residuals vanish (N <= 5, n <= 4)
@@ -6,22 +6,24 @@ Property coverage:
 - C_p symmetric under index swap
 - masks idempotent when rankings are computed once
 - optimized implementations match naive triple-loop references to 1e-12
+- keep-masked metrics in (0, 1] and equal to the naive masked references
+  for random masks keeping the same count per graph
 """
+
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mgmboost
 from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
-                      Permutation, affinity_score, elicited_pairwise_consistency,
-                      elicited_score, elicited_unary_consistency, inlier_mask,
-                      is_fully_consistent, keep_masks, node_affinity,
-                      node_consistency, overall_consistency,
-                      pairwise_consistency, unary_consistency)
-from mgmboost.consistency import (elicited_pairwise_consistency_all,
-                                  elicited_unary_consistency_all,
-                                  node_affinity_all, node_consistency_all,
-                                  pairwise_consistency_all,
-                                  unary_consistency_all)
+                      Permutation, affinity_score, inlier_mask,
+                      is_fully_consistent, keep_masks, node_affinity_all,
+                      node_consistency_all, overall_consistency,
+                      pairwise_consistency, pairwise_consistency_all,
+                      unary_consistency_all)
 
 from conftest import (ReferenceAffinitySet, builder_affinity_sets,
                       commuted_node_affinity_all,
@@ -39,24 +41,18 @@ def three_graph_example():
 
 
 def _index_users():
-    """Every public call taking a graph index, as f(cfg, kset, est, g)."""
+    """Every public call taking a graph index, as f(cfg, kset, est, g);
+    the elicited calls pass the estimate's keep masks."""
     x = Permutation.identity(3)
     return {
         "get_row": lambda cfg, kset, est, g: cfg.get(g, 0),
         "get_col": lambda cfg, kset, est, g: cfg.get(0, g),
-        "unary": lambda cfg, kset, est, g: unary_consistency(g, cfg),
         "pairwise_i": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, g, 0),
         "pairwise_j": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, 0, g),
-        "node": lambda cfg, kset, est, g: node_consistency(0, g, cfg),
-        "node_affinity": lambda cfg, kset, est, g: node_affinity(0, g, cfg, kset),
-        "inlier_mask": lambda cfg, kset, est, g: inlier_mask(x, g, cfg, est),
-        "elicited_unary": lambda cfg, kset, est, g: elicited_unary_consistency(g, cfg, est),
         "elicited_pairwise_i": lambda cfg, kset, est, g:
-            elicited_pairwise_consistency(x, cfg, est, g, 0),
+            pairwise_consistency(x, cfg, g, 0, keep_masks(cfg, est)),
         "elicited_pairwise_j": lambda cfg, kset, est, g:
-            elicited_pairwise_consistency(x, cfg, est, 0, g),
-        "elicited_score": lambda cfg, kset, est, g:
-            elicited_score(x, g, cfg, kset.get(0, 1), est),
+            pairwise_consistency(x, cfg, 0, g, keep_masks(cfg, est)),
     }
 
 
@@ -70,42 +66,26 @@ def test_graph_index_out_of_range_raises(name, graph, rng):
         _index_users()[name](cfg, kset, InlierEstimate(2, "consistency"), graph)
 
 
-@pytest.mark.parametrize("node", [-1, -3, 3])
-@pytest.mark.parametrize("name", ["node", "node_affinity"])
-def test_node_index_out_of_range_raises(name, node, rng):
-    # n = 3: negative node indices must not wrap around either
-    cfg = random_config(rng, 4, 3)
-    kset = random_kset(rng, 4, 3)
-    call = {"node": lambda: node_consistency(node, 0, cfg),
-            "node_affinity": lambda: node_affinity(node, 0, cfg, kset)}[name]
-    with pytest.raises(IndexError, match=f"node index u={node}"):
-        call()
-
-
 class TestUnaryConsistency:
     def test_fully_consistent_is_one(self, rng):
         cfg = MatchConfig.identity(4, 3)
         for k in range(4):
-            assert unary_consistency(k, cfg) == 1.0
+            assert unary_consistency_all(cfg)[k] == 1.0
 
     def test_three_graph_value(self):
         cfg = three_graph_example()
         # direct evaluation of the 3-pair sum: only pair (1,2) routed
         # through graph 0 disagrees, in both of its rows
-        assert unary_consistency(0, cfg) == pytest.approx(2.0 / 3.0)
+        assert unary_consistency_all(cfg)[0] == pytest.approx(2.0 / 3.0)
         assert naive_unary_consistency(0, cfg) == pytest.approx(2.0 / 3.0)
 
     def test_matches_naive_reference(self, rng):
         for _ in range(20):
             cfg = random_config(rng, int(rng.integers(3, 7)), int(rng.integers(2, 6)))
             for k in range(cfg.N):
-                got = unary_consistency(k, cfg)
+                got = unary_consistency_all(cfg)[k]
                 assert 0.0 < got <= 1.0
                 assert got == pytest.approx(naive_unary_consistency(k, cfg), abs=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            unary_consistency(5, MatchConfig.identity(3, 2))
 
 
 class TestPairwiseConsistency:
@@ -184,7 +164,7 @@ class TestNodeConsistency:
         cfg = MatchConfig.identity(4, 3)
         for k in range(4):
             for u in range(3):
-                assert node_consistency(u, k, cfg) == 1.0
+                assert node_consistency_all(cfg)[k, u] == 1.0
 
     def test_single_planted_contradiction(self):
         # N=3, n=3: swap nodes 1 and 2 only in X_12; viewed from graph 0,
@@ -193,9 +173,9 @@ class TestNodeConsistency:
         swapped = Permutation([0, 2, 1])
         cfg = MatchConfig(3, 3, {(0, 1): ident, (0, 2): ident, (1, 2): swapped})
         n_pairs = 3 * 2 / 2.0
-        assert node_consistency(0, 0, cfg) == 1.0
-        assert node_consistency(1, 0, cfg) == pytest.approx(1.0 - 1.0 / n_pairs)
-        assert node_consistency(2, 0, cfg) == pytest.approx(1.0 - 1.0 / n_pairs)
+        assert node_consistency_all(cfg)[0, 0] == 1.0
+        assert node_consistency_all(cfg)[0, 1] == pytest.approx(1.0 - 1.0 / n_pairs)
+        assert node_consistency_all(cfg)[0, 2] == pytest.approx(1.0 - 1.0 / n_pairs)
 
     def test_matches_naive_reference(self, rng):
         for _ in range(10):
@@ -212,7 +192,7 @@ class TestNodeConsistency:
             cfg = random_config(rng, 4, 4)
             for k in range(4):
                 node_mass = (1.0 - node_consistency_all(cfg)[k]).sum() * (4 * 3 / 2.0)
-                unary_mass = (1.0 - unary_consistency(k, cfg)) * (4 * 4 * 3 / 2.0)
+                unary_mass = (1.0 - unary_consistency_all(cfg)[k]) * (4 * 4 * 3 / 2.0)
                 assert node_mass == pytest.approx(unary_mass, abs=1e-9)
 
 
@@ -224,7 +204,7 @@ class TestNodeAffinity:
         kset = ReferenceAffinitySet(3, mats)
         for k in range(3):
             for u in range(3):
-                assert node_affinity(u, k, cfg, kset) == 0.0
+                assert node_affinity_all(cfg, kset)[k, u] == 0.0
 
     def test_matches_naive_and_bounded_by_total(self, rng):
         for _ in range(8):
@@ -281,7 +261,7 @@ class TestNodeAffinity:
         mats = {(0, 1): AffinityMatrix(k)}
         kset = ReferenceAffinitySet(2, mats)
         cfg = MatchConfig.identity(2, 3)
-        assert node_affinity(0, 0, cfg, kset) > node_affinity(2, 0, cfg, kset)
+        assert node_affinity_all(cfg, kset)[0, 0] > node_affinity_all(cfg, kset)[0, 2]
 
 
 class TestInlierMask:
@@ -289,12 +269,12 @@ class TestInlierMask:
         cfg = random_config(rng, 4, 4)
         x = cfg.get(0, 1)
         est = InlierEstimate(4, "consistency")
-        assert np.array_equal(inlier_mask(x, 0, cfg, est), x.matrix)
+        assert np.array_equal(inlier_mask(x, keep_masks(cfg, est)[0]), x.matrix)
 
     def test_keep_one_single_row(self, rng):
         cfg = random_config(rng, 4, 4)
         x = cfg.get(0, 1)
-        masked = inlier_mask(x, 0, cfg, InlierEstimate(1, "consistency"))
+        masked = inlier_mask(x, keep_masks(cfg, InlierEstimate(1, "consistency"))[0])
         assert (masked.sum(axis=1) > 0).sum() == 1
 
     def test_planted_outliers_zeroed(self):
@@ -306,7 +286,7 @@ class TestInlierMask:
         keep = keep_masks(cfg, InlierEstimate(2, "consistency"))
         for k in range(3):
             assert np.array_equal(keep[k], [True, True, False, False])
-        masked = inlier_mask(cfg.get(1, 2), 1, cfg, InlierEstimate(2, "consistency"))
+        masked = inlier_mask(cfg.get(1, 2), keep[1])
         assert masked[2:].sum() == 0.0
         assert masked[:2].sum() == 2.0
 
@@ -315,8 +295,8 @@ class TestInlierMask:
         est = InlierEstimate(2, "consistency")
         keep = keep_masks(cfg, est)
         x = cfg.get(0, 2)
-        once = inlier_mask(x, 0, cfg, est, keep=keep)
-        twice = inlier_mask(once, 0, cfg, est, keep=keep)
+        once = inlier_mask(x, keep[0])
+        twice = inlier_mask(once, keep[0])
         assert np.array_equal(once, twice)
 
     def test_affinity_mode_needs_kset(self, rng):
@@ -334,40 +314,42 @@ class TestElicitedMetrics:
     def test_keep_all_fully_consistent(self):
         cfg = MatchConfig.identity(4, 3)
         est = InlierEstimate(3, "consistency")
-        assert elicited_unary_consistency(0, cfg, est) == 1.0
-        assert elicited_pairwise_consistency(cfg.get(0, 1), cfg, est, 0, 1) == 1.0
+        keep = keep_masks(cfg, est)
+        assert unary_consistency_all(cfg, keep)[0] == 1.0
+        assert pairwise_consistency(cfg.get(0, 1), cfg, 0, 1, keep) == 1.0
 
     def test_keep_all_reduces_to_plain_metrics(self, rng):
         for _ in range(20):
             cfg = random_config(rng, 4, 4)
             est = InlierEstimate(4, "consistency")
+            keep = keep_masks(cfg, est)
             for k in range(4):
-                assert elicited_unary_consistency(k, cfg, est) == pytest.approx(
-                    unary_consistency(k, cfg), abs=1e-12)
+                assert unary_consistency_all(cfg, keep)[k] == pytest.approx(
+                    unary_consistency_all(cfg)[k], abs=1e-12)
             for i in range(3):
                 for j in range(i + 1, 4):
                     x = cfg.get(i, j)
-                    assert elicited_pairwise_consistency(x, cfg, est, i, j) == \
+                    assert pairwise_consistency(x, cfg, i, j, keep) == \
                         pytest.approx(pairwise_consistency(x, cfg, i, j), abs=1e-12)
 
     def test_outlier_only_contradictions_invisible(self):
         base = Permutation.identity(4)
         bad = Permutation([0, 1, 3, 2])
         cfg = MatchConfig(3, 4, {(0, 1): base, (0, 2): base, (1, 2): bad})
-        est = InlierEstimate(2, "consistency")
+        keep = keep_masks(cfg, InlierEstimate(2, "consistency"))
         for k in range(3):
-            assert elicited_unary_consistency(k, cfg, est) == 1.0
+            assert unary_consistency_all(cfg, keep)[k] == 1.0
 
     def test_matches_naive_masked_reference(self, rng):
         for _ in range(10):
             cfg = random_config(rng, 4, 4)
             est = InlierEstimate(2, "consistency")
             keep = keep_masks(cfg, est)
-            got_u = elicited_unary_consistency_all(cfg, est, keep=keep)
+            got_u = unary_consistency_all(cfg, keep)
             for k in range(4):
                 assert got_u[k] == pytest.approx(
                     naive_elicited_unary(k, cfg, est, keep), abs=1e-12)
-            got_p = elicited_pairwise_consistency_all(cfg, est, keep=keep)
+            got_p = pairwise_consistency_all(cfg, keep)
             for i in range(3):
                 for j in range(i + 1, 4):
                     ref = naive_elicited_pairwise(cfg.get(i, j), cfg, est, i, j, keep)
@@ -380,7 +362,7 @@ class TestElicitedScore:
         kset = random_kset(rng, 3, 4)
         est = InlierEstimate(4, "consistency")
         x = cfg.get(0, 1)
-        assert elicited_score(x, 0, cfg, kset.get(0, 1), est) == pytest.approx(
+        assert affinity_score(x, kset.get(0, 1), keep_masks(cfg, est)[0]) == pytest.approx(
             affinity_score(x, kset.get(0, 1)), rel=1e-12)
 
     def test_outlier_mass_removed(self):
@@ -391,7 +373,7 @@ class TestElicitedScore:
         k = np.zeros((16, 16))
         k[3 * 4 + 2, 2 * 4 + 3] = k[2 * 4 + 3, 3 * 4 + 2] = 5.0   # edge (2,3)x(3,2)
         est = InlierEstimate(2, "consistency")
-        val = elicited_score(cfg.get(0, 1), 0, cfg, AffinityMatrix(k), est)
+        val = affinity_score(cfg.get(0, 1), AffinityMatrix(k), keep_masks(cfg, est)[0])
         assert val == 0.0
 
     def test_masked_never_exceeds_unmasked(self, rng):
@@ -401,7 +383,7 @@ class TestElicitedScore:
             est = InlierEstimate(int(rng.integers(1, 5)), "consistency")
             keep = keep_masks(cfg, est)
             for i, j, x in cfg.pairs():
-                masked = elicited_score(x, i, cfg, kset.get(i, j), est, keep=keep)
+                masked = affinity_score(x, kset.get(i, j), keep[i])
                 assert masked <= affinity_score(x, kset.get(i, j)) + 1e-12
 
     def test_matches_naive_masked_quadratic_form(self, rng):
@@ -410,7 +392,92 @@ class TestElicitedScore:
         est = InlierEstimate(2, "affinity")
         keep = keep_masks(cfg, est, kset)
         for i, j, x in cfg.pairs():
-            masked_mat = inlier_mask(x, i, cfg, est, kset, keep=keep)
+            masked_mat = inlier_mask(x, keep[i])
             ref = naive_quad_form(masked_mat, kset.get(i, j).dense())
-            got = elicited_score(x, i, cfg, kset.get(i, j), est, kset, keep=keep)
+            got = affinity_score(x, kset.get(i, j), keep[i])
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+def _mask_users():
+    """Every public call taking a keep mask, as f(cfg, kset, keep); the
+    row users get graph 0's row of an (N, n) mask."""
+    x = Permutation.identity(4)
+    return {
+        "unary_all": lambda cfg, kset, keep: unary_consistency_all(cfg, keep),
+        "pairwise_all": lambda cfg, kset, keep: pairwise_consistency_all(cfg, keep),
+        "pairwise": lambda cfg, kset, keep: pairwise_consistency(x, cfg, 0, 1, keep),
+        "affinity_score": lambda cfg, kset, keep: affinity_score(x, kset.get(0, 1), keep[0]),
+        "inlier_mask": lambda cfg, kset, keep: inlier_mask(x, keep[0]),
+    }
+
+
+BAD_MASKS = {
+    # fault: (mask of a 3-graph, 4-node configuration, message naming it)
+    "shape": (np.ones((3, 5), dtype=bool), r"shape \(3, 5\)|shape \(5,\)"),
+    "dtype": (np.ones((3, 4), dtype=np.int64), "boolean array, got int64"),
+    "unequal": (np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]], dtype=bool),
+                r"counts \[2, 1, 2\]"),
+    "all_false": (np.zeros((3, 4), dtype=bool), r"positive number of rows .*counts \[0"),
+}
+
+
+# a single graph's row has no other count to disagree with
+MASK_CASES = [(name, fault) for name in sorted(_mask_users()) for fault in sorted(BAD_MASKS)
+              if fault != "unequal" or name not in ("affinity_score", "inlier_mask")]
+
+
+class TestKeepMask:
+    @pytest.mark.parametrize("name, fault", MASK_CASES)
+    def test_bad_mask_raises_naming_fault(self, name, fault, rng):
+        cfg = random_config(rng, 3, 4)
+        kset = random_kset(rng, 3, 4)
+        mask, message = BAD_MASKS[fault]
+        with pytest.raises(ValueError, match=message):
+            _mask_users()[name](cfg, kset, mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_graphs=st.integers(3, 6), n=st.integers(2, 5), data=st.data())
+    def test_masked_metrics_match_naive_references(self, n_graphs, n, data):
+        # any mask keeping the same count in every graph, not only a
+        # ranked one: each metric counts the kept rows and is normalized
+        # by that count, so the metrics of stored matchings stay in (0, 1]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        kept = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng, n_graphs, n)
+        keep = np.zeros((n_graphs, n), dtype=bool)
+        for g in range(n_graphs):
+            keep[g, rng.choice(n, kept, replace=False)] = True
+        est = InlierEstimate(kept)
+        cu = unary_consistency_all(cfg, keep)
+        cp = pairwise_consistency_all(cfg, keep)
+        for k in range(n_graphs):
+            assert 0.0 < cu[k] <= 1.0
+            assert cu[k] == pytest.approx(naive_elicited_unary(k, cfg, est, keep), abs=1e-12)
+        for i in range(n_graphs):
+            for j in range(n_graphs):
+                ref = naive_elicited_pairwise(cfg.get(i, j), cfg, est, i, j, keep)
+                got = pairwise_consistency(cfg.get(i, j), cfg, i, j, keep)
+                for val in (cp[i, j], got):
+                    assert 0.0 < val <= 1.0
+                    assert val == pytest.approx(ref, abs=1e-12)
+                # a candidate outside the configuration may score 0
+                foreign = Permutation.random(n, rng)
+                assert pairwise_consistency(foreign, cfg, i, j, keep) == pytest.approx(
+                    naive_elicited_pairwise(foreign, cfg, est, i, j, keep), abs=1e-12)
+
+
+REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
+                 "elicited_pairwise_consistency", "elicited_pairwise_consistency_all",
+                 "elicited_score", "unary_consistency", "node_consistency",
+                 "node_affinity", "check_node_index")
+
+
+def test_public_names():
+    # a star import brings functions and classes, not the submodules
+    modules = [name for name in mgmboost.__all__
+               if isinstance(getattr(mgmboost, name), types.ModuleType)]
+    assert not modules
+    assert all(hasattr(mgmboost, name) for name in mgmboost.__all__)
+    for module in (mgmboost, mgmboost.consistency, mgmboost.core):
+        assert not [name for name in REMOVED_NAMES if hasattr(module, name)]

@@ -239,6 +239,16 @@ class TestMatchConfig:
         with pytest.raises(ValueError):
             MatchConfig(3, 2, {(0, 1): Permutation.identity(2)})
 
+    def test_from_basis_composes_through_reference(self, rng):
+        # X_ij = basis[i] followed by the inverse of basis[j], pair by pair
+        for _ in range(10):
+            n_graphs, n = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+            basis = [Permutation.random(n, rng) for _ in range(n_graphs)]
+            cfg = MatchConfig.from_basis([b.perm for b in basis])
+            for i in range(n_graphs):
+                for j in range(n_graphs):
+                    assert cfg.get(i, j) == basis[i].compose(basis[j].inverse())
+
     def test_perm_table_consistent_with_get(self, rng):
         cfg = MatchConfig.random(4, 3, rng)
         t = cfg.perm_table()

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.spatial import Delaunay
 from hypothesis import strategies as st
 
 from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
@@ -195,6 +196,19 @@ class TestLenAngleAffinity:
     def _pts_instance(self, rng, n=6):
         p = SynthParams(n_graphs=2, inliers=n, deform=0.05, seed=int(rng.integers(1 << 30)))
         return gen_random_points(p)
+
+    def test_delaunay_edges_match_simplex_loop(self, rng):
+        # reference: every side of every triangle, as a sorted set
+        for n in (3, 4, 8, 14):
+            for g in self._pts_instance(rng, n):
+                edges = set()
+                for simplex in Delaunay(g.coords).simplices:
+                    for a in range(3):
+                        for b in range(a + 1, 3):
+                            u, v = int(simplex[a]), int(simplex[b])
+                            edges.add((min(u, v), max(u, v)))
+                got = delaunay_edges(g.coords)
+                assert [tuple(e) for e in got.tolist()] == sorted(edges)
 
     def test_beta_one_is_pure_length_kernel(self, rng):
         g1, g2 = self._pts_instance(rng)
