@@ -6,15 +6,13 @@ benchmark protocols and a self-contained pairwise matcher."""
 from types import ModuleType as _ModuleType
 
 from .core import (AffinityMatrix, AffinitySet, MatchConfig, Permutation,
-                   ScoreNormalizer, affinity_score, compose, normalized_score,
-                   total_score)
+                   ScoreNormalizer, affinity_score, total_score)
 from .consistency import (InlierEstimate, inlier_mask, is_fully_consistent,
                           keep_masks, node_affinity_all, node_consistency_all,
                           overall_consistency, pairwise_consistency,
                           pairwise_consistency_all, unary_consistency_all)
 from .pairwise import SolverOptions, hungarian, power_iteration, solve_pairwise
-from .synthgen import (GraphInstance, SynthParams, build_affinity_gauss,
-                       build_affinity_len_angle, build_affinity_set,
+from .synthgen import (GraphInstance, SynthParams, build_affinity_set,
                        gen_random_graphs, gen_random_points, init_config,
                        load_instances, load_pointset, save_instances,
                        truth_config)

@@ -22,8 +22,8 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import (MatchConfig, Permutation, ScoreNormalizer, kernel_sums, pair_scores,
-                   total_score)
+from .core import (MatchConfig, Permutation, ScoreNormalizer, check_graph_index,
+                   kernel_sums, pair_scores, total_score)
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
                           is_fully_consistent, keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
@@ -59,16 +59,20 @@ class BoostParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.t0 < 0 or self.t_max < 0:
-            raise ValueError("iteration counts must be >= 0")
+        for name in ("t0", "t_max"):
+            count = getattr(self, name)
+            if not (isinstance(count, (int, np.integer)) and count >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
         if not 0.0 <= self.lambda0 <= 1.0:
             raise ValueError("lambda0 must lie in [0, 1]")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
+        if not self.beta >= 1.0:
+            raise ValueError(f"beta must be >= 1, got {self.beta!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError("sample_rate must lie in (0, 1]")
+        if not self.delta >= 0.0:
+            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
 
 
 @dataclass
@@ -198,6 +202,8 @@ def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
     blends), "gc_u" (unary-consistency proxy), "gc_p" (geometric-mean
     pairwise proxy). With ``est`` set, score and consistency terms count
     only the rows its keep masks keep."""
+    check_graph_index(i, cfg_prev.N)
+    check_graph_index(j, cfg_prev.N)
     if i == j:
         raise ValueError("pair indices must differ")
     if kind not in EVAL_KINDS:

@@ -35,7 +35,7 @@ def _index_array(values):
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():
-            raise ValueError(f"index {a[bad].flat[0]!r} is not an integer")
+            raise ValueError(f"index {float(a[bad].flat[0])!r} is not an integer")
     elif a.dtype.kind not in "biu":
         raise ValueError(f"indices must be integers, got dtype {a.dtype}")
     return np.array(a, dtype=np.int64)
@@ -153,75 +153,53 @@ class Permutation:
         return f"Permutation({self.perm.tolist()})"
 
 
-def compose(x_ik, x_kj):
-    """Chain two matchings: the product X_ik @ X_kj, itself a permutation."""
-    return x_ik.compose(x_kj)
-
-
 class AffinityMatrix:
-    """Non-negative symmetric affinity matrix between two n-node graphs.
+    """Non-negative symmetric n^2 x n^2 affinity matrix between two n-node
+    graphs, the pairwise solver's input: dense for n <= DENSE_NODE_LIMIT,
+    CSR above. Graphs of unequal sizes must first be padded with isolated
+    dummy nodes. ``AffinitySet.get`` builds one for the solver; the
+    boosting loop never holds one."""
 
-    Sized n^2 x n^2; stored dense for n <= DENSE_NODE_LIMIT and CSR above,
-    unless ``storage`` forces one representation. Graphs of unequal sizes
-    must be padded with isolated dummy nodes before construction, so a
-    single common ``n`` is stored. The boosting loop never holds one of
-    these: ``AffinitySet`` builds a pair's matrix on request for the
-    pairwise solver, and ``quad_form`` is the explicit-matrix scorer.
-    """
+    __slots__ = ("n", "data")
 
-    __slots__ = ("n", "data", "is_sparse")
-
-    def __init__(self, data, storage=None, validate=True):
-        shape = data.shape
+    def __init__(self, data):
+        shape = np.shape(data)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("affinity matrix must be square")
         n = int(round(shape[0] ** 0.5))
         if n * n != shape[0]:
             raise ValueError("affinity matrix size must be a perfect square")
         self.n = n
-        if storage is None:
-            storage = "dense" if n <= DENSE_NODE_LIMIT else "sparse"
-        if storage == "dense":
-            self.data = np.asarray(data.toarray() if sp.issparse(data) else data, dtype=float)
-            self.is_sparse = False
-        elif storage == "sparse":
-            self.data = sp.csr_matrix(data, dtype=float)
-            self.is_sparse = True
-        else:
-            raise ValueError(f"unknown storage {storage!r}")
-        if validate:
-            self._validate()
-
-    def _validate(self):
         if self.is_sparse:
-            if self.data.nnz and self.data.data.min() < 0:
-                raise ValueError("affinities must be non-negative")
-            if (self.data != self.data.T).nnz != 0:
-                raise ValueError("affinity matrix must be symmetric")
+            self.data = d = sp.csr_matrix(data, dtype=float)
+            vals = d.data
         else:
-            if self.data.size and self.data.min() < 0:
-                raise ValueError("affinities must be non-negative")
-            if not np.array_equal(self.data, self.data.T):
-                raise ValueError("affinity matrix must be symmetric")
+            self.data = d = np.asarray(data.toarray() if sp.issparse(data) else data, dtype=float)
+            vals = d.ravel()
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            at = bad[0]
+            row, col = ((np.searchsorted(d.indptr, at, side="right") - 1, d.indices[at])
+                        if self.is_sparse else divmod(at, d.shape[1]))
+            raise ValueError(f"affinity entry ({row}, {col}) = {vals[at]} is not finite")
+        if vals.size and vals.min() < 0:
+            raise ValueError("affinities must be non-negative")
+        if (d != d.T).sum():
+            raise ValueError("affinity matrix must be symmetric")
+
+    @classmethod
+    def _wrap(cls, n, data):
+        """Wrap a matrix built valid, in the representation n selects."""
+        k = object.__new__(cls)
+        k.n, k.data = n, data
+        return k
 
     @property
-    def shape(self):
-        return (self.n * self.n, self.n * self.n)
+    def is_sparse(self):
+        return self.n > DENSE_NODE_LIMIT
 
     def dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
-
-    def quad_form(self, x, keep=None):
-        """vec(X)^T K vec(X), gathering only the submatrix touched by the
-        unit entries of X. With ``keep`` (a boolean row mask) the rows of X
-        outside it are zeroed first."""
-        p = x.perm if isinstance(x, Permutation) else np.asarray(x, dtype=np.int64)
-        if p.size != self.n:
-            raise ValueError(f"permutation size {p.size} does not match n={self.n}")
-        rows = (np.arange(self.n) if keep is None
-                else np.flatnonzero(np.asarray(keep, dtype=bool)))
-        idx = p[rows] * self.n + rows
-        return float(self.data[idx][:, idx].sum())
 
 
 class AffinitySet:
@@ -308,7 +286,7 @@ class AffinitySet:
             k[rows, cols] = vals
         else:
             k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-        return AffinityMatrix(k, validate=False)
+        return AffinityMatrix._wrap(n, k)
 
     def kernel_blocks(self, i, j, perms, rows=None):
         """Kernel blocks of candidate matchings, chunk by chunk.
@@ -492,19 +470,17 @@ class ScoreNormalizer:
 
 
 def affinity_score(x, k, keep=None):
-    """Raw matching score vec(X)^T K vec(X) of a permutation against an
-    affinity matrix; non-negative since K is. With ``keep``, the row
-    graph's (n,) boolean row of keep_masks, the rows of X outside it are
-    zeroed first, so only affinities among kept rows count."""
-    if x.n != k.n:
-        raise ValueError(f"permutation has {x.n} nodes but affinity matrix expects {k.n}")
+    """Raw score vec(X)^T K vec(X) of a permutation or index vector against
+    an explicit affinity matrix, gathered from the entries X touches. With
+    ``keep``, the row graph's (n,) boolean row of keep_masks, only
+    affinities among kept rows count."""
+    p = (x if isinstance(x, Permutation) else Permutation(x)).perm
+    if p.shape != (k.n,):
+        raise ValueError(f"permutation has {p.size} nodes but affinity matrix expects {k.n}")
     _kept_count(keep, (k.n,))
-    return k.quad_form(x, keep)
-
-
-def normalized_score(x, k, norm):
-    """Affinity score divided by the fixed initial-score normalizer."""
-    return affinity_score(x, k) / norm.value
+    rows = np.arange(k.n) if keep is None else np.flatnonzero(keep)
+    idx = p[rows] * k.n + rows
+    return float(k.data[idx][:, idx].sum())
 
 
 def total_score(cfg, kset):

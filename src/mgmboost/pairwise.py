@@ -44,8 +44,7 @@ def power_iteration(k, opts=None):
     best iterate is returned; the caller never sees an exception.
     """
     opts = opts or SolverOptions()
-    mat = k if isinstance(k, AffinityMatrix) else None
-    data = mat.data if mat is not None else np.asarray(k, dtype=float)
+    data = k.data if isinstance(k, AffinityMatrix) else np.asarray(k, dtype=float)
     dim = data.shape[0]
     v = np.full(dim, 1.0 / np.sqrt(dim))
     for _ in range(opts.max_power_iters):

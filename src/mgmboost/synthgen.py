@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import AffinityMatrix, AffinitySet, MatchConfig, Permutation
+from .core import AffinitySet, MatchConfig, Permutation
 from .pairwise import solve_pairwise
 
 
@@ -178,13 +178,6 @@ def gen_random_points(p):
     return instances
 
 
-def build_affinity_gauss(g1, g2, sigma2, storage=None):
-    """Gaussian edge-affinity matrix between two instances, g1 as the row
-    graph: the ``gauss`` kernel of ``build_affinity_set``. ``storage``
-    forces a dense or CSR matrix."""
-    return _pair_matrix(build_affinity_set([g1, g2], sigma2), storage)
-
-
 def delaunay_edges(coords):
     """Undirected edges of the Delaunay triangulation of 2-D points, as an
     (E, 2) array of rows (u, v) with u < v, sorted lexicographically."""
@@ -210,19 +203,6 @@ def _delaunay_geometry(g):
     angles = np.arctan2(np.abs(d[:, 1]), np.abs(d[:, 0]))   # vs horizontal, [0, pi/2]
     both = np.concatenate([edges, edges[:, ::-1]])
     return both[:, 0], both[:, 1], np.tile(lengths, 2), np.tile(angles, 2)
-
-
-def build_affinity_len_angle(g1, g2, sigma2, beta_w, sigma2_angle=None, storage=None):
-    """Length+angle affinity matrix on Delaunay edges of two coordinate
-    instances, g1 as the row graph: the ``len_angle`` kernel of
-    ``build_affinity_set``. ``storage`` forces a dense or CSR matrix."""
-    return _pair_matrix(build_affinity_set([g1, g2], sigma2, "len_angle", beta_w,
-                                           sigma2_angle), storage)
-
-
-def _pair_matrix(kset, storage):
-    k = kset.get(0, 1)
-    return k if storage is None else AffinityMatrix(k.data, storage=storage, validate=False)
 
 
 def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):

@@ -280,12 +280,13 @@ def random_config(rng, n_graphs, n_nodes):
     return MatchConfig.random(n_graphs, n_nodes, rng)
 
 
-def random_affinity(rng, n, density=0.6, storage=None):
-    """Random symmetric non-negative affinity matrix with zero diagonal."""
+def random_affinity(rng, n, density=0.6):
+    """Random symmetric non-negative affinity matrix with zero diagonal;
+    dense for n <= 12, CSR above."""
     m = rng.uniform(size=(n * n, n * n)) * (rng.uniform(size=(n * n, n * n)) < density)
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, 0.0)
-    return AffinityMatrix(m, storage=storage)
+    return AffinityMatrix(m)
 
 
 def swapped_affinity(k):
@@ -293,8 +294,7 @@ def swapped_affinity(k):
     (a*n + u, b*n + v) moves to (u*n + a, v*n + b)."""
     x = np.arange(k.n * k.n)
     sigma = (x % k.n) * k.n + x // k.n
-    return AffinityMatrix(k.dense()[np.ix_(sigma, sigma)],
-                          storage="sparse" if k.is_sparse else "dense", validate=False)
+    return AffinityMatrix(k.dense()[np.ix_(sigma, sigma)])
 
 
 class ReferenceAffinitySet:
@@ -344,8 +344,8 @@ class ReferenceAffinitySet:
         yield blocks
 
 
-def random_kset(rng, n_graphs, n_nodes, density=0.6, storage=None):
-    mats = {(i, j): random_affinity(rng, n_nodes, density, storage)
+def random_kset(rng, n_graphs, n_nodes, density=0.6):
+    mats = {(i, j): random_affinity(rng, n_nodes, density)
             for i in range(n_graphs - 1) for j in range(i + 1, n_graphs)}
     return ReferenceAffinitySet(n_graphs, mats)
 

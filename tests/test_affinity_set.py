@@ -16,8 +16,8 @@ import pytest
 
 import mgmboost.core as core
 from mgmboost import (BoostParams, MatchConfig, ScoreNormalizer, SynthParams,
-                      build_affinity_set, gen_random_graphs, run_boost,
-                      total_score)
+                      affinity_score, build_affinity_set, gen_random_graphs,
+                      run_boost, total_score)
 from mgmboost.core import kernel_sums, pair_scores
 
 from conftest import builder_affinity_sets, naive_quad_form
@@ -28,9 +28,10 @@ def _candidates(rng, n, count):
 
 
 def _reference(kset, i, j, perms, keep=None):
-    """Scores from the explicit matrix: quad_form and the dense vec form."""
+    """Scores from the explicit matrix: affinity_score and the dense vec
+    form."""
     k = kset.get(i, j)
-    fast = np.array([k.quad_form(p, keep) for p in perms])
+    fast = np.array([affinity_score(p, k, keep) for p in perms])
     naive = []
     for p in perms:
         x = np.zeros((kset.n, kset.n))
@@ -75,7 +76,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
         single = np.array([kernel_sums(kset, i, j, x.perm[None, None])[0, 0]
                            for i, j, x in cfg.pairs()])
         assert np.array_equal(batch, single)
-        fast = np.array([kset.get(i, j).quad_form(x) for i, j, x in cfg.pairs()])
+        fast = np.array([affinity_score(x, kset.get(i, j)) for i, j, x in cfg.pairs()])
         _assert_scores(batch, fast, fast, kset.n)
         assert total_score(cfg, kset) == pytest.approx(fast.sum(), rel=1e-12)
         assert ScoreNormalizer.from_initial(cfg, kset).value == pytest.approx(fast.max(),
@@ -88,7 +89,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
         rows_j = np.concatenate([ju, iu])
         both = kernel_sums(kset, rows_i, rows_j, t[rows_i, rows_j][:, None])[:, 0]
         assert np.array_equal(both[:len(iu)], batch)
-        swapped = np.array([kset.get(j, i).quad_form(t[j, i]) for i, j in zip(iu, ju)])
+        swapped = np.array([affinity_score(t[j, i], kset.get(j, i)) for i, j in zip(iu, ju)])
         _assert_scores(both[len(iu):], swapped, swapped, kset.n)
 
 

@@ -12,12 +12,16 @@ Property coverage:
   score boosting exactly
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate,
                       MatchConfig, Permutation, ScoreNormalizer, best_anchor,
-                      compose, enforce_full_consistency, is_fully_consistent,
+                      enforce_full_consistency, is_fully_consistent,
                       keep_masks, mst, overall_consistency, run_boost,
                       total_score)
 from mgmboost.boost import (EVAL_KINDS, _anchor_pool, _config_from_tree,
@@ -75,7 +79,7 @@ def exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam, est=None):
     keep = keep_masks(cfg, est, kset) if est is not None else None
     vals = []
     for k in range(cfg.N):
-        cand = compose(cfg.get(i, k), cfg.get(k, j))
+        cand = cfg.get(i, k).compose(cfg.get(k, j))
         vals.append(naive_eval(kind, cand, k, i, j, cfg, kset, norm, lam, est, keep))
     return max(vals), keep
 
@@ -87,7 +91,7 @@ class TestBestAnchor:
         norm = ScoreNormalizer.from_initial(cfg, kset)
         k, cand = best_anchor(0, 1, cfg, kset, "score", norm=norm)
         incumbent = cfg.get(0, 1)
-        composed = compose(cfg.get(0, 2), cfg.get(2, 1))
+        composed = cfg.get(0, 2).compose(cfg.get(2, 1))
         assert cand in (incumbent, composed)
         best = max((naive_quad_form(x.matrix, kset.get(0, 1).dense())
                     for x in (incumbent, composed)))
@@ -169,18 +173,19 @@ class TestPairBest2nd:
         scored = []
         for v in pool:
             for u in pool:
-                cand = compose(compose(cfg.get(i, v), cfg.get(v, u)), cfg.get(u, j))
+                cand = cfg.get(i, v).compose(cfg.get(v, u)).compose(cfg.get(u, j))
                 scored.append((cand, naive_quad_form(cand.matrix, k_dense) / norm.value))
         best = max(val for _, val in scored)
         return scored, next(cand for cand, val in scored if val == best)
 
-    @pytest.mark.parametrize("n,storage", [(4, "dense"), (13, "sparse")])
+    # K is dense at n = 4 and CSR at n = 13
+    @pytest.mark.parametrize("n", [4, 13], ids=["4-dense", "13-sparse"])
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
-    def test_matches_exhaustive_enumeration(self, n, storage, sample_rate):
+    def test_matches_exhaustive_enumeration(self, n, sample_rate):
         for seed in range(3):
             srng = np.random.default_rng(300 + seed)
             cfg = random_config(srng, 6, n)
-            kset = random_kset(srng, 6, n, storage=storage)
+            kset = random_kset(srng, 6, n)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             tbl = _IterTables(cfg, kset, "score", norm)
             for i, j in [(0, 1), (1, 4), (3, 5)]:
@@ -282,8 +287,35 @@ class TestConfigFromTree:
                     path = self.tree_path(tree, i, j)
                     want = Permutation.identity(cfg.n)
                     for a, b in zip(path, path[1:]):
-                        want = compose(want, cfg.get(a, b))
+                        want = want.compose(cfg.get(a, b))
                     assert out.get(i, j) == want
+
+
+NAN = float("nan")
+# (field, value) pairs BoostParams must reject: a NaN or too small float
+# for the growth factor and the stopping threshold, a non-integer or
+# negative iteration count
+BAD_BOOST_VALUES = st.one_of(
+    st.tuples(st.just("beta"),
+              st.one_of(st.just(NAN), st.floats(max_value=1.0, exclude_max=True))),
+    st.tuples(st.just("delta"),
+              st.one_of(st.just(NAN), st.floats(max_value=0.0, exclude_max=True))),
+    st.tuples(st.sampled_from(["t0", "t_max"]),
+              st.one_of(st.floats().filter(lambda f: not f.is_integer()),
+                        st.integers(max_value=-1))))
+
+
+class TestBoostParams:
+    @settings(max_examples=80, deadline=None)
+    @given(bad=BAD_BOOST_VALUES)
+    @example(bad=("beta", NAN))
+    @example(bad=("delta", NAN))
+    @example(bad=("delta", -1))
+    @example(bad=("t_max", 2.5))
+    def test_bad_value_rejected_naming_it(self, bad):
+        name, value = bad
+        with pytest.raises(ValueError, match=rf"{name} must .*got {re.escape(repr(value))}"):
+            BoostParams(**{name: value})
 
 
 class TestRunBoost:
@@ -327,7 +359,7 @@ class TestRunBoost:
                 k_dense = kset.get(i, j).dense()
                 final = naive_quad_form(out.get(i, j).matrix, k_dense)
                 first_order = max(
-                    naive_quad_form(compose(cfg.get(i, k), cfg.get(k, j)).matrix, k_dense)
+                    naive_quad_form(cfg.get(i, k).compose(cfg.get(k, j)).matrix, k_dense)
                     for k in range(4))
                 assert final >= first_order - 1e-9
 
@@ -474,7 +506,7 @@ class TestEnforceFullConsistency:
                 (0, 2): AffinityMatrix(np.zeros((4, 4)))}
         kset = ReferenceAffinitySet(3, mats)
         out = enforce_full_consistency(cfg, kset, gamma=0.99)
-        assert out.get(0, 2) == compose(cfg.get(0, 1), cfg.get(1, 2))
+        assert out.get(0, 2) == cfg.get(0, 1).compose(cfg.get(1, 2))
         assert is_fully_consistent(out)
 
     @pytest.mark.parametrize("n_graphs,n,gamma", [

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import mgmboost
 from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
-                      Permutation, affinity_score, inlier_mask,
+                      Permutation, affinity_score, best_anchor, inlier_mask,
                       is_fully_consistent, keep_masks, node_affinity_all,
                       node_consistency_all, overall_consistency,
                       pairwise_consistency, pairwise_consistency_all,
@@ -53,6 +53,8 @@ def _index_users():
             pairwise_consistency(x, cfg, g, 0, keep_masks(cfg, est)),
         "elicited_pairwise_j": lambda cfg, kset, est, g:
             pairwise_consistency(x, cfg, 0, g, keep_masks(cfg, est)),
+        "best_anchor_i": lambda cfg, kset, est, g: best_anchor(g, 0, cfg, kset, "score"),
+        "best_anchor_j": lambda cfg, kset, est, g: best_anchor(0, g, cfg, kset, "score"),
     }
 
 
@@ -229,8 +231,7 @@ class TestNodeAffinity:
         # k > i, dense (n <= 12) or CSR; and ranking the nodes builds no
         # pair matrix at all
         rng = np.random.default_rng(seed)
-        ksets = builder_affinity_sets(seed) + [random_kset(rng, 4, 5, storage=s)
-                                               for s in ("dense", "sparse")]
+        ksets = builder_affinity_sets(seed) + [random_kset(rng, 4, n) for n in (5, 13)]
         real_get = AffinitySet.get
         asked = []
 
@@ -470,7 +471,9 @@ class TestKeepMask:
 REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "elicited_pairwise_consistency", "elicited_pairwise_consistency_all",
                  "elicited_score", "unary_consistency", "node_consistency",
-                 "node_affinity", "check_node_index")
+                 "node_affinity", "check_node_index", "compose", "normalized_score",
+                 "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
+                 "quad_form", "shape")
 
 
 def test_public_names():
@@ -479,5 +482,6 @@ def test_public_names():
                if isinstance(getattr(mgmboost, name), types.ModuleType)]
     assert not modules
     assert all(hasattr(mgmboost, name) for name in mgmboost.__all__)
-    for module in (mgmboost, mgmboost.consistency, mgmboost.core):
-        assert not [name for name in REMOVED_NAMES if hasattr(module, name)]
+    for owner in (mgmboost, mgmboost.consistency, mgmboost.core, mgmboost.synthgen,
+                  mgmboost.AffinityMatrix):
+        assert not [name for name in REMOVED_NAMES if hasattr(owner, name)]

@@ -2,20 +2,29 @@
 
 Property coverage:
 - compose associativity and tree-path closure (enumerated, N <= 5, n <= 4)
-- sparse gather score == dense vec quadratic form (1e-9, n <= 6)
+- gather score == dense vec quadratic form (1e-9; dense K at n <= 6,
+  CSR at n = 13)
 - score invariance under simultaneous consistent relabeling (n <= 4)
 """
 
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, ScoreNormalizer,
-                      affinity_score, compose, normalized_score)
+                      affinity_score, solve_pairwise)
 
 from conftest import naive_quad_form, random_affinity
+
+
+# floats that are not whole numbers: fractions, nan and +-inf
+NON_INTEGER = st.floats().filter(lambda f: not f.is_integer())
 
 
 class TestPermutation:
@@ -31,6 +40,20 @@ class TestPermutation:
     def test_rejects_non_integer_indices(self, bad):
         with pytest.raises(ValueError, match="integer"):
             Permutation(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data(), value=NON_INTEGER)
+    def test_non_integer_index_named(self, n, data, value):
+        # Permutation and MatchConfig.from_table share one index check
+        named = re.escape(f"index {value!r} is not an integer")
+        perm = np.arange(n, dtype=float)
+        perm[data.draw(st.integers(0, n - 1))] = value
+        with pytest.raises(ValueError, match=named):
+            Permutation(perm)
+        table = MatchConfig.identity(3, n).perm_table().astype(float)
+        table[0, data.draw(st.integers(1, 2)), data.draw(st.integers(0, n - 1))] = value
+        with pytest.raises(ValueError, match=named):
+            MatchConfig.from_table(table)
 
     def test_accepts_whole_floats(self):
         assert Permutation([1.0, 0.0]) == Permutation([1, 0])
@@ -61,25 +84,25 @@ class TestPermutation:
 class TestCompose:
     def test_identity(self, rng):
         x = Permutation.random(4, rng)
-        assert compose(Permutation.identity(4), x) == x
-        assert compose(x, Permutation.identity(4)) == x
+        assert Permutation.identity(4).compose(x) == x
+        assert x.compose(Permutation.identity(4)) == x
 
     def test_swap_involution(self):
         swap = Permutation([1, 0])
-        assert compose(swap, swap) == Permutation.identity(2)
+        assert swap.compose(swap) == Permutation.identity(2)
 
     def test_all_three_node_products(self):
         # exhaustive check: composition always equals the matrix product
         perms = [Permutation(list(p)) for p in itertools.permutations(range(3))]
         shift = Permutation([1, 2, 0])
-        assert compose(shift, shift) == Permutation([2, 0, 1])
+        assert shift.compose(shift) == Permutation([2, 0, 1])
         for a in perms:
             for b in perms:
-                assert np.array_equal(compose(a, b).matrix, a.matrix @ b.matrix)
+                assert np.array_equal(a.compose(b).matrix, a.matrix @ b.matrix)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose(Permutation.identity(3), Permutation.identity(4))
+            Permutation.identity(3).compose(Permutation.identity(4))
 
     def test_associative_and_closed_on_paths(self, rng):
         # composing along any path of a configuration yields a permutation
@@ -88,10 +111,10 @@ class TestCompose:
             for path in itertools.permutations(range(n_graphs)):
                 acc = Permutation.identity(n)
                 for a, b in zip(path, path[1:]):
-                    acc = compose(acc, cfg.get(a, b))
+                    acc = acc.compose(cfg.get(a, b))
                 assert np.bincount(acc.perm, minlength=n).max() == 1
         a, b, c = (Permutation.random(4, rng) for _ in range(3))
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 class TestAffinityScore:
@@ -116,28 +139,36 @@ class TestAffinityScore:
         with pytest.raises(ValueError):
             affinity_score(Permutation.identity(2), k)
 
+    def test_index_vector_scores_like_permutation(self, rng):
+        k = random_affinity(rng, 4)
+        x = Permutation.random(4, rng)
+        assert affinity_score(x.perm.tolist(), k) == affinity_score(x, k)
+        for bad in ([0, 0, 1, 2], [-1, 0, 1, 2], [0, 1, 2, 4]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                affinity_score(bad, k)
+
     def test_invalid_input_rejected(self):
         bad = np.zeros((3, 3))
         bad[0, 0] = bad[1, 1] = 1.0
         with pytest.raises(ValueError):
             Permutation.from_matrix(bad)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13])
     def test_gather_matches_dense_quadratic_form(self, n, rng):
-        # sparse row-gather vs the dense vec reference, both storages
+        # row-gather vs the dense vec reference: dense K for n <= 12, CSR
+        # at n = 13
         for _ in range(5):
-            dense = random_affinity(rng, n, storage="dense")
-            sparse = AffinityMatrix(dense.dense(), storage="sparse")
+            k = random_affinity(rng, n)
+            assert k.is_sparse == (n > 12)
             x = Permutation.random(n, rng)
-            ref = naive_quad_form(x.matrix, dense.dense())
-            assert affinity_score(x, dense) == pytest.approx(ref, rel=1e-9)
-            assert affinity_score(x, sparse) == pytest.approx(ref, rel=1e-9)
+            ref = naive_quad_form(x.matrix, k.dense())
+            assert affinity_score(x, k) == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_relabeling_invariance(self, n, rng):
         # score(P^T X Q, K relabeled accordingly) == score(X, K)
         for _ in range(5):
-            k = random_affinity(rng, n, storage="dense")
+            k = random_affinity(rng, n)
             x = Permutation.random(n, rng)
             p = rng.permutation(n)   # relabel rows: node i becomes p[i]
             q = rng.permutation(n)   # relabel cols: node a becomes q[a]
@@ -160,20 +191,33 @@ class TestAffinityScore:
         with pytest.raises(ValueError):
             AffinityMatrix(-np.eye(4))
 
+    @pytest.mark.parametrize("n", [2, 13])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_naming_entry(self, value, n):
+        # a symmetric pair, so neither the symmetry nor the sign check
+        # can be what rejects it; K is dense at n = 2 and CSR at n = 13
+        m = np.eye(n * n)
+        m[1, 3] = m[3, 1] = value
+        named = re.escape(f"affinity entry (1, 3) = {value} is not finite")
+        with pytest.raises(ValueError, match=named):
+            AffinityMatrix(m)
+        with pytest.raises(ValueError, match=named):
+            solve_pairwise(m)
+
 
 class TestNormalizedScore:
     def test_plain_ratio(self):
         k = AffinityMatrix(5.0 * np.eye(4))
         x = Permutation.identity(2)
         norm = ScoreNormalizer(20.0)
-        assert normalized_score(x, k, norm) == 0.5
+        assert affinity_score(x, k) / norm.value == 0.5
 
     def test_argmax_pair_is_one_initially(self, rng):
         from conftest import random_kset
         cfg = MatchConfig.random(4, 3, rng)
         kset = random_kset(rng, 4, 3)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        vals = [normalized_score(x, kset.get(i, j), norm) for i, j, x in cfg.pairs()]
+        vals = [affinity_score(x, kset.get(i, j)) / norm.value for i, j, x in cfg.pairs()]
         assert max(vals) == pytest.approx(1.0, abs=1e-15)
 
     def test_boosted_pair_can_exceed_one(self):
@@ -191,8 +235,8 @@ class TestNormalizedScore:
         from conftest import ReferenceAffinitySet
         kset = ReferenceAffinitySet(3, mats)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        composed = compose(cfg.get(0, 1), cfg.get(1, 2))   # identity
-        assert normalized_score(composed, kset.get(0, 2), norm) > 1.0
+        composed = cfg.get(0, 1).compose(cfg.get(1, 2))   # identity
+        assert affinity_score(composed, kset.get(0, 2)) / norm.value > 1.0
 
     def test_zero_normalizer_rejected(self):
         with pytest.raises(ValueError):
@@ -204,8 +248,7 @@ class TestAffinityOrientation:
         # the set's swapped orientation must equal the index-swapped matrix
         # and building the affinity matrix with the arguments swapped
         # (independent construction)
-        from mgmboost import (SynthParams, build_affinity_gauss, build_affinity_set,
-                              gen_random_graphs)
+        from mgmboost import SynthParams, build_affinity_set, gen_random_graphs
         p = SynthParams(n_graphs=2, inliers=4, deform=0.1, density=0.8,
                         sigma2=0.1, seed=33)
         g1, g2 = gen_random_graphs(p)
@@ -214,8 +257,8 @@ class TestAffinityOrientation:
         sigma = (x % 4) * 4 + x // 4
         k01, k10 = kset.get(0, 1).dense(), kset.get(1, 0).dense()
         assert np.array_equal(k01[np.ix_(sigma, sigma)], k10)
-        assert np.array_equal(build_affinity_gauss(g2, g1, p.sigma2).dense(), k10)
-        assert np.array_equal(build_affinity_gauss(g1, g2, p.sigma2).dense(), k01)
+        assert np.array_equal(build_affinity_set([g2, g1], p.sigma2).get(0, 1).dense(), k10)
+        assert np.array_equal(build_affinity_set([g1, g2], p.sigma2).get(0, 1).dense(), k01)
 
     def test_score_invariant_under_orientation(self, rng):
         # J(X) against K_ij equals J(X^T) against the swapped orientation

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mgmboost import (AffinityMatrix, Permutation, SolverOptions, SynthParams,
-                      affinity_score, build_affinity_gauss, gen_random_graphs,
+                      affinity_score, build_affinity_set, gen_random_graphs,
                       hungarian, power_iteration, solve_pairwise)
 
 from conftest import (brute_assignment_best, brute_qap_best,
@@ -94,9 +94,10 @@ class TestPowerIteration:
                 assert np.array_equal(power_iteration(k, opts),
                                       reference_power_iteration(k, opts))
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
-    def test_zero_matrix_equals_norm_reference(self, storage):
-        k = AffinityMatrix(np.zeros((9, 9)), storage=storage)
+    # K is dense at n = 3 and CSR at n = 13
+    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
+    def test_zero_matrix_equals_norm_reference(self, n):
+        k = AffinityMatrix(np.zeros((n * n, n * n)))
         opts = SolverOptions()
         assert np.array_equal(power_iteration(k, opts), reference_power_iteration(k, opts))
 
@@ -123,7 +124,7 @@ class TestPowerIteration:
     def test_matches_dense_eigensolver(self, rng):
         # n^2 = 16 random symmetric non-negative matrix vs numpy's eigh
         for _ in range(5):
-            k = random_affinity(rng, 4, density=1.0, storage="dense")
+            k = random_affinity(rng, 4, density=1.0)
             v = power_iteration(k, SolverOptions(max_power_iters=20000, tol=1e-13))
             vals, vecs = np.linalg.eigh(k.dense())
             lead = vecs[:, -1]
@@ -131,7 +132,7 @@ class TestPowerIteration:
             assert np.linalg.norm(v - lead) < 1e-6
 
     def test_unit_norm_and_nonnegative(self, rng):
-        k = random_affinity(rng, 3, storage="sparse")
+        k = random_affinity(rng, 13)
         v = power_iteration(k)
         assert v.min() >= 0.0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -157,7 +158,7 @@ class TestSolvePairwise:
         params = SynthParams(n_graphs=2, inliers=n, deform=0.0, density=1.0,
                              sigma2=0.01, seed=int(rng.integers(1 << 30)))
         g1, g2 = gen_random_graphs(params)
-        k = build_affinity_gauss(g1, g2, params.sigma2)
+        k = build_affinity_set([g1, g2], params.sigma2).get(0, 1)
         x = solve_pairwise(k)
         got = affinity_score(x, k)
         assert got == pytest.approx(brute_qap_best(k.dense(), n), rel=1e-9)
@@ -166,13 +167,13 @@ class TestSolvePairwise:
 
     def test_always_feasible_on_hostile_affinities(self, rng):
         mats = [np.zeros((9, 9)), np.ones((9, 9)),
-                1e12 * random_affinity(rng, 3, storage="dense").dense()]
+                1e12 * random_affinity(rng, 3).dense()]
         for m in mats:
             x = solve_pairwise(AffinityMatrix(m))
             assert isinstance(x, Permutation) and x.n == 3
 
     def test_beats_random_permutations_on_average(self, rng):
-        k = random_affinity(rng, 5, density=1.0, storage="dense")
+        k = random_affinity(rng, 5, density=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solved = affinity_score(solve_pairwise(k), k)

@@ -16,8 +16,7 @@ from scipy.spatial import Delaunay
 from hypothesis import strategies as st
 
 from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
-                      affinity_score, build_affinity_gauss,
-                      build_affinity_len_angle, build_affinity_set,
+                      affinity_score, build_affinity_set,
                       gen_random_graphs, gen_random_points, init_config,
                       inlier_rows_from_instances, load_instances,
                       load_pointset, save_instances, solve_pairwise,
@@ -76,7 +75,7 @@ class TestRandomGraphs:
         pairs = {}
         for i in range(3):
             for j in range(i + 1, 4):
-                k = build_affinity_gauss(instances[i], instances[j], p.sigma2)
+                k = build_affinity_set([instances[i], instances[j]], p.sigma2).get(0, 1)
                 pairs[(i, j)] = solve_pairwise(k)
         from mgmboost import MatchConfig
         assert accuracy(MatchConfig(4, 6, pairs), tru, rows) == 1.0
@@ -140,7 +139,7 @@ class TestGaussAffinity:
         p = SynthParams(n_graphs=2, inliers=4, deform=0.0, density=1.0,
                         sigma2=0.05, seed=1)
         g1, g2 = gen_random_graphs(p)
-        k = build_affinity_gauss(g1, g2, p.sigma2)
+        k = build_affinity_set([g1, g2], p.sigma2).get(0, 1)
         truth = g1.truth.compose(g2.truth.inverse())
         edges = np.count_nonzero(np.triu(g1.adjacency))
         assert affinity_score(truth, k) == pytest.approx(2.0 * edges, rel=1e-12)
@@ -154,7 +153,7 @@ class TestGaussAffinity:
         a2[0, 1] = a2[1, 0] = 0.5 + np.sqrt(sigma2)
         g1 = _instance(a1)
         g2 = _instance(a2)
-        k = build_affinity_gauss(g1, g2, sigma2).dense()
+        k = build_affinity_set([g1, g2], sigma2).get(0, 1).dense()
         assert k[2, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_absent_edge_zero(self):
@@ -162,29 +161,29 @@ class TestGaussAffinity:
         a1[0, 1] = a1[1, 0] = 0.7
         a2 = np.zeros((3, 3))
         a2[1, 2] = a2[2, 1] = 0.7
-        k = build_affinity_gauss(_instance(a1), _instance(a2), 0.1).dense()
+        k = build_affinity_set([_instance(a1), _instance(a2)], 0.1).get(0, 1).dense()
         # edge (0,1) vs absent (0,1) of graph 2 -> zero entry
         assert k[0 * 3 + 0, 1 * 3 + 1] == 0.0
         # edge (0,1) vs present (1,2) of graph 2 -> exp(0) = 1
         assert k[1 * 3 + 0, 2 * 3 + 1] == 1.0
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    # K is dense at n <= 5 and CSR at n = 13
+    @pytest.mark.parametrize("n", [3, 4, 5, 13])
     def test_matches_quadruple_loop_and_symmetric(self, n, rng):
         p = SynthParams(n_graphs=2, inliers=n, deform=0.2, density=0.7,
                         sigma2=0.1, seed=int(rng.integers(1 << 30)))
         g1, g2 = gen_random_graphs(p)
-        for storage in ("dense", "sparse"):
-            k = build_affinity_gauss(g1, g2, p.sigma2, storage=storage)
-            ref = naive_gauss_affinity(g1.adjacency, g2.adjacency, p.sigma2)
-            assert np.allclose(k.dense(), ref, atol=1e-15)
-            assert np.array_equal(k.dense(), k.dense().T)
+        k = build_affinity_set([g1, g2], p.sigma2).get(0, 1)
+        ref = naive_gauss_affinity(g1.adjacency, g2.adjacency, p.sigma2)
+        assert np.allclose(k.dense(), ref, atol=1e-15)
+        assert np.array_equal(k.dense(), k.dense().T)
 
     def test_unequal_sizes_padded(self):
         a1 = np.zeros((2, 2))
         a1[0, 1] = a1[1, 0] = 0.4
         a3 = np.zeros((3, 3))
         a3[0, 1] = a3[1, 0] = 0.4
-        k = build_affinity_gauss(_instance(a1), _instance(a3), 0.1)
+        k = build_affinity_set([_instance(a1), _instance(a3)], 0.1).get(0, 1)
         assert k.n == 3
         # dummy node rows stay zero: any pair involving node 2 of graph 1
         dense = k.dense()
@@ -213,7 +212,7 @@ class TestLenAngleAffinity:
     def test_beta_one_is_pure_length_kernel(self, rng):
         g1, g2 = self._pts_instance(rng)
         sigma2 = 0.1
-        k_full = build_affinity_len_angle(g1, g2, sigma2, beta_w=1.0)
+        k_full = build_affinity_set([g1, g2], sigma2, "len_angle", beta_w=1.0).get(0, 1)
         # restrict each instance to normalized Delaunay-edge adjacency and
         # the plain Gaussian builder must agree entry for entry
         refs = []
@@ -224,25 +223,26 @@ class TestLenAngleAffinity:
                 adj[u, v] = adj[v, u] = np.linalg.norm(g.coords[u] - g.coords[v])
             adj /= adj.max()
             refs.append(_instance(adj, coords=g.coords))
-        k_ref = build_affinity_gauss(refs[0], refs[1], sigma2)
+        k_ref = build_affinity_set(refs, sigma2).get(0, 1)
         assert np.allclose(k_full.dense(), k_ref.dense(), atol=1e-12)
 
     def test_beta_zero_is_pure_angle_kernel(self, rng):
         g1, g2 = self._pts_instance(rng)
-        k = build_affinity_len_angle(g1, g2, 0.1, beta_w=0.0)
-        k1 = build_affinity_len_angle(g1, g2, 0.1, beta_w=0.0, sigma2_angle=0.1)
+        k = build_affinity_set([g1, g2], 0.1, "len_angle", beta_w=0.0).get(0, 1)
+        k1 = build_affinity_set([g1, g2], 0.1, "len_angle", beta_w=0.0,
+                                sigma2_angle=0.1).get(0, 1)
         assert np.allclose(k.dense(), k1.dense())
         # angle kernel only: scaling all coordinates leaves it unchanged
         g1s = _instance(g1.adjacency * 2.0, coords=g1.coords * 2.0)
-        ks = build_affinity_len_angle(g1s, g2, 0.1, beta_w=0.0)
+        ks = build_affinity_set([g1s, g2], 0.1, "len_angle", beta_w=0.0).get(0, 1)
         assert np.allclose(k.dense(), ks.dense(), atol=1e-12)
 
     def test_object_matching_parameters(self, rng):
         # outlier-test affinity setting: sigma2=0.1, beta=0.9
         g1, g2 = self._pts_instance(rng)
-        k = build_affinity_len_angle(g1, g2, sigma2=0.1, beta_w=0.9)
-        kl = build_affinity_len_angle(g1, g2, sigma2=0.1, beta_w=1.0)
-        ka = build_affinity_len_angle(g1, g2, sigma2=0.1, beta_w=0.0)
+        k = build_affinity_set([g1, g2], sigma2=0.1, kind="len_angle", beta_w=0.9).get(0, 1)
+        kl = build_affinity_set([g1, g2], sigma2=0.1, kind="len_angle", beta_w=1.0).get(0, 1)
+        ka = build_affinity_set([g1, g2], sigma2=0.1, kind="len_angle", beta_w=0.0).get(0, 1)
         assert np.allclose(k.dense(), 0.9 * kl.dense() + 0.1 * ka.dense(), atol=1e-12)
 
     def test_collinear_points_error(self):
@@ -250,7 +250,7 @@ class TestLenAngleAffinity:
         adj = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         g = _instance(adj, coords=pts)
         with pytest.raises(ValueError, match="non-collinear"):
-            build_affinity_len_angle(g, g, 0.1, 0.9)
+            build_affinity_set([g, g], 0.1, "len_angle", 0.9)
 
 
 def _instance(adj, coords=None, inliers=None):
@@ -448,6 +448,35 @@ class TestBoundaries:
         pts[row, col] = value
         with pytest.raises(ValueError, match=rf"coords\[{row}, {col}\] = {value} is not finite"):
             GraphInstance(adj, n, Permutation.identity(n), pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(deform=st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)))
+    def test_bad_deform_named(self, deform):
+        named = re.escape(f"deform must be finite and >= 0, got {deform!r}")
+        with pytest.raises(ValueError, match=named):
+            SynthParams(n_graphs=3, inliers=4, deform=deform)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data(),
+           token=st.one_of(st.sampled_from(["nan", "-inf", "+Infinity", "NaN", "1e999"]),
+                           st.from_regex(r"[A-Za-z_.+-]{1,8}", fullmatch=True)))
+    def test_bad_coordinate_token_names_line(self, tmp_path_factory, n, data, token):
+        # a token float() reads is non-finite here (it has no digit, or
+        # overflows); any other is non-numeric
+        row = data.draw(st.integers(0, n - 1))
+        col = data.draw(st.integers(0, 1))
+        lines = [[str(r), str(r * r)] for r in range(n)]
+        lines[row][col] = token
+        path = tmp_path_factory.mktemp("points") / "points.txt"
+        path.write_text(f"1 {n}\n" + "".join(f"{x} {y}\n" for x, y in lines),
+                        encoding="utf-8")
+        try:
+            float(token)
+            fault = "non-finite"
+        except ValueError:
+            fault = "non-numeric"
+        with pytest.raises(ValueError, match=f"line {row + 2}: {fault} coordinate"):
+            load_pointset(str(path))
 
     def test_load_instances_rejects_non_finite(self, tmp_path):
         instances = self._graphs()
