@@ -11,7 +11,7 @@ from .consistency import (InlierEstimate, inlier_mask, is_fully_consistent,
                           keep_masks, node_affinity_all, node_consistency_all,
                           overall_consistency, pairwise_consistency,
                           pairwise_consistency_all, unary_consistency_all)
-from .pairwise import SolverOptions, hungarian, power_iteration, solve_pairwise
+from .pairwise import hungarian, power_iteration, solve_pairwise
 from .synthgen import (GraphInstance, SynthParams, build_affinity_set,
                        gen_random_graphs, gen_random_points, init_config,
                        load_instances, load_pointset, save_instances,

@@ -31,6 +31,8 @@ from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
 log = logging.getLogger(__name__)
 
 GENERATORS = ("random_graph", "random_point", "file")
+# swept SynthParams field -> its annotated type (the string "int" or "float")
+_SWEEPABLE = {f.name: f.type for f in fields(SynthParams) if f.name != "seed"}
 CSV_HEADER = ("algorithm,swept_param,swept_value,trial_mean_acc,acc_std,"
               "mean_time_s,mean_consistency,mean_score")
 WORKERS_ENV = "MGMBOOST_THREADS"
@@ -52,10 +54,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}")
-        if self.sweep_param not in {f.name for f in fields(SynthParams)}:
+        if self.sweep_param == "seed":
+            raise ValueError("seed cannot be swept: each trial derives its data seed "
+                             "from seed_base, the swept value's index and the trial")
+        if self.sweep_param not in _SWEEPABLE:
             raise ValueError(f"unknown swept parameter {self.sweep_param!r}")
         if not self.sweep_values:
             raise ValueError("need at least one swept value")
+        if _SWEEPABLE[self.sweep_param] in ("int", int):
+            for value in self.sweep_values:
+                if not float(value).is_integer():
+                    raise ValueError(f"{self.sweep_param} takes integers, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.generator == "file" and not self.file_path:
@@ -91,32 +100,32 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     rows are ignored entirely."""
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
-    alg = cfg_alg.perm_table()
-    tru = cfg_truth.perm_table()
-    total = 0.0
-    count = 0
-    for i in range(cfg_alg.N - 1):
-        rows = np.asarray(inlier_rows[i], dtype=np.int64)
-        if rows.size == 0:
-            raise ValueError(f"graph {i} has no inlier rows; accuracy is undefined")
-        for j in range(i + 1, cfg_alg.N):
-            total += float((alg[i, j][rows] == tru[i, j][rows]).sum()) / rows.size
-            count += 1
-    return total / count
+    inlier = np.zeros((cfg_alg.N, cfg_alg.n), dtype=bool)
+    for i, rows in enumerate(inlier_rows[:cfg_alg.N]):
+        inlier[i, np.asarray(rows, dtype=np.int64)] = True
+    counts = inlier.sum(axis=1)
+    empty = np.flatnonzero(counts[:-1] == 0)
+    if empty.size:
+        raise ValueError(f"graph {empty[0]} has no inlier rows; accuracy is undefined")
+    iu, ju = np.triu_indices(cfg_alg.N, 1)
+    hits = ((cfg_alg.perm_table() == cfg_truth.perm_table()) & inlier[:, None]).sum(axis=2)
+    # per-pair ratios added in row-major order, as a loop over the pairs would
+    return sum((hits[iu, ju] / counts[iu]).tolist()) / len(iu)
 
 
-def _coerce(base, name, value):
-    kind = {f.name: f.type for f in fields(SynthParams)}[name]
-    return int(value) if kind in ("int", int) else float(value)
+def _coerce(name, value):
+    return int(value) if _SWEEPABLE[name] in ("int", int) else float(value)
 
 
-def _make_instances(spec, params, data_seed):
-    if spec.generator == "random_graph":
+def make_instances(generator, params, file_path=None):
+    """Instances of one of GENERATORS for the given parameters; the file
+    generator picks frames, landmarks and outliers with ``params.seed``."""
+    if generator == "random_graph":
         return gen_random_graphs(params)
-    if spec.generator == "random_point":
+    if generator == "random_point":
         return gen_random_points(params)
-    return load_pointset(spec.file_path, n_inliers=params.inliers,
-                         n_outliers=params.outliers, seed=data_seed,
+    return load_pointset(file_path, n_inliers=params.inliers,
+                         n_outliers=params.outliers, seed=params.seed,
                          max_frames=params.n_graphs)
 
 
@@ -129,8 +138,8 @@ def _run_trial(spec, sweep_idx, trial):
     data_seed, init_seed, boost_seed = (int(s) for s in seeds)
     try:
         params = replace(spec.base, seed=data_seed,
-                         **{spec.sweep_param: _coerce(spec.base, spec.sweep_param, value)})
-        instances = _make_instances(spec, params, data_seed)
+                         **{spec.sweep_param: _coerce(spec.sweep_param, value)})
+        instances = make_instances(spec.generator, params, spec.file_path)
         kset = build_affinity_set(instances, params.sigma2, kind=spec.affinity,
                                   beta_w=spec.beta_w)
         cfg0 = init_config(kset, params.coverage, init_seed)

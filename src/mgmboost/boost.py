@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .core import (MatchConfig, Permutation, ScoreNormalizer, check_graph_index,
                    kernel_sums, pair_scores, total_score)
@@ -50,7 +50,6 @@ class BoostParams:
     lambda0: float = 0.2         # initial consistency weight
     beta: float = 1.1            # per-iteration growth factor of the weight
     gamma: float = 0.3           # consistency threshold picking the post-processing route
-    delta: float = 1.0           # stop when the total update norm falls below this
     sample_rate: float = 1.0     # fraction of anchor graphs tried per pair
     elicit: InlierEstimate | None = None
     enforce_final_consistency: bool = True
@@ -71,8 +70,6 @@ class BoostParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError("sample_rate must lie in (0, 1]")
-        if not self.delta >= 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
 
 
 @dataclass
@@ -233,8 +230,8 @@ def run_boost(cfg0, kset, params):
     score normalizer is fixed from the initial configuration. Graduated
     modes spend the first t0 iterations on pure score boosting, then
     grow the consistency weight by min(1, beta * lam) after each weighted
-    sweep. Iteration stops early once the total update norm drops below
-    delta (with the default, as soon as no pair changes). Modes that can
+    sweep. Iteration stops early at a fixed point, a sweep that changes no
+    pair (for graduated modes, only once weighting has begun). Modes that can
     cycle return the best iterate seen instead of the last one. With
     t_max = 0 no sweep runs, and the initial configuration is returned
     as it is, without post-processing.
@@ -268,14 +265,12 @@ def run_boost(cfg0, kset, params):
         tbl = _IterTables(cfg, kset, kind, norm, params.elicit)
         new_table = tbl.table.copy()
         changed = 0
-        change_norm = 0.0
         for start in range(0, len(iu), group):
             ii, jj = iu[start:start + group], ju[start:start + group]
             _, cands = _pairs_best(ii, jj, tbl, lam if weighted else 0.0,
                                    params.sample_rate, rng, second_order)
             mism = (cands != tbl.table[ii, jj]).sum(axis=1)
             changed += int(np.count_nonzero(mism))
-            change_norm += 2.0 * int(mism.sum())
             new_table[ii, jj] = cands
         cfg = MatchConfig.from_table(new_table)
         score_t, cons_t = snapshot(cfg)
@@ -284,7 +279,7 @@ def run_boost(cfg0, kset, params):
             cur = cons_t if params.mode == "isb_cst" else score_t
             if cur > best_val:
                 best_val, best_cfg = cur, cfg
-        if change_norm < params.delta and (weighted or not params.mode.startswith("isb_gc")):
+        if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
@@ -298,32 +293,20 @@ def run_boost(cfg0, kset, params):
 
 def mst(weights):
     """Maximum spanning tree of a complete weighted graph, as a sorted
-    edge list. Kruskal with lexicographic tie-breaking, deterministic."""
+    edge list; ties go to the lexicographically first edge. csgraph takes
+    the minimum tree of dense weight ranks (1 = heaviest, so zero weights
+    stay edges) and sorts them stably in row-major order."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
     if not np.array_equal(w, w.T):
         raise ValueError("weights must be symmetric")
     n = w.shape[0]
-    edges = sorted(((i, j) for i in range(n - 1) for j in range(i + 1, n)),
-                   key=lambda e: (-w[e[0], e[1]], e[0], e[1]))
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.append((i, j))
-            if len(tree) == n - 1:
-                break
-    return sorted(tree)
+    iu, ju = np.triu_indices(n, 1)
+    ranks = np.zeros((n, n))
+    ranks[iu, ju] = np.unique(-w[iu, ju], return_inverse=True)[1] + 1
+    tree = minimum_spanning_tree(ranks).tocoo()
+    return sorted(zip(tree.row.tolist(), tree.col.tolist()))
 
 
 def _config_from_tree(cfg, tree):

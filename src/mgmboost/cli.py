@@ -9,19 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (ExperimentSpec, accuracy, emit_csv, emit_plotdata,
-                    inlier_rows_from_instances, run_experiment)
+from .bench import (GENERATORS, ExperimentSpec, accuracy, emit_csv, emit_plotdata,
+                    inlier_rows_from_instances, make_instances, run_experiment)
 from .boost import MODES, BoostParams, run_boost
 from .consistency import InlierEstimate, overall_consistency
 from .core import ScoreNormalizer, total_score
-from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
-                       gen_random_points, init_config, load_instances,
-                       load_pointset, save_instances, truth_config)
+from .synthgen import (SynthParams, build_affinity_set, init_config,
+                       load_instances, save_instances, truth_config)
 
 
 def _add_synth_flags(p):
-    p.add_argument("--generator", choices=("random_graph", "random_point", "file"),
-                   default="random_graph")
+    p.add_argument("--generator", choices=GENERATORS, default="random_graph")
     p.add_argument("--file", help="point-set file (generator=file)")
     p.add_argument("--n-graphs", type=int, default=10)
     p.add_argument("--inliers", type=int, default=8)
@@ -60,16 +58,10 @@ def _synth_params(args):
                        coverage=args.coverage, seed=args.seed)
 
 
-def _instances(args, params):
-    if args.generator == "random_graph":
-        return gen_random_graphs(params)
-    if args.generator == "random_point":
-        return gen_random_points(params)
-    if not args.file:
+def _instances(args):
+    if args.generator == "file" and not args.file:
         raise SystemExit("--file is required with --generator file")
-    return load_pointset(args.file, n_inliers=args.inliers,
-                         n_outliers=args.outliers, seed=args.seed,
-                         max_frames=args.n_graphs)
+    return make_instances(args.generator, _synth_params(args), args.file)
 
 
 def _affinity_kind(args):
@@ -93,7 +85,7 @@ def _boost_params(args):
 
 
 def _cmd_gen(args):
-    instances = _instances(args, _synth_params(args))
+    instances = _instances(args)
     save_instances(args.out, instances)
     print(f"wrote {len(instances)} instances of {instances[0].n} nodes to {args.out}")
     return 0
@@ -103,7 +95,7 @@ def _cmd_match(args):
     if args.data:
         instances = load_instances(args.data)
     else:
-        instances = _instances(args, _synth_params(args))
+        instances = _instances(args)
     kset = build_affinity_set(instances, args.sigma2, kind=_affinity_kind(args),
                               beta_w=args.beta_w)
     cfg0 = init_config(kset, args.coverage, args.seed)

@@ -33,8 +33,8 @@ class InlierEstimate:
     mode: str = "consistency"
 
     def __post_init__(self):
-        if self.n_est < 1:
-            raise ValueError("n_est must be >= 1")
+        if not (isinstance(self.n_est, (int, np.integer)) and self.n_est >= 1):
+            raise ValueError(f"n_est must be an integer >= 1, got {self.n_est!r}")
         if self.mode not in MASK_MODES:
             raise ValueError(f"mode must be one of {MASK_MODES}")
 

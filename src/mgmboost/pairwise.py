@@ -16,38 +16,28 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AffinityMatrix, Permutation
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_power_iters: int = 500
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_power_iters < 1:
-            raise ValueError("max_power_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+MAX_POWER_ITERS = 500
+POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
 
 
-def power_iteration(k, opts=None):
-    """Approximate principal eigenvector of a non-negative matrix.
+def power_iteration(k):
+    """Approximate principal eigenvector of a non-negative affinity matrix
+    (an ``AffinityMatrix``, or anything its constructor accepts).
 
     Starts from the uniform positive vector (deterministic, no sign
     ambiguity) and normalizes to unit 2-norm each step. If the iteration
-    has not settled within max_power_iters a warning is emitted and the
+    has not settled within MAX_POWER_ITERS a warning is emitted and the
     best iterate is returned; the caller never sees an exception.
     """
-    opts = opts or SolverOptions()
-    data = k.data if isinstance(k, AffinityMatrix) else np.asarray(k, dtype=float)
+    data = (k if isinstance(k, AffinityMatrix) else AffinityMatrix(k)).data
     dim = data.shape[0]
     v = np.full(dim, 1.0 / np.sqrt(dim))
-    for _ in range(opts.max_power_iters):
+    for _ in range(MAX_POWER_ITERS):
         w = data @ v
         nrm = math.sqrt(w.dot(w))
         if nrm == 0.0:
@@ -56,7 +46,7 @@ def power_iteration(k, opts=None):
             return v
         w /= nrm
         d = w - v
-        if math.sqrt(d.dot(d)) < opts.tol:
+        if math.sqrt(d.dot(d)) < POWER_TOL:
             return w
         v = w
     warnings.warn("power iteration did not converge; returning best iterate")
@@ -129,7 +119,7 @@ def hungarian(profit):
     return Permutation(perm)
 
 
-def solve_pairwise(k, opts=None):
+def solve_pairwise(k):
     """Match two graphs from their affinity matrix.
 
     Power-iterates K to its principal eigenvector (the spectral relaxation
@@ -137,9 +127,7 @@ def solve_pairwise(k, opts=None):
     grid, and discretizes with the Hungarian method. Always returns a
     feasible permutation, whatever the conditioning of K.
     """
-    opts = opts or SolverOptions()
     if not isinstance(k, AffinityMatrix):
-        k = AffinityMatrix(np.asarray(k, dtype=float))
-    v = power_iteration(k, opts)
-    scores = v.reshape((k.n, k.n), order="F")
+        k = AffinityMatrix(k)
+    scores = power_iteration(k).reshape((k.n, k.n), order="F")
     return hungarian(scores)

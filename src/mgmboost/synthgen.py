@@ -301,7 +301,7 @@ def _check_bandwidth(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle=None):
+def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     """Edge-kernel affinity set of a list of instances (see AffinitySet).
 
     ``gauss``: the affinity of edge (u, v) of one graph and edge (a, b) of
@@ -313,8 +313,7 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle
     ``len_angle``: on the Delaunay edges of coordinate instances of equal
     size, beta_w * K_len + (1 - beta_w) * K_ang: a Gaussian kernel on edge
     lengths (normalized per graph by the largest Delaunay edge) and one on
-    each edge's absolute angle to the horizontal, whose bandwidth is
-    sigma2 unless ``sigma2_angle`` is given.
+    each edge's absolute angle to the horizontal, both of bandwidth sigma2.
     """
     _check_bandwidth("sigma2", sigma2)
     if kind == "gauss":
@@ -323,8 +322,6 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle
         return AffinitySet(weights != 0, [(1.0, weights, sigma2)])
     if kind != "len_angle":
         raise ValueError(f"unknown affinity kind {kind!r}")
-    if sigma2_angle is not None:
-        _check_bandwidth("sigma2_angle", sigma2_angle)
     if not 0.0 <= beta_w <= 1.0:
         raise ValueError("beta_w must lie in [0, 1]")
     if len({g.n for g in instances}) != 1:
@@ -338,8 +335,7 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9, sigma2_angle
         mask[k, u, v] = True
         lengths[k, u, v] = lens
         angles[k, u, v] = angs
-    s2a = sigma2 if sigma2_angle is None else sigma2_angle
-    return AffinitySet(mask, [(beta_w, lengths, sigma2), (1.0 - beta_w, angles, s2a)])
+    return AffinitySet(mask, [(beta_w, lengths, sigma2), (1.0 - beta_w, angles, sigma2)])
 
 
 def truth_config(instances):

@@ -14,6 +14,7 @@ import pytest
 
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
                       build_affinity_set, gen_random_graphs, gen_random_points)
+from mgmboost.pairwise import MAX_POWER_ITERS, POWER_TOL
 
 
 def sq_fro(m):
@@ -213,19 +214,19 @@ def reference_hungarian(profit):
     return perm
 
 
-def reference_power_iteration(k, opts):
+def reference_power_iteration(k):
     """Power iteration with both norms taken by ``np.linalg.norm``; the
     library computes them as sqrt(w . w), which must agree bit for bit."""
     data = k.data
     dim = data.shape[0]
     v = np.full(dim, 1.0 / np.sqrt(dim))
-    for _ in range(opts.max_power_iters):
+    for _ in range(MAX_POWER_ITERS):
         w = data @ v
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return v
         w /= nrm
-        if np.linalg.norm(w - v) < opts.tol:
+        if np.linalg.norm(w - v) < POWER_TOL:
             return w
         v = w
     warnings.warn("power iteration did not converge; returning best iterate")

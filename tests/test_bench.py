@@ -8,7 +8,7 @@ Property coverage:
 
 import csv
 import logging
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from mgmboost import (BoostParams, ExperimentSpec, MatchConfig, Permutation,
                       run_experiment)
 from mgmboost import bench
 from mgmboost.bench import CSV_HEADER, _run_trial
+from mgmboost.cli import _boost_params, _synth_params, build_parser
 from mgmboost.cli import main as cli_main
 
 
@@ -225,6 +226,16 @@ class TestRunExperiment:
                            sweep_param="deform", sweep_values=(0.1,),
                            algorithms=(("x", BoostParams()),))
 
+    def test_seed_sweep_rejected(self):
+        # every trial sets its own data seed, so a swept seed cannot apply
+        with pytest.raises(ValueError, match="seed cannot be swept"):
+            replace(_tiny_spec(), sweep_param="seed", sweep_values=(1.0, 2.0))
+
+    def test_fractional_value_of_integer_field_rejected(self):
+        with pytest.raises(ValueError, match="inliers takes integers, got 8.5"):
+            replace(_tiny_spec(), sweep_param="inliers", sweep_values=(8, 8.5))
+        assert replace(_tiny_spec(), sweep_param="inliers", sweep_values=(3.0, 5)).sweep_values
+
 
 class TestEmission:
     def test_empty_rows_header_only(self, tmp_path):
@@ -291,3 +302,18 @@ class TestCli:
                          "--elicit", "cst", "--n-est", "4",
                          "--no-final-consistency"]) == 0
         assert "algorithm" in capsys.readouterr().out
+
+    def test_match_flags_set_every_param_field(self):
+        # every defaulted field of BoostParams and SynthParams has a flag;
+        # a field the CLI cannot set fails here
+        args = build_parser().parse_args([
+            "match", "--n-graphs", "5", "--inliers", "6", "--outliers", "2",
+            "--deform", "0.1", "--density", "0.9", "--coverage", "0.8",
+            "--sigma2", "0.01", "--seed", "4", "--mode", "isb_cst", "--t0", "1",
+            "--t-max", "3", "--lambda0", "0.5", "--beta", "1.2", "--gamma", "0.4",
+            "--sample-rate", "0.5", "--elicit", "afy", "--n-est", "5",
+            "--no-final-consistency"])
+        for params in (_boost_params(args), _synth_params(args)):
+            for f in fields(params):
+                if f.default is not MISSING:
+                    assert getattr(params, f.name) != f.default, f.name

@@ -293,13 +293,10 @@ class TestConfigFromTree:
 
 NAN = float("nan")
 # (field, value) pairs BoostParams must reject: a NaN or too small float
-# for the growth factor and the stopping threshold, a non-integer or
-# negative iteration count
+# for the growth factor, a non-integer or negative iteration count
 BAD_BOOST_VALUES = st.one_of(
     st.tuples(st.just("beta"),
               st.one_of(st.just(NAN), st.floats(max_value=1.0, exclude_max=True))),
-    st.tuples(st.just("delta"),
-              st.one_of(st.just(NAN), st.floats(max_value=0.0, exclude_max=True))),
     st.tuples(st.sampled_from(["t0", "t_max"]),
               st.one_of(st.floats().filter(lambda f: not f.is_integer()),
                         st.integers(max_value=-1))))
@@ -309,8 +306,6 @@ class TestBoostParams:
     @settings(max_examples=80, deadline=None)
     @given(bad=BAD_BOOST_VALUES)
     @example(bad=("beta", NAN))
-    @example(bad=("delta", NAN))
-    @example(bad=("delta", -1))
     @example(bad=("t_max", 2.5))
     def test_bad_value_rejected_naming_it(self, bad):
         name, value = bad
@@ -487,6 +482,17 @@ class TestMst:
     def test_deterministic_tie_break(self):
         w = np.ones((4, 4)) - np.eye(4)
         assert mst(w) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_zero_weights_are_edges(self):
+        assert mst(np.zeros((4, 4))) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_zero_and_tied_weights(self):
+        # (2, 3) is the one heavy edge; of the tied weight-1 edges, (0, 2)
+        # comes first and (1, 2) joins graph 1; every other edge has weight 0
+        w = np.zeros((5, 5))
+        for (i, j), value in {(2, 3): 2.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 1.0}.items():
+            w[i, j] = w[j, i] = value
+        assert mst(w) == [(0, 2), (0, 4), (1, 2), (2, 3)]
 
 
 class TestEnforceFullConsistency:

@@ -305,6 +305,11 @@ class TestInlierMask:
         with pytest.raises(ValueError):
             keep_masks(cfg, InlierEstimate(2, "affinity"))
 
+    @pytest.mark.parametrize("n_est", [2.5, float("nan"), 0, -1])
+    def test_bad_estimate_rejected_naming_it(self, n_est):
+        with pytest.raises(ValueError, match=rf"n_est must be an integer >= 1, got {n_est!r}"):
+            InlierEstimate(n_est)
+
     def test_ties_break_toward_low_index(self):
         cfg = MatchConfig.identity(3, 4)
         keep = keep_masks(cfg, InlierEstimate(2, "consistency"))
@@ -473,7 +478,7 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "elicited_score", "unary_consistency", "node_consistency",
                  "node_affinity", "check_node_index", "compose", "normalized_score",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
-                 "quad_form", "shape")
+                 "quad_form", "shape", "SolverOptions")
 
 
 def test_public_names():
@@ -483,5 +488,5 @@ def test_public_names():
     assert not modules
     assert all(hasattr(mgmboost, name) for name in mgmboost.__all__)
     for owner in (mgmboost, mgmboost.consistency, mgmboost.core, mgmboost.synthgen,
-                  mgmboost.AffinityMatrix):
+                  mgmboost.pairwise, mgmboost.AffinityMatrix):
         assert not [name for name in REMOVED_NAMES if hasattr(owner, name)]

@@ -7,6 +7,7 @@ Property coverage:
   optimal quadratic-assignment score
 - hungarian and power_iteration equal their vectorized references in
   conftest bit for bit, on exact ties and extreme magnitudes too
+- a raw dense or scipy sparse K is solved exactly as its AffinityMatrix
 """
 
 import itertools
@@ -14,14 +15,24 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mgmboost import (AffinityMatrix, Permutation, SolverOptions, SynthParams,
+from mgmboost import (AffinityMatrix, Permutation, SynthParams,
                       affinity_score, build_affinity_set, gen_random_graphs,
                       hungarian, power_iteration, solve_pairwise)
 
 from conftest import (brute_assignment_best, brute_qap_best,
                       builder_affinity_sets, random_affinity,
                       reference_hungarian, reference_power_iteration)
+
+
+# the star K_{1,3} as a 4 x 4 (n = 2) affinity matrix: it is bipartite, so
+# power iteration from the uniform start alternates between two vectors
+# and never converges
+STAR = np.array([[0.0, 1.0, 1.0, 1.0],
+                 [1.0, 0.0, 0.0, 0.0],
+                 [1.0, 0.0, 0.0, 0.0],
+                 [1.0, 0.0, 0.0, 0.0]])
 
 
 def _profits(rng, n):
@@ -87,29 +98,31 @@ class TestHungarian:
 class TestPowerIteration:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_norm_reference(self, seed):
-        opts = SolverOptions()
         for kset in builder_affinity_sets(seed):
             for i, j in kset.pairs():
                 k = kset.get(i, j)
-                assert np.array_equal(power_iteration(k, opts),
-                                      reference_power_iteration(k, opts))
+                assert np.array_equal(power_iteration(k), reference_power_iteration(k))
 
     # K is dense at n = 3 and CSR at n = 13
     @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
     def test_zero_matrix_equals_norm_reference(self, n):
         k = AffinityMatrix(np.zeros((n * n, n * n)))
-        opts = SolverOptions()
-        assert np.array_equal(power_iteration(k, opts), reference_power_iteration(k, opts))
+        assert np.array_equal(power_iteration(k), reference_power_iteration(k))
 
     def test_nonconvergence_equals_norm_reference(self):
-        opts = SolverOptions(max_power_iters=1)
-        for kset in builder_affinity_sets(2):
-            k = kset.get(0, 1)
-            with pytest.warns(UserWarning, match="did not converge"):
-                got = power_iteration(k, opts)
-            with pytest.warns(UserWarning, match="did not converge"):
-                ref = reference_power_iteration(k, opts)
-            assert np.array_equal(got, ref)
+        k = AffinityMatrix(STAR)
+        with pytest.warns(UserWarning, match="did not converge"):
+            got = power_iteration(k)
+        with pytest.warns(UserWarning, match="did not converge"):
+            ref = reference_power_iteration(k)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
+    def test_raw_matrix_equals_affinity_matrix(self, n, rng):
+        k = random_affinity(rng, n)
+        want = power_iteration(k)
+        for raw in (k.dense(), sp.csr_matrix(k.dense())):
+            assert np.array_equal(power_iteration(raw), want)
 
 
     def test_identity_returns_uniform(self):
@@ -118,14 +131,14 @@ class TestPowerIteration:
 
     def test_dominant_diagonal(self):
         k = np.diag([3.0, 1.0, 1.0, 1.0])
-        v = power_iteration(AffinityMatrix(k), SolverOptions(max_power_iters=2000, tol=1e-12))
+        v = power_iteration(AffinityMatrix(k))
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-5)
 
     def test_matches_dense_eigensolver(self, rng):
         # n^2 = 16 random symmetric non-negative matrix vs numpy's eigh
         for _ in range(5):
             k = random_affinity(rng, 4, density=1.0)
-            v = power_iteration(k, SolverOptions(max_power_iters=20000, tol=1e-13))
+            v = power_iteration(k)
             vals, vecs = np.linalg.eigh(k.dense())
             lead = vecs[:, -1]
             lead = lead if lead.sum() >= 0 else -lead
@@ -137,11 +150,10 @@ class TestPowerIteration:
         assert v.min() >= 0.0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
-    def test_nonconvergence_warns_not_raises(self, rng):
-        k = random_affinity(rng, 4, density=1.0)
+    def test_nonconvergence_warns_not_raises(self):
         with pytest.warns(UserWarning, match="did not converge"):
-            v = power_iteration(k, SolverOptions(max_power_iters=1, tol=1e-16))
-        assert v.shape == (16,)
+            v = power_iteration(AffinityMatrix(STAR))
+        assert v.shape == (4,)
 
 
 class TestSolvePairwise:
@@ -150,6 +162,13 @@ class TestSolvePairwise:
 
     def test_zero_affinity_returns_identity(self):
         assert solve_pairwise(AffinityMatrix(np.zeros((16, 16)))) == Permutation.identity(4)
+
+    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
+    def test_raw_matrix_equals_affinity_matrix(self, n, rng):
+        k = random_affinity(rng, n)
+        want = solve_pairwise(k)
+        for raw in (k.dense(), sp.csr_matrix(k.dense())):
+            assert solve_pairwise(raw) == want
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_identical_graphs_reach_optimum(self, n, rng):
