@@ -238,7 +238,8 @@ def run_boost(cfg0, kset, params):
     """
     norm = ScoreNormalizer.from_initial(cfg0, kset)
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
-        raise ValueError("elicit.n_est exceeds the node count")
+        raise ValueError(f"elicit.n_est={params.elicit.n_est} exceeds the node count "
+                         f"{cfg0.n}")
     rng = np.random.default_rng(params.seed)
     trace = BoostTrace()
     second_order = params.mode == "isb_2nd"

@@ -100,7 +100,10 @@ def _cmd_match(args):
                               beta_w=args.beta_w)
     cfg0 = init_config(kset, args.coverage, args.seed)
     norm = ScoreNormalizer.from_initial(cfg0, kset)
-    cfg, trace = run_boost(cfg0, kset, _boost_params(args))
+    try:
+        cfg, trace = run_boost(cfg0, kset, _boost_params(args))
+    except ValueError as exc:
+        args.parser.error(str(exc))
     truth = truth_config(instances)
     rows = inlier_rows_from_instances(instances)
     print(f"algorithm      : {args.mode}")
@@ -134,16 +137,22 @@ def _parse_algorithms(spec_text, template):
 
 
 def _cmd_bench(args):
-    values = tuple(float(v) for v in args.values.split(","))
-    template = _boost_params(args)
+    try:
+        values = tuple(float(v) for v in args.values.split(","))
+    except ValueError as exc:
+        args.parser.error(f"--values {args.values!r}: {exc}")
     trials = args.trials if args.trials is not None else \
         (20 if args.generator == "file" else 50)
-    spec = ExperimentSpec(generator=args.generator, base=_synth_params(args),
-                          sweep_param=args.sweep, sweep_values=values,
-                          algorithms=_parse_algorithms(args.algorithms, template),
-                          trials=trials, seed_base=args.seed,
-                          affinity=_affinity_kind(args), beta_w=args.beta_w,
-                          file_path=args.file)
+    try:
+        template = _boost_params(args)
+        spec = ExperimentSpec(generator=args.generator, base=_synth_params(args),
+                              sweep_param=args.sweep, sweep_values=values,
+                              algorithms=_parse_algorithms(args.algorithms, template),
+                              trials=trials, seed_base=args.seed,
+                              affinity=_affinity_kind(args), beta_w=args.beta_w,
+                              file_path=args.file)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     rows = run_experiment(spec, workers=args.workers)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
@@ -171,7 +180,7 @@ def build_parser():
     p_match.add_argument("--data", help="instances .npz produced by gen "
                                         "(otherwise generated on the fly)")
     p_match.add_argument("--out", help="optional .npz for the final matchings")
-    p_match.set_defaults(func=_cmd_match)
+    p_match.set_defaults(func=_cmd_match, parser=p_match)
 
     p_bench = sub.add_parser("bench", help="run an experiment grid to CSV")
     _add_synth_flags(p_bench)
@@ -189,7 +198,7 @@ def build_parser():
                               "(default: MGMBOOST_THREADS env var, or 1)")
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.add_argument("--plot-prefix", help="also write per-algorithm series files")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, parser=p_bench)
     return parser
 
 

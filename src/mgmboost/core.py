@@ -18,14 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# Above this node count the affinity matrix is kept in CSR form; at or
-# below it a dense array is faster and still small (n^2 x n^2 <= 144^2).
+# A pair's affinity matrix is a dense array at or below this node count
+# (n^2 x n^2 <= 144^2), and above it when at least a third of its n^4
+# entries are stored; otherwise it is CSR. See ``dense_by_fill``.
 DENSE_NODE_LIMIT = 12
 
 # Kernel blocks are built at most this many entries at a time (8 bytes
 # each per temporary), so scoring many pairs in one batch holds a bounded
 # amount of memory.
 BLOCK_CHUNK_ENTRIES = 1 << 16
+
+
+def dense_by_fill(n, nnz):
+    """Whether an n^2 x n^2 affinity matrix with ``nnz`` stored entries is
+    held dense: always for n <= DENSE_NODE_LIMIT, and above it when
+    3 * nnz >= n^4, about where a CSR product K @ v stops being faster
+    than a dense one at n = 24-32 (see the README)."""
+    return n <= DENSE_NODE_LIMIT or 3 * int(nnz) >= n ** 4
 
 
 def _index_array(values):
@@ -155,9 +164,9 @@ class Permutation:
 
 class AffinityMatrix:
     """Non-negative symmetric n^2 x n^2 affinity matrix between two n-node
-    graphs, the pairwise solver's input: dense for n <= DENSE_NODE_LIMIT,
-    CSR above. Graphs of unequal sizes must first be padded with isolated
-    dummy nodes. ``AffinitySet.get`` builds one for the solver; the
+    graphs, the pairwise solver's input: a dense array or CSR, as
+    ``dense_by_fill`` picks from n and the stored entries. Graphs of
+    unequal sizes must first be padded with isolated dummy nodes. ``AffinitySet.get`` builds one for the solver; the
     boosting loop never holds one."""
 
     __slots__ = ("n", "data")
@@ -170,12 +179,12 @@ class AffinityMatrix:
         if n * n != shape[0]:
             raise ValueError("affinity matrix size must be a perfect square")
         self.n = n
-        if self.is_sparse:
-            self.data = d = sp.csr_matrix(data, dtype=float)
-            vals = d.data
-        else:
-            self.data = d = np.asarray(data.toarray() if sp.issparse(data) else data, dtype=float)
-            vals = d.ravel()
+        given_sparse = sp.issparse(data)
+        d = sp.csr_matrix(data, dtype=float) if given_sparse else np.asarray(data, dtype=float)
+        if dense_by_fill(n, d.nnz if given_sparse else np.count_nonzero(d)) == given_sparse:
+            d = d.toarray() if given_sparse else sp.csr_matrix(d)
+        self.data = d
+        vals = d.data if self.is_sparse else d.ravel()
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             at = bad[0]
@@ -189,14 +198,15 @@ class AffinityMatrix:
 
     @classmethod
     def _wrap(cls, n, data):
-        """Wrap a matrix built valid, in the representation n selects."""
+        """Wrap a matrix built valid, in the representation
+        ``dense_by_fill`` selects."""
         k = object.__new__(cls)
         k.n, k.data = n, data
         return k
 
     @property
     def is_sparse(self):
-        return self.n > DENSE_NODE_LIMIT
+        return sp.issparse(self.data)
 
     def dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
@@ -219,7 +229,7 @@ class AffinitySet:
     a_c[j][p][:, p]; its sum is the score vec(X)^T K vec(X) and its row
     sums are node affinities (Zhou & De la Torre, "Factorized Graph
     Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
-    solver and keeps nothing.
+    solver and ``dense_stack`` many pairs' at once; neither keeps it.
     """
 
     def __init__(self, mask, channels):
@@ -228,6 +238,7 @@ class AffinitySet:
             raise ValueError(f"edge mask must have shape (N, n, n), got {mask.shape}")
         self.N, self.n = mask.shape[0], mask.shape[1]
         self._mask = mask
+        self._edges = mask.sum(axis=(1, 2)).tolist()
         # Per channel (weight, bandwidth), and the attribute twice: as the
         # row graph's, +inf off the edges, and as the column graph's, -inf
         # off the edges, so a missing edge on either side makes the
@@ -266,26 +277,39 @@ class AffinitySet:
                 out += k
         return out
 
+    def is_dense(self, i, j):
+        """Whether the pair's K is held dense: ``dense_by_fill`` on its
+        |E_i| * |E_j| stored entries."""
+        return dense_by_fill(self.n, self._edges[i] * self._edges[j])
+
+    def dense_stack(self, i, j):
+        """K of the pairs (i[b], j[b]) as one (B, n^2, n^2) array, with
+        graph i[b] as the row graph, built in one broadcast: the kernel of
+        a_c[i, u, v] against a_c[j, a, b] lands at [a, u, b, v], which is
+        K[a*n + u, b*n + v]."""
+        size = self.n * self.n
+        k = self._kernel([a[i][:, None, :, None, :] for a in self._own],
+                         [a[j][:, :, None, :, None] for a in self._other])
+        return k.reshape(-1, size, size)
+
     def get(self, i, j):
-        """K of the pair (i, j) with graph i as the row graph, built from
-        the edge lists of both graphs: dense for n <= DENSE_NODE_LIMIT,
-        CSR above. Built on every call and kept nowhere."""
+        """K of the pair (i, j) with graph i as the row graph, dense or CSR
+        as ``is_dense`` picks; CSR is built from the edge lists of both
+        graphs. Built on every call and kept nowhere."""
         check_graph_index(i, self.N)
         check_graph_index(j, self.N)
         if i == j:
             raise ValueError("affinity is defined between distinct graphs")
         n, size = self.n, self.n * self.n
+        if self.is_dense(i, j):
+            return AffinityMatrix._wrap(n, self.dense_stack([i], [j])[0])
         ui, vi = np.nonzero(self._mask[i])
         uj, vj = np.nonzero(self._mask[j])
         vals = self._kernel([a[i, ui, vi][None, :] for a in self._own],
                             [a[j, uj, vj][:, None] for a in self._other]).ravel()
         rows = (uj[:, None] * n + ui[None, :]).ravel()
         cols = (vj[:, None] * n + vi[None, :]).ravel()
-        if n <= DENSE_NODE_LIMIT:
-            k = np.zeros((size, size))
-            k[rows, cols] = vals
-        else:
-            k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+        k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
         return AffinityMatrix._wrap(n, k)
 
     def kernel_blocks(self, i, j, perms, rows=None):

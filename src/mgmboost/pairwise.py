@@ -7,9 +7,10 @@ black box returning one permutation per pair.
 
 Both stages run on short vectors (n or n^2 entries, n up to a few dozen),
 where a numpy call costs more than its arithmetic: the Hungarian loops run
-on Python floats, and power iteration takes its norms as sqrt(w . w), the
-definition ``np.linalg.norm`` uses. Results are bit-identical to the plain
-numpy forms, which the tests keep as references.
+on Python floats, and power iteration runs many pairs' dense K as one
+stack, taking its norms as sqrt(w . w), the definition ``np.linalg.norm``
+uses. Results are bit-identical to the plain per-pair numpy forms, which
+the tests keep as references.
 """
 
 from __future__ import annotations
@@ -18,39 +19,68 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import AffinityMatrix, Permutation
 
 MAX_POWER_ITERS = 500
 POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
 
+# ``solve_pairs`` power-iterates dense K in stacks of at most this many
+# entries (1 MiB of float64), or one pair's K when it alone is larger.
+STACK_ENTRIES = 1 << 17
+
 
 def power_iteration(k):
     """Approximate principal eigenvector of a non-negative affinity matrix
-    (an ``AffinityMatrix``, or anything its constructor accepts).
-
-    Starts from the uniform positive vector (deterministic, no sign
-    ambiguity) and normalizes to unit 2-norm each step. If the iteration
-    has not settled within MAX_POWER_ITERS a warning is emitted and the
-    best iterate is returned; the caller never sees an exception.
-    """
+    (an ``AffinityMatrix``, or anything its constructor accepts): the
+    one-matrix case of ``stacked_power_iteration``."""
     data = (k if isinstance(k, AffinityMatrix) else AffinityMatrix(k)).data
-    dim = data.shape[0]
-    v = np.full(dim, 1.0 / np.sqrt(dim))
+    return stacked_power_iteration(data if sp.issparse(data) else data[None])[0]
+
+
+def stacked_power_iteration(k):
+    """Approximate principal eigenvectors of a (B, d, d) stack of dense
+    non-negative matrices, or of one CSR matrix as B = 1; returns (B, d).
+
+    Each matrix starts from the uniform positive vector (deterministic, no
+    sign ambiguity) and normalizes to unit 2-norm each step, stopping once
+    successive iterates differ by less than POWER_TOL. A matrix whose
+    product vanishes (e.g. all-zero affinities) keeps its last iterate,
+    which is non-negative and unit norm. A matrix that has not settled
+    within MAX_POWER_ITERS emits one warning and returns its best iterate;
+    the caller never sees an exception. Settled matrices leave the stack
+    on the step they settle, so no step multiplies them again, and every
+    vector equals the one its matrix gives alone: stacked ``matmul`` and
+    ``vecdot`` round as the single-matrix products do.
+    """
+    csr = sp.issparse(k)
+    dim = k.shape[-1]
+    out = np.empty((1 if csr else k.shape[0], dim))
+    live = np.arange(out.shape[0])
+    v = np.full(out.shape, 1.0 / np.sqrt(dim))
     for _ in range(MAX_POWER_ITERS):
-        w = data @ v
-        nrm = math.sqrt(w.dot(w))
-        if nrm == 0.0:
-            # K annihilates v (e.g. all-zero affinities): v is as good a
-            # fixed point as any, and it is non-negative and unit norm.
-            return v
-        w /= nrm
+        w = (k @ v[0])[None] if csr else np.matmul(k, v[:, :, None])[:, :, 0]
+        nrm = np.sqrt(np.vecdot(w, w))
+        vanished = nrm == 0.0
+        nrm[vanished] = 1.0
+        w /= nrm[:, None]
         d = w - v
-        if math.sqrt(d.dot(d)) < POWER_TOL:
-            return w
+        settled = ~vanished & (np.sqrt(np.vecdot(d, d)) < POWER_TOL)
+        stop = vanished | settled
+        if stop.any():
+            out[live[vanished]] = v[vanished]
+            out[live[settled]] = w[settled]
+            keep = ~stop
+            live, w = live[keep], w[keep]
+            if not live.size:
+                return out
+            k = k[keep]
         v = w
-    warnings.warn("power iteration did not converge; returning best iterate")
-    return v
+    out[live] = v
+    for _ in live:
+        warnings.warn("power iteration did not converge; returning best iterate")
+    return out
 
 
 def hungarian(profit):
@@ -131,3 +161,27 @@ def solve_pairwise(k):
         k = AffinityMatrix(k)
     scores = power_iteration(k).reshape((k.n, k.n), order="F")
     return hungarian(scores)
+
+
+def solve_pairs(kset, pairs):
+    """``solve_pairwise(kset.get(i, j))`` for every listed pair (i, j) of
+    an ``AffinitySet``, as a dict keyed by pair and equal bit for bit.
+
+    Pairs whose K is dense are solved in stacks of STACK_ENTRIES entries,
+    each built in one broadcast and power-iterated as one; CSR pairs are
+    solved one by one. Discretization stays per pair.
+    """
+    n = kset.n
+    out, dense = {}, []
+    for p in pairs:
+        if kset.is_dense(*p):
+            dense.append(p)
+        else:
+            out[p] = solve_pairwise(kset.get(*p))
+    step = max(1, STACK_ENTRIES // n ** 4)
+    for s in range(0, len(dense), step):
+        chunk = dense[s:s + step]
+        i, j = np.array(chunk).T
+        for pair, v in zip(chunk, stacked_power_iteration(kset.dense_stack(i, j))):
+            out[pair] = hungarian(v.reshape((n, n), order="F"))
+    return out

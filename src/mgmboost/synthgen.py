@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .core import AffinitySet, MatchConfig, Permutation
-from .pairwise import solve_pairwise
+from .pairwise import solve_pairs
 
 
 @dataclass(frozen=True)
@@ -349,21 +349,23 @@ def init_config(kset, coverage, seed, solver=None):
 
     A seeded uniform choice of round(coverage * P) of the P graph pairs is
     solved with the pairwise solver; every remaining pair receives a
-    uniformly random permutation.
+    uniformly random permutation. By default the chosen pairs are solved
+    together by ``solve_pairs``; a ``solver`` callable is instead given
+    each pair's ``kset.get(i, j)``.
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError("coverage must lie in [0, 1]")
-    solver = solver or solve_pairwise
     rng = np.random.default_rng(seed)
     all_pairs = kset.pairs()
     n_solved = int(round(coverage * len(all_pairs)))
     solved_idx = set(rng.choice(len(all_pairs), size=n_solved, replace=False).tolist())
-    pairs = {}
-    for idx, (i, j) in enumerate(all_pairs):
-        if idx in solved_idx:
-            pairs[(i, j)] = solver(kset.get(i, j))
-        else:
-            pairs[(i, j)] = Permutation.random(kset.n, rng)
+    solved = [p for idx, p in enumerate(all_pairs) if idx in solved_idx]
+    pairs = {p: Permutation.random(kset.n, rng)
+             for idx, p in enumerate(all_pairs) if idx not in solved_idx}
+    if solver is None:
+        pairs.update(solve_pairs(kset, solved))
+    else:
+        pairs.update((p, solver(kset.get(*p))) for p in solved)
     return MatchConfig(kset.N, kset.n, pairs)
 
 

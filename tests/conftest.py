@@ -249,8 +249,10 @@ def commuted_node_affinity_all(cfg, kset):
 
 def builder_affinity_sets(seed):
     """Affinity sets from both builders, at n <= 12 (whose pair matrices
-    are dense) and n > 12 (CSR): Gaussian edge affinities on random
-    graphs, and length+angle affinities on point sets with outliers."""
+    are dense) and n = 14: Gaussian edge affinities on random graphs
+    (K 30-50% full at n = 14, so dense or CSR pair by pair) and
+    length+angle affinities on point sets with outliers (Delaunay K
+    11-13% full at n = 14, so CSR)."""
     sets = []
     for inliers, (pt_inliers, pt_outliers) in ((8, (6, 4)), (14, (9, 5))):
         graphs = gen_random_graphs(SynthParams(n_graphs=4, inliers=inliers, deform=0.1,
@@ -282,8 +284,9 @@ def random_config(rng, n_graphs, n_nodes):
 
 
 def random_affinity(rng, n, density=0.6):
-    """Random symmetric non-negative affinity matrix with zero diagonal;
-    dense for n <= 12, CSR above."""
+    """Random symmetric non-negative affinity matrix with zero diagonal,
+    a fraction 1 - (1 - density)^2 full; dense or CSR as the library's fill
+    rule picks (dense for n <= 12, and above when at least a third full)."""
     m = rng.uniform(size=(n * n, n * n)) * (rng.uniform(size=(n * n, n * n)) < density)
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, 0.0)

@@ -2,7 +2,7 @@
 
 Property coverage:
 - kernel-block scores equal the quadratic form of get(i, j): bit for bit
-  where K is dense (n <= 12), to 1e-12 where it is CSR, masked and
+  at n <= 12, to 1e-12 above (dense or CSR K), masked and
   unmasked, in both orientations, per pair and as one all-pair batch
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, each chunk within its budget
@@ -102,7 +102,9 @@ def test_swapped_orientation_is_index_swap():
             k_ij, k_ji = kset.get(i, j).dense(), kset.get(j, i).dense()
             assert np.array_equal(k_ij[np.ix_(sigma, sigma)], k_ji)
             assert np.array_equal(k_ij, k_ij.T)
-            assert kset.get(i, j).is_sparse == (n > core.DENSE_NODE_LIMIT)
+            stored = np.count_nonzero(k_ij)
+            assert kset.get(i, j).is_sparse == (
+                n > core.DENSE_NODE_LIMIT and 3 * stored < n ** 4)
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):

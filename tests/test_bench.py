@@ -303,6 +303,21 @@ class TestCli:
                          "--no-final-consistency"]) == 0
         assert "algorithm" in capsys.readouterr().out
 
+    def test_bench_bad_value_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--sweep", "deform", "--values", "0.1,abc",
+                      "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_match_n_est_above_node_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", "--elicit", "cst", "--n-est", "3", "--inliers", "2",
+                      "--n-graphs", "3"])
+        assert exc.value.code == 2
+        assert "elicit.n_est=3 exceeds the node count 2" in capsys.readouterr().err
+
     def test_match_flags_set_every_param_field(self):
         # every defaulted field of BoostParams and SynthParams has a flag;
         # a field the CLI cannot set fails here

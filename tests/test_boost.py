@@ -178,14 +178,15 @@ class TestPairBest2nd:
         best = max(val for _, val in scored)
         return scored, next(cand for cand, val in scored if val == best)
 
-    # K is dense at n = 4 and CSR at n = 13
-    @pytest.mark.parametrize("n", [4, 13], ids=["4-dense", "13-sparse"])
+    # K is dense at n = 4, and at n = 13 when 84% full; CSR when 10% full
+    @pytest.mark.parametrize(("n", "density"), [(4, 0.6), (13, 0.6), (13, 0.05)],
+                             ids=["4-dense", "13-sparse", "13-csr"])
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
-    def test_matches_exhaustive_enumeration(self, n, sample_rate):
+    def test_matches_exhaustive_enumeration(self, n, density, sample_rate):
         for seed in range(3):
             srng = np.random.default_rng(300 + seed)
             cfg = random_config(srng, 6, n)
-            kset = random_kset(srng, 6, n)
+            kset = random_kset(srng, 6, n, density)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             tbl = _IterTables(cfg, kset, "score", norm)
             for i, j in [(0, 1), (1, 4), (3, 5)]:

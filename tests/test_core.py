@@ -2,8 +2,8 @@
 
 Property coverage:
 - compose associativity and tree-path closure (enumerated, N <= 5, n <= 4)
-- gather score == dense vec quadratic form (1e-9; dense K at n <= 6,
-  CSR at n = 13)
+- gather score == dense vec quadratic form (1e-9; dense K at n <= 6 and
+  at n = 13 with fill 0.84, CSR at n = 13 with fill 0.10)
 - score invariance under simultaneous consistent relabeling (n <= 4)
 """
 
@@ -155,12 +155,17 @@ class TestAffinityScore:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13])
     def test_gather_matches_dense_quadratic_form(self, n, rng):
-        # row-gather vs the dense vec reference: dense K for n <= 12, CSR
-        # at n = 13
+        # row-gather vs the dense vec reference: dense K for n <= 12 and
+        # for the 84% full K at n = 13, CSR for the 10% full one at n = 13
+        low_fill = np.random.default_rng(n)
         for _ in range(5):
             k = random_affinity(rng, n)
-            assert k.is_sparse == (n > 12)
+            assert k.is_sparse == (n > 12 and 3 * np.count_nonzero(k.dense()) < n ** 4)
             x = Permutation.random(n, rng)
+            ref = naive_quad_form(x.matrix, k.dense())
+            assert affinity_score(x, k) == pytest.approx(ref, rel=1e-9)
+            k = random_affinity(low_fill, n, density=0.05)
+            assert k.is_sparse == (n > 12)
             ref = naive_quad_form(x.matrix, k.dense())
             assert affinity_score(x, k) == pytest.approx(ref, rel=1e-9)
 

@@ -40,6 +40,10 @@ CASES = {
                     SynthParams(n_graphs=4, inliers=13, deform=0.05, density=0.9,
                                 sigma2=0.05, seed=5),
                     BoostParams(mode="isb_2nd", t_max=3), "consistency_mst"),
+    "isb_2nd_csr_low_fill": (gen_random_graphs,
+                             SynthParams(n_graphs=4, inliers=13, deform=0.05, density=0.4,
+                                         sigma2=0.05, seed=5),
+                             BoostParams(mode="isb_2nd", t_max=3), "consistency_mst"),
     "elicited_points": (gen_random_points,
                         SynthParams(n_graphs=6, inliers=5, outliers=3, deform=0.02,
                                     sigma2=0.05, seed=6),
@@ -53,6 +57,7 @@ GOLDEN = {
     "consistency_mst": "ee545f760ebdafd5668c03c06d0adc3e657354bc53ce9b14f8c55378c1165ae7",
     "elicited_points": "303b84332cb53fc894ba95458570b82d26725d6823b259c874b4110fd10a7350",
     "isb_2nd_csr": "a9106b488550f8faf6de1e2f514e4f618b44c769fa1490f8d22cc66fcbab7957",
+    "isb_2nd_csr_low_fill": "5da4cc377da709dbd3b08180f88b5cd7ffc761535e4d7eded091d8a2f3c3338b",
     "none": "dd75f15b2b80ebec9bf099b0adb55815b4fc8a77a4d91bb23b737bef016dbd5c",
     "spectral": "da3808d641b8a39cac8c24c5c5cd11be1e13fdad8b3816d423fabb9321ba2706",
 }

@@ -8,6 +8,8 @@ Property coverage:
 - hungarian and power_iteration equal their vectorized references in
   conftest bit for bit, on exact ties and extreme magnitudes too
 - a raw dense or scipy sparse K is solved exactly as its AffinityMatrix
+- a stack of B <= 40 matrices (n <= 16) power-iterates to the per-matrix
+  vectors bit for bit, non-converging members included
 """
 
 import itertools
@@ -16,10 +18,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgmboost import (AffinityMatrix, Permutation, SynthParams,
                       affinity_score, build_affinity_set, gen_random_graphs,
                       hungarian, power_iteration, solve_pairwise)
+from mgmboost.pairwise import stacked_power_iteration
 
 from conftest import (brute_assignment_best, brute_qap_best,
                       builder_affinity_sets, random_affinity,
@@ -117,9 +122,12 @@ class TestPowerIteration:
             ref = reference_power_iteration(k)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
-    def test_raw_matrix_equals_affinity_matrix(self, n, rng):
-        k = random_affinity(rng, n)
+    # K is dense at n = 3, and at n = 13 when 84% full; CSR when 10% full
+    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (13, 0.05)],
+                             ids=["dense", "sparse", "csr"])
+    def test_raw_matrix_equals_affinity_matrix(self, n, density, rng):
+        k = random_affinity(rng, n, density)
+        assert k.is_sparse == (density < 0.1)
         want = power_iteration(k)
         for raw in (k.dense(), sp.csr_matrix(k.dense())):
             assert np.array_equal(power_iteration(raw), want)
@@ -156,6 +164,37 @@ class TestPowerIteration:
         assert v.shape == (4,)
 
 
+class TestStackedPowerIteration:
+    def test_star_beside_converging_pairs(self, rng):
+        ks = [random_affinity(rng, 2, density=1.0).dense() for _ in range(3)]
+        stack = np.stack([ks[0], STAR, ks[1], STAR, ks[2]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = stacked_power_iteration(stack)
+        assert sum("did not converge" in str(w.message) for w in caught) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k, v in zip(stack, got):
+                assert np.array_equal(v, power_iteration(AffinityMatrix(k)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(b=st.integers(1, 40), n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_equals_per_pair(self, b, n, seed):
+        # a BLAS whose stacked matmul/vecdot round unlike the one-matrix
+        # products fails here; matrices range from all zero to full
+        rng = np.random.default_rng(seed)
+        d = n * n
+        fill = rng.choice([0.0, 0.05, 0.5, 1.0], size=(b, 1, 1))
+        k = rng.uniform(size=(b, d, d))
+        k *= rng.uniform(size=(b, d, d)) < fill
+        k += k.transpose(0, 2, 1).copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = stacked_power_iteration(k)
+            for kb, v in zip(k, got):
+                assert np.array_equal(v, power_iteration(AffinityMatrix._wrap(n, kb)))
+
+
 class TestSolvePairwise:
     def test_single_node(self):
         assert solve_pairwise(AffinityMatrix(np.zeros((1, 1)))) == Permutation.identity(1)
@@ -163,9 +202,12 @@ class TestSolvePairwise:
     def test_zero_affinity_returns_identity(self):
         assert solve_pairwise(AffinityMatrix(np.zeros((16, 16)))) == Permutation.identity(4)
 
-    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
-    def test_raw_matrix_equals_affinity_matrix(self, n, rng):
-        k = random_affinity(rng, n)
+    # K is dense at n = 3, and at n = 13 when 84% full; CSR when 10% full
+    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (13, 0.05)],
+                             ids=["dense", "sparse", "csr"])
+    def test_raw_matrix_equals_affinity_matrix(self, n, density, rng):
+        k = random_affinity(rng, n, density)
+        assert k.is_sparse == (density < 0.1)
         want = solve_pairwise(k)
         for raw in (k.dense(), sp.csr_matrix(k.dense())):
             assert solve_pairwise(raw) == want

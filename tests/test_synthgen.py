@@ -4,10 +4,14 @@ Property coverage:
 - generators are pure functions of their params (bit-reproducible)
 - truth o truth^T = I and accuracy(truth, truth) = 1
 - Gaussian affinity symmetric and index-convention-correct vs a naive
-  quadruple-loop builder (n <= 5)
+  quadruple-loop builder (n <= 5, dense and CSR at n = 13)
+- the batched init_config equals the per-pair solver bit for bit: dense
+  and CSR K, coverage < 1, a partial last stack, all-zero K; its peak
+  memory does not grow with the pair count
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
                       inlier_rows_from_instances, load_instances,
                       load_pointset, save_instances, solve_pairwise,
                       truth_config)
+from mgmboost import pairwise
 from mgmboost.synthgen import delaunay_edges
 
 
@@ -167,13 +172,18 @@ class TestGaussAffinity:
         # edge (0,1) vs present (1,2) of graph 2 -> exp(0) = 1
         assert k[1 * 3 + 0, 2 * 3 + 1] == 1.0
 
-    # K is dense at n <= 5 and CSR at n = 13
-    @pytest.mark.parametrize("n", [3, 4, 5, 13])
-    def test_matches_quadruple_loop_and_symmetric(self, n, rng):
-        p = SynthParams(n_graphs=2, inliers=n, deform=0.2, density=0.7,
+    # K is dense at n <= 5; at n = 13 it is 33-44% full on graphs of edge
+    # density 0.7, so dense or CSR by the drawn graphs, and about 8% full,
+    # so CSR, at edge density 0.3
+    @pytest.mark.parametrize(("n", "density"),
+                             [(3, 0.7), (4, 0.7), (5, 0.7), (13, 0.7), (13, 0.3)],
+                             ids=["3", "4", "5", "13", "13-csr"])
+    def test_matches_quadruple_loop_and_symmetric(self, n, density, rng):
+        p = SynthParams(n_graphs=2, inliers=n, deform=0.2, density=density,
                         sigma2=0.1, seed=int(rng.integers(1 << 30)))
         g1, g2 = gen_random_graphs(p)
         k = build_affinity_set([g1, g2], p.sigma2).get(0, 1)
+        assert k.is_sparse or density > 0.5
         ref = naive_gauss_affinity(g1.adjacency, g2.adjacency, p.sigma2)
         assert np.allclose(k.dense(), ref, atol=1e-15)
         assert np.array_equal(k.dense(), k.dense().T)
@@ -366,6 +376,68 @@ class TestInitConfig:
     def test_deterministic(self, rng):
         kset, _ = self._kset(rng)
         assert init_config(kset, 0.5, seed=7) == init_config(kset, 0.5, seed=7)
+
+
+def _graph_set(n_graphs, n, density, seed):
+    p = SynthParams(n_graphs=n_graphs, inliers=n, deform=0.05, density=density,
+                    sigma2=0.05, seed=seed)
+    return build_affinity_set(gen_random_graphs(p), p.sigma2)
+
+
+def _len_angle_set(n_graphs, n, seed):
+    p = SynthParams(n_graphs=n_graphs, inliers=n, deform=0.05, sigma2=0.05, seed=seed)
+    return build_affinity_set(gen_random_points(p), p.sigma2, "len_angle")
+
+
+def _edgeless_set(n):
+    empty = GraphInstance(np.zeros((n, n)), n, Permutation.identity(n))
+    return build_affinity_set([empty, empty], 0.05)
+
+
+class TestBatchedInitConfig:
+    """init_config solves its pairs in dense stacks, or one by one where K
+    is CSR; either way each pair's matching equals the per-pair solver's
+    bit for bit."""
+
+    @pytest.mark.parametrize(("make", "dense"), [
+        (lambda: _graph_set(6, 8, 0.9, 1), True),
+        (lambda: _graph_set(5, 13, 0.9, 2), True),
+        (lambda: _graph_set(4, 16, 0.9, 3), True),
+        (lambda: _len_angle_set(5, 14, 4), False),
+        (lambda: _edgeless_set(5), True),
+    ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-14", "edgeless"])
+    @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
+    def test_equals_per_pair_solver(self, make, dense, coverage):
+        kset = make()
+        assert all(kset.is_dense(i, j) == dense for i, j in kset.pairs())
+        for seed in (0, 1):
+            assert (init_config(kset, coverage, seed)
+                    == init_config(kset, coverage, seed, solve_pairwise))
+
+    def test_edgeless_pair_is_identity(self):
+        kset = _edgeless_set(5)
+        assert not kset.get(0, 1).dense().any()
+        assert init_config(kset, 1.0, 0).get(0, 1) == Permutation.identity(5)
+
+    def test_partial_last_stack(self, monkeypatch):
+        # 15 pairs in stacks of 4: the last stack holds 3
+        kset = _graph_set(6, 8, 0.9, 5)
+        monkeypatch.setattr(pairwise, "STACK_ENTRIES", 4 * 8 ** 4)
+        assert len(kset.pairs()) % 4 == 3
+        assert init_config(kset, 1.0, 0) == init_config(kset, 1.0, 0, solve_pairwise)
+
+    def test_peak_memory_does_not_grow_with_pairs(self):
+        # at n = 16 one K is half a stack; 28 vs 120 pairs
+        bound = 3 * 8 * pairwise.STACK_ENTRIES
+        for n_graphs in (8, 16):
+            kset = _graph_set(n_graphs, 16, 0.9, 6)
+            tracemalloc.start()
+            try:
+                init_config(kset, 1.0, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n_graphs, peak)
 
 
 class TestInstanceRoundTrip:
