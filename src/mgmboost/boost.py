@@ -36,9 +36,11 @@ EVAL_KINDS = ("score", "cst", "gc", "gc_inv", "gc_u", "gc_p")
 # iterate along the trace is returned rather than the last one.
 _CYCLING_MODES = ("isb_cst", "isb_gc_p")
 
-# A sweep evaluates its pairs together, in row-major groups whose
-# candidates (and their comparisons with every anchor's composition) hold
-# at most about this many entries.
+# A sweep evaluates its pairs together, in row-major groups of
+# SWEEP_BATCH_ENTRIES // (N^2 n) pairs, or // (N^3 n) for the second-order
+# search. A group's compositions and first-order candidates then hold at
+# most about SWEEP_BATCH_ENTRIES / N entries each, and its second-order
+# candidates at most about SWEEP_BATCH_ENTRIES.
 SWEEP_BATCH_ENTRIES = 1 << 18
 
 
@@ -244,8 +246,7 @@ def run_boost(cfg0, kset, params):
     trace = BoostTrace()
     second_order = params.mode == "isb_2nd"
     iu, ju = np.triu_indices(cfg0.N, 1)
-    # pairs evaluated together, row-major; a bound on the candidate entries
-    # (and consistency comparisons) that one batch holds
+    # pairs evaluated together, row-major; see SWEEP_BATCH_ENTRIES
     group = max(1, SWEEP_BATCH_ENTRIES // (cfg0.N ** (3 if second_order else 2) * cfg0.n))
 
     def snapshot(cfg):

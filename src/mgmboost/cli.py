@@ -85,25 +85,28 @@ def _boost_params(args):
 
 
 def _cmd_gen(args):
-    instances = _instances(args)
+    try:
+        instances = _instances(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     save_instances(args.out, instances)
     print(f"wrote {len(instances)} instances of {instances[0].n} nodes to {args.out}")
     return 0
 
 
 def _cmd_match(args):
-    if args.data:
-        instances = load_instances(args.data)
-    else:
-        instances = _instances(args)
-    kset = build_affinity_set(instances, args.sigma2, kind=_affinity_kind(args),
-                              beta_w=args.beta_w)
-    cfg0 = init_config(kset, args.coverage, args.seed)
-    norm = ScoreNormalizer.from_initial(cfg0, kset)
     try:
+        if args.data:
+            instances = load_instances(args.data)
+        else:
+            instances = _instances(args)
+        kset = build_affinity_set(instances, args.sigma2, kind=_affinity_kind(args),
+                                  beta_w=args.beta_w)
+        cfg0 = init_config(kset, args.coverage, args.seed)
         cfg, trace = run_boost(cfg0, kset, _boost_params(args))
     except ValueError as exc:
         args.parser.error(str(exc))
+    norm = ScoreNormalizer.from_initial(cfg0, kset)
     truth = truth_config(instances)
     rows = inlier_rows_from_instances(instances)
     print(f"algorithm      : {args.mode}")
@@ -172,7 +175,7 @@ def build_parser():
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     _add_synth_flags(p_gen)
     p_gen.add_argument("--out", required=True, help="output .npz path")
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
 
     p_match = sub.add_parser("match", help="match one dataset and print a summary")
     _add_synth_flags(p_match)

@@ -76,13 +76,22 @@ def candidate_consistency(cands, comps, keep_row=None):
     """Pairwise consistency of each (..., C, n) candidate row against the
     (..., N, n) compositions X_ik X_kj of its pair: 1 minus the
     mismatching rows over rows * N, where only the rows in the (..., n)
-    mask ``keep_row`` count, when it is given."""
-    mism = cands[..., :, None, :] != comps[..., None, :, :]
-    rows = cands.shape[-1]
+    mask ``keep_row`` count, when it is given.
+
+    One bincount gives, per pair and row u, how many anchors map u to
+    each target t; a candidate then mismatches N - count[u, cand[u]]
+    compositions at row u."""
+    n_anchors, n = comps.shape[-2:]
+    flat = comps.reshape(-1, n_anchors, n)
+    slots = np.arange(flat.shape[0] * n).reshape(-1, 1, n) * n   # (pair, u) -> row of counts
+    counts = np.bincount((slots + flat).ravel(), minlength=slots.size * n)
+    counts = counts.reshape(comps.shape[:-2] + (1, n, n))
+    mism = n_anchors - np.take_along_axis(counts, cands[..., None], axis=-1)[..., 0]
+    rows = n
     if keep_row is not None:
-        mism = mism & keep_row[..., None, None, :]
+        mism = mism * keep_row[..., None, :]
         rows = keep_row.sum(axis=-1, keepdims=True)
-    return 1.0 - mism.sum(axis=(-2, -1)) / (rows * comps.shape[-2])
+    return 1.0 - mism.sum(axis=-1) / (rows * n_anchors)
 
 
 def unary_consistency_all(cfg, keep=None):

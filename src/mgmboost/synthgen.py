@@ -34,12 +34,14 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_graphs < 2 or self.inliers < 1 or self.outliers < 0:
-            raise ValueError("need n_graphs >= 2, inliers >= 1, outliers >= 0")
+        for name, least in (("n_graphs", 2), ("inliers", 1), ("outliers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if not (np.isfinite(self.deform) and self.deform >= 0):
             raise ValueError(f"deform must be finite and >= 0, got {self.deform!r}")
-        if not 0.0 <= self.density <= 1.0 or not 0.0 <= self.coverage <= 1.0:
-            raise ValueError("density and coverage live in [0, 1]")
+        for name in ("density", "coverage"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
         _check_bandwidth("sigma2", self.sigma2)
 
     @property

@@ -44,6 +44,18 @@ def naive_pairwise_consistency(x, cfg, i, j):
     return 1.0 - total / (cfg.n * cfg.N)
 
 
+def naive_candidate_consistency(cands, comps, keep_row=None):
+    """Candidate consistency by comparing every (..., C, n) candidate row
+    with every (..., N, n) composition: a (..., C, N, n) boolean array of
+    row disagreements, masked by the (..., n) ``keep_row`` when given."""
+    mism = cands[..., :, None, :] != comps[..., None, :, :]
+    rows = cands.shape[-1]
+    if keep_row is not None:
+        mism = mism & keep_row[..., None, None, :]
+        rows = keep_row.sum(axis=-1, keepdims=True)
+    return 1.0 - mism.sum(axis=(-2, -1)) / (rows * comps.shape[-2])
+
+
 def naive_node_consistency(u, k, cfg):
     total = 0.0
     for i in range(cfg.N - 1):

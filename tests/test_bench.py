@@ -311,6 +311,22 @@ class TestCli:
         assert "'abc'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-graphs", "1", "n_graphs must be >= 2, got 1"),
+        ("--deform", "-1", "deform must be finite and >= 0, got -1.0")])
+    def test_match_bad_synth_param_is_usage_error(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_gen_bad_synth_param_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gen", "--out", str(tmp_path / "x.npz"), "--inliers", "0"])
+        assert exc.value.code == 2
+        assert "inliers must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.npz").exists()
+
     def test_match_n_est_above_node_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["match", "--elicit", "cst", "--n-est", "3", "--inliers", "2",

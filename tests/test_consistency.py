@@ -8,8 +8,12 @@ Property coverage:
 - optimized implementations match naive triple-loop references to 1e-12
 - keep-masked metrics in (0, 1] and equal to the naive masked references
   for random masks keeping the same count per graph
+- candidate consistency from per-row anchor counts equals the N-fold
+  comparison exactly, with and without masks, and stays below the memory
+  that comparison needs
 """
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -24,9 +28,10 @@ from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
                       node_consistency_all, overall_consistency,
                       pairwise_consistency, pairwise_consistency_all,
                       unary_consistency_all)
+from mgmboost.consistency import candidate_consistency
 
 from conftest import (ReferenceAffinitySet, builder_affinity_sets,
-                      commuted_node_affinity_all,
+                      commuted_node_affinity_all, naive_candidate_consistency,
                       naive_elicited_pairwise, naive_elicited_unary,
                       naive_node_affinity, naive_node_consistency,
                       naive_pairwise_consistency, naive_quad_form,
@@ -132,6 +137,52 @@ class TestPairwiseConsistency:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             pairwise_consistency(Permutation.identity(5), MatchConfig.identity(3, 2), 0, 1)
+
+
+def _candidate_batch(rng, pairs, count, anchors, n):
+    """(P, N, n) random permutation rows as compositions, and (P, A, n)
+    candidates: each a copy of one of its pair's compositions (so repeats
+    occur) or a fresh permutation."""
+    comps = rng.permuted(np.broadcast_to(np.arange(n), (pairs, anchors, n)), axis=2)
+    picked = comps[np.arange(pairs)[:, None], rng.integers(0, anchors, (pairs, count))]
+    fresh = rng.permuted(np.broadcast_to(np.arange(n), (pairs, count, n)), axis=2)
+    return np.where(rng.uniform(size=(pairs, count, 1)) < 0.7, picked, fresh), comps
+
+
+def _equal_count_mask(rng, pairs, n, kept):
+    keep = np.zeros((pairs, n), dtype=bool)
+    for p in range(pairs):
+        keep[p, rng.choice(n, kept, replace=False)] = True
+    return keep
+
+
+class TestCandidateConsistency:
+    @settings(max_examples=120, deadline=None)
+    @given(pairs=st.integers(1, 6), count=st.integers(1, 12), anchors=st.integers(2, 12),
+           n=st.integers(1, 9), data=st.data())
+    def test_equals_naive_comparison(self, pairs, count, anchors, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        cands, comps = _candidate_batch(rng, pairs, count, anchors, n)
+        keep = _equal_count_mask(rng, pairs, n, data.draw(st.integers(1, n)))
+        for keep_row in (None, keep):
+            got = candidate_consistency(cands, comps, keep_row)
+            assert np.array_equal(got, naive_candidate_consistency(cands, comps, keep_row))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_peak_memory_below_comparison_size(self, masked, rng):
+        # the (P, A, N, n) comparison alone holds P*A*N*n bytes of booleans;
+        # the bound is 8 int64 entries per (pair, anchor, row)
+        pairs, anchors, n = 4, 128, 8
+        cands, comps = _candidate_batch(rng, pairs, anchors, anchors, n)
+        keep_row = _equal_count_mask(rng, pairs, n, 5) if masked else None
+        candidate_consistency(cands, comps, keep_row)   # warm numpy's caches
+        tracemalloc.start()
+        try:
+            candidate_consistency(cands, comps, keep_row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pairs * anchors * n * 8
 
 
 class TestOverallConsistency:

@@ -5,7 +5,8 @@ The digests pin the exact matchings, so any change to the numerics that
 alters one result fails here, even where every property test still
 holds. A change that alters an output on purpose updates the digest and
 says why. The cases cover every post-processing route, second-order
-search on CSR affinities and elicited boosting on point sets.
+search on CSR affinities, consistency-only boosting over several sweep
+groups, and boosting on point sets elicited under both rankings.
 """
 
 import hashlib
@@ -44,6 +45,16 @@ CASES = {
                              SynthParams(n_graphs=4, inliers=13, deform=0.05, density=0.4,
                                          sigma2=0.05, seed=5),
                              BoostParams(mode="isb_2nd", t_max=3), "consistency_mst"),
+    "isb_cst": (gen_random_graphs,
+                SynthParams(n_graphs=24, inliers=6, deform=0.15, density=0.9,
+                            sigma2=0.05, seed=7),
+                BoostParams(mode="isb_cst", t_max=4), "spectral"),
+    "elicited_consistency_gc_inv": (gen_random_points,
+                                    SynthParams(n_graphs=6, inliers=5, outliers=3,
+                                                deform=0.05, sigma2=0.05, seed=9),
+                                    BoostParams(mode="isb_gc_inv", t0=1, t_max=6,
+                                                elicit=InlierEstimate(5, "consistency")),
+                                    "consistency_mst"),
     "elicited_points": (gen_random_points,
                         SynthParams(n_graphs=6, inliers=5, outliers=3, deform=0.02,
                                     sigma2=0.05, seed=6),
@@ -55,7 +66,10 @@ CASES = {
 GOLDEN = {
     "affinity_mst": "37864505ea78ac6dec56840b5777ff14dba6ce86ac0ee415ebf978b31f1f6a05",
     "consistency_mst": "ee545f760ebdafd5668c03c06d0adc3e657354bc53ce9b14f8c55378c1165ae7",
+    "elicited_consistency_gc_inv":
+        "2f42ed63d764f79d78f41ee9f0a8fe01cf791ccab54652be4d2a50da912117f5",
     "elicited_points": "303b84332cb53fc894ba95458570b82d26725d6823b259c874b4110fd10a7350",
+    "isb_cst": "0f0198963e6184aad86fcd19921e66ea52ea9ba4a86a123fbcbb7d3b571c0366",
     "isb_2nd_csr": "a9106b488550f8faf6de1e2f514e4f618b44c769fa1490f8d22cc66fcbab7957",
     "isb_2nd_csr_low_fill": "5da4cc377da709dbd3b08180f88b5cd7ffc761535e4d7eded091d8a2f3c3338b",
     "none": "dd75f15b2b80ebec9bf099b0adb55815b4fc8a77a4d91bb23b737bef016dbd5c",
