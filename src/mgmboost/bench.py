@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +34,6 @@ GENERATORS = ("random_graph", "random_point", "file")
 _SWEEPABLE = {f.name: f.type for f in fields(SynthParams) if f.name != "seed"}
 CSV_HEADER = ("algorithm,swept_param,swept_value,trial_mean_acc,acc_std,"
               "mean_time_s,mean_consistency,mean_score")
-WORKERS_ENV = "MGMBOOST_THREADS"
 
 
 @dataclass(frozen=True)
@@ -167,11 +165,10 @@ def _run_trial(spec, sweep_idx, trial):
     return out
 
 
-def run_experiment(spec, workers=None):
-    """Run the whole grid and aggregate one ResultRow per (algorithm,
-    swept value). Deterministic given the seed base, except wall times."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+def run_experiment(spec, workers=1):
+    """Run the whole grid, in ``workers`` parallel processes when above 1,
+    and aggregate one ResultRow per (algorithm, swept value).
+    Deterministic given the seed base, except wall times."""
     cells = [(si, tr) for si in range(len(spec.sweep_values)) for tr in range(spec.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

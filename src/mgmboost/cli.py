@@ -15,7 +15,7 @@ from .boost import MODES, BoostParams, run_boost
 from .consistency import InlierEstimate, overall_consistency
 from .core import ScoreNormalizer, total_score
 from .synthgen import (SynthParams, build_affinity_set, init_config,
-                       load_instances, save_instances, truth_config)
+                       load_instances, load_pointset, save_instances, truth_config)
 
 
 def _add_synth_flags(p):
@@ -87,9 +87,9 @@ def _boost_params(args):
 def _cmd_gen(args):
     try:
         instances = _instances(args)
-    except ValueError as exc:
+        save_instances(args.out, instances)
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
-    save_instances(args.out, instances)
     print(f"wrote {len(instances)} instances of {instances[0].n} nodes to {args.out}")
     return 0
 
@@ -104,7 +104,7 @@ def _cmd_match(args):
                                   beta_w=args.beta_w)
         cfg0 = init_config(kset, args.coverage, args.seed)
         cfg, trace = run_boost(cfg0, kset, _boost_params(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
     norm = ScoreNormalizer.from_initial(cfg0, kset)
     truth = truth_config(instances)
@@ -116,7 +116,10 @@ def _cmd_match(args):
     print(f"consistency    : {overall_consistency(cfg):.4f}")
     print(f"norm. score    : {total_score(cfg, kset) / norm.value:.4f}")
     if args.out:
-        np.savez(args.out, **{f"pair_{i}_{j}": x.perm for i, j, x in cfg.pairs()})
+        try:
+            np.savez(args.out, **{f"pair_{i}_{j}": x.perm for i, j, x in cfg.pairs()})
+        except OSError as exc:
+            args.parser.error(str(exc))
         print(f"wrote matching to {args.out}")
     return 0
 
@@ -154,14 +157,21 @@ def _cmd_bench(args):
                               trials=trials, seed_base=args.seed,
                               affinity=_affinity_kind(args), beta_w=args.beta_w,
                               file_path=args.file)
-    except ValueError as exc:
+        # bad files fail here, not once per trial or after the whole grid
+        if args.generator == "file":
+            load_pointset(args.file)
+        open(args.out, "a").close()
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
     rows = run_experiment(spec, workers=args.workers)
-    emit_csv(rows, args.out)
-    print(f"wrote {len(rows)} result rows to {args.out}")
-    if args.plot_prefix:
-        for path in emit_plotdata(rows, args.plot_prefix):
-            print(f"wrote plot series {path}")
+    try:
+        emit_csv(rows, args.out)
+        print(f"wrote {len(rows)} result rows to {args.out}")
+        if args.plot_prefix:
+            for path in emit_plotdata(rows, args.plot_prefix):
+                print(f"wrote plot series {path}")
+    except OSError as exc:
+        args.parser.error(str(exc))
     return 0
 
 
@@ -196,9 +206,8 @@ def build_parser():
     p_bench.add_argument("--trials", type=int, default=None,
                          help="repetitions per swept value "
                               "(default 50 synthetic, 20 file-based)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="parallel trial processes "
-                              "(default: MGMBOOST_THREADS env var, or 1)")
+    p_bench.add_argument("--workers", type=int, default=1,
+                         help="parallel trial processes")
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.add_argument("--plot-prefix", help="also write per-algorithm series files")
     p_bench.set_defaults(func=_cmd_bench, parser=p_bench)

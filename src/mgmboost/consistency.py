@@ -39,30 +39,16 @@ class InlierEstimate:
             raise ValueError(f"mode must be one of {MASK_MODES}")
 
 
-def _compositions_through(table, k):
-    """(N, N, n) array whose [i, j] row is the composition X_ik X_kj."""
-    a = table[:, k]          # a[i] = X_ik
-    b = table[k]             # b[j] = X_kj
-    return b[:, a].transpose(1, 0, 2)   # [i, j, u] = b[j, a[i, u]]
-
-
-def _mismatch_rows(table):
+def _mismatch_rows(table, keep=None):
     """Per anchor k, the (N, N, n) boolean array that is True at [i, j, u]
-    where row u of X_ij and of X_ik X_kj disagree."""
+    where row u of X_ij and of X_ik X_kj disagree. With ``keep`` (an
+    (N, n) boolean mask) only rows kept for the row graph i can be True."""
     for k in range(table.shape[0]):
-        yield _compositions_through(table, k) != table
-
-
-def _anchor_mismatch_counts(cfg, keep=None):
-    """(N, N, N) row-disagreement counts: entry [k, i, j] compares X_ij
-    with X_ik X_kj. With ``keep`` (an (N, n) boolean mask) only rows kept
-    for the row graph i are counted."""
-    out = np.empty((cfg.N, cfg.N, cfg.N), dtype=np.int64)
-    for k, mism in enumerate(_mismatch_rows(cfg.perm_table())):
+        # [i, j, u] = X_kj[X_ik[u]]
+        mism = table[k][:, table[:, k]].transpose(1, 0, 2) != table
         if keep is not None:
             mism &= keep[:, None, :]
-        out[k] = mism.sum(axis=2)
-    return out
+        yield mism
 
 
 def compositions(table, i, j):
@@ -103,7 +89,8 @@ def unary_consistency_all(cfg, keep=None):
     the normalizer counts the kept rows. In (0, 1]; exactly 1 when all
     counted residuals vanish."""
     rows = _kept_count(keep, (cfg.N, cfg.n))
-    counts = np.triu(_anchor_mismatch_counts(cfg, keep), 1).sum(axis=(1, 2))
+    upper = np.triu_indices(cfg.N, 1)
+    counts = np.array([m[upper].sum() for m in _mismatch_rows(cfg.perm_table(), keep)])
     return 1.0 - counts / (rows * cfg.N * (cfg.N - 1) / 2.0)
 
 
@@ -129,7 +116,8 @@ def pairwise_consistency_all(cfg, keep=None):
     mask entry (i, j) counts only the rows kept for graph i, so the
     result is not symmetric in general."""
     rows = _kept_count(keep, (cfg.N, cfg.n))
-    return 1.0 - _anchor_mismatch_counts(cfg, keep).sum(axis=0) / (rows * cfg.N)
+    counts = sum(m.sum(axis=2) for m in _mismatch_rows(cfg.perm_table(), keep))
+    return 1.0 - counts / (rows * cfg.N)
 
 
 def overall_consistency(cfg, table=None):

@@ -212,6 +212,17 @@ class AffinityMatrix:
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
 
 
+def _reject_first(bad, what, values=None):
+    """Raise ValueError naming the first (graph, u, v) where the (N, n, n)
+    boolean ``bad`` holds, with the entry and its mirror from ``values``."""
+    if np.count_nonzero(bad):
+        g, u, v = (int(x) for x in np.argwhere(bad)[0])
+        where = f"{what} at (graph, u, v) = ({g}, {u}, {v})"
+        if values is not None:
+            where += f": {float(values[g, u, v])!r}, mirror {float(values[g, v, u])!r}"
+        raise ValueError(where)
+
+
 class AffinitySet:
     """Edge-kernel affinities between every pair of N graphs on n nodes.
 
@@ -230,6 +241,11 @@ class AffinitySet:
     sums are node affinities (Zhou & De la Torre, "Factorized Graph
     Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
     solver and ``dense_stack`` many pairs' at once; neither keeps it.
+
+    The constructor rejects a mask edge (u, u) or one without its mirror
+    (v, u), and an attribute that is not finite or not symmetric on an
+    edge, naming the first bad (graph, u, v): the solver's K must be
+    symmetric.
     """
 
     def __init__(self, mask, channels):
@@ -237,6 +253,9 @@ class AffinitySet:
         if mask.ndim != 3 or mask.shape[1] != mask.shape[2]:
             raise ValueError(f"edge mask must have shape (N, n, n), got {mask.shape}")
         self.N, self.n = mask.shape[0], mask.shape[1]
+        if np.count_nonzero(mask.diagonal(0, 1, 2)):
+            _reject_first(mask & np.eye(self.n, dtype=bool), "edge mask has a self-loop")
+        _reject_first(mask != mask.transpose(0, 2, 1), "edge mask is not symmetric")
         self._mask = mask
         self._edges = mask.sum(axis=(1, 2)).tolist()
         # Per channel (weight, bandwidth), and the attribute twice: as the
@@ -246,13 +265,19 @@ class AffinitySet:
         self._channels = []
         self._own = []
         self._other = []
-        for weight, attr, sigma2 in channels:
+        for c, (weight, attr, sigma2) in enumerate(channels):
             attr = np.asarray(attr, dtype=float)
             if attr.shape != mask.shape:
                 raise ValueError(f"edge attributes have shape {attr.shape}, "
                                  f"expected {mask.shape}")
+            # +inf off the (symmetric) edges: finite exactly on the edges and
+            # symmetric exactly when the attribute is, on the edges
+            own = np.where(mask, attr, np.inf)
+            _reject_first(np.isfinite(own) != mask, f"edge attribute {c} is not finite", attr)
+            _reject_first(own != own.transpose(0, 2, 1),
+                          f"edge attribute {c} is not symmetric", attr)
             self._channels.append((float(weight), float(sigma2)))
-            self._own.append(np.where(mask, attr, np.inf))
+            self._own.append(own)
             self._other.append(np.where(mask, attr, -np.inf))
 
     def pairs(self):

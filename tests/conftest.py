@@ -56,6 +56,23 @@ def naive_candidate_consistency(cands, comps, keep_row=None):
     return 1.0 - mism.sum(axis=(-2, -1)) / (rows * comps.shape[-2])
 
 
+def naive_anchor_mismatch_counts(cfg, keep=None):
+    """(N, N, N) row-disagreement counts: entry [k, i, j] compares X_ij
+    with X_ik X_kj. With ``keep`` (an (N, n) boolean mask) only rows kept
+    for the row graph i are counted. The whole count array at once, as the
+    configuration metrics once built it."""
+    table = cfg.perm_table()
+    out = np.empty((cfg.N, cfg.N, cfg.N), dtype=np.int64)
+    for k in range(cfg.N):
+        a = table[:, k]          # a[i] = X_ik
+        b = table[k]             # b[j] = X_kj
+        mism = b[:, a].transpose(1, 0, 2) != table   # [i, j, u] = b[j, a[i, u]]
+        if keep is not None:
+            mism &= keep[:, None, :]
+        out[k] = mism.sum(axis=2)
+    return out
+
+
 def naive_node_consistency(u, k, cfg):
     total = 0.0
     for i in range(cfg.N - 1):

@@ -7,6 +7,8 @@ Property coverage:
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, each chunk within its budget
 - the set, its scores and a boosting sweep stay O(N n^2) in memory
+- the constructor rejects a self-loop or an asymmetric mask edge, and a
+  non-finite or asymmetric attribute on an edge, naming the first one
 """
 
 import tracemalloc
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 import mgmboost.core as core
-from mgmboost import (BoostParams, MatchConfig, ScoreNormalizer, SynthParams,
-                      affinity_score, build_affinity_set, gen_random_graphs,
+from mgmboost import (AffinitySet, BoostParams, MatchConfig, ScoreNormalizer,
+                      SynthParams, affinity_score, build_affinity_set, gen_random_graphs,
                       run_boost, total_score)
 from mgmboost.core import kernel_sums, pair_scores
 
@@ -144,3 +146,48 @@ def test_memory_stays_linear_in_graphs():
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
 
+
+
+def _valid_set_arrays():
+    """Edge mask and two attribute channels of 3 graphs on 4 nodes, every
+    graph the path 0-1-2-3 with symmetric attributes."""
+    mask = np.zeros((3, 4, 4), dtype=bool)
+    u, v = np.arange(3), np.arange(1, 4)
+    mask[:, u, v] = mask[:, v, u] = True
+    attr = np.zeros((3, 4, 4))
+    attr[:, u, v] = attr[:, v, u] = [0.5, 0.25, 0.75]
+    return mask, attr, attr + 1.0
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("self_loop", "edge mask has a self-loop at (graph, u, v) = (1, 2, 2)"),
+    ("mask_asym", "edge mask is not symmetric at (graph, u, v) = (1, 0, 2)"),
+    ("nan", "edge attribute 1 is not finite at (graph, u, v) = (1, 1, 2): nan, mirror 1.25"),
+    ("inf", "edge attribute 0 is not finite at (graph, u, v) = (2, 1, 0): inf, mirror 0.5"),
+    ("attr_asym", "edge attribute 1 is not symmetric at (graph, u, v) = (0, 2, 3): "
+                  "1.75, mirror 1.5")],
+    ids=["self_loop", "mask_asym", "nan", "inf", "attr_asym"])
+def test_constructor_rejects_first_bad_entry(fault, message):
+    mask, first, second = _valid_set_arrays()
+    AffinitySet(mask, [(0.9, first, 0.1), (0.1, second, 0.1)])
+    if fault == "self_loop":
+        mask[1, 2, 2] = mask[2, 3, 3] = True
+    elif fault == "mask_asym":
+        mask[1, 0, 2] = True
+    elif fault == "nan":
+        second[1, 1, 2] = np.nan
+    elif fault == "inf":
+        first[2, 1, 0] = np.inf
+    else:
+        second[0, 3, 2] = 1.5
+    with pytest.raises(ValueError) as exc:
+        AffinitySet(mask, [(0.9, first, 0.1), (0.1, second, 0.1)])
+    assert str(exc.value) == message
+
+
+def test_constructor_ignores_attributes_off_the_edges():
+    mask, first, second = _valid_set_arrays()
+    first[0, 0, 2] = np.nan
+    first[1, 0, 3] = 4.0
+    kset = AffinitySet(mask, [(0.9, first, 0.1), (0.1, second, 0.1)])
+    assert np.isfinite(kset.get(0, 1).dense()).all()

@@ -198,15 +198,6 @@ class TestRunExperiment:
         parallel = [strip(r) for r in run_experiment(spec, workers=2)]
         assert serial == parallel
 
-    def test_worker_count_from_environment(self, monkeypatch):
-        from mgmboost.bench import WORKERS_ENV
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        spec = _tiny_spec(trials=2, deform=0.1)
-        strip = lambda r: (r.algorithm, r.swept_value, r.trial_mean_acc)
-        from_env = [strip(r) for r in run_experiment(spec)]
-        explicit = [strip(r) for r in run_experiment(spec, workers=1)]
-        assert from_env == explicit
-
     def test_deformation_grid_shape(self):
         # the deformation sweep produces one row per (epsilon, algorithm)
         spec = _tiny_spec(trials=1)
@@ -333,6 +324,29 @@ class TestCli:
                       "--n-graphs", "3"])
         assert exc.value.code == 2
         assert "elicit.n_est=3 exceeds the node count 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [
+        (["match", "--data", "missing.npz"], "missing.npz"),
+        (["match", "--generator", "file", "--file", "missing.txt"], "missing.txt"),
+        (["match", "--n-graphs", "3", "--inliers", "3", "--t-max", "1",
+          "--out", "no/dir/m.npz"], "no/dir/m.npz"),
+        (["gen", "--out", "no/dir/x.npz"], "no/dir/x.npz"),
+        (["bench", "--generator", "file", "--file", "missing.txt",
+          "--sweep", "deform", "--values", "0", "--out", "x.csv"], "missing.txt"),
+        (["bench", "--sweep", "deform", "--values", "0", "--out", "no/dir/x.csv"],
+         "no/dir/x.csv")],
+        ids=["match-data", "match-file", "match-out", "gen-out", "bench-file", "bench-out"])
+    def test_file_error_is_usage_error(self, command, bad, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the file arguments were checked")
+
+        monkeypatch.setattr("mgmboost.cli.run_experiment", no_trials)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command)
+        assert exc.value.code == 2
+        assert bad in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_match_flags_set_every_param_field(self):
         # every defaulted field of BoostParams and SynthParams has a flag;

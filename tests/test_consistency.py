@@ -11,6 +11,9 @@ Property coverage:
 - candidate consistency from per-row anchor counts equals the N-fold
   comparison exactly, with and without masks, and stays below the memory
   that comparison needs
+- unary and pairwise consistency of a whole configuration, from one pass
+  over the anchors, equal the formulas on the (N, N, N) count array
+  exactly, with and without masks, and stay below that array's memory
 """
 
 import tracemalloc
@@ -31,7 +34,8 @@ from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
 from mgmboost.consistency import candidate_consistency
 
 from conftest import (ReferenceAffinitySet, builder_affinity_sets,
-                      commuted_node_affinity_all, naive_candidate_consistency,
+                      commuted_node_affinity_all, corrupted_config,
+                      naive_anchor_mismatch_counts, naive_candidate_consistency,
                       naive_elicited_pairwise, naive_elicited_unary,
                       naive_node_affinity, naive_node_consistency,
                       naive_pairwise_consistency, naive_quad_form,
@@ -210,6 +214,45 @@ class TestOverallConsistency:
             c = overall_consistency(cfg)
             assert 0.0 < c <= 1.0
             assert (c == 1.0) == is_fully_consistent(cfg)
+
+
+class TestConfigurationMetrics:
+    """The per-anchor pass against the whole (N, N, N) count array."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_graphs=st.integers(2, 12), n=st.integers(1, 9), flip=st.floats(0, 1),
+           data=st.data())
+    def test_equals_count_array_formulas(self, n_graphs, n, flip, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        cfg = corrupted_config(rng, n_graphs, n, flip)
+        mask = _equal_count_mask(rng, n_graphs, n, data.draw(st.integers(1, n)))
+        for keep in (None, mask):
+            counts = naive_anchor_mismatch_counts(cfg, keep)
+            rows = n if keep is None else int(keep[0].sum())
+            unary = 1.0 - np.triu(counts, 1).sum(axis=(1, 2)) / (
+                rows * n_graphs * (n_graphs - 1) / 2.0)
+            pairwise = 1.0 - counts.sum(axis=0) / (rows * n_graphs)
+            assert np.array_equal(unary_consistency_all(cfg, keep), unary)
+            assert np.array_equal(pairwise_consistency_all(cfg, keep), pairwise)
+
+    @pytest.mark.parametrize("metric", ["overall", "pairwise", "pairwise_masked"])
+    def test_peak_memory_below_count_array(self, metric, rng):
+        # the (N, N, N) int64 count array alone holds 8*N**3 bytes (7.6 MiB);
+        # the bound is 16 bytes per (i, j, u) entry of one anchor's slice
+        n_graphs, n = 100, 20
+        cfg = random_config(rng, n_graphs, n)
+        keep = _equal_count_mask(rng, n_graphs, n, 12)
+        call = {"overall": lambda: overall_consistency(cfg),
+                "pairwise": lambda: pairwise_consistency_all(cfg),
+                "pairwise_masked": lambda: pairwise_consistency_all(cfg, keep)}[metric]
+        call()   # warm numpy's caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_graphs ** 2 * n
 
 
 class TestNodeConsistency:
