@@ -39,8 +39,9 @@ _CYCLING_MODES = ("isb_cst", "isb_gc_p")
 # A sweep evaluates its pairs together, in row-major groups of
 # SWEEP_BATCH_ENTRIES // (N^2 n) pairs, or // (N^3 n) for the second-order
 # search. A group's compositions and first-order candidates then hold at
-# most about SWEEP_BATCH_ENTRIES / N entries each, and its second-order
-# candidates at most about SWEEP_BATCH_ENTRIES.
+# most about SWEEP_BATCH_ENTRIES / N entries each. A second-order group
+# scores A + (A - 2)(A - 3) < N^2 candidates per pair for a pool of A
+# anchors, so its candidates hold less than that too.
 SWEEP_BATCH_ENTRIES = 1 << 18
 
 
@@ -150,9 +151,14 @@ def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
     scan order makes exact ties keep the incumbent, then the smallest
     anchor.
 
-    The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u),
-    scored by normalized affinity alone; exact ties keep the first in
-    (v, u) scan order, and no anchor is reported.
+    The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u)
+    of the pool [i, j, rest...], scored by normalized affinity alone; exact
+    ties keep the first in (v, u) scan order, and no anchor is reported.
+    The table holds exact inverses and identities, so v = j, u = i, u = j
+    and u = v each repeat a candidate of the row v = i (the incumbent or a
+    first-order candidate). Only row v = i and the pairs v != u of rest
+    are scored: the full scan with its later duplicates removed, in scan
+    order, so the first maximum, and the candidate chosen, are the same.
     """
     table = tbl.table
     ii, jj = np.asarray(ii), np.asarray(jj)
@@ -160,10 +166,12 @@ def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
                       for i, j in zip(ii.tolist(), jj.tolist())])
     pairs = np.arange(len(ii))
     if second_order:
-        via = table[pools[:, :, None, None], pools[:, None, :, None],
-                    table[ii[:, None], pools][:, :, None, :]]   # [., v, u] = X_iv then X_vu
-        cands = table[pools[:, None, :, None], jj[:, None, None, None],
-                      via].reshape(len(ii), -1, tbl.cfg.n)      # then X_uj
+        rest = pools[:, 2:]
+        rv, ru = np.nonzero(~np.eye(rest.shape[1], dtype=bool))    # row-major v != u
+        vs = np.concatenate([np.broadcast_to(ii[:, None], pools.shape), rest[:, rv]], axis=1)
+        us = np.concatenate([pools, rest[:, ru]], axis=1)
+        via = table[vs[..., None], us[..., None], table[ii[:, None], vs]]   # X_iv then X_vu
+        cands = table[us[..., None], jj[:, None, None], via]               # then X_uj
         return None, cands[pairs, np.argmax(tbl.scores_for(ii, jj, cands), axis=1)]
 
     comps = compositions(table, ii, jj)

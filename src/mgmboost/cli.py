@@ -60,7 +60,7 @@ def _synth_params(args):
 
 def _instances(args):
     if args.generator == "file" and not args.file:
-        raise SystemExit("--file is required with --generator file")
+        raise ValueError("--file is required with --generator file")
     return make_instances(args.generator, _synth_params(args), args.file)
 
 
@@ -74,7 +74,7 @@ def _boost_params(args):
     elicit = None
     if args.elicit != "none":
         if args.n_est is None:
-            raise SystemExit("--elicit needs --n-est")
+            raise ValueError("--elicit needs --n-est")
         elicit = InlierEstimate(args.n_est,
                                 "consistency" if args.elicit == "cst" else "affinity")
     return BoostParams(mode=args.mode, t0=args.t0, t_max=args.t_max,
@@ -138,7 +138,7 @@ def _parse_algorithms(spec_text, template):
         elif name in MODES:
             algs.append((name, replace(template, mode=name)))
         else:
-            raise SystemExit(f"unknown algorithm {name!r}")
+            raise ValueError(f"unknown algorithm {name!r}")
     return tuple(algs)
 
 

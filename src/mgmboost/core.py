@@ -14,6 +14,7 @@ every consistency metric inside (0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -240,7 +241,8 @@ class AffinitySet:
     a_c[j][p][:, p]; its sum is the score vec(X)^T K vec(X) and its row
     sums are node affinities (Zhou & De la Torre, "Factorized Graph
     Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
-    solver and ``dense_stack`` many pairs' at once; neither keeps it.
+    solver and ``dense_stack`` many pairs' at once, evaluating the kernel
+    once per distinct entry; neither keeps it.
 
     The constructor rejects a mask edge (u, u) or one without its mirror
     (v, u), and an attribute that is not finite or not symmetric on an
@@ -307,15 +309,36 @@ class AffinitySet:
         |E_i| * |E_j| stored entries."""
         return dense_by_fill(self.n, self._edges[i] * self._edges[j])
 
+    @cached_property
+    def _dense_index(self):
+        """The m + 1 flat attribute indices ``dense_stack`` gathers per
+        graph, and the (n^2, n^2) map of K[a*n + u, b*n + v] to
+        s(a, b) * (m + 1) + s(u, v). Slot s numbers the m = n(n-1)/2 node
+        pairs u < v in either order and gives u = v slot m, gathered at
+        (0, 0), off the edges. intp, since ``take`` would convert narrower
+        indices on every call."""
+        n = self.n
+        r, c = np.triu_indices(n, 1)
+        m = r.size
+        slot = np.full((n, n), m, dtype=np.intp)
+        slot[r, c] = slot[c, r] = np.arange(m)
+        index = slot[:, None, :, None] * (m + 1) + slot[None, :, None, :]   # [a, u, b, v]
+        return np.append(r * n + c, 0), index.reshape(n * n, n * n)
+
     def dense_stack(self, i, j):
         """K of the pairs (i[b], j[b]) as one (B, n^2, n^2) array, with
-        graph i[b] as the row graph, built in one broadcast: the kernel of
-        a_c[i, u, v] against a_c[j, a, b] lands at [a, u, b, v], which is
-        K[a*n + u, b*n + v]."""
-        size = self.n * self.n
-        k = self._kernel([a[i][:, None, :, None, :] for a in self._own],
-                         [a[j][:, :, None, :, None] for a in self._other])
-        return k.reshape(-1, size, size)
+        graph i[b] as the row graph. Both attributes are symmetric, so
+        K[a*n + u, b*n + v] depends only on {u, v} and {a, b}, and every
+        u = v or a = b entry is the kernel at a diagonal attribute, off
+        the edges, like any missing edge. So the kernel runs on (m + 1)^2
+        slot pairs instead of n^4 entries, and one ``take`` through
+        ``_dense_index`` expands them; the bytes equal those of the full
+        broadcast of a_c[i, u, v] against a_c[j, a, b]."""
+        gather, index = self._dense_index
+        i, j = np.reshape(i, (-1, 1)), np.reshape(j, (-1, 1))
+        vals = self._kernel([a.reshape(self.N, -1)[i, gather][:, None, :] for a in self._own],
+                            [a.reshape(self.N, -1)[j, gather][:, :, None] for a in self._other])
+        return vals.reshape(len(i), -1).take(index, axis=1)
 
     def get(self, i, j):
         """K of the pair (i, j) with graph i as the row graph, dense or CSR

@@ -168,7 +168,7 @@ def solve_pairs(kset, pairs):
     an ``AffinitySet``, as a dict keyed by pair and equal bit for bit.
 
     Pairs whose K is dense are solved in stacks of STACK_ENTRIES entries,
-    each built in one broadcast and power-iterated as one; CSR pairs are
+    each built by ``dense_stack`` and power-iterated as one; CSR pairs are
     solved one by one. Discretization stays per pair.
     """
     n = kset.n

@@ -225,22 +225,22 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         lines = [ln.strip() for ln in fh]
     lines = [(idx + 1, ln) for idx, ln in enumerate(lines) if ln]
     if not lines:
-        raise ValueError("line 1: empty point-set file")
+        raise ValueError(f"{path}: line 1: empty point-set file")
     header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise ValueError(f"line {header_no}: header must be 'n_frames n_points'")
+        raise ValueError(f"{path}: line {header_no}: header must be 'n_frames n_points'")
     try:
         n_frames, n_points = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"line {header_no}: header must hold two integers") from None
+        raise ValueError(f"{path}: line {header_no}: header must hold two integers") from None
     if n_frames < 1 or n_points < 1:
-        raise ValueError(f"line {header_no}: frame and point counts must be positive")
+        raise ValueError(f"{path}: line {header_no}: frame and point counts must be positive")
 
     body = lines[1:]
     with_perms = len(body) == n_frames * (n_points + 1)
     if not with_perms and len(body) != n_frames * n_points:
-        raise ValueError(f"line {body[-1][0] if body else header_no}: expected "
+        raise ValueError(f"{path}: line {body[-1][0] if body else header_no}: expected "
                          f"{n_frames * n_points} coordinate lines "
                          f"(or {n_frames * (n_points + 1)} with permutation lines), "
                          f"got {len(body)}")
@@ -252,22 +252,22 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         for row, (no, ln) in enumerate(chunk[:n_points]):
             toks = ln.split()
             if len(toks) != 2:
-                raise ValueError(f"line {no}: expected 'x y', got {len(toks)} column(s)")
+                raise ValueError(f"{path}: line {no}: expected 'x y', got {len(toks)} column(s)")
             try:
                 pts[row] = [float(toks[0]), float(toks[1])]
             except ValueError:
-                raise ValueError(f"line {no}: non-numeric coordinate") from None
+                raise ValueError(f"{path}: line {no}: non-numeric coordinate") from None
             if not np.isfinite(pts[row]).all():
-                raise ValueError(f"line {no}: non-finite coordinate")
+                raise ValueError(f"{path}: line {no}: non-finite coordinate")
         if with_perms:
             no, ln = chunk[n_points]
             toks = ln.split()
             if len(toks) != n_points:
-                raise ValueError(f"line {no}: permutation line must hold {n_points} ids")
+                raise ValueError(f"{path}: line {no}: permutation line must hold {n_points} ids")
             try:
                 ann = Permutation([int(t) for t in toks])
             except ValueError:
-                raise ValueError(f"line {no}: invalid annotation permutation") from None
+                raise ValueError(f"{path}: line {no}: invalid annotation permutation") from None
             by_annotation = np.empty_like(pts)
             by_annotation[ann.perm] = pts
             pts = by_annotation
@@ -282,7 +282,7 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         inlier_ids = np.arange(n_points)
     else:
         if n_inliers + n_outliers > n_points or n_inliers < 1:
-            raise ValueError("cannot select more landmarks than annotated")
+            raise ValueError(f"{path}: cannot select more landmarks than annotated")
         inlier_ids = rng.choice(n_points, size=n_inliers, replace=False)
     rest = np.setdiff1d(np.arange(n_points), inlier_ids)
 

@@ -14,6 +14,7 @@ import pytest
 
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
                       build_affinity_set, gen_random_graphs, gen_random_points)
+from mgmboost.boost import _anchor_pool
 from mgmboost.pairwise import MAX_POWER_ITERS, POWER_TOL
 
 
@@ -375,6 +376,34 @@ class ReferenceAffinitySet:
                 idx = perms[p, c, rows[p]] * self.n + rows[p]
                 blocks[p, c] = dense[np.ix_(idx, idx)]
         yield blocks
+
+
+def reference_dense_stack(kset, i, j):
+    """K of the pairs (i[b], j[b]) of an edge-kernel ``AffinitySet`` from
+    one broadcast of its kernel over all n^4 entries: a_c[i, u, v] against
+    a_c[j, a, b] lands at [a, u, b, v], which is K[a*n + u, b*n + v]. The
+    kernel arithmetic is the set's own, so the result must equal
+    ``dense_stack`` byte for byte."""
+    i, j = np.atleast_1d(i), np.atleast_1d(j)
+    size = kset.n * kset.n
+    k = kset._kernel([a[i][:, None, :, None, :] for a in kset._own],
+                     [a[j][:, :, None, :, None] for a in kset._other])
+    return k.reshape(-1, size, size)
+
+
+def second_order_candidates(ii, jj, tbl, sample_rate, rng):
+    """Every second-order candidate X_iv X_vu X_uj of the pairs (ii[p],
+    jj[p]) over all anchor pairs (v, u) of the pool, duplicates included,
+    in (v, u) scan order, as a (P, A^2, n) array: the full scan that the
+    library's second-order search must agree with on the first maximum."""
+    table = tbl.table
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    pools = np.array([_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
+                      for i, j in zip(ii.tolist(), jj.tolist())])
+    via = table[pools[:, :, None, None], pools[:, None, :, None],
+                table[ii[:, None], pools][:, :, None, :]]   # [., v, u] = X_iv then X_vu
+    return table[pools[:, None, :, None], jj[:, None, None, None],
+                 via].reshape(len(ii), -1, tbl.cfg.n)      # then X_uj
 
 
 def random_kset(rng, n_graphs, n_nodes, density=0.6):

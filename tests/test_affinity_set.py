@@ -1,6 +1,8 @@
 """The edge-kernel affinity set: candidate scores against explicit K.
 
 Property coverage:
+- dense_stack equals the full broadcast of the edge kernel byte for byte,
+  at n = 1-3, on padded sets and in both orientations
 - kernel-block scores equal the quadratic form of get(i, j): bit for bit
   at n <= 12, to 1e-12 above (dense or CSR K), masked and
   unmasked, in both orientations, per pair and as one all-pair batch
@@ -17,12 +19,12 @@ import numpy as np
 import pytest
 
 import mgmboost.core as core
-from mgmboost import (AffinitySet, BoostParams, MatchConfig, ScoreNormalizer,
-                      SynthParams, affinity_score, build_affinity_set, gen_random_graphs,
-                      run_boost, total_score)
+from mgmboost import (AffinitySet, BoostParams, GraphInstance, MatchConfig,
+                      ScoreNormalizer, SynthParams, affinity_score, build_affinity_set,
+                      gen_random_graphs, gen_random_points, run_boost, total_score)
 from mgmboost.core import kernel_sums, pair_scores
 
-from conftest import builder_affinity_sets, naive_quad_form
+from conftest import builder_affinity_sets, naive_quad_form, reference_dense_stack
 
 
 def _candidates(rng, n, count):
@@ -50,6 +52,30 @@ def _assert_scores(got, fast, naive, n):
     else:
         np.testing.assert_allclose(got, fast, rtol=1e-12)
     np.testing.assert_allclose(got, naive, rtol=1e-12)
+
+
+def test_dense_stack_equals_full_broadcast():
+    # gauss at n = 1, 2 and 3 and len_angle at n = 3; the builders' gauss
+    # and len_angle sets at n = 8-14; gauss on point sets of 5-8 nodes,
+    # padded with isolated dummy nodes to 8
+    sets = [build_affinity_set(gen_random_graphs(SynthParams(n_graphs=3, inliers=n,
+                                                             deform=0.1, seed=n)), 0.05)
+            for n in (1, 2, 3)]
+    sets.append(build_affinity_set(gen_random_points(SynthParams(n_graphs=3, inliers=3,
+                                                                 deform=0.1, seed=3)),
+                                   0.05, "len_angle"))
+    sets += builder_affinity_sets(0)
+    unequal = [gen_random_points(SynthParams(n_graphs=2, inliers=5, outliers=k, deform=0.05,
+                                             seed=4))[0] for k in (3, 0, 2, 1)]
+    sets.append(build_affinity_set([GraphInstance(g.adjacency, g.inlier_count, g.truth)
+                                    for g in unequal], 0.05))
+    assert [kset.n for kset in sets] == [1, 2, 3, 3, 8, 10, 14, 14, 8]
+    for kset in sets:
+        iu, ju = np.triu_indices(kset.N, 1)
+        for i, j in ((iu, ju), (ju, iu)):
+            got, want = kset.dense_stack(i, j), reference_dense_stack(kset, i, j)
+            assert got.shape == want.shape == (len(iu), kset.n ** 2, kset.n ** 2)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -325,6 +325,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "elicit.n_est=3 exceeds the node count 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        (["match", "--generator", "file"], "--file is required with --generator file"),
+        (["match", "--elicit", "cst"], "--elicit needs --n-est"),
+        (["bench", "--sweep", "deform", "--values", "0", "--algorithms", "isb,foo",
+          "--out", "x.csv"], "unknown algorithm 'foo'")],
+        ids=["match-no-file", "match-no-n-est", "bench-algorithm"])
+    def test_argument_error_is_usage_error(self, command, message, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mgmboost {command[0]}")
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("command, bad", [
         (["match", "--data", "missing.npz"], "missing.npz"),
         (["match", "--generator", "file", "--file", "missing.txt"], "missing.txt"),

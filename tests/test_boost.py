@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate,
-                      MatchConfig, Permutation, ScoreNormalizer, best_anchor,
-                      enforce_full_consistency, is_fully_consistent,
-                      keep_masks, mst, overall_consistency, run_boost,
-                      total_score)
+from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate,
+                      MatchConfig, Permutation, ScoreNormalizer, SynthParams,
+                      best_anchor, build_affinity_set, enforce_full_consistency,
+                      gen_random_graphs, gen_random_points, init_config,
+                      is_fully_consistent, keep_masks, mst, overall_consistency,
+                      run_boost, total_score)
 from mgmboost.boost import (EVAL_KINDS, _anchor_pool, _config_from_tree,
                             _IterTables, _pairs_best, _spectral_sync)
 
@@ -31,6 +32,7 @@ from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pai
                       naive_elicited_unary, naive_pairwise_consistency,
                       naive_quad_form, naive_spectral_sync,
                       naive_unary_consistency, random_config, random_kset,
+                      second_order_candidates,
                       spanning_tree_best, stacked_matching_matrix)
 
 
@@ -194,6 +196,35 @@ class TestPairBest2nd:
                 got = _pair_best_2nd(i, j, tbl, sample_rate, np.random.default_rng(seed))
                 _, want = self.exhaustive(i, j, cfg, kset, norm, pool)
                 assert Permutation(got) == want
+
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
+    @pytest.mark.parametrize("n_graphs", range(2, 9))
+    def test_equals_full_pool_scan(self, n_graphs, sample_rate):
+        # all pairs of a sweep as one batch, on random graphs at deform 0.1
+        # and on deform-0 point sets of 5-7 nodes padded to 7 with isolated
+        # dummy nodes, where distinct candidates tie exactly at the maximum
+        points = [gen_random_points(SynthParams(n_graphs=2, inliers=5, outliers=k % 3,
+                                                seed=n_graphs))[0] for k in range(n_graphs)]
+        ksets = [build_affinity_set(gen_random_graphs(SynthParams(
+                     n_graphs=n_graphs, inliers=6, deform=0.1, density=0.8, seed=n_graphs)),
+                     0.05),
+                 build_affinity_set([GraphInstance(g.adjacency, g.inlier_count, g.truth)
+                                     for g in points], 0.05)]
+        iu, ju = np.triu_indices(n_graphs, 1)
+        ties = 0
+        for kset in ksets:
+            for cfg in (init_config(kset, 1.0, n_graphs),
+                        random_config(np.random.default_rng(n_graphs), n_graphs, kset.n)):
+                tbl = _IterTables(cfg, kset, "score", ScoreNormalizer.from_initial(cfg, kset))
+                got = _pairs_best(iu, ju, tbl, 0.0, sample_rate,
+                                  np.random.default_rng(n_graphs), second_order=True)[1]
+                cands = second_order_candidates(iu, ju, tbl, sample_rate,
+                                                np.random.default_rng(n_graphs))
+                scores = tbl.scores_for(iu, ju, cands)
+                assert np.array_equal(got, cands[np.arange(len(iu)), np.argmax(scores, axis=1)])
+                ties += sum(len(np.unique(c[s == s.max()], axis=0)) > 1
+                            for c, s in zip(cands, scores))
+        assert ties > 0 or n_graphs < 4
 
     def test_exact_ties_keep_first_in_scan_order(self):
         # only the match 0 -> 1 earns affinity, so every candidate that

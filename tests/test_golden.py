@@ -5,8 +5,9 @@ The digests pin the exact matchings, so any change to the numerics that
 alters one result fails here, even where every property test still
 holds. A change that alters an output on purpose updates the digest and
 says why. The cases cover every post-processing route, second-order
-search on CSR affinities, consistency-only boosting over several sweep
-groups, and boosting on point sets elicited under both rankings.
+search on CSR affinities and on dense ones with a subsampled anchor pool,
+consistency-only boosting over several sweep groups, and boosting on
+point sets elicited under both rankings.
 """
 
 import hashlib
@@ -45,6 +46,11 @@ CASES = {
                              SynthParams(n_graphs=4, inliers=13, deform=0.05, density=0.4,
                                          sigma2=0.05, seed=5),
                              BoostParams(mode="isb_2nd", t_max=3), "consistency_mst"),
+    "isb_2nd_dense": (gen_random_graphs,
+                      SynthParams(n_graphs=8, inliers=16, deform=0.05, density=0.9,
+                                  sigma2=0.05, seed=8),
+                      BoostParams(mode="isb_2nd", t_max=6, sample_rate=0.6),
+                      "consistency_mst"),
     "isb_cst": (gen_random_graphs,
                 SynthParams(n_graphs=24, inliers=6, deform=0.15, density=0.9,
                             sigma2=0.05, seed=7),
@@ -72,6 +78,7 @@ GOLDEN = {
     "isb_cst": "0f0198963e6184aad86fcd19921e66ea52ea9ba4a86a123fbcbb7d3b571c0366",
     "isb_2nd_csr": "a9106b488550f8faf6de1e2f514e4f618b44c769fa1490f8d22cc66fcbab7957",
     "isb_2nd_csr_low_fill": "5da4cc377da709dbd3b08180f88b5cd7ffc761535e4d7eded091d8a2f3c3338b",
+    "isb_2nd_dense": "b225ed03f0c9ea3afae98172d2fe0fb7114d556bf5b987ede4205b170605cba4",
     "none": "dd75f15b2b80ebec9bf099b0adb55815b4fc8a77a4d91bb23b737bef016dbd5c",
     "spectral": "da3808d641b8a39cac8c24c5c5cd11be1e13fdad8b3816d423fabb9321ba2706",
 }

@@ -301,6 +301,18 @@ class TestLoadPointset(object):
         with pytest.raises(ValueError, match="line 1"):
             load_pointset(path)
 
+    @pytest.mark.parametrize("text, kw, message", [
+        ("", {}, "line 1: empty point-set file"),
+        ("2\n0 0\n", {}, "line 1: header must be 'n_frames n_points'"),
+        ("1 2\n0 0\n1\n", {}, "line 3: expected 'x y', got 1 column(s)"),
+        ("1 2\n0 0\n1 0\n", {"n_inliers": 3}, "cannot select more landmarks")],
+        ids=["empty", "header", "column", "landmarks"])
+    def test_error_names_the_file(self, tmp_path, text, kw, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            load_pointset(path, **kw)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
     def test_landmark_subselection(self, tmp_path, rng):
         # 30 annotated landmarks per frame; select 10 inliers and 4
         # outliers -> 14-node instances with consistent inlier truth
