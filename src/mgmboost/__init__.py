@@ -16,8 +16,8 @@ from .synthgen import (GraphInstance, SynthParams, build_affinity_set,
                        gen_random_graphs, gen_random_points, init_config,
                        load_instances, load_pointset, save_instances,
                        truth_config)
-from .boost import (BoostParams, BoostTrace, best_anchor,
-                    enforce_full_consistency, mst, run_boost)
+from .boost import (BoostParams, BoostTrace, enforce_full_consistency, mst,
+                    run_boost)
 from .bench import (ExperimentSpec, ResultRow, accuracy, emit_csv,
                     emit_plotdata, inlier_rows_from_instances, run_experiment)
 

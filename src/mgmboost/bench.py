@@ -69,6 +69,19 @@ class ExperimentSpec:
             raise ValueError("file generator needs file_path")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        # a value no trial can run with fails here, not once per trial
+        for value in self.sweep_values:
+            nodes = self.value_params(value).n_nodes
+            for name, bp in self.algorithms:
+                if bp.elicit is not None and bp.elicit.n_est > nodes:
+                    raise ValueError(f"algorithm {name!r}: elicit.n_est={bp.elicit.n_est} "
+                                     f"exceeds the node count {nodes} at "
+                                     f"{self.sweep_param}={value}")
+
+    def value_params(self, value):
+        """The base parameters with the swept field set to ``value``;
+        raises the SynthParams error naming a bad field and value."""
+        return replace(self.base, **{self.sweep_param: _coerce(self.sweep_param, value)})
 
 
 @dataclass(frozen=True)
@@ -135,8 +148,7 @@ def _run_trial(spec, sweep_idx, trial):
     seeds = np.random.SeedSequence([spec.seed_base, sweep_idx, trial]).generate_state(3)
     data_seed, init_seed, boost_seed = (int(s) for s in seeds)
     try:
-        params = replace(spec.base, seed=data_seed,
-                         **{spec.sweep_param: _coerce(spec.sweep_param, value)})
+        params = replace(spec.value_params(value), seed=data_seed)
         instances = make_instances(spec.generator, params, spec.file_path)
         kset = build_affinity_set(instances, params.sigma2, kind=spec.affinity,
                                   beta_w=spec.beta_w)
@@ -167,8 +179,11 @@ def _run_trial(spec, sweep_idx, trial):
 
 def run_experiment(spec, workers=1):
     """Run the whole grid, in ``workers`` parallel processes when above 1,
-    and aggregate one ResultRow per (algorithm, swept value).
-    Deterministic given the seed base, except wall times."""
+    and aggregate one ResultRow per (algorithm, swept value) over the
+    trials that did not fail. Deterministic given the seed base, except
+    wall times."""
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cells = [(si, tr) for si in range(len(spec.sweep_values)) for tr in range(spec.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -188,6 +203,9 @@ def run_experiment(spec, workers=1):
         if not trials:
             log.warning("all trials failed for %s=%s; row dropped", spec.sweep_param, value)
             continue
+        if len(trials) < spec.trials:
+            log.warning("%d of %d trials failed for %s=%s", spec.trials - len(trials),
+                        spec.trials, spec.sweep_param, value)
         for name, _ in spec.algorithms:
             accs = np.array([t[name][0] for t in trials])
             times = np.array([t[name][1] for t in trials])

@@ -22,15 +22,13 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from .core import (MatchConfig, Permutation, ScoreNormalizer, check_graph_index,
-                   kernel_sums, pair_scores, total_score)
+from .core import MatchConfig, ScoreNormalizer, pair_scores, total_score
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
                           is_fully_consistent, keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
 from .pairwise import hungarian
 
 MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_gc_p")
-EVAL_KINDS = ("score", "cst", "gc", "gc_inv", "gc_u", "gc_p")
 
 # Modes whose iterates may cycle instead of converging; for these the best
 # iterate along the trace is returned rather than the last one.
@@ -117,7 +115,7 @@ class _IterTables:
         pairs (ii[p], jj[p]), as a (P, A) array; when eliciting, only the
         rows kept for the row graph count."""
         rows = None if self.kept_rows is None else self.kept_rows[ii]
-        return kernel_sums(self.kset, ii, jj, cands, rows) / self.norm.value
+        return self.kset.kernel_sums(ii, jj, cands, rows) / self.norm.value
 
     def cp_of_candidates(self, ii, cands, comps):
         """Pairwise consistency of the (P, A, n) candidates of pairs
@@ -135,8 +133,6 @@ def _anchor_pool(i, j, n_graphs, sample_rate, rng):
     pool = [k for k in range(n_graphs) if k != i and k != j]
     if sample_rate < 1.0 and pool:
         m = max(1, int(round(sample_rate * len(pool))))
-        if rng is None:
-            raise ValueError("anchor subsampling needs an rng")
         picked = rng.choice(len(pool), size=m, replace=False)
         pool = [pool[idx] for idx in sorted(picked.tolist())]
     return [i, j] + pool
@@ -199,27 +195,6 @@ def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
         raise ValueError(f"unknown evaluation kind {kind!r}")
     best = np.argmax(vals, axis=1)     # lowest index on exact ties
     return pools[pairs, best], cands[pairs, best]
-
-
-def best_anchor(i, j, cfg_prev, kset, kind, lam=0.0, est=None, sample_rate=1.0,
-                rng=None, norm=None):
-    """Best third-party graph k and composed candidate X_ik X_kj for one
-    pair, under one of the evaluation kinds: "score" (normalized affinity
-    only), "cst" (pairwise consistency only), "gc"/"gc_inv" (weighted
-    blends), "gc_u" (unary-consistency proxy), "gc_p" (geometric-mean
-    pairwise proxy). With ``est`` set, score and consistency terms count
-    only the rows its keep masks keep."""
-    check_graph_index(i, cfg_prev.N)
-    check_graph_index(j, cfg_prev.N)
-    if i == j:
-        raise ValueError("pair indices must differ")
-    if kind not in EVAL_KINDS:
-        raise ValueError(f"kind must be one of {EVAL_KINDS}")
-    if norm is None:
-        norm = ScoreNormalizer.from_initial(cfg_prev, kset)
-    tbl = _IterTables(cfg_prev, kset, kind, norm, est)
-    anchors, cands = _pairs_best([i], [j], tbl, lam, sample_rate, rng)
-    return int(anchors[0]), Permutation(cands[0])
 
 
 def _eval_kind(mode, t, t0):

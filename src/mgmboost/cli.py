@@ -157,9 +157,11 @@ def _cmd_bench(args):
                               trials=trials, seed_base=args.seed,
                               affinity=_affinity_kind(args), beta_w=args.beta_w,
                               file_path=args.file)
-        # bad files fail here, not once per trial or after the whole grid
+        # bad files fail here, not once per trial or after the whole grid;
+        # so does a swept value needing more points than the file holds
         if args.generator == "file":
-            load_pointset(args.file)
+            most = max((spec.value_params(v) for v in values), key=lambda p: p.n_nodes)
+            load_pointset(args.file, n_inliers=most.inliers, n_outliers=most.outliers)
         open(args.out, "a").close()
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
@@ -173,6 +175,13 @@ def _cmd_bench(args):
     except OSError as exc:
         args.parser.error(str(exc))
     return 0
+
+
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def build_parser():
@@ -206,7 +215,7 @@ def build_parser():
     p_bench.add_argument("--trials", type=int, default=None,
                          help="repetitions per swept value "
                               "(default 50 synthetic, 20 file-based)")
-    p_bench.add_argument("--workers", type=int, default=1,
+    p_bench.add_argument("--workers", type=_worker_count, default=1,
                          help="parallel trial processes")
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.add_argument("--plot-prefix", help="also write per-algorithm series files")

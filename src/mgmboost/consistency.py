@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, _kept_count, check_graph_index, kernel_sums
+from .core import Permutation, _kept_count, check_graph_index
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -157,7 +157,7 @@ def node_affinity_all(cfg, kset):
     n_graphs = cfg.N
     k = np.repeat(np.arange(n_graphs), n_graphs - 1)
     i = np.array([o for g in range(n_graphs) for o in range(n_graphs) if o != g])
-    rows = kernel_sums(kset, k, i, cfg.perm_table()[k, i][:, None], axis=3)
+    rows = kset.kernel_sums(k, i, cfg.perm_table()[k, i][:, None], axis=3)
     rows = rows.reshape(n_graphs, n_graphs - 1, cfg.n)
     out = np.zeros((n_graphs, cfg.n))
     for col in range(n_graphs - 1):

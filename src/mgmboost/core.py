@@ -117,19 +117,6 @@ class Permutation:
     def random(cls, n, rng):
         return cls(rng.permutation(n))
 
-    @classmethod
-    def from_matrix(cls, m):
-        """Build from an n x n binary matrix, validating that it is a
-        permutation matrix (exactly one 1 per row and column)."""
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("matrix entries must be 0 or 1")
-        if not (m.sum(axis=0) == 1).all() or not (m.sum(axis=1) == 1).all():
-            raise ValueError("every row and column must sum to 1")
-        return cls(np.argmax(m, axis=1))
-
     @property
     def matrix(self):
         m = np.zeros((self.n, self.n))
@@ -237,9 +224,9 @@ class AffinitySet:
     where edge (u, v) exists in graph i and edge (a, b) in graph j, and 0
     elsewhere, the diagonal included. A matching p of the pair therefore
     touches only the n x n block B[u, v] = K[p(u)*n + u, p(v)*n + v],
-    which ``kernel_blocks`` computes from a_c[i] and the gathered
-    a_c[j][p][:, p]; its sum is the score vec(X)^T K vec(X) and its row
-    sums are node affinities (Zhou & De la Torre, "Factorized Graph
+    which ``kernel_sums`` computes from a_c[i] and the gathered
+    a_c[j][p][:, p] and sums: its sum is the score vec(X)^T K vec(X) and
+    its row sums are node affinities (Zhou & De la Torre, "Factorized Graph
     Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
     solver and ``dense_stack`` many pairs' at once, evaluating the kernel
     once per distinct entry; neither keeps it.
@@ -360,18 +347,19 @@ class AffinitySet:
         k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
         return AffinityMatrix._wrap(n, k)
 
-    def kernel_blocks(self, i, j, perms, rows=None):
-        """Kernel blocks of candidate matchings, chunk by chunk.
+    def kernel_sums(self, i, j, perms, rows=None, axis=(2, 3)):
+        """Sums of candidate matchings' kernel blocks over ``axis``.
 
         ``perms`` is a (P, A, n) stack of index vectors: A candidates for
         each of P pairs (i[p], j[p]), where ``i`` and ``j`` are length-P
         arrays of graph indices (or single indices). ``rows`` selects the
         kept rows of each pair's row graph, ascending: all of them by
         default, one (m,) index vector for every pair, or a (P, m) array.
-        Yields C-contiguous (p, A, m, m) arrays in pair order, each with at
-        most BLOCK_CHUNK_ENTRIES entries (or one pair's blocks); entry
-        [p, a, u, v] is the K entry linking rows r[u] and r[v] of the
-        candidate.
+        Block entry [p, a, u, v] is the K entry linking rows r[u] and r[v]
+        of the candidate. The default ``axis`` gives each candidate's
+        score, a (P, A) array; ``axis=3`` its per-row node affinities, a
+        (P, A, m) array. Blocks are built and summed in pair order, at
+        most BLOCK_CHUNK_ENTRIES entries (or one pair's) at a time.
         """
         n = self.n
         perms = np.asarray(perms, dtype=np.int64)
@@ -385,11 +373,13 @@ class AffinitySet:
         own_graph = np.broadcast_to(np.reshape(i, (-1, 1)) * (n * n), (pairs, 1))
         other_graph = np.broadcast_to(np.reshape(j, (-1, 1, 1)) * (n * n), (pairs, 1, 1))
         step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * r.shape[1] ** 2))
+        sums = []
         for s in range(0, pairs, step):
             own_flat = _flat_pairs(r[s:s + step], n, own_graph[s:s + step])[:, None]
             other_flat = _flat_pairs(picked[s:s + step], n, other_graph[s:s + step])
-            yield self._kernel([a.take(own_flat) for a in self._own],
-                               [a.take(other_flat) for a in self._other])
+            sums.append(self._kernel([a.take(own_flat) for a in self._own],
+                                     [a.take(other_flat) for a in self._other]).sum(axis=axis))
+        return np.concatenate(sums)
 
 
 def _flat_pairs(nodes, n, offset):
@@ -398,19 +388,11 @@ def _flat_pairs(nodes, n, offset):
     return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
 
 
-def kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
-    """Sums of each candidate's kernel block over ``axis``: its score with
-    the default, a (P, A) array; its per-row node affinities with
-    ``axis=3``, a (P, A, m) array."""
-    return np.concatenate([block.sum(axis=axis)
-                           for block in kset.kernel_blocks(i, j, perms, rows)])
-
-
 def pair_scores(cfg, kset):
     """Raw scores vec(X_ij)^T K_ij vec(X_ij) of every stored pair i < j,
     in row-major order, computed as one batch."""
     iu, ju = np.triu_indices(cfg.N, 1)
-    return kernel_sums(kset, iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
+    return kset.kernel_sums(iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
 
 
 class MatchConfig:

@@ -282,7 +282,8 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         inlier_ids = np.arange(n_points)
     else:
         if n_inliers + n_outliers > n_points or n_inliers < 1:
-            raise ValueError(f"{path}: cannot select more landmarks than annotated")
+            raise ValueError(f"{path}: cannot select more landmarks than annotated: "
+                             f"{n_inliers} inliers + {n_outliers} outliers of {n_points}")
         inlier_ids = rng.choice(n_points, size=n_inliers, replace=False)
     rest = np.setdiff1d(np.arange(n_points), inlier_ids)
 

@@ -195,7 +195,7 @@ def naive_spectral_sync(cfg):
         if len(perms) > 1:
             margin = min(margin, totals[order[0]] - totals[order[1]])
         mats.append(Permutation(perms[order[0]]).matrix)
-    pairs = {(i, j): Permutation.from_matrix(mats[i] @ mats[j].T)
+    pairs = {(i, j): Permutation(np.argmax(mats[i] @ mats[j].T, axis=1))
              for i in range(cfg.N - 1) for j in range(i + 1, cfg.N)}
     return MatchConfig(cfg.N, n, pairs), margin
 
@@ -334,9 +334,9 @@ def swapped_affinity(k):
 class ReferenceAffinitySet:
     """Explicit affinity matrices for every unordered pair of N graphs,
     with the interface of the library's edge-kernel ``AffinitySet``
-    (``N``, ``n``, ``pairs``, ``get``, ``kernel_blocks``), so tests can
+    (``N``, ``n``, ``pairs``, ``get``, ``kernel_sums``), so tests can
     boost on arbitrary K. ``get(i, j)`` with i > j returns the swapped
-    matrix; kernel blocks are gathered from the dense matrices."""
+    matrix; kernel sums add blocks gathered from the dense matrices."""
 
     def __init__(self, n_graphs, mats):
         self.N = n_graphs
@@ -363,7 +363,7 @@ class ReferenceAffinitySet:
     def pairs(self):
         return sorted(self._mats)
 
-    def kernel_blocks(self, i, j, perms, rows=None):
+    def kernel_sums(self, i, j, perms, rows=None, axis=(2, 3)):
         perms = np.asarray(perms, dtype=np.int64)
         pairs, count = perms.shape[:2]
         rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
@@ -375,7 +375,7 @@ class ReferenceAffinitySet:
             for c in range(count):
                 idx = perms[p, c, rows[p]] * self.n + rows[p]
                 blocks[p, c] = dense[np.ix_(idx, idx)]
-        yield blocks
+        return blocks.sum(axis=axis)
 
 
 def reference_dense_stack(kset, i, j):

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from mgmboost import (BoostParams, InlierEstimate, ScoreNormalizer, SynthParams,
-                      accuracy, best_anchor, build_affinity_set,
+                      accuracy, build_affinity_set,
                       enforce_full_consistency, gen_random_graphs,
                       gen_random_points, hungarian, init_config,
                       inlier_rows_from_instances, is_fully_consistent,
                       overall_consistency, run_boost, truth_config)
-from mgmboost.boost import EVAL_KINDS
 from mgmboost.consistency import pairwise_consistency_all, unary_consistency_all
 
 from conftest import brute_assignment_best, random_config, random_kset
-from test_boost import exhaustive_anchor_max, naive_eval
+from test_boost import EVAL_KINDS, exhaustive_anchor_max, naive_eval, sweep_picks
 
 
 def _report(num, ok, detail):
@@ -122,9 +121,9 @@ def test_criterion_3_full_consistency_postprocessing():
 
 
 def test_criterion_4_oracle_equivalence():
-    """Anchor selection matches exhaustive enumeration in every mode, and
-    the Hungarian discretizer matches brute force over all 4! assignments,
-    across a 20-seed suite at N=5, n=4."""
+    """Anchor selection of a sweep matches exhaustive enumeration for all
+    10 pairs in every mode, and the Hungarian discretizer matches brute
+    force over all 4! assignments, across a 20-seed suite at N=5, n=4."""
     bad = 0
     for seed in range(20):
         rng = np.random.default_rng(9000 + seed)
@@ -133,17 +132,17 @@ def test_criterion_4_oracle_equivalence():
         norm = ScoreNormalizer.from_initial(cfg, kset)
         lam = 0.35
         for kind in EVAL_KINDS:
-            got_k, got_cand = best_anchor(0, 2, cfg, kset, kind, lam=lam, norm=norm)
-            best, _ = exhaustive_anchor_max(kind, 0, 2, cfg, kset, norm, lam)
-            got = naive_eval(kind, got_cand, got_k, 0, 2, cfg, kset, norm, lam)
-            if abs(got - best) > 1e-9 * max(1.0, abs(best)):
-                bad += 1
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
+                best, _ = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam)
+                got = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
+                if abs(got - best) > 1e-9 * max(1.0, abs(best)):
+                    bad += 1
         profit = rng.normal(size=(4, 4))
         got_perm = hungarian(profit)
         total = float(profit[np.arange(4), got_perm.perm].sum())
         if abs(total - brute_assignment_best(profit)) > 1e-12 * max(1.0, abs(total)):
             bad += 1
-    _report(4, bad == 0, f"20 seeds x {len(EVAL_KINDS)} modes + Hungarian: "
+    _report(4, bad == 0, f"20 seeds x 10 pairs x {len(EVAL_KINDS)} modes + Hungarian: "
                          f"{bad} oracle mismatches")
 
 

@@ -7,7 +7,7 @@ Property coverage:
   at n <= 12, to 1e-12 above (dense or CSR K), masked and
   unmasked, in both orientations, per pair and as one all-pair batch
 - get(j, i) is the index-swapped get(i, j)
-- chunked batches equal unchunked ones, each chunk within its budget
+- chunked batches equal unchunked ones, and chunking bounds their memory
 - the set, its scores and a boosting sweep stay O(N n^2) in memory
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
   non-finite or asymmetric attribute on an edge, naming the first one
@@ -22,7 +22,7 @@ import mgmboost.core as core
 from mgmboost import (AffinitySet, BoostParams, GraphInstance, MatchConfig,
                       ScoreNormalizer, SynthParams, affinity_score, build_affinity_set,
                       gen_random_graphs, gen_random_points, run_boost, total_score)
-from mgmboost.core import kernel_sums, pair_scores
+from mgmboost.core import pair_scores
 
 from conftest import builder_affinity_sets, naive_quad_form, reference_dense_stack
 
@@ -89,7 +89,7 @@ def test_scores_equal_explicit_quadratic_form(seed):
             perms = _candidates(rng, n, 6)
             keep = rng.uniform(size=n) < 0.6
             for rows in (None, np.flatnonzero(keep)):
-                got = kernel_sums(kset, i, j, perms[None], rows)[0]
+                got = kset.kernel_sums(i, j, perms[None], rows)[0]
                 fast, naive = _reference(kset, i, j, perms,
                                          None if rows is None else keep)
                 _assert_scores(got, fast, naive, n)
@@ -101,7 +101,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
     for kset in builder_affinity_sets(seed):
         cfg = MatchConfig.random(kset.N, kset.n, rng)
         batch = pair_scores(cfg, kset)
-        single = np.array([kernel_sums(kset, i, j, x.perm[None, None])[0, 0]
+        single = np.array([kset.kernel_sums(i, j, x.perm[None, None])[0, 0]
                            for i, j, x in cfg.pairs()])
         assert np.array_equal(batch, single)
         fast = np.array([affinity_score(x, kset.get(i, j)) for i, j, x in cfg.pairs()])
@@ -115,7 +115,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
         iu, ju = np.triu_indices(kset.N, 1)
         rows_i = np.concatenate([iu, ju])
         rows_j = np.concatenate([ju, iu])
-        both = kernel_sums(kset, rows_i, rows_j, t[rows_i, rows_j][:, None])[:, 0]
+        both = kset.kernel_sums(rows_i, rows_j, t[rows_i, rows_j][:, None])[:, 0]
         assert np.array_equal(both[:len(iu)], batch)
         swapped = np.array([affinity_score(t[j, i], kset.get(j, i)) for i, j in zip(iu, ju)])
         _assert_scores(both[len(iu):], swapped, swapped, kset.n)
@@ -143,16 +143,32 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     i = rng.integers(0, kset.N, size=40)
     j = (i + 1 + rng.integers(0, kset.N - 1, size=40)) % kset.N
     rows = np.sort([rng.choice(kset.n, size=4, replace=False) for _ in range(40)], axis=1)
-    whole = kernel_sums(kset, i, j, perms, rows)
+    whole = kset.kernel_sums(i, j, perms, rows)
     for p in range(40):
         keep = np.isin(np.arange(kset.n), rows[p])
         fast, _ = _reference(kset, i[p], j[p], perms[p], keep)
         assert np.array_equal(whole[p], fast)
-    monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 2 * 3 * 4 ** 2)
-    blocks = list(kset.kernel_blocks(i, j, perms, rows))
-    assert len(blocks) == 20
-    assert all(b.shape == (2, 3, 4, 4) and b.flags.c_contiguous for b in blocks)
-    assert np.array_equal(np.concatenate([b.sum(axis=(2, 3)) for b in blocks]), whole)
+    monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 2 * 3 * 4 ** 2)   # 20 chunks
+    assert np.array_equal(kset.kernel_sums(i, j, perms, rows), whole)
+
+
+def test_kernel_sums_memory_stays_chunked():
+    # 40 pairs x 30 candidates at n = 20: all blocks at once hold 480,000
+    # entries, 3.7 MiB per temporary (11 MiB peak); a chunk holds 60,000
+    rng = np.random.default_rng(6)
+    kset = build_affinity_set(gen_random_graphs(SynthParams(n_graphs=4, inliers=20,
+                                                            deform=0.1, density=0.9,
+                                                            seed=6)), 0.05)
+    perms = np.array([_candidates(rng, kset.n, 30) for _ in range(40)])
+    i = rng.integers(0, kset.N, size=40)
+    j = (i + 1 + rng.integers(0, kset.N - 1, size=40)) % kset.N
+    tracemalloc.start()
+    try:
+        kset.kernel_sums(i, j, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_memory_stays_linear_in_graphs():

@@ -144,6 +144,8 @@ class TestRunExperiment:
         assert "deform=0.2" in record.getMessage()
         assert "trial 0" in record.getMessage() and "isb" in record.getMessage()
         assert record.exc_info is not None
+        (counted,) = [r for r in caplog.records if "trials failed" in r.getMessage()]
+        assert counted.getMessage() == "1 of 2 trials failed for deform=0.2"
         assert [(r.swept_value, r.algorithm) for r in rows] == [
             (v, a) for v in (0.0, 0.2) for a in ("init", "isb", "isb_gc")]
         monkeypatch.undo()
@@ -153,6 +155,22 @@ class TestRunExperiment:
         for r in rows[3:]:
             assert r.trial_mean_acc == survivor[r.algorithm][0]
             assert r.acc_std == 0.0
+
+    def test_value_whose_trials_all_fail_is_dropped(self, monkeypatch, caplog):
+        spec = replace(_tiny_spec(trials=2, deform=0.1), sweep_values=(0.0, 0.2))
+        real_make_instances = bench.make_instances
+
+        def failing(generator, params, file_path=None):
+            if params.deform == 0.2:
+                raise RuntimeError("boom")
+            return real_make_instances(generator, params, file_path)
+
+        monkeypatch.setattr(bench, "make_instances", failing)
+        with caplog.at_level(logging.WARNING, logger="mgmboost.bench"):
+            rows = run_experiment(spec)
+        assert {r.swept_value for r in rows} == {0.0}
+        assert [r.getMessage() for r in caplog.records if "failed for" in r.getMessage()] \
+            == ["all trials failed for deform=0.2; row dropped"]
 
     def test_deterministic_apart_from_wall_time(self):
         spec = _tiny_spec(trials=2, deform=0.1)
@@ -212,6 +230,8 @@ class TestRunExperiment:
     def test_validation(self):
         with pytest.raises(ValueError):
             _tiny_spec(trials=0)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1, got 0"):
+            run_experiment(_tiny_spec(), workers=0)
         with pytest.raises(ValueError):
             ExperimentSpec(generator="nope", base=SynthParams(n_graphs=3, inliers=3),
                            sweep_param="deform", sweep_values=(0.1,),
@@ -363,6 +383,33 @@ class TestCli:
             cli_main(command)
         assert exc.value.code == 2
         assert bad in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sweep", "inliers", "--values", "0,4"], "inliers must be >= 1, got 0"),
+        (["--sweep", "deform", "--values", "0", "--inliers", "4", "--elicit", "cst",
+          "--n-est", "9"],
+         "algorithm 'isb': elicit.n_est=9 exceeds the node count 4 at deform=0.0"),
+        (["--sweep", "deform", "--values", "0", "--workers", "-2"],
+         "argument --workers: must be >= 1, got -2"),
+        (["--generator", "file", "--file", "points.txt", "--sweep", "outliers",
+          "--values", "0,1", "--inliers", "3"],
+         "points.txt: cannot select more landmarks than annotated: "
+         "3 inliers + 1 outliers of 3")],
+        ids=["bad-value", "n-est", "workers", "file-points"])
+    def test_grid_that_cannot_run_is_usage_error(self, flags, message, tmp_path, capsys,
+                                                 monkeypatch):
+        # each grid would run trials that all fail, or run serially
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the grid was checked")
+
+        monkeypatch.setattr(bench, "_run_trial", no_trials)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "points.txt").write_text("2 3\n0 0\n1 0\n0 1\n0.1 0\n1 0.1\n0 1.1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", *flags, "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_match_flags_set_every_param_field(self):

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate,
                       MatchConfig, Permutation, ScoreNormalizer, SynthParams,
-                      best_anchor, build_affinity_set, enforce_full_consistency,
+                      build_affinity_set, enforce_full_consistency,
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, overall_consistency,
                       run_boost, total_score)
-from mgmboost.boost import (EVAL_KINDS, _anchor_pool, _config_from_tree,
+from mgmboost.boost import (MODES, _anchor_pool, _config_from_tree, _eval_kind,
                             _IterTables, _pairs_best, _spectral_sync)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
@@ -34,6 +34,19 @@ from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pai
                       naive_unary_consistency, random_config, random_kset,
                       second_order_candidates,
                       spanning_tree_best, stacked_matching_matrix)
+
+
+# every evaluation kind a sweep can use: each mode's kind once weighting runs
+EVAL_KINDS = tuple(dict.fromkeys(_eval_kind(mode, 1, 0) for mode in MODES))
+
+
+def sweep_picks(cfg, kset, kind, norm, lam, est=None, sample_rate=1.0, rng=None):
+    """(i, j, anchor, candidate) of every pair i < j, from one ``_pairs_best``
+    call over all pairs of one snapshot, as a sweep runs it."""
+    iu, ju = np.triu_indices(cfg.N, 1)
+    tbl = _IterTables(cfg, kset, kind, norm, est)
+    anchors, cands = _pairs_best(iu, ju, tbl, lam, sample_rate, rng)
+    return list(zip(iu.tolist(), ju.tolist(), anchors.tolist(), map(Permutation, cands)))
 
 
 def _pair_best_2nd(i, j, tbl, sample_rate, rng):
@@ -87,26 +100,30 @@ def exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam, est=None):
 
 
 class TestBestAnchor:
+    """The anchor a sweep picks for every pair, against exhaustive
+    enumeration of X_ik X_kj over all k by dense arithmetic."""
+
     def test_three_graphs_two_candidates(self, rng):
         cfg = random_config(rng, 3, 3)
         kset = random_kset(rng, 3, 3)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        k, cand = best_anchor(0, 1, cfg, kset, "score", norm=norm)
-        incumbent = cfg.get(0, 1)
-        composed = cfg.get(0, 2).compose(cfg.get(2, 1))
-        assert cand in (incumbent, composed)
-        best = max((naive_quad_form(x.matrix, kset.get(0, 1).dense())
-                    for x in (incumbent, composed)))
-        assert naive_quad_form(cand.matrix, kset.get(0, 1).dense()) == \
-            pytest.approx(best, rel=1e-9)
+        for i, j, _, cand in sweep_picks(cfg, kset, "score", norm, 0.0):
+            k = 3 - i - j
+            incumbent = cfg.get(i, j)
+            composed = cfg.get(i, k).compose(cfg.get(k, j))
+            assert cand in (incumbent, composed)
+            best = max((naive_quad_form(x.matrix, kset.get(i, j).dense())
+                        for x in (incumbent, composed)))
+            assert naive_quad_form(cand.matrix, kset.get(i, j).dense()) == \
+                pytest.approx(best, rel=1e-9)
 
     def test_fully_consistent_returns_incumbent(self, rng):
         cfg = MatchConfig.identity(4, 3)
         kset = random_kset(rng, 4, 3)
         norm = ScoreNormalizer.from_initial(cfg, kset)
         for kind in EVAL_KINDS:
-            k, cand = best_anchor(0, 2, cfg, kset, kind, lam=0.4, norm=norm)
-            assert cand == cfg.get(0, 2)
+            for i, j, _, cand in sweep_picks(cfg, kset, kind, norm, 0.4):
+                assert cand == cfg.get(i, j)
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_matches_exhaustive_enumeration(self, kind, rng):
@@ -116,8 +133,7 @@ class TestBestAnchor:
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.35
-            for (i, j) in [(0, 1), (1, 3), (2, 4)]:
-                got_k, got_cand = best_anchor(i, j, cfg, kset, kind, lam=lam, norm=norm)
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
                 best, _ = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam)
                 got_val = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
                 assert got_val == pytest.approx(best, rel=1e-9, abs=1e-12)
@@ -131,12 +147,11 @@ class TestBestAnchor:
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.5
-            got_k, got_cand = best_anchor(1, 4, cfg, kset, kind, lam=lam,
-                                          est=est, norm=norm)
-            best, keep = exhaustive_anchor_max(kind, 1, 4, cfg, kset, norm, lam, est)
-            got_val = naive_eval(kind, got_cand, got_k, 1, 4, cfg, kset, norm,
-                                 lam, est, keep)
-            assert got_val == pytest.approx(best, rel=1e-9, abs=1e-12)
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam, est):
+                best, keep = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam, est)
+                got_val = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm,
+                                     lam, est, keep)
+                assert got_val == pytest.approx(best, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_incumbent_competition(self, kind, rng):
@@ -147,20 +162,18 @@ class TestBestAnchor:
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.6
-            got_k, got_cand = best_anchor(0, 3, cfg, kset, kind, lam=lam, norm=norm)
-            got = naive_eval(kind, got_cand, got_k, 0, 3, cfg, kset, norm, lam)
-            incumbent = naive_eval(kind, cfg.get(0, 3), 0, 0, 3, cfg, kset, norm, lam)
-            assert got >= incumbent - 1e-12
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
+                got = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
+                incumbent = naive_eval(kind, cfg.get(i, j), i, i, j, cfg, kset, norm, lam)
+                assert got >= incumbent - 1e-12
 
     def test_anchor_subsampling_seeded(self, rng):
         cfg = random_config(rng, 8, 4)
         kset = random_kset(rng, 8, 4)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        a = best_anchor(0, 1, cfg, kset, "score", sample_rate=0.4,
-                        rng=np.random.default_rng(3), norm=norm)
-        b = best_anchor(0, 1, cfg, kset, "score", sample_rate=0.4,
-                        rng=np.random.default_rng(3), norm=norm)
-        assert a[0] == b[0] and a[1] == b[1]
+        a, b = (sweep_picks(cfg, kset, "score", norm, 0.0, sample_rate=0.4,
+                            rng=np.random.default_rng(3)) for _ in range(2))
+        assert a == b
 
 
 class TestPairBest2nd:

@@ -16,8 +16,10 @@ Property coverage:
   exactly, with and without masks, and stay below that array's memory
 """
 
+import re
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 import mgmboost
 from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
-                      Permutation, affinity_score, best_anchor, inlier_mask,
+                      Permutation, affinity_score, inlier_mask,
                       is_fully_consistent, keep_masks, node_affinity_all,
                       node_consistency_all, overall_consistency,
                       pairwise_consistency, pairwise_consistency_all,
@@ -50,20 +52,18 @@ def three_graph_example():
 
 
 def _index_users():
-    """Every public call taking a graph index, as f(cfg, kset, est, g);
-    the elicited calls pass the estimate's keep masks."""
+    """Every public call taking a graph index, as f(cfg, est, g); the
+    elicited calls pass the estimate's keep masks."""
     x = Permutation.identity(3)
     return {
-        "get_row": lambda cfg, kset, est, g: cfg.get(g, 0),
-        "get_col": lambda cfg, kset, est, g: cfg.get(0, g),
-        "pairwise_i": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, g, 0),
-        "pairwise_j": lambda cfg, kset, est, g: pairwise_consistency(x, cfg, 0, g),
-        "elicited_pairwise_i": lambda cfg, kset, est, g:
+        "get_row": lambda cfg, est, g: cfg.get(g, 0),
+        "get_col": lambda cfg, est, g: cfg.get(0, g),
+        "pairwise_i": lambda cfg, est, g: pairwise_consistency(x, cfg, g, 0),
+        "pairwise_j": lambda cfg, est, g: pairwise_consistency(x, cfg, 0, g),
+        "elicited_pairwise_i": lambda cfg, est, g:
             pairwise_consistency(x, cfg, g, 0, keep_masks(cfg, est)),
-        "elicited_pairwise_j": lambda cfg, kset, est, g:
+        "elicited_pairwise_j": lambda cfg, est, g:
             pairwise_consistency(x, cfg, 0, g, keep_masks(cfg, est)),
-        "best_anchor_i": lambda cfg, kset, est, g: best_anchor(g, 0, cfg, kset, "score"),
-        "best_anchor_j": lambda cfg, kset, est, g: best_anchor(0, g, cfg, kset, "score"),
     }
 
 
@@ -72,9 +72,8 @@ def _index_users():
 def test_graph_index_out_of_range_raises(name, graph, rng):
     # negative indices must not wrap around to the last graphs
     cfg = random_config(rng, 4, 3)
-    kset = random_kset(rng, 4, 3)
     with pytest.raises(IndexError, match=f"graph index {graph}"):
-        _index_users()[name](cfg, kset, InlierEstimate(2, "consistency"), graph)
+        _index_users()[name](cfg, InlierEstimate(2, "consistency"), graph)
 
 
 class TestUnaryConsistency:
@@ -572,7 +571,8 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "elicited_score", "unary_consistency", "node_consistency",
                  "node_affinity", "check_node_index", "compose", "normalized_score",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
-                 "quad_form", "shape", "SolverOptions")
+                 "quad_form", "shape", "SolverOptions", "best_anchor", "EVAL_KINDS",
+                 "kernel_blocks")
 
 
 def test_public_names():
@@ -582,5 +582,12 @@ def test_public_names():
     assert not modules
     assert all(hasattr(mgmboost, name) for name in mgmboost.__all__)
     for owner in (mgmboost, mgmboost.consistency, mgmboost.core, mgmboost.synthgen,
-                  mgmboost.pairwise, mgmboost.AffinityMatrix):
+                  mgmboost.pairwise, mgmboost.boost, mgmboost.AffinityMatrix,
+                  mgmboost.AffinitySet):
         assert not [name for name in REMOVED_NAMES if hasattr(owner, name)]
+
+
+def test_public_names_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert not [name for name in mgmboost.__all__
+                if not re.search(rf"\b{name}\b", readme)]

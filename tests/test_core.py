@@ -61,13 +61,7 @@ class TestPermutation:
     def test_matrix_roundtrip(self, rng):
         for _ in range(10):
             p = Permutation.random(5, rng)
-            assert Permutation.from_matrix(p.matrix) == p
-
-    def test_from_matrix_rejects_zero_padded(self):
-        bad = np.zeros((3, 3))
-        bad[0, 0] = bad[1, 1] = 1.0   # third row all zero
-        with pytest.raises(ValueError):
-            Permutation.from_matrix(bad)
+            assert Permutation(np.argmax(p.matrix, axis=1)) == p
 
     def test_invariants(self, rng):
         p = Permutation.random(6, rng)
@@ -147,11 +141,12 @@ class TestAffinityScore:
             with pytest.raises(ValueError, match="not a permutation"):
                 affinity_score(bad, k)
 
-    def test_invalid_input_rejected(self):
+    def test_invalid_input_rejected(self, rng):
+        # a (zero-padded) matrix in place of an index vector
         bad = np.zeros((3, 3))
         bad[0, 0] = bad[1, 1] = 1.0
-        with pytest.raises(ValueError):
-            Permutation.from_matrix(bad)
+        with pytest.raises(ValueError, match="1-D index vector"):
+            affinity_score(bad, random_affinity(rng, 3))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13])
     def test_gather_matches_dense_quadratic_form(self, n, rng):
