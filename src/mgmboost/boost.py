@@ -1,9 +1,9 @@
 """Multi-graph matching by iterative score boosting.
 
-Each iteration rewrites every pairwise matching X_ij with the best
-composition X_ik X_kj over anchor graphs k, where "best" is one of
-several evaluation functions: raw normalized affinity score, pairwise
-consistency, or weighted blends whose consistency weight grows
+Each iteration rewrites every pairwise matching X_ij with the composition
+X_ik X_kj over anchor graphs k that maximizes a·J + b·C: J is the
+normalized affinity score and C a consistency term. Each mode fixes the
+weights (a, b) and the term; graduated modes grow the consistency weight
 geometrically across iterations (graduated regularization). All updates
 within an iteration read the previous snapshot only, so per-pair updates
 are order-independent and the whole sweep is deterministic. Optional
@@ -30,9 +30,11 @@ from .pairwise import hungarian
 
 MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_gc_p")
 
-# Modes whose iterates may cycle instead of converging; for these the best
-# iterate along the trace is returned rather than the last one.
-_CYCLING_MODES = ("isb_cst", "isb_gc_p")
+# The consistency term C of each mode that can weight one: the candidate's
+# own pairwise consistency, the anchor's unary consistency, or the geometric
+# mean of the pairwise consistencies of the legs X_ik and X_kj.
+_TERMS = {"isb_cst": "candidate", "isb_gc": "candidate", "isb_gc_inv": "candidate",
+          "isb_gc_u": "anchor", "isb_gc_p": "legs"}
 
 # A sweep evaluates its pairs together, in row-major groups of
 # SWEEP_BATCH_ENTRIES // (N^2 n) pairs, or // (N^3 n) for the second-order
@@ -71,6 +73,8 @@ class BoostParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError("sample_rate must lie in (0, 1]")
+        if not (self.elicit is None or isinstance(self.elicit, InlierEstimate)):
+            raise ValueError(f"elicit must be None or an InlierEstimate, got {self.elicit!r}")
 
 
 @dataclass
@@ -93,13 +97,14 @@ class BoostTrace:
 
 
 class _IterTables:
-    """Frozen per-iteration state shared by every pair update."""
+    """Frozen per-iteration state shared by every pair update; ``term`` is
+    the consistency term the sweep weights, None if it weights none."""
 
-    def __init__(self, cfg, kset, kind, norm, est=None):
+    def __init__(self, cfg, kset, norm, term=None, est=None):
         self.cfg = cfg
         self.kset = kset
-        self.kind = kind
         self.norm = norm
+        self.term = term
         self.table = cfg.perm_table()
         self.keep = None
         self.kept_rows = None
@@ -107,8 +112,8 @@ class _IterTables:
             self.keep = keep_masks(cfg, est, kset)
             # every graph keeps exactly n_est rows: (N, n_est), ascending
             self.kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
-        self.cu = unary_consistency_all(cfg, self.keep) if kind == "gc_u" else None
-        self.cp = pairwise_consistency_all(cfg, self.keep) if kind == "gc_p" else None
+        self.cu = unary_consistency_all(cfg, self.keep) if term == "anchor" else None
+        self.cp = pairwise_consistency_all(cfg, self.keep) if term == "legs" else None
 
     def scores_for(self, ii, jj, cands):
         """Normalized affinity scores of the (P, A, n) candidates of the
@@ -117,10 +122,14 @@ class _IterTables:
         rows = None if self.kept_rows is None else self.kept_rows[ii]
         return self.kset.kernel_sums(ii, jj, cands, rows) / self.norm.value
 
-    def cp_of_candidates(self, ii, cands, comps):
-        """Pairwise consistency of the (P, A, n) candidates of pairs
-        (ii[p], j) against the snapshot's (P, N, n) compositions X_ik X_kj;
-        when eliciting, only the rows kept for the row graph count."""
+    def consistency(self, ii, jj, pools, cands, comps):
+        """The term C of the (P, A, n) candidates X_ik X_kj, k = pools[p, a],
+        of the pairs (ii[p], jj[p]) given their (P, N, n) compositions, as a
+        (P, A) array; when eliciting, only the kept rows count."""
+        if self.term == "anchor":
+            return self.cu[pools]
+        if self.term == "legs":
+            return np.sqrt(self.cp[ii[:, None], pools] * self.cp[pools, jj[:, None]])
         return candidate_consistency(cands, comps,
                                      None if self.keep is None else self.keep[ii])
 
@@ -138,23 +147,23 @@ def _anchor_pool(i, j, n_graphs, sample_rate, rng):
     return [i, j] + pool
 
 
-def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
+def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
     """Best anchor and replacement candidate for each pair (ii[p], jj[p])
-    under the iteration's evaluation function, all pairs as one batch.
-    Anchor pools are drawn pair by pair in the given order. Every anchor's
-    candidate is scored, duplicates included, so anchor-dependent
-    consistency terms stay per-anchor and the argmax is exact; the anchor
-    scan order makes exact ties keep the incumbent, then the smallest
-    anchor.
+    under the evaluation a·J + b·C with weights = (a, b), all pairs as one
+    batch; a term whose weight is 0 is not computed. Anchor pools are drawn
+    pair by pair in the given order. Every anchor's candidate is scored,
+    duplicates included, so anchor-dependent consistency terms stay
+    per-anchor and the argmax is exact; the anchor scan order makes exact
+    ties keep the incumbent, then the smallest anchor.
 
     The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u)
-    of the pool [i, j, rest...], scored by normalized affinity alone; exact
-    ties keep the first in (v, u) scan order, and no anchor is reported.
-    The table holds exact inverses and identities, so v = j, u = i, u = j
-    and u = v each repeat a candidate of the row v = i (the incumbent or a
-    first-order candidate). Only row v = i and the pairs v != u of rest
-    are scored: the full scan with its later duplicates removed, in scan
-    order, so the first maximum, and the candidate chosen, are the same.
+    of the pool [i, j, rest...], with b = 0; exact ties keep the first in
+    (v, u) scan order, and the anchor reported is v. The table holds exact
+    inverses and identities, so v = j, u = i, u = j and u = v each repeat
+    a candidate of the row v = i (the incumbent or a first-order
+    candidate). Only row v = i and the pairs v != u of rest are scored:
+    the full scan with its later duplicates removed, in scan order, so the
+    first maximum, and the candidate chosen, are the same.
     """
     table = tbl.table
     ii, jj = np.asarray(ii), np.asarray(jj)
@@ -168,44 +177,24 @@ def _pairs_best(ii, jj, tbl, lam, sample_rate, rng, second_order=False):
         us = np.concatenate([pools, rest[:, ru]], axis=1)
         via = table[vs[..., None], us[..., None], table[ii[:, None], vs]]   # X_iv then X_vu
         cands = table[us[..., None], jj[:, None, None], via]               # then X_uj
-        return None, cands[pairs, np.argmax(tbl.scores_for(ii, jj, cands), axis=1)]
-
-    comps = compositions(table, ii, jj)
-    cands = comps[pairs[:, None], pools]
-    kind = tbl.kind
-    if kind == "score":
-        vals = tbl.scores_for(ii, jj, cands)
-    elif kind == "cst":
-        vals = tbl.cp_of_candidates(ii, cands, comps)
-    elif kind in ("gc", "gc_inv"):
-        j_vals = tbl.scores_for(ii, jj, cands)
-        c_vals = tbl.cp_of_candidates(ii, cands, comps)
-        if kind == "gc":
-            vals = (1.0 - lam) * j_vals + lam * c_vals
-        else:
-            vals = lam * j_vals + (1.0 - lam) * c_vals
-    elif kind in ("gc_u", "gc_p"):
-        j_vals = tbl.scores_for(ii, jj, cands) if lam < 1.0 else np.zeros(pools.shape)
-        if kind == "gc_u":
-            cons = tbl.cu[pools]
-        else:
-            cons = np.sqrt(tbl.cp[ii[:, None], pools] * tbl.cp[pools, jj[:, None]])
-        vals = (1.0 - lam) * j_vals + lam * cons
+        pools, comps = vs, None
     else:
-        raise ValueError(f"unknown evaluation kind {kind!r}")
-    best = np.argmax(vals, axis=1)     # lowest index on exact ties
+        comps = compositions(table, ii, jj)
+        cands = comps[pairs[:, None], pools]
+    a, b = weights
+    j_term = a * tbl.scores_for(ii, jj, cands) if a else 0.0
+    c_term = b * tbl.consistency(ii, jj, pools, cands, comps) if b else 0.0
+    best = np.argmax(j_term + c_term, axis=1)     # lowest index on exact ties
     return pools[pairs, best], cands[pairs, best]
 
 
-def _eval_kind(mode, t, t0):
-    if mode in ("isb", "isb_2nd"):
-        return "score"
+def _weights(mode, t, t0, lam):
+    """Weights (a, b) of J and C in sweep t, at consistency weight lam."""
     if mode == "isb_cst":
-        return "cst"
-    if t <= t0:
-        return "score"
-    return {"isb_gc": "gc", "isb_gc_inv": "gc_inv",
-            "isb_gc_u": "gc_u", "isb_gc_p": "gc_p"}[mode]
+        return 0.0, 1.0
+    if not mode.startswith("isb_gc") or t <= t0:
+        return 1.0, 0.0
+    return (lam, 1.0 - lam) if mode == "isb_gc_inv" else (1.0 - lam, lam)
 
 
 def run_boost(cfg0, kset, params):
@@ -237,39 +226,38 @@ def run_boost(cfg0, kset, params):
 
     started = time.perf_counter()
     cfg = cfg0
-    score0, cons0 = snapshot(cfg)
-    trace.record(score0, cons0, 0, time.perf_counter() - started)
+    snap = snapshot(cfg)
+    trace.record(*snap, 0, time.perf_counter() - started)
     lam = params.lambda0
-    best_val, best_cfg = -np.inf, cfg
-    if params.mode in _CYCLING_MODES:
-        best_val = cons0 if params.mode == "isb_cst" else score0
+    # modes whose iterates may cycle keep the best iterate by this snapshot entry
+    best_at = {"isb_cst": 1, "isb_gc_p": 0}.get(params.mode)
+    best_snap, best_cfg = snap, cfg
 
     for t in range(1, params.t_max + 1):
-        kind = _eval_kind(params.mode, t, params.t0)
+        a, b = _weights(params.mode, t, params.t0, lam)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
-        tbl = _IterTables(cfg, kset, kind, norm, params.elicit)
+        tbl = _IterTables(cfg, kset, norm, _TERMS.get(params.mode) if b else None,
+                          params.elicit)
         new_table = tbl.table.copy()
         changed = 0
         for start in range(0, len(iu), group):
             ii, jj = iu[start:start + group], ju[start:start + group]
-            _, cands = _pairs_best(ii, jj, tbl, lam if weighted else 0.0,
-                                   params.sample_rate, rng, second_order)
+            _, cands = _pairs_best(ii, jj, tbl, (a, b), params.sample_rate, rng,
+                                   second_order)
             mism = (cands != tbl.table[ii, jj]).sum(axis=1)
             changed += int(np.count_nonzero(mism))
             new_table[ii, jj] = cands
         cfg = MatchConfig.from_table(new_table)
-        score_t, cons_t = snapshot(cfg)
-        trace.record(score_t, cons_t, changed, time.perf_counter() - started)
-        if params.mode in _CYCLING_MODES:
-            cur = cons_t if params.mode == "isb_cst" else score_t
-            if cur > best_val:
-                best_val, best_cfg = cur, cfg
+        snap = snapshot(cfg)
+        trace.record(*snap, changed, time.perf_counter() - started)
+        if best_at is not None and snap[best_at] > best_snap[best_at]:
+            best_snap, best_cfg = snap, cfg
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
 
-    if params.mode in _CYCLING_MODES:
+    if best_at is not None:
         cfg = best_cfg
     if params.enforce_final_consistency and len(trace) > 1:   # a sweep ran
         cfg = enforce_full_consistency(cfg, kset, params.gamma)

@@ -158,10 +158,12 @@ def _cmd_bench(args):
                               affinity=_affinity_kind(args), beta_w=args.beta_w,
                               file_path=args.file)
         # bad files fail here, not once per trial or after the whole grid;
-        # so does a swept value needing more points than the file holds
+        # so does a swept value needing more points or frames than the file holds
         if args.generator == "file":
-            most = max((spec.value_params(v) for v in values), key=lambda p: p.n_nodes)
-            load_pointset(args.file, n_inliers=most.inliers, n_outliers=most.outliers)
+            grid = [spec.value_params(v) for v in values]
+            most = max(grid, key=lambda p: p.n_nodes)
+            load_pointset(args.file, n_inliers=most.inliers, n_outliers=most.outliers,
+                          max_frames=max(p.n_graphs for p in grid))
         open(args.out, "a").close()
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))

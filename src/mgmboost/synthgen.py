@@ -219,7 +219,8 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
     With ``n_inliers`` set, that many annotation ids are chosen (seeded,
     shared across frames) as the common inliers and ``n_outliers`` ids
     are drawn per frame from the rest; node order is then shuffled with
-    the truth recorded. Without it, every point is an inlier.
+    the truth recorded. Without it, every point is an inlier. With
+    ``max_frames``, that many frames are picked (seeded), at most n_frames.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
@@ -285,6 +286,8 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
             raise ValueError(f"{path}: cannot select more landmarks than annotated: "
                              f"{n_inliers} inliers + {n_outliers} outliers of {n_points}")
         inlier_ids = rng.choice(n_points, size=n_inliers, replace=False)
+    if max_frames is not None and max_frames > n_frames:
+        raise ValueError(f"{path}: {max_frames} frames asked for, the file holds {n_frames}")
     rest = np.setdiff1d(np.arange(n_points), inlier_ids)
 
     instances = []
@@ -384,7 +387,12 @@ def save_instances(path, instances):
 
 
 def load_instances(path):
+    """Instances from a ``save_instances`` archive; an archive missing one
+    of its arrays raises ValueError naming them."""
     with np.load(path) as data:
+        missing = sorted({"adjacency", "truth", "inlier_counts", "coords"} - set(data.files))
+        if missing:
+            raise ValueError(f"{path}: archive lacks {', '.join(missing)}")
         adjacency = data["adjacency"]
         truth = data["truth"]
         counts = data["inlier_counts"]

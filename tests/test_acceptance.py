@@ -22,7 +22,7 @@ from mgmboost import (BoostParams, InlierEstimate, ScoreNormalizer, SynthParams,
 from mgmboost.consistency import pairwise_consistency_all, unary_consistency_all
 
 from conftest import brute_assignment_best, random_config, random_kset
-from test_boost import EVAL_KINDS, exhaustive_anchor_max, naive_eval, sweep_picks
+from test_boost import EVAL_MODES, exhaustive_anchor_max, naive_eval, sweep_picks
 
 
 def _report(num, ok, detail):
@@ -131,10 +131,10 @@ def test_criterion_4_oracle_equivalence():
         kset = random_kset(rng, 5, 4)
         norm = ScoreNormalizer.from_initial(cfg, kset)
         lam = 0.35
-        for kind in EVAL_KINDS:
-            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
-                best, _ = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam)
-                got = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
+        for mode in EVAL_MODES:
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, mode, norm, lam):
+                best, _ = exhaustive_anchor_max(mode, i, j, cfg, kset, norm, lam)
+                got = naive_eval(mode, got_cand, got_k, i, j, cfg, kset, norm, lam)
                 if abs(got - best) > 1e-9 * max(1.0, abs(best)):
                     bad += 1
         profit = rng.normal(size=(4, 4))
@@ -142,7 +142,7 @@ def test_criterion_4_oracle_equivalence():
         total = float(profit[np.arange(4), got_perm.perm].sum())
         if abs(total - brute_assignment_best(profit)) > 1e-12 * max(1.0, abs(total)):
             bad += 1
-    _report(4, bad == 0, f"20 seeds x 10 pairs x {len(EVAL_KINDS)} modes + Hungarian: "
+    _report(4, bad == 0, f"20 seeds x 10 pairs x {len(EVAL_MODES)} modes + Hungarian: "
                          f"{bad} oracle mismatches")
 
 

@@ -395,8 +395,11 @@ class TestCli:
         (["--generator", "file", "--file", "points.txt", "--sweep", "outliers",
           "--values", "0,1", "--inliers", "3"],
          "points.txt: cannot select more landmarks than annotated: "
-         "3 inliers + 1 outliers of 3")],
-        ids=["bad-value", "n-est", "workers", "file-points"])
+         "3 inliers + 1 outliers of 3"),
+        (["--generator", "file", "--file", "points.txt", "--sweep", "n_graphs",
+          "--values", "2,10", "--inliers", "3"],
+         "points.txt: 10 frames asked for, the file holds 2")],
+        ids=["bad-value", "n-est", "workers", "file-points", "file-frames"])
     def test_grid_that_cannot_run_is_usage_error(self, flags, message, tmp_path, capsys,
                                                  monkeypatch):
         # each grid would run trials that all fail, or run serially
@@ -411,6 +414,22 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--generator", "file", "--file", "points.txt", "--n-graphs", "10",
+          "--inliers", "3"], "points.txt: 10 frames asked for, the file holds 2"),
+        (["--data", "partial.npz"], "partial.npz: archive lacks adjacency")],
+        ids=["file-frames", "data-keys"])
+    def test_match_input_that_cannot_run_is_usage_error(self, flags, message, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "points.txt").write_text("2 3\n0 0\n1 0\n0 1\n0.1 0\n1 0.1\n0 1.1\n")
+        np.savez(tmp_path / "partial.npz", truth=np.array([[0, 1, 2], [0, 1, 2]]),
+                 inlier_counts=np.array([3, 3]), coords=np.empty(0))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_match_flags_set_every_param_field(self):
         # every defaulted field of BoostParams and SynthParams has a flag;

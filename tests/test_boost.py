@@ -25,8 +25,8 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, overall_consistency,
                       run_boost, total_score)
-from mgmboost.boost import (MODES, _anchor_pool, _config_from_tree, _eval_kind,
-                            _IterTables, _pairs_best, _spectral_sync)
+from mgmboost.boost import (_TERMS, MODES, _anchor_pool, _config_from_tree,
+                            _IterTables, _pairs_best, _spectral_sync, _weights)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
                       naive_elicited_unary, naive_pairwise_consistency,
@@ -36,25 +36,32 @@ from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pai
                       spanning_tree_best, stacked_matching_matrix)
 
 
-# every evaluation kind a sweep can use: each mode's kind once weighting runs
-EVAL_KINDS = tuple(dict.fromkeys(_eval_kind(mode, 1, 0) for mode in MODES))
+# the modes with distinct first-order evaluations; isb_2nd scores as isb
+EVAL_MODES = tuple(mode for mode in MODES if mode != "isb_2nd")
 
 
-def sweep_picks(cfg, kset, kind, norm, lam, est=None, sample_rate=1.0, rng=None):
+def mode_id(mode):
+    """Test id of a mode: its name without the shared "isb_" prefix."""
+    return mode.removeprefix("isb_")
+
+
+def sweep_picks(cfg, kset, mode, norm, lam, est=None, sample_rate=1.0, rng=None):
     """(i, j, anchor, candidate) of every pair i < j, from one ``_pairs_best``
-    call over all pairs of one snapshot, as a sweep runs it."""
+    call over all pairs of one snapshot, as a weighted sweep of the mode
+    runs it."""
     iu, ju = np.triu_indices(cfg.N, 1)
-    tbl = _IterTables(cfg, kset, kind, norm, est)
-    anchors, cands = _pairs_best(iu, ju, tbl, lam, sample_rate, rng)
+    weights = _weights(mode, 1, 0, lam)
+    tbl = _IterTables(cfg, kset, norm, _TERMS.get(mode) if weights[1] else None, est)
+    anchors, cands = _pairs_best(iu, ju, tbl, weights, sample_rate, rng)
     return list(zip(iu.tolist(), ju.tolist(), anchors.tolist(), map(Permutation, cands)))
 
 
 def _pair_best_2nd(i, j, tbl, sample_rate, rng):
     """The second-order search of the single pair (i, j)."""
-    return _pairs_best([i], [j], tbl, 0.0, sample_rate, rng, second_order=True)[1][0]
+    return _pairs_best([i], [j], tbl, (1.0, 0.0), sample_rate, rng, second_order=True)[1][0]
 
 
-def naive_eval(kind, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=None):
+def naive_eval(mode, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=None):
     """Dense-arithmetic evaluation of one (candidate, anchor) pair; the
     independent reference for the argmax oracle."""
     k_dense = kset.get(i, j).dense()
@@ -63,23 +70,23 @@ def naive_eval(kind, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=No
         cm = cm.copy()
         cm[~keep[i]] = 0.0
     j_val = naive_quad_form(cm, k_dense) / norm.value
-    if kind == "score":
+    if mode == "isb":
         return j_val
     if est is not None:
         cp_cand = naive_elicited_pairwise(cand, cfg, est, i, j, keep)
     else:
         cp_cand = naive_pairwise_consistency(cand, cfg, i, j)
-    if kind == "cst":
+    if mode == "isb_cst":
         return cp_cand
-    if kind == "gc":
+    if mode == "isb_gc":
         return (1.0 - lam) * j_val + lam * cp_cand
-    if kind == "gc_inv":
+    if mode == "isb_gc_inv":
         return lam * j_val + (1.0 - lam) * cp_cand
-    if kind == "gc_u":
+    if mode == "isb_gc_u":
         cu = (naive_elicited_unary(anchor, cfg, est, keep) if est is not None
               else naive_unary_consistency(anchor, cfg))
         return (1.0 - lam) * j_val + lam * cu
-    if kind == "gc_p":
+    if mode == "isb_gc_p":
         if est is not None:
             a = naive_elicited_pairwise(cfg.get(i, anchor), cfg, est, i, anchor, keep)
             b = naive_elicited_pairwise(cfg.get(anchor, j), cfg, est, anchor, j, keep)
@@ -87,15 +94,15 @@ def naive_eval(kind, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=No
             a = naive_pairwise_consistency(cfg.get(i, anchor), cfg, i, anchor)
             b = naive_pairwise_consistency(cfg.get(anchor, j), cfg, anchor, j)
         return (1.0 - lam) * j_val + lam * np.sqrt(a * b)
-    raise ValueError(kind)
+    raise ValueError(mode)
 
 
-def exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam, est=None):
+def exhaustive_anchor_max(mode, i, j, cfg, kset, norm, lam, est=None):
     keep = keep_masks(cfg, est, kset) if est is not None else None
     vals = []
     for k in range(cfg.N):
         cand = cfg.get(i, k).compose(cfg.get(k, j))
-        vals.append(naive_eval(kind, cand, k, i, j, cfg, kset, norm, lam, est, keep))
+        vals.append(naive_eval(mode, cand, k, i, j, cfg, kset, norm, lam, est, keep))
     return max(vals), keep
 
 
@@ -107,7 +114,7 @@ class TestBestAnchor:
         cfg = random_config(rng, 3, 3)
         kset = random_kset(rng, 3, 3)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        for i, j, _, cand in sweep_picks(cfg, kset, "score", norm, 0.0):
+        for i, j, _, cand in sweep_picks(cfg, kset, "isb", norm, 0.0):
             k = 3 - i - j
             incumbent = cfg.get(i, j)
             composed = cfg.get(i, k).compose(cfg.get(k, j))
@@ -121,25 +128,25 @@ class TestBestAnchor:
         cfg = MatchConfig.identity(4, 3)
         kset = random_kset(rng, 4, 3)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        for kind in EVAL_KINDS:
-            for i, j, _, cand in sweep_picks(cfg, kset, kind, norm, 0.4):
+        for mode in EVAL_MODES:
+            for i, j, _, cand in sweep_picks(cfg, kset, mode, norm, 0.4):
                 assert cand == cfg.get(i, j)
 
-    @pytest.mark.parametrize("kind", EVAL_KINDS)
-    def test_matches_exhaustive_enumeration(self, kind, rng):
+    @pytest.mark.parametrize("mode", EVAL_MODES, ids=mode_id)
+    def test_matches_exhaustive_enumeration(self, mode, rng):
         for seed in range(6):
             srng = np.random.default_rng(seed)
             cfg = random_config(srng, 5, 4)
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.35
-            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
-                best, _ = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam)
-                got_val = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, mode, norm, lam):
+                best, _ = exhaustive_anchor_max(mode, i, j, cfg, kset, norm, lam)
+                got_val = naive_eval(mode, got_cand, got_k, i, j, cfg, kset, norm, lam)
                 assert got_val == pytest.approx(best, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["score", "gc", "gc_u", "gc_p"])
-    def test_matches_exhaustive_enumeration_elicited(self, kind, rng):
+    @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"], ids=mode_id)
+    def test_matches_exhaustive_enumeration_elicited(self, mode, rng):
         est = InlierEstimate(3, "consistency")
         for seed in range(4):
             srng = np.random.default_rng(100 + seed)
@@ -147,14 +154,14 @@ class TestBestAnchor:
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.5
-            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam, est):
-                best, keep = exhaustive_anchor_max(kind, i, j, cfg, kset, norm, lam, est)
-                got_val = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm,
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, mode, norm, lam, est):
+                best, keep = exhaustive_anchor_max(mode, i, j, cfg, kset, norm, lam, est)
+                got_val = naive_eval(mode, got_cand, got_k, i, j, cfg, kset, norm,
                                      lam, est, keep)
                 assert got_val == pytest.approx(best, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", EVAL_KINDS)
-    def test_incumbent_competition(self, kind, rng):
+    @pytest.mark.parametrize("mode", EVAL_MODES, ids=mode_id)
+    def test_incumbent_competition(self, mode, rng):
         # the returned evaluation never falls below the incumbent's
         for seed in range(5):
             srng = np.random.default_rng(200 + seed)
@@ -162,16 +169,16 @@ class TestBestAnchor:
             kset = random_kset(srng, 5, 4)
             norm = ScoreNormalizer.from_initial(cfg, kset)
             lam = 0.6
-            for i, j, got_k, got_cand in sweep_picks(cfg, kset, kind, norm, lam):
-                got = naive_eval(kind, got_cand, got_k, i, j, cfg, kset, norm, lam)
-                incumbent = naive_eval(kind, cfg.get(i, j), i, i, j, cfg, kset, norm, lam)
+            for i, j, got_k, got_cand in sweep_picks(cfg, kset, mode, norm, lam):
+                got = naive_eval(mode, got_cand, got_k, i, j, cfg, kset, norm, lam)
+                incumbent = naive_eval(mode, cfg.get(i, j), i, i, j, cfg, kset, norm, lam)
                 assert got >= incumbent - 1e-12
 
     def test_anchor_subsampling_seeded(self, rng):
         cfg = random_config(rng, 8, 4)
         kset = random_kset(rng, 8, 4)
         norm = ScoreNormalizer.from_initial(cfg, kset)
-        a, b = (sweep_picks(cfg, kset, "score", norm, 0.0, sample_rate=0.4,
+        a, b = (sweep_picks(cfg, kset, "isb", norm, 0.0, sample_rate=0.4,
                             rng=np.random.default_rng(3)) for _ in range(2))
         assert a == b
 
@@ -203,7 +210,7 @@ class TestPairBest2nd:
             cfg = random_config(srng, 6, n)
             kset = random_kset(srng, 6, n, density)
             norm = ScoreNormalizer.from_initial(cfg, kset)
-            tbl = _IterTables(cfg, kset, "score", norm)
+            tbl = _IterTables(cfg, kset, norm)
             for i, j in [(0, 1), (1, 4), (3, 5)]:
                 pool = _anchor_pool(i, j, cfg.N, sample_rate, np.random.default_rng(seed))
                 got = _pair_best_2nd(i, j, tbl, sample_rate, np.random.default_rng(seed))
@@ -228,8 +235,8 @@ class TestPairBest2nd:
         for kset in ksets:
             for cfg in (init_config(kset, 1.0, n_graphs),
                         random_config(np.random.default_rng(n_graphs), n_graphs, kset.n)):
-                tbl = _IterTables(cfg, kset, "score", ScoreNormalizer.from_initial(cfg, kset))
-                got = _pairs_best(iu, ju, tbl, 0.0, sample_rate,
+                tbl = _IterTables(cfg, kset, ScoreNormalizer.from_initial(cfg, kset))
+                got = _pairs_best(iu, ju, tbl, (1.0, 0.0), sample_rate,
                                   np.random.default_rng(n_graphs), second_order=True)[1]
                 cands = second_order_candidates(iu, ju, tbl, sample_rate,
                                                 np.random.default_rng(n_graphs))
@@ -252,7 +259,7 @@ class TestPairBest2nd:
         distinct_ties = 0
         for seed in range(8):
             cfg = random_config(np.random.default_rng(400 + seed), n_graphs, n)
-            tbl = _IterTables(cfg, kset, "score", norm)
+            tbl = _IterTables(cfg, kset, norm)
             got = Permutation(_pair_best_2nd(0, 1, tbl, 1.0, None))
             scored, want = self.exhaustive(0, 1, cfg, kset, norm, range(n_graphs))
             assert got == want
@@ -338,13 +345,16 @@ class TestConfigFromTree:
 
 NAN = float("nan")
 # (field, value) pairs BoostParams must reject: a NaN or too small float
-# for the growth factor, a non-integer or negative iteration count
+# for the growth factor, a non-integer or negative iteration count, and an
+# elicit that is neither None nor an InlierEstimate
 BAD_BOOST_VALUES = st.one_of(
     st.tuples(st.just("beta"),
               st.one_of(st.just(NAN), st.floats(max_value=1.0, exclude_max=True))),
     st.tuples(st.sampled_from(["t0", "t_max"]),
               st.one_of(st.floats().filter(lambda f: not f.is_integer()),
-                        st.integers(max_value=-1))))
+                        st.integers(max_value=-1))),
+    st.tuples(st.just("elicit"),
+              st.one_of(st.integers(), st.floats(), st.just("consistency"))))
 
 
 class TestBoostParams:
@@ -352,6 +362,7 @@ class TestBoostParams:
     @given(bad=BAD_BOOST_VALUES)
     @example(bad=("beta", NAN))
     @example(bad=("t_max", 2.5))
+    @example(bad=("elicit", 5))
     def test_bad_value_rejected_naming_it(self, bad):
         name, value = bad
         with pytest.raises(ValueError, match=rf"{name} must .*got {re.escape(repr(value))}"):
@@ -488,6 +499,20 @@ class TestRunBoost:
             mode="isb_gc", t_max=6, lambda0=0.0, beta=1.0,
             enforce_final_consistency=False))
         assert a == b   # lam = 1 in the swapped blend is pure score again
+
+    @pytest.mark.parametrize("elicit", [None, InlierEstimate(3)], ids=["plain", "elicited"])
+    def test_gc_with_weight_pinned_at_one_is_consistency_only(self, elicit):
+        # with lam = 1 from the first sweep the blend weighs C alone, as
+        # isb_cst does; only isb_cst's choice of the best iterate differs
+        for seed in range(4):
+            cfg, kset = self._instance(np.random.default_rng(600 + seed), 6, 4)
+            gc = run_boost(cfg, kset, BoostParams(
+                mode="isb_gc", t0=0, t_max=6, lambda0=1.0, beta=1.0, elicit=elicit,
+                enforce_final_consistency=False))[1]
+            cst = run_boost(cfg, kset, BoostParams(
+                mode="isb_cst", t_max=6, elicit=elicit, enforce_final_consistency=False))[1]
+            assert (gc.scores, gc.consistencies, gc.changes) == \
+                (cst.scores, cst.consistencies, cst.changes)
 
     def test_elicited_run_smoke(self, rng):
         cfg, kset = self._instance(rng, 5, 4)

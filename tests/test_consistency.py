@@ -591,3 +591,11 @@ def test_public_names_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert not [name for name in mgmboost.__all__
                 if not re.search(rf"\b{name}\b", readme)]
+
+
+def test_mode_table_documents_every_mode():
+    # one row per mode in README's "Algorithm modes" table, no more
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Algorithm modes", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(mgmboost.boost.MODES)

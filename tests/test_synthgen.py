@@ -305,8 +305,9 @@ class TestLoadPointset(object):
         ("", {}, "line 1: empty point-set file"),
         ("2\n0 0\n", {}, "line 1: header must be 'n_frames n_points'"),
         ("1 2\n0 0\n1\n", {}, "line 3: expected 'x y', got 1 column(s)"),
-        ("1 2\n0 0\n1 0\n", {"n_inliers": 3}, "cannot select more landmarks")],
-        ids=["empty", "header", "column", "landmarks"])
+        ("1 2\n0 0\n1 0\n", {"n_inliers": 3}, "cannot select more landmarks"),
+        ("1 2\n0 0\n1 0\n", {"max_frames": 2}, "2 frames asked for, the file holds 1")],
+        ids=["empty", "header", "column", "landmarks", "frames"])
     def test_error_names_the_file(self, tmp_path, text, kw, message):
         path = self._write(tmp_path, text)
         with pytest.raises(ValueError) as exc:
