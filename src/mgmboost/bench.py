@@ -207,10 +207,7 @@ def run_experiment(spec, workers=1):
             log.warning("%d of %d trials failed for %s=%s", spec.trials - len(trials),
                         spec.trials, spec.sweep_param, value)
         for name, _ in spec.algorithms:
-            accs = np.array([t[name][0] for t in trials])
-            times = np.array([t[name][1] for t in trials])
-            cons = np.array([t[name][2] for t in trials])
-            scores = np.array([t[name][3] for t in trials])
+            accs, times, cons, scores = np.array([t[name] for t in trials]).T
             rows.append(ResultRow(name, spec.sweep_param, float(value),
                                   float(accs.mean()), float(accs.std()),
                                   float(times.mean()), float(cons.mean()),

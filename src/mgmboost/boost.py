@@ -134,17 +134,22 @@ class _IterTables:
                                      None if self.keep is None else self.keep[ii])
 
 
-def _anchor_pool(i, j, n_graphs, sample_rate, rng):
-    """Anchors tried for pair (i, j). Both k = i and k = j reproduce the
-    incumbent matching, so the incumbent always competes (listed first for
-    tie-breaking); the remaining graphs are sampled without replacement
-    and scanned in ascending order."""
-    pool = [k for k in range(n_graphs) if k != i and k != j]
-    if sample_rate < 1.0 and pool:
-        m = max(1, int(round(sample_rate * len(pool))))
-        picked = rng.choice(len(pool), size=m, replace=False)
-        pool = [pool[idx] for idx in sorted(picked.tolist())]
-    return [i, j] + pool
+def _anchor_pools(ii, jj, n_graphs, sample_rate, rng):
+    """Anchors tried for the pairs (ii[p], jj[p]), as one (P, A) array
+    whose row p is [i, j, the other graphs ascending]. Both k = i and
+    k = j reproduce the incumbent matching, so the incumbent always
+    competes (listed first for tie-breaking). With sample_rate < 1 the
+    other graphs are sampled without replacement, one draw per pair in
+    pair order, and kept in ascending order."""
+    ii, jj = np.reshape(ii, (-1, 1)), np.reshape(jj, (-1, 1))
+    graphs = np.arange(n_graphs)
+    rest = np.broadcast_to(graphs, (len(ii), n_graphs))[(graphs != ii) & (graphs != jj)]
+    rest = rest.reshape(len(ii), n_graphs - 2)
+    if sample_rate < 1.0 and n_graphs > 2:
+        m = max(1, int(round(sample_rate * (n_graphs - 2))))
+        picked = [rng.choice(n_graphs - 2, size=m, replace=False) for _ in range(len(ii))]
+        rest = np.take_along_axis(rest, np.sort(picked, axis=1), axis=1)
+    return np.concatenate([ii, jj, rest], axis=1)
 
 
 def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
@@ -167,8 +172,7 @@ def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
     """
     table = tbl.table
     ii, jj = np.asarray(ii), np.asarray(jj)
-    pools = np.array([_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
-                      for i, j in zip(ii.tolist(), jj.tolist())])
+    pools = _anchor_pools(ii, jj, tbl.cfg.N, sample_rate, rng)
     pairs = np.arange(len(ii))
     if second_order:
         rest = pools[:, 2:]
@@ -244,8 +248,7 @@ def run_boost(cfg0, kset, params):
             ii, jj = iu[start:start + group], ju[start:start + group]
             _, cands = _pairs_best(ii, jj, tbl, (a, b), params.sample_rate, rng,
                                    second_order)
-            mism = (cands != tbl.table[ii, jj]).sum(axis=1)
-            changed += int(np.count_nonzero(mism))
+            changed += int(np.count_nonzero((cands != tbl.table[ii, jj]).any(axis=1)))
             new_table[ii, jj] = cands
         cfg = MatchConfig.from_table(new_table)
         snap = snapshot(cfg)
@@ -319,7 +322,7 @@ def _spectral_sync(cfg):
     return MatchConfig.from_basis(basis)
 
 
-def enforce_full_consistency(cfg, kset, gamma=0.3):
+def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     """Rewrite a configuration into an exactly cycle-consistent one.
 
     Already-consistent input is returned untouched. When overall
@@ -338,8 +341,6 @@ def enforce_full_consistency(cfg, kset, gamma=0.3):
         weights[iu, ju] = weights[ju, iu] = pair_scores(cfg, kset)
         return _config_from_tree(cfg, mst(weights))
     if cfg.n >= cfg.N:
-        weights = pairwise_consistency_all(cfg)
-        np.fill_diagonal(weights, 0.0)
-        return _config_from_tree(cfg, mst(weights))
+        return _config_from_tree(cfg, mst(pairwise_consistency_all(cfg)))
     return _spectral_sync(cfg)
 

@@ -23,26 +23,26 @@ def _add_synth_flags(p):
     p.add_argument("--file", help="point-set file (generator=file)")
     p.add_argument("--n-graphs", type=int, default=10)
     p.add_argument("--inliers", type=int, default=8)
-    p.add_argument("--outliers", type=int, default=0)
-    p.add_argument("--deform", type=float, default=0.0)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--coverage", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=0.05 ** 2)
+    p.add_argument("--outliers", type=int, default=SynthParams.outliers)
+    p.add_argument("--deform", type=float, default=SynthParams.deform)
+    p.add_argument("--density", type=float, default=SynthParams.density)
+    p.add_argument("--coverage", type=float, default=SynthParams.coverage)
+    p.add_argument("--sigma2", type=float, default=SynthParams.sigma2)
     p.add_argument("--affinity", choices=("gauss", "len_angle"), default=None,
                    help="default: gauss, or len_angle for coordinate data")
     p.add_argument("--beta-w", type=float, default=0.9,
                    help="length/angle kernel weight (len_angle affinity)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthParams.seed)
 
 
 def _add_boost_flags(p):
-    p.add_argument("--mode", choices=MODES, default="isb_gc")
-    p.add_argument("--t0", type=int, default=2)
-    p.add_argument("--t-max", type=int, default=6)
-    p.add_argument("--lambda0", type=float, default=0.2)
-    p.add_argument("--beta", type=float, default=1.1)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--sample-rate", type=float, default=1.0)
+    p.add_argument("--mode", choices=MODES, default=BoostParams.mode)
+    p.add_argument("--t0", type=int, default=BoostParams.t0)
+    p.add_argument("--t-max", type=int, default=BoostParams.t_max)
+    p.add_argument("--lambda0", type=float, default=BoostParams.lambda0)
+    p.add_argument("--beta", type=float, default=BoostParams.beta)
+    p.add_argument("--gamma", type=float, default=BoostParams.gamma)
+    p.add_argument("--sample-rate", type=float, default=BoostParams.sample_rate)
     p.add_argument("--elicit", choices=("none", "cst", "afy"), default="none",
                    help="inlier eliciting: consistency- or affinity-ranked masks")
     p.add_argument("--n-est", type=int, default=None,

@@ -154,15 +154,9 @@ def node_affinity_all(cfg, kset):
     kernel block of X_ki with graph k as the row graph, all N(N-1) blocks
     in one batch; the terms are added in ascending i.
     """
-    n_graphs = cfg.N
-    k = np.repeat(np.arange(n_graphs), n_graphs - 1)
-    i = np.array([o for g in range(n_graphs) for o in range(n_graphs) if o != g])
+    k, i = np.nonzero(~np.eye(cfg.N, dtype=bool))     # row-major, i != k
     rows = kset.kernel_sums(k, i, cfg.perm_table()[k, i][:, None], axis=3)
-    rows = rows.reshape(n_graphs, n_graphs - 1, cfg.n)
-    out = np.zeros((n_graphs, cfg.n))
-    for col in range(n_graphs - 1):
-        out += rows[:, col]
-    return out
+    return np.add.accumulate(rows.reshape(cfg.N, cfg.N - 1, cfg.n), axis=1)[:, -1]
 
 
 def keep_masks(cfg, est, kset=None):

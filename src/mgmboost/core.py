@@ -119,9 +119,7 @@ class Permutation:
 
     @property
     def matrix(self):
-        m = np.zeros((self.n, self.n))
-        m[np.arange(self.n), self.perm] = 1.0
-        return m
+        return np.eye(self.n)[self.perm]
 
     def compose(self, other):
         """Matrix product self @ other: chain this matching with ``other``."""
@@ -132,9 +130,7 @@ class Permutation:
         return Permutation(other.perm[self.perm])
 
     def inverse(self):
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.perm] = np.arange(self.n)
-        return Permutation(inv)
+        return Permutation(np.argsort(self.perm))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.perm, other.perm)

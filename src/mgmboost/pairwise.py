@@ -144,9 +144,7 @@ def hungarian(profit):
             j1 = way[j0]
             col_row[j0] = col_row[j1]
             j0 = j1
-    perm = np.empty(n, dtype=np.int64)
-    perm[col_row[:n]] = np.arange(n)
-    return Permutation(perm)
+    return Permutation(np.argsort(col_row[:n]))
 
 
 def solve_pairwise(k):

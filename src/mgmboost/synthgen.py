@@ -65,7 +65,11 @@ class GraphInstance:
             raise ValueError("adjacency must be square")
         _check_finite("adjacency", a)
         if self.coords is not None:
-            _check_finite("coords", np.asarray(self.coords, dtype=float))
+            self.coords = np.asarray(self.coords, dtype=float)
+            if self.coords.shape != (a.shape[0], 2):
+                raise ValueError(f"coords must have shape ({a.shape[0]}, 2), one 2-D point "
+                                 f"per node, got {self.coords.shape}")
+            _check_finite("coords", self.coords)
         if not np.array_equal(a, a.T) or np.any(np.diag(a) != 0):
             raise ValueError("adjacency must be symmetric with zero diagonal")
         if not 0 <= self.inlier_count <= a.shape[0]:
@@ -92,10 +96,9 @@ class GraphInstance:
             return self
         if self.coords is not None:
             raise ValueError("cannot dummy-pad instances carrying coordinates")
-        adj = np.zeros((n_total, n_total))
-        adj[:self.n, :self.n] = self.adjacency
         perm = np.concatenate([self.truth.perm, np.arange(self.n, n_total)])
-        return GraphInstance(adj, self.inlier_count, Permutation(perm))
+        return GraphInstance(np.pad(self.adjacency, (0, n_total - self.n)),
+                             self.inlier_count, Permutation(perm))
 
 
 def _check_finite(name, a):
@@ -168,9 +171,9 @@ def gen_random_points(p):
 
     instances = []
     for _ in range(p.n_graphs):
+        # a zero-row draw of outliers takes nothing from the stream
         pts = np.vstack([ref_pts + rng.normal(0.0, p.deform, size=(n_i, 2)),
-                         rng.normal(size=(p.outliers, 2))]) if p.outliers else \
-            ref_pts + rng.normal(0.0, p.deform, size=(n_i, 2))
+                         rng.normal(size=(p.outliers, 2))])
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         w = _apply_density(dist[iu], rng, p.density)
         adj = np.zeros((n, n))
@@ -269,9 +272,7 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
                 ann = Permutation([int(t) for t in toks])
             except ValueError:
                 raise ValueError(f"{path}: line {no}: invalid annotation permutation") from None
-            by_annotation = np.empty_like(pts)
-            by_annotation[ann.perm] = pts
-            pts = by_annotation
+            pts = pts[np.argsort(ann.perm)]     # row a holds annotation id a
         frames.append(pts)
 
     rng = np.random.default_rng(seed)
@@ -297,7 +298,6 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         ids = np.concatenate([inlier_ids, out_ids]).astype(np.int64)
         sel = pts[ids]
         dist = np.linalg.norm(sel[:, None, :] - sel[None, :, :], axis=2)
-        np.fill_diagonal(dist, 0.0)
         instances.append(_relabel(dist, sel, n_inliers, rng))
     return instances
 
@@ -387,16 +387,30 @@ def save_instances(path, instances):
 
 
 def load_instances(path):
-    """Instances from a ``save_instances`` archive; an archive missing one
-    of its arrays raises ValueError naming them."""
-    with np.load(path) as data:
+    """Instances from a ``save_instances`` archive. Raises ValueError
+    naming the path for a file that is not an .npz archive, an archive
+    missing one of its arrays, or arrays of different lengths."""
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError):      # empty, or neither .npy nor .npz
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz archive of instances")
+    with data:
         missing = sorted({"adjacency", "truth", "inlier_counts", "coords"} - set(data.files))
         if missing:
             raise ValueError(f"{path}: archive lacks {', '.join(missing)}")
-        adjacency = data["adjacency"]
-        truth = data["truth"]
-        counts = data["inlier_counts"]
-        coords = data["coords"] if data["coords"].size else None
-    return [GraphInstance(adjacency[g], int(counts[g]), Permutation(truth[g]),
+        arrays = {name: data[name] for name in ("adjacency", "truth", "inlier_counts")}
+        if data["coords"].size:
+            arrays["coords"] = data["coords"]
+    lengths = {name: len(a) if a.ndim else 0 for name, a in arrays.items()}
+    short = [f"{name} {count}" for name, count in lengths.items()
+             if count != lengths["adjacency"]]
+    if short:
+        raise ValueError(f"{path}: arrays differ in length: adjacency "
+                         f"{lengths['adjacency']}, {', '.join(short)}")
+    coords = arrays.get("coords")
+    return [GraphInstance(arrays["adjacency"][g], int(arrays["inlier_counts"][g]),
+                          Permutation(arrays["truth"][g]),
                           coords[g] if coords is not None else None)
-            for g in range(adjacency.shape[0])]
+            for g in range(lengths["adjacency"])]

@@ -14,7 +14,7 @@ import pytest
 
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
                       build_affinity_set, gen_random_graphs, gen_random_points)
-from mgmboost.boost import _anchor_pool
+from mgmboost.boost import _anchor_pools
 from mgmboost.pairwise import MAX_POWER_ITERS, POWER_TOL
 
 
@@ -398,8 +398,7 @@ def second_order_candidates(ii, jj, tbl, sample_rate, rng):
     library's second-order search must agree with on the first maximum."""
     table = tbl.table
     ii, jj = np.asarray(ii), np.asarray(jj)
-    pools = np.array([_anchor_pool(i, j, tbl.cfg.N, sample_rate, rng)
-                      for i, j in zip(ii.tolist(), jj.tolist())])
+    pools = _anchor_pools(ii, jj, tbl.cfg.N, sample_rate, rng)
     via = table[pools[:, :, None, None], pools[:, None, :, None],
                 table[ii[:, None], pools][:, :, None, :]]   # [., v, u] = X_iv then X_vu
     return table[pools[:, None, :, None], jj[:, None, None, None],

@@ -445,3 +445,10 @@ class TestCli:
             for f in fields(params):
                 if f.default is not MISSING:
                     assert getattr(params, f.name) != f.default, f.name
+
+    def test_match_defaults_are_the_param_defaults(self):
+        # 10 graphs of 8 inliers are the CLI's own defaults; every other
+        # default is read from the dataclasses
+        args = build_parser().parse_args(["match"])
+        assert _boost_params(args) == BoostParams()
+        assert _synth_params(args) == SynthParams(n_graphs=10, inliers=8)

@@ -25,7 +25,7 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, overall_consistency,
                       run_boost, total_score)
-from mgmboost.boost import (_TERMS, MODES, _anchor_pool, _config_from_tree,
+from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
                             _IterTables, _pairs_best, _spectral_sync, _weights)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
@@ -183,6 +183,28 @@ class TestBestAnchor:
         assert a == b
 
 
+class TestAnchorPools:
+    @staticmethod
+    def pair_by_pair(i, j, n_graphs, sample_rate, rng):
+        """One pair's pool as a Python list, drawn as the batched pools must."""
+        pool = [k for k in range(n_graphs) if k != i and k != j]
+        if sample_rate < 1.0 and pool:
+            m = max(1, int(round(sample_rate * len(pool))))
+            picked = rng.choice(len(pool), size=m, replace=False)
+            pool = [pool[idx] for idx in sorted(picked.tolist())]
+        return [i, j] + pool
+
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.6, 0.1])
+    @pytest.mark.parametrize("n_graphs", [2, 3, 7])
+    def test_equal_pair_by_pair_draws(self, n_graphs, sample_rate):
+        iu, ju = np.triu_indices(n_graphs, 1)
+        got = _anchor_pools(iu, ju, n_graphs, sample_rate, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = [self.pair_by_pair(i, j, n_graphs, sample_rate, rng)
+                for i, j in zip(iu.tolist(), ju.tolist())]
+        assert got.tolist() == want
+
+
 class TestPairBest2nd:
     """The vectorized second-order search against an exhaustive (v, u)
     enumeration of X_iv X_vu X_uj scored by the dense quadratic form."""
@@ -212,7 +234,7 @@ class TestPairBest2nd:
             norm = ScoreNormalizer.from_initial(cfg, kset)
             tbl = _IterTables(cfg, kset, norm)
             for i, j in [(0, 1), (1, 4), (3, 5)]:
-                pool = _anchor_pool(i, j, cfg.N, sample_rate, np.random.default_rng(seed))
+                pool = _anchor_pools(i, j, cfg.N, sample_rate, np.random.default_rng(seed))[0]
                 got = _pair_best_2nd(i, j, tbl, sample_rate, np.random.default_rng(seed))
                 _, want = self.exhaustive(i, j, cfg, kset, norm, pool)
                 assert Permutation(got) == want

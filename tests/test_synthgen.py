@@ -26,6 +26,7 @@ from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
                       load_pointset, save_instances, solve_pairwise,
                       truth_config)
 from mgmboost import pairwise
+from mgmboost.cli import main as cli_main
 from mgmboost.synthgen import delaunay_edges
 
 
@@ -562,3 +563,65 @@ class TestBoundaries:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=r"adjacency\[0, 2\] = inf is not finite"):
             load_instances(path)
+
+    @staticmethod
+    def _edited_archive(tmp_path, name, edit):
+        """A save_instances archive of three 6-node point sets with one
+        array replaced by ``edit`` of it."""
+        path = str(tmp_path / "dump.npz")
+        save_instances(path, gen_random_points(SynthParams(n_graphs=3, inliers=4, outliers=2,
+                                                           deform=0.1, seed=3)))
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = edit(arrays[name])
+        np.savez(path, **arrays)
+        return path
+
+    BAD_ARCHIVES = {
+        "short-truth": ("truth", lambda a: a[:2], "adjacency 3, truth 2"),
+        "short-counts": ("inlier_counts", lambda a: a[:1], "adjacency 3, inlier_counts 1"),
+        "short-coords": ("coords", lambda a: a[:2], "adjacency 3, coords 2"),
+        "coords-3-columns": ("coords", lambda a: np.concatenate([a, a[..., :1]], axis=2),
+                             "coords must have shape (6, 2), one 2-D point per node, "
+                             "got (6, 3)"),
+        "coords-4-nodes": ("coords", lambda a: a[:, :4],
+                           "coords must have shape (6, 2), one 2-D point per node, "
+                           "got (4, 2)")}
+
+    @pytest.mark.parametrize("case", BAD_ARCHIVES, ids=list(BAD_ARCHIVES))
+    def test_load_instances_rejects_inconsistent_arrays(self, tmp_path, case):
+        name, edit, message = self.BAD_ARCHIVES[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_instances(self._edited_archive(tmp_path, name, edit))
+
+    @pytest.mark.parametrize("case", BAD_ARCHIVES, ids=list(BAD_ARCHIVES))
+    def test_match_inconsistent_archive_is_usage_error(self, tmp_path, capsys, case):
+        name, edit, message = self.BAD_ARCHIVES[case]
+        path = self._edited_archive(tmp_path, name, edit)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", "--data", path, "--affinity", "len_angle", "--t-max", "1"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["npy", "empty", "text"])
+    def test_file_that_is_not_an_archive(self, tmp_path, capsys, kind):
+        path = str(tmp_path / f"data.{kind}")
+        if kind == "npy":
+            np.save(path, np.stack([g.adjacency for g in self._graphs()]))
+        else:
+            (tmp_path / f"data.{kind}").write_text("" if kind == "empty" else "0 1\n")
+        message = f"{path}: not an .npz archive of instances"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_instances(path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", "--data", path])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 2), (6,), (6, 2, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_coords_must_hold_one_point_per_node(self, shape):
+        adj = np.ones((6, 6)) - np.eye(6)
+        with pytest.raises(ValueError, match=re.escape(
+                f"coords must have shape (6, 2), one 2-D point per node, got {shape}")):
+            GraphInstance(adj, 6, Permutation.identity(6), np.zeros(shape))
