@@ -22,7 +22,7 @@ import numpy as np
 
 from .boost import run_boost
 from .consistency import overall_consistency
-from .core import ScoreNormalizer, total_score
+from .core import ScoreNormalizer, total_score, upper_indices
 from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
                        gen_random_points, init_config, load_pointset,
                        truth_config)
@@ -118,7 +118,7 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     empty = np.flatnonzero(counts[:-1] == 0)
     if empty.size:
         raise ValueError(f"graph {empty[0]} has no inlier rows; accuracy is undefined")
-    iu, ju = np.triu_indices(cfg_alg.N, 1)
+    iu, ju = upper_indices(cfg_alg.N)
     hits = ((cfg_alg.perm_table() == cfg_truth.perm_table()) & inlier[:, None]).sum(axis=2)
     # per-pair ratios added in row-major order, as a loop over the pairs would
     return sum((hits[iu, ju] / counts[iu]).tolist()) / len(iu)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, _kept_count, check_graph_index
+from .core import Permutation, _kept_count, check_graph_index, upper_indices
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -89,7 +89,7 @@ def unary_consistency_all(cfg, keep=None):
     the normalizer counts the kept rows. In (0, 1]; exactly 1 when all
     counted residuals vanish."""
     rows = _kept_count(keep, (cfg.N, cfg.n))
-    upper = np.triu_indices(cfg.N, 1)
+    upper = upper_indices(cfg.N)
     counts = np.array([m[upper].sum() for m in _mismatch_rows(cfg.perm_table(), keep)])
     return 1.0 - counts / (rows * cfg.N * (cfg.N - 1) / 2.0)
 

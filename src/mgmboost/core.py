@@ -14,7 +14,7 @@ every consistency metric inside (0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,9 +25,9 @@ import scipy.sparse as sp
 DENSE_NODE_LIMIT = 12
 
 # Kernel blocks are built at most this many entries at a time (8 bytes
-# each per temporary), so scoring many pairs in one batch holds a bounded
-# amount of memory.
-BLOCK_CHUNK_ENTRIES = 1 << 16
+# each per temporary, 256 KiB), so scoring many pairs in one batch holds a
+# bounded amount of memory and a chunk's temporaries stay in cache.
+BLOCK_CHUNK_ENTRIES = 1 << 15
 
 
 def dense_by_fill(n, nnz):
@@ -49,6 +49,16 @@ def _index_array(values):
     elif a.dtype.kind not in "biu":
         raise ValueError(f"indices must be integers, got dtype {a.dtype}")
     return np.array(a, dtype=np.int64)
+
+
+@lru_cache(maxsize=64)
+def upper_indices(n_graphs):
+    """``np.triu_indices(n_graphs, 1)``, the pairs i < j in row-major
+    order, as two read-only arrays built once per graph count."""
+    iu, ju = np.triu_indices(n_graphs, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def check_graph_index(k, n_graphs):
@@ -355,26 +365,38 @@ class AffinitySet:
         of the candidate. The default ``axis`` gives each candidate's
         score, a (P, A) array; ``axis=3`` its per-row node affinities, a
         (P, A, m) array. Blocks are built and summed in pair order, at
-        most BLOCK_CHUNK_ENTRIES entries (or one pair's) at a time.
+        most BLOCK_CHUNK_ENTRIES entries (or one pair's) at a time. A
+        candidate's sum depends only on its own block, so it is the same
+        bit for bit in any batch: (P, A, n) candidates give the sums of
+        their (P A, 1, n) flattening. Without ``rows`` the row graph's
+        side of a block is its whole attribute array, gathered by graph,
+        so a candidate costs about the same alone in its row as among
+        many candidates of its pair.
         """
         n = self.n
         perms = np.asarray(perms, dtype=np.int64)
         pairs, count = perms.shape[:2]
+        # np.full broadcasts single indices and shared rows to every pair
+        own_graph = np.full(pairs, i, dtype=np.int64)
+        other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n),
+                              dtype=np.int64)
         if rows is None:
-            r = np.broadcast_to(np.arange(n), (pairs, n))
-            picked = perms
+            kept, picked = n, perms
         else:
-            r = np.broadcast_to(np.asarray(rows, dtype=np.int64), (pairs, np.shape(rows)[-1]))
-            picked = np.take_along_axis(perms, r[:, None, :], axis=2)
-        own_graph = np.broadcast_to(np.reshape(i, (-1, 1)) * (n * n), (pairs, 1))
-        other_graph = np.broadcast_to(np.reshape(j, (-1, 1, 1)) * (n * n), (pairs, 1, 1))
-        step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * r.shape[1] ** 2))
+            r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
+            kept, picked = r.shape[1], np.take_along_axis(perms, r[:, None, :], axis=2)
+        step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * kept ** 2))
         sums = []
         for s in range(0, pairs, step):
-            own_flat = _flat_pairs(r[s:s + step], n, own_graph[s:s + step])[:, None]
+            graphs = own_graph[s:s + step]
+            if rows is None:
+                own = [a[graphs][:, None] for a in self._own]
+            else:
+                own_flat = _flat_pairs(r[s:s + step], n, graphs[:, None] * (n * n))[:, None]
+                own = [a.take(own_flat) for a in self._own]
             other_flat = _flat_pairs(picked[s:s + step], n, other_graph[s:s + step])
-            sums.append(self._kernel([a.take(own_flat) for a in self._own],
-                                     [a.take(other_flat) for a in self._other]).sum(axis=axis))
+            sums.append(self._kernel(own, [a.take(other_flat) for a in self._other])
+                        .sum(axis=axis))
         return np.concatenate(sums)
 
 
@@ -387,7 +409,7 @@ def _flat_pairs(nodes, n, offset):
 def pair_scores(cfg, kset):
     """Raw scores vec(X_ij)^T K_ij vec(X_ij) of every stored pair i < j,
     in row-major order, computed as one batch."""
-    iu, ju = np.triu_indices(cfg.N, 1)
+    iu, ju = upper_indices(cfg.N)
     return kset.kernel_sums(iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
 
 
@@ -420,7 +442,7 @@ class MatchConfig:
         if n_graphs < 2:
             raise ValueError("need at least two graphs")
         n = upper.shape[1]
-        iu, ju = np.triu_indices(n_graphs, 1)
+        iu, ju = upper_indices(n_graphs)
         ident = np.arange(n)
         inv = np.empty_like(upper)
         np.put_along_axis(inv, upper, np.broadcast_to(ident, upper.shape), axis=1)
@@ -451,7 +473,7 @@ class MatchConfig:
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] == 0:
             raise ValueError(f"table must have shape (N, N, n) with n >= 1, got {t.shape}")
         n_graphs, _, n = t.shape
-        upper = _index_array(t[np.triu_indices(n_graphs, 1)])
+        upper = _index_array(t[upper_indices(n_graphs)])
         bad = (np.sort(upper, axis=1) != np.arange(n)).any(axis=1)
         if bad.any():
             i, j = _upper_pairs(n_graphs)[int(np.argmax(bad))]

@@ -8,7 +8,10 @@ Property coverage:
   unmasked, in both orientations, per pair and as one all-pair batch
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, and chunking bounds their memory
-- the set, its scores and a boosting sweep stay O(N n^2) in memory
+- (P, A, n) candidates score bit for bit as their (P A, 1, n)
+  flattening, with and without kept rows
+- the set, its scores and a boosting sweep stay O(N n^2) in memory; a
+  whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
   non-finite or asymmetric attribute on an edge, naming the first one
 """
@@ -152,6 +155,27 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     assert np.array_equal(kset.kernel_sums(i, j, perms, rows), whole)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flattened_candidates_score_bit_for_bit(seed):
+    # gauss and len_angle at n = 8 and n = 14; a sweep scores its stale
+    # candidates one per row, (D, 1, n), and caches the sums next to
+    # those scored many per pair
+    rng = np.random.default_rng(seed)
+    for kset in builder_affinity_sets(seed):
+        n, pairs, count = kset.n, 6, 5
+        i = rng.integers(0, kset.N, size=pairs)
+        j = (i + 1 + rng.integers(0, kset.N - 1, size=pairs)) % kset.N
+        perms = np.array([_candidates(rng, n, count) for _ in range(pairs)])
+        rows = np.sort([rng.choice(n, size=n - 3, replace=False) for _ in range(pairs)],
+                       axis=1)
+        for r, flat_rows in ((None, None), (rows, np.repeat(rows, count, axis=0))):
+            whole = kset.kernel_sums(i, j, perms, r)
+            flat = kset.kernel_sums(np.repeat(i, count), np.repeat(j, count),
+                                    perms.reshape(-1, 1, n), flat_rows)
+            assert flat.shape == (pairs * count, 1)
+            assert flat[:, 0].tobytes() == whole.reshape(-1).tobytes()
+
+
 def test_kernel_sums_memory_stays_chunked():
     # 40 pairs x 30 candidates at n = 20: all blocks at once hold 480,000
     # entries, 3.7 MiB per temporary (11 MiB peak); a chunk holds 60,000
@@ -188,6 +212,23 @@ def test_memory_stays_linear_in_graphs():
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
 
+
+def test_run_memory_at_sixty_graphs():
+    # one isb_gc run at N=60, n=10: the cross-sweep sum cache holds
+    # P N 9 bytes = 0.9 MiB; the run peaks at about 2.9 MiB (an (N, N, N)
+    # float64 cache would add 1.7 MiB of its own)
+    instances = gen_random_graphs(SynthParams(n_graphs=60, inliers=10, deform=0.1,
+                                              density=0.9, seed=0))
+    kset = build_affinity_set(instances, 0.05)
+    cfg0 = MatchConfig.random(60, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        run_boost(cfg0, kset, BoostParams(mode="isb_gc", t_max=2,
+                                          enforce_final_consistency=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _valid_set_arrays():

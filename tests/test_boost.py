@@ -10,6 +10,10 @@ Property coverage:
 - seeded determinism of configs and traces
 - the weighted mode with zero weight and unit growth reproduces pure
   score boosting exactly
+- the cross-sweep kernel-sum cache gives the tables and traces of runs
+  that recompute every sum, in every mode, eliciting and sample rate;
+  ``BoostTrace.scored`` counts P N candidates in the first sweep and no
+  more later
 """
 
 import re
@@ -26,7 +30,8 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       is_fully_consistent, keep_masks, mst, overall_consistency,
                       run_boost, total_score)
 from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
-                            _IterTables, _pairs_best, _spectral_sync, _weights)
+                            _IterTables, _pairs_best, _spectral_sync, _SumCache,
+                            _weights)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
                       naive_elicited_unary, naive_pairwise_consistency,
@@ -549,6 +554,58 @@ class TestRunBoost:
             _, trace = run_boost(cfg, kset, BoostParams(
                 mode=mode, t_max=4, enforce_final_consistency=False))
             assert len(trace) <= 5
+
+
+class TestSumCache:
+    @staticmethod
+    def _points_run():
+        """Point sets with outliers (n = 7) from a half-corrupted start, so
+        that every sweep changes some pairs and keeps others."""
+        instances = gen_random_points(SynthParams(n_graphs=7, inliers=5, outliers=2,
+                                                  deform=0.05, seed=3))
+        kset = build_affinity_set(instances, 0.05)
+        return corrupted_config(np.random.default_rng(3), 7, 7, 0.5), kset
+
+    @staticmethod
+    def _expire_all(cache, moved, kept_rows):
+        cache.stale[:] = True
+        cache.kept_rows = kept_rows
+
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
+    @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
+    @pytest.mark.parametrize("mode", MODES, ids=mode_id)
+    def test_equals_rescoring_every_sweep(self, mode, elicit, sample_rate, monkeypatch):
+        cfg0, kset = self._points_run()
+        params = BoostParams(mode=mode, sample_rate=sample_rate, seed=1,
+                             elicit=None if elicit is None else InlierEstimate(5, elicit))
+        out, trace = run_boost(cfg0, kset, params)
+        monkeypatch.setattr(_SumCache, "expire", self._expire_all)
+        ref_out, ref = run_boost(cfg0, kset, params)
+        assert out.perm_table().tobytes() == ref_out.perm_table().tobytes()
+        assert (trace.scores, trace.consistencies, trace.changes) == \
+            (ref.scores, ref.consistencies, ref.changes)
+        assert all(got <= full for got, full in zip(trace.scored, ref.scored))
+        if mode not in ("isb_cst", "isb_2nd"):     # scores read from the cache
+            assert sum(trace.scored) < sum(ref.scored)
+
+    @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"])
+    def test_scored_counts(self, mode):
+        cfg0, kset = self._points_run()
+        pairs = cfg0.N * (cfg0.N - 1) // 2
+        _, trace = run_boost(cfg0, kset, BoostParams(mode=mode, t_max=6))
+        assert len(trace.scored) == len(trace)
+        assert trace.scored[:2] == [0, pairs * cfg0.N]
+        assert max(trace.scored[2:]) <= pairs * cfg0.N
+
+    def test_scored_counts_without_cache(self):
+        # isb_2nd scores A + (A - 2)(A - 3) candidates per pair in every
+        # sweep; isb_cst weighs no score, so it computes none
+        cfg0, kset = self._points_run()
+        pairs, a = cfg0.N * (cfg0.N - 1) // 2, cfg0.N
+        _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=3))
+        assert trace.scored == [0] + [pairs * (a + (a - 2) * (a - 3))] * (len(trace) - 1)
+        _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_cst", t_max=3))
+        assert trace.scored == [0] * len(trace)
 
 
 class TestMst:
