@@ -69,6 +69,11 @@ class ExperimentSpec:
             raise ValueError("file generator needs file_path")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        names = [name for name, _ in self.algorithms]
+        for name in names:
+            if names.count(name) > 1:
+                # a trial keys its results by name, so a repeat would overwrite
+                raise ValueError(f"algorithm {name!r} is listed twice")
         # a value no trial can run with fails here, not once per trial
         for value in self.sweep_values:
             nodes = self.value_params(value).n_nodes

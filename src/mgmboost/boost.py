@@ -28,7 +28,7 @@ from .core import MatchConfig, ScoreNormalizer, pair_scores, upper_indices
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
                           is_fully_consistent, keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
-from .pairwise import hungarian
+from .pairwise import stacked_hungarian
 
 MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_gc_p")
 
@@ -390,11 +390,9 @@ def _spectral_sync(cfg):
     stack[rows, cols] = 1.0
     _, lead = eigh(stack, subset_by_index=[size - n, size - 1])
     base = lead[:n]
-    basis = np.empty((n_graphs, n), dtype=np.int64)
-    basis[0] = np.arange(n)
-    for k in range(1, n_graphs):
-        basis[k] = hungarian(lead[k * n:(k + 1) * n] @ base.T).perm
-    return MatchConfig.from_basis(basis)
+    # one product per block: a single (N-1)n x n GEMM may round otherwise
+    blocks = np.stack([lead[k * n:(k + 1) * n] @ base.T for k in range(1, n_graphs)])
+    return MatchConfig.from_basis(np.vstack([np.arange(n), stacked_hungarian(blocks)]))
 
 
 def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):

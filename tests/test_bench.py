@@ -237,6 +237,13 @@ class TestRunExperiment:
                            sweep_param="deform", sweep_values=(0.1,),
                            algorithms=(("x", BoostParams()),))
 
+    def test_repeated_algorithm_name_rejected(self):
+        # results are keyed by name, so the first run's would be overwritten
+        algs = (("isb", BoostParams(mode="isb", t_max=1)),
+                ("isb", BoostParams(mode="isb", t_max=2)))
+        with pytest.raises(ValueError, match="algorithm 'isb' is listed twice"):
+            _tiny_spec(algorithms=algs)
+
     def test_seed_sweep_rejected(self):
         # every trial sets its own data seed, so a swept seed cannot apply
         with pytest.raises(ValueError, match="seed cannot be swept"):
@@ -349,8 +356,10 @@ class TestCli:
         (["match", "--generator", "file"], "--file is required with --generator file"),
         (["match", "--elicit", "cst"], "--elicit needs --n-est"),
         (["bench", "--sweep", "deform", "--values", "0", "--algorithms", "isb,foo",
-          "--out", "x.csv"], "unknown algorithm 'foo'")],
-        ids=["match-no-file", "match-no-n-est", "bench-algorithm"])
+          "--out", "x.csv"], "unknown algorithm 'foo'"),
+        (["bench", "--sweep", "deform", "--values", "0", "--algorithms", "isb,isb_gc, isb",
+          "--out", "x.csv"], "algorithm 'isb' is listed twice")],
+        ids=["match-no-file", "match-no-n-est", "bench-algorithm", "bench-repeated-algorithm"])
     def test_argument_error_is_usage_error(self, command, message, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -29,6 +29,7 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, overall_consistency,
                       run_boost, total_score)
+from mgmboost import pairwise
 from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
                             _IterTables, _pairs_best, _spectral_sync, _SumCache,
                             _weights)
@@ -329,6 +330,16 @@ class TestSpectralSync:
         want, margin = naive_spectral_sync(cfg)
         assert margin > 1e-9
         assert _spectral_sync(cfg) == want
+
+    @pytest.mark.parametrize("flip", [0.2, 0.6])
+    def test_lockstep_reprojection_equals_one_by_one(self, flip, monkeypatch):
+        # 59 blocks are re-projected in lockstep; with the threshold raised
+        # the same blocks go one by one
+        cfg = corrupted_config(np.random.default_rng(61), 60, 5, flip)
+        assert cfg.N - 1 >= pairwise.LOCKSTEP_BATCH
+        got = _spectral_sync(cfg)
+        monkeypatch.setattr(pairwise, "LOCKSTEP_BATCH", cfg.N)
+        assert _spectral_sync(cfg) == got
 
 
 class TestConfigFromTree:

@@ -9,7 +9,11 @@ Property coverage:
   conftest bit for bit, on exact ties and extreme magnitudes too
 - a raw dense or scipy sparse K is solved exactly as its AffinityMatrix
 - a stack of B <= 40 matrices (n <= 16) power-iterates to the per-matrix
-  vectors bit for bit, non-converging members included
+  vectors bit for bit, non-converging members included, and so does a
+  stack compacted when most of its members settle on one step
+- stacked_hungarian equals hungarian bit for bit on either side of
+  LOCKSTEP_BATCH, on tied, signed-zero and extreme profits and on real
+  power-iteration grids
 """
 
 import itertools
@@ -24,7 +28,8 @@ from hypothesis import strategies as st
 from mgmboost import (AffinityMatrix, Permutation, SynthParams,
                       affinity_score, build_affinity_set, gen_random_graphs,
                       hungarian, power_iteration, solve_pairwise)
-from mgmboost.pairwise import stacked_power_iteration
+from mgmboost.pairwise import (LOCKSTEP_BATCH, stacked_hungarian,
+                               stacked_power_iteration)
 
 from conftest import (brute_assignment_best, brute_qap_best,
                       builder_affinity_sets, random_affinity,
@@ -98,6 +103,65 @@ class TestHungarian:
         for _ in range(3):
             for profit in _profits(rng, n):
                 assert np.array_equal(hungarian(profit).perm, reference_hungarian(profit))
+
+
+def _profit_stacks(rng, b, n):
+    """(B, n, n) profit stacks by kind: uniform, rounded to one decimal
+    (ties), constant, integer valued, all zero, signed zeros, +-1e300,
+    and one whose problems mix all of these."""
+    shape = (b, n, n)
+    kinds = {
+        "uniform": rng.uniform(size=shape),
+        "rounded": np.round(rng.uniform(size=shape), 1),
+        "constant": np.full(shape, 2.5),
+        "integer": rng.integers(1, 9, size=shape).astype(float),
+        "zero": np.zeros(shape),
+        "signed-zero": rng.choice([0.0, -0.0], size=shape),
+        "huge": rng.choice([-1e300, 1e300], size=shape) * rng.uniform(0.5, 1.0, size=shape),
+    }
+    pick = rng.integers(len(kinds), size=b)
+    kinds["mixed"] = np.stack(list(kinds.values()))[pick, np.arange(b)]
+    return kinds
+
+
+def _per_problem(profits):
+    return np.array([hungarian(p).perm for p in profits]).reshape(profits.shape[:2])
+
+
+class TestStackedHungarian:
+    @pytest.mark.parametrize("b", [LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, 3 * LOCKSTEP_BATCH],
+                             ids=["scalar", "lockstep", "lockstep-3x"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16])
+    def test_equals_per_problem(self, b, n, rng):
+        for kind, profits in _profit_stacks(rng, b, n).items():
+            got = stacked_hungarian(profits)
+            assert got.shape == (b, n)
+            assert np.array_equal(got, _per_problem(profits)), kind
+
+    def test_power_iteration_grids(self):
+        # all 496 pairs of a dense_many-sized set: N = 32, n = 8
+        params = SynthParams(n_graphs=32, inliers=8, deform=0.1, density=0.9,
+                             sigma2=0.05, seed=5)
+        kset = build_affinity_set(gen_random_graphs(params), params.sigma2)
+        i, j = np.array(kset.pairs()).T
+        grids = stacked_power_iteration(kset.dense_stack(i, j)).reshape(-1, 8, 8)
+        grids = grids.transpose(0, 2, 1)
+        assert len(grids) >= LOCKSTEP_BATCH
+        assert np.array_equal(stacked_hungarian(grids), _per_problem(grids))
+
+    def test_empty_stack(self):
+        assert stacked_hungarian(np.zeros((0, 3, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("b", [2, LOCKSTEP_BATCH])
+    def test_rejects_bad_input(self, b):
+        with pytest.raises(ValueError, match="profit matrix must be square"):
+            stacked_hungarian(np.ones((b, 2, 3)))
+        with pytest.raises(ValueError, match="profit matrix must be square"):
+            stacked_hungarian(np.ones((3, 3)))
+        profits = np.ones((b, 3, 3))
+        profits[-1, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="profit entries must be finite"):
+            stacked_hungarian(profits)
 
 
 class TestPowerIteration:
@@ -176,6 +240,23 @@ class TestStackedPowerIteration:
             warnings.simplefilter("ignore")
             for k, v in zip(stack, got):
                 assert np.array_equal(v, power_iteration(AffinityMatrix(k)))
+
+    def test_compaction_beside_nonconverging_member(self, rng):
+        # the five copies of one matrix settle on one step, leaving three of
+        # eight members live, so the stack is compacted around the star;
+        # the zero matrix vanishes on the first step
+        same = random_affinity(rng, 2, density=1.0).dense()
+        other = random_affinity(rng, 2, density=1.0).dense()
+        stack = np.stack([same, STAR, same, same, other, same, np.zeros((4, 4)), same])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = stacked_power_iteration(stack)
+        assert sum("did not converge" in str(w.message) for w in caught) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k, v in zip(stack, got):
+                assert np.array_equal(v, power_iteration(AffinityMatrix(k)))
+        assert sum("did not converge" in str(w.message) for w in caught) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(b=st.integers(1, 40), n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))

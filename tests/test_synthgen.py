@@ -409,9 +409,9 @@ def _edgeless_set(n):
 
 
 class TestBatchedInitConfig:
-    """init_config solves its pairs in dense stacks, or one by one where K
-    is CSR; either way each pair's matching equals the per-pair solver's
-    bit for bit."""
+    """init_config power-iterates its pairs in dense stacks, or one by one
+    where K is CSR, and discretizes them in batches; either way each
+    pair's matching equals the per-pair solver's bit for bit."""
 
     @pytest.mark.parametrize(("make", "dense"), [
         (lambda: _graph_set(6, 8, 0.9, 1), True),
@@ -419,7 +419,11 @@ class TestBatchedInitConfig:
         (lambda: _graph_set(4, 16, 0.9, 3), True),
         (lambda: _len_angle_set(5, 14, 4), False),
         (lambda: _edgeless_set(5), True),
-    ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-14", "edgeless"])
+        # 66 pairs: at full coverage they are discretized in lockstep
+        (lambda: _graph_set(12, 8, 0.9, 7), True),
+        (lambda: _len_angle_set(12, 14, 8), False),
+    ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-14", "edgeless",
+            "gauss-8-N12", "len_angle-14-N12"])
     @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
     def test_equals_per_pair_solver(self, make, dense, coverage):
         kset = make()
