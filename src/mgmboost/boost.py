@@ -47,6 +47,11 @@ _TERMS = {"isb_cst": "candidate", "isb_gc": "candidate", "isb_gc_inv": "candidat
 SWEEP_BATCH_ENTRIES = 1 << 18
 
 
+def _check_gamma(gamma):
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class BoostParams:
     mode: str = "isb_gc"
@@ -71,8 +76,7 @@ class BoostParams:
             raise ValueError("lambda0 must lie in [0, 1]")
         if not self.beta >= 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
+        _check_gamma(self.gamma)
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError("sample_rate must lie in (0, 1]")
         if not (self.elicit is None or isinstance(self.elicit, InlierEstimate)):
@@ -317,15 +321,15 @@ def run_boost(cfg0, kset, params):
         tbl = _IterTables(cfg, kset, norm, _TERMS.get(params.mode) if b else None,
                           params.elicit, cache)
         cache.expire(moved, tbl.kept_rows)
-        new_table = tbl.table.copy()
+        upper = tbl.table[iu, ju]
         for start in range(0, len(iu), group):
-            ii, jj = iu[start:start + group], ju[start:start + group]
-            _, cands = _pairs_best(ii, jj, tbl, (a, b), params.sample_rate, rng,
+            at = slice(start, start + group)
+            _, cands = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate, rng,
                                    second_order)
-            moved[start:start + group] = (cands != tbl.table[ii, jj]).any(axis=1)
-            new_table[ii, jj] = cands
+            moved[at] = (cands != upper[at]).any(axis=1)
+            upper[at] = cands
         changed = int(np.count_nonzero(moved))
-        cfg = MatchConfig.from_table(new_table)
+        cfg = MatchConfig._from_upper(cfg.N, upper)
         snap = snapshot(cfg, pair_scores(cfg, kset))
         trace.record(*snap, changed, time.perf_counter() - started, tbl.scored)
         if best_at is not None and snap[best_at] > best_snap[best_at]:
@@ -350,10 +354,14 @@ def mst(weights):
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
+    bad = np.argwhere(~np.isfinite(w))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(f"weight ({i}, {j}) = {w[i, j]} is not finite")
     if not np.array_equal(w, w.T):
         raise ValueError("weights must be symmetric")
     n = w.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = upper_indices(n)
     ranks = np.zeros((n, n))
     ranks[iu, ju] = np.unique(-w[iu, ju], return_inverse=True)[1] + 1
     tree = minimum_spanning_tree(ranks).tocoo()
@@ -405,6 +413,7 @@ def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     consistency-weighted super graph is used, falling back to spectral
     synchronization when there are more graphs than nodes.
     """
+    _check_gamma(gamma)
     if is_fully_consistent(cfg):
         return cfg
     c_val = overall_consistency(cfg)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, _kept_count, check_graph_index, upper_indices
+from .core import (Permutation, _kept_count, check_graph_index, check_same_shape,
+                   upper_indices)
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -154,6 +155,7 @@ def node_affinity_all(cfg, kset):
     kernel block of X_ki with graph k as the row graph, all N(N-1) blocks
     in one batch; the terms are added in ascending i.
     """
+    check_same_shape(cfg, kset)
     k, i = np.nonzero(~np.eye(cfg.N, dtype=bool))     # row-major, i != k
     rows = kset.kernel_sums(k, i, cfg.perm_table()[k, i][:, None], axis=3)
     return np.add.accumulate(rows.reshape(cfg.N, cfg.N - 1, cfg.n), axis=1)[:, -1]

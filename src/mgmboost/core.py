@@ -51,6 +51,16 @@ def _index_array(values):
     return np.array(a, dtype=np.int64)
 
 
+def _check_permutations(rows, where=lambda r: ""):
+    """Raise ValueError naming, by the prefix ``where(r)``, the first row r
+    of the (R, n) index array ``rows`` that is not a permutation of 0..n-1."""
+    bad = np.sort(rows, axis=1) != np.arange(rows.shape[1])
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"{where(r)}indices {rows[r].tolist()} "
+                         f"are not a permutation of 0..{rows.shape[1] - 1}")
+
+
 @lru_cache(maxsize=64)
 def upper_indices(n_graphs):
     """``np.triu_indices(n_graphs, 1)``, the pairs i < j in row-major
@@ -102,9 +112,7 @@ class Permutation:
         p = _index_array(perm)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("permutation must be a non-empty 1-D index vector")
-        n = p.size
-        if p.min() < 0 or p.max() >= n or np.bincount(p, minlength=n).max() != 1:
-            raise ValueError(f"indices {p.tolist()} are not a permutation of 0..{n - 1}")
+        _check_permutations(p[None])
         p.setflags(write=False)
         self.perm = p
 
@@ -276,8 +284,8 @@ class AffinitySet:
             self._other.append(np.where(mask, attr, -np.inf))
 
     def pairs(self):
-        """Graph pairs (i, j) with i < j in row-major order."""
-        return _upper_pairs(self.N)
+        """Graph pairs (i, j) with i < j in row-major order, as Python ints."""
+        return list(zip(*(a.tolist() for a in upper_indices(self.N))))
 
     def _kernel(self, own, other):
         """Kernel values of row-graph attributes ``own`` against
@@ -406,9 +414,18 @@ def _flat_pairs(nodes, n, offset):
     return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
 
 
+def check_same_shape(cfg, kset):
+    """Raise ValueError unless a configuration and an affinity set have
+    the same graph count N and node count n."""
+    if (cfg.N, cfg.n) != (kset.N, kset.n):
+        raise ValueError(f"configuration has (N, n) = ({cfg.N}, {cfg.n}), "
+                         f"affinity set has ({kset.N}, {kset.n})")
+
+
 def pair_scores(cfg, kset):
     """Raw scores vec(X_ij)^T K_ij vec(X_ij) of every stored pair i < j,
     in row-major order, computed as one batch."""
+    check_same_shape(cfg, kset)
     iu, ju = upper_indices(cfg.N)
     return kset.kernel_sums(iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
 
@@ -417,16 +434,16 @@ class MatchConfig:
     """All pairwise matchings over N graphs on a common node count n.
 
     Held as one read-only (N, N, n) int64 index table whose row [i, j] is
-    X_ij. Only the upper triangle i < j is read from the caller; X_ji is
-    filled in as the inverse (transpose) and X_ii as the identity, so the
-    symmetry invariant cannot be broken. Immutable after construction.
+    X_ij. Every constructor reduces its input to the rows i < j, from which
+    ``_from_upper`` fills in X_ji as the inverse (transpose) and X_ii as the
+    identity, so the symmetry invariant cannot be broken. Immutable.
     """
 
     __slots__ = ("N", "n", "_perms")
 
     def __init__(self, n_graphs, n_nodes, pairs):
         rows = []
-        for i, j in _upper_pairs(n_graphs):
+        for i, j in zip(*(a.tolist() for a in upper_indices(n_graphs))):
             try:
                 x = pairs[(i, j)]
             except KeyError:
@@ -434,36 +451,36 @@ class MatchConfig:
             if x.n != n_nodes:
                 raise ValueError(f"pair ({i}, {j}) has node count {x.n}, expected {n_nodes}")
             rows.append(x.perm)
-        self._fill(n_graphs, np.array(rows, dtype=np.int64).reshape(-1, n_nodes))
+        built = self._from_upper(n_graphs, np.array(rows, dtype=np.int64).reshape(-1, n_nodes))
+        self.N, self.n, self._perms = built.N, built.n, built._perms
 
-    def _fill(self, n_graphs, upper):
-        """Build the table from validated upper-triangle rows, listed in
-        row-major (i, j) order."""
-        if n_graphs < 2:
-            raise ValueError("need at least two graphs")
+    @classmethod
+    def _from_upper(cls, n_graphs, upper):
+        """The configuration whose X_ij, i < j in row-major order, are the
+        rows of the (P, n) index array ``upper``, trusted to be permutations."""
         n = upper.shape[1]
+        if n_graphs < 2 or n == 0:
+            raise ValueError(f"need N >= 2 graphs and n >= 1 nodes, got N={n_graphs}, n={n}")
         iu, ju = upper_indices(n_graphs)
-        ident = np.arange(n)
-        inv = np.empty_like(upper)
-        np.put_along_axis(inv, upper, np.broadcast_to(ident, upper.shape), axis=1)
         t = np.empty((n_graphs, n_graphs, n), dtype=np.int64)
-        t[np.arange(n_graphs), np.arange(n_graphs)] = ident
+        t[np.arange(n_graphs), np.arange(n_graphs)] = np.arange(n)
         t[iu, ju] = upper
-        t[ju, iu] = inv
+        t[ju, iu] = np.argsort(upper, axis=1)
         t.setflags(write=False)
-        self.N = n_graphs
-        self.n = n
-        self._perms = t
+        cfg = object.__new__(cls)
+        cfg.N, cfg.n, cfg._perms = n_graphs, n, t
+        return cfg
 
     @classmethod
     def identity(cls, n_graphs, n_nodes):
-        ident = Permutation.identity(n_nodes)
-        return cls(n_graphs, n_nodes, dict.fromkeys(_upper_pairs(n_graphs), ident))
+        pairs = len(upper_indices(n_graphs)[0])
+        return cls._from_upper(n_graphs, np.tile(np.arange(n_nodes), (pairs, 1)))
 
     @classmethod
     def random(cls, n_graphs, n_nodes, rng):
-        return cls(n_graphs, n_nodes, {(i, j): Permutation.random(n_nodes, rng)
-                                       for i, j in _upper_pairs(n_graphs)})
+        rows = [rng.permutation(n_nodes) for _ in upper_indices(n_graphs)[0]]
+        upper = np.array(rows, dtype=np.int64).reshape(len(rows), n_nodes)
+        return cls._from_upper(n_graphs, upper)
 
     @classmethod
     def from_table(cls, table):
@@ -472,27 +489,23 @@ class MatchConfig:
         t = np.asarray(table)
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] == 0:
             raise ValueError(f"table must have shape (N, N, n) with n >= 1, got {t.shape}")
-        n_graphs, _, n = t.shape
-        upper = _index_array(t[upper_indices(n_graphs)])
-        bad = (np.sort(upper, axis=1) != np.arange(n)).any(axis=1)
-        if bad.any():
-            i, j = _upper_pairs(n_graphs)[int(np.argmax(bad))]
-            raise ValueError(f"pair ({i}, {j}) indices {t[i, j].tolist()} "
-                             f"are not a permutation of 0..{n - 1}")
-        cfg = cls.__new__(cls)
-        cfg._fill(n_graphs, upper)
-        return cfg
+        iu, ju = upper_indices(t.shape[0])
+        upper = _index_array(t[iu, ju])
+        _check_permutations(upper, lambda r: f"pair ({iu[r]}, {ju[r]}) ")
+        return cls._from_upper(t.shape[0], upper)
 
     @classmethod
     def from_basis(cls, basis):
         """Exactly cycle-consistent configuration through a common
         reference: basis[k] is an index vector mapping graph k's nodes to
         the reference, and X_ij is basis[i] followed by the inverse of
-        basis[j]."""
-        basis = np.asarray(basis)
-        inv = np.argsort(basis, axis=1)
-        return cls.from_table(inv[np.arange(basis.shape[0])[None, :, None],
-                                  basis[:, None, :]])
+        basis[j]; each of the N rows must be a permutation of 0..n-1."""
+        b = _index_array(basis)
+        if b.ndim != 2 or b.shape[1] == 0:
+            raise ValueError(f"basis must have shape (N, n) with n >= 1, got {b.shape}")
+        _check_permutations(b, lambda k: f"basis row of graph {k}: ")
+        iu, ju = upper_indices(b.shape[0])
+        return cls._from_upper(b.shape[0], np.argsort(b, axis=1)[ju[:, None], b[iu]])
 
     def get(self, i, j):
         check_graph_index(i, self.N)
@@ -500,8 +513,8 @@ class MatchConfig:
         return Permutation._wrap(self._perms[i, j])
 
     def pairs(self):
-        """Iterate (i, j, X_ij) over the upper triangle."""
-        for i, j in _upper_pairs(self.N):
+        """Iterate (i, j, X_ij) over the upper triangle, i and j Python ints."""
+        for i, j in zip(*(a.tolist() for a in upper_indices(self.N))):
             yield i, j, Permutation._wrap(self._perms[i, j])
 
     def perm_table(self):
@@ -518,11 +531,6 @@ class MatchConfig:
 
     def __reduce__(self):
         return MatchConfig.from_table, (self._perms,)
-
-
-def _upper_pairs(n_graphs):
-    """Pairs (i, j) with i < j in row-major order."""
-    return [(i, j) for i in range(n_graphs - 1) for j in range(i + 1, n_graphs)]
 
 
 @dataclass(frozen=True)

@@ -266,9 +266,9 @@ def solve_pairwise(k):
     return hungarian(scores)
 
 
-def solve_pairs(kset, pairs):
-    """``solve_pairwise(kset.get(i, j))`` for every listed pair (i, j) of
-    an ``AffinitySet``, as a dict keyed by pair and equal bit for bit.
+def solve_pairs(kset, i, j):
+    """``solve_pairwise(kset.get(i[p], j[p])).perm`` for the pairs of the
+    index arrays ``i`` and ``j``, as one (P, n) array, equal bit for bit.
 
     Pairs are taken in batches of STACK_ENTRIES profit entries. In each,
     pairs whose K is dense are power-iterated in stacks of STACK_ENTRIES
@@ -277,23 +277,18 @@ def solve_pairs(kset, pairs):
     call.
     """
     n = kset.n
-    out = {}
+    out = np.empty((len(i), n), dtype=np.int64)
     batch = max(1, STACK_ENTRIES // n ** 2)
     step = max(1, STACK_ENTRIES // n ** 4)
-    for s in range(0, len(pairs), batch):
-        chunk = pairs[s:s + batch]
-        vecs = np.empty((len(chunk), n * n))
-        dense = []
-        for b, p in enumerate(chunk):
-            if kset.is_dense(*p):
-                dense.append(b)
-            else:
-                vecs[b] = power_iteration(kset.get(*p))
+    for s in range(0, len(i), batch):
+        ci, cj = i[s:s + batch], j[s:s + batch]
+        vecs = np.empty((len(ci), n * n))
+        dense = np.array([kset.is_dense(a, b) for a, b in zip(ci, cj)], dtype=bool)
+        for b in np.flatnonzero(~dense):
+            vecs[b] = power_iteration(kset.get(ci[b], cj[b]))
+        dense = np.flatnonzero(dense)
         for t in range(0, len(dense), step):
             rows = dense[t:t + step]
-            i, j = np.array([chunk[b] for b in rows]).T
-            vecs[rows] = stacked_power_iteration(kset.dense_stack(i, j))
-        perms = stacked_hungarian(vecs.reshape(-1, n, n).transpose(0, 2, 1))
-        perms.setflags(write=False)
-        out.update(zip(chunk, map(Permutation._wrap, perms)))
+            vecs[rows] = stacked_power_iteration(kset.dense_stack(ci[rows], cj[rows]))
+        out[s:s + batch] = stacked_hungarian(vecs.reshape(-1, n, n).transpose(0, 2, 1))
     return out

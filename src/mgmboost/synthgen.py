@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import AffinitySet, MatchConfig, Permutation
+from .core import AffinitySet, MatchConfig, Permutation, upper_indices
 from .pairwise import solve_pairs
 
 
@@ -35,8 +35,11 @@ class SynthParams:
 
     def __post_init__(self):
         for name, least in (("n_graphs", 2), ("inliers", 1), ("outliers", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}, got {count!r}")
         if not (np.isfinite(self.deform) and self.deform >= 0):
             raise ValueError(f"deform must be finite and >= 0, got {self.deform!r}")
         for name in ("density", "coverage"):
@@ -362,17 +365,22 @@ def init_config(kset, coverage, seed, solver=None):
     if not 0.0 <= coverage <= 1.0:
         raise ValueError("coverage must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    all_pairs = kset.pairs()
-    n_solved = int(round(coverage * len(all_pairs)))
-    solved_idx = set(rng.choice(len(all_pairs), size=n_solved, replace=False).tolist())
-    solved = [p for idx, p in enumerate(all_pairs) if idx in solved_idx]
-    pairs = {p: Permutation.random(kset.n, rng)
-             for idx, p in enumerate(all_pairs) if idx not in solved_idx}
+    iu, ju = upper_indices(kset.N)
+    solved = np.zeros(len(iu), dtype=bool)
+    solved[rng.choice(len(iu), size=int(round(coverage * len(iu))), replace=False)] = True
+    upper = np.empty((len(iu), kset.n), dtype=np.int64)
+    for p in np.flatnonzero(~solved):
+        upper[p] = rng.permutation(kset.n)
     if solver is None:
-        pairs.update(solve_pairs(kset, solved))
+        upper[solved] = solve_pairs(kset, iu[solved], ju[solved])
     else:
-        pairs.update((p, solver(kset.get(*p))) for p in solved)
-    return MatchConfig(kset.N, kset.n, pairs)
+        for p in np.flatnonzero(solved):
+            x = solver(kset.get(iu[p], ju[p]))
+            if x.n != kset.n:
+                raise ValueError(f"pair ({iu[p]}, {ju[p]}) has node count {x.n}, "
+                                 f"expected {kset.n}")
+            upper[p] = x.perm
+    return MatchConfig._from_upper(kset.N, upper)
 
 
 def save_instances(path, instances):

@@ -309,6 +309,16 @@ def corrupted_config(rng, n_graphs, n_nodes, flip):
     return MatchConfig(n_graphs, n_nodes, pairs)
 
 
+def reference_from_basis(basis):
+    """The configuration through a common reference as a full (N, N, n)
+    table, entry [i, j, u] = inverse of basis[j] at basis[i][u], read
+    back by ``MatchConfig.from_table``."""
+    basis = np.asarray(basis)
+    inv = np.argsort(basis, axis=1)
+    return MatchConfig.from_table(inv[np.arange(len(basis))[None, :, None],
+                                      basis[:, None, :]])
+
+
 def random_config(rng, n_graphs, n_nodes):
     return MatchConfig.random(n_graphs, n_nodes, rng)
 

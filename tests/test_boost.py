@@ -27,8 +27,8 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       MatchConfig, Permutation, ScoreNormalizer, SynthParams,
                       build_affinity_set, enforce_full_consistency,
                       gen_random_graphs, gen_random_points, init_config,
-                      is_fully_consistent, keep_masks, mst, overall_consistency,
-                      run_boost, total_score)
+                      is_fully_consistent, keep_masks, mst, node_affinity_all,
+                      overall_consistency, run_boost, total_score)
 from mgmboost import pairwise
 from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
                             _IterTables, _pairs_best, _spectral_sync, _SumCache,
@@ -646,6 +646,13 @@ class TestMst:
     def test_zero_weights_are_edges(self):
         assert mst(np.zeros((4, 4))) == [(0, 1), (0, 2), (0, 3)]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_named(self, value):
+        w = np.ones((4, 4)) - np.eye(4)
+        w[1, 3] = w[3, 1] = value
+        with pytest.raises(ValueError, match=re.escape(f"weight (1, 3) = {value} is not finite")):
+            mst(w)
+
     def test_zero_and_tied_weights(self):
         # (2, 3) is the one heavy edge; of the tied weight-1 edges, (0, 2)
         # comes first and (1, 2) joins graph 1; every other edge has weight 0
@@ -656,6 +663,13 @@ class TestMst:
 
 
 class TestEnforceFullConsistency:
+    @pytest.mark.parametrize("gamma", [float("nan"), 2.0, 1.0, 0.0, -0.5])
+    @pytest.mark.parametrize("consistent", [False, True])
+    def test_bad_gamma_rejected(self, gamma, consistent, rng):
+        cfg = MatchConfig.identity(4, 3) if consistent else random_config(rng, 4, 3)
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1)")):
+            enforce_full_consistency(cfg, random_kset(rng, 4, 3), gamma)
+
     def test_already_consistent_untouched(self, rng):
         cfg = MatchConfig.identity(4, 3)
         kset = random_kset(rng, 4, 3)
@@ -690,6 +704,40 @@ class TestEnforceFullConsistency:
             out = enforce_full_consistency(cfg, kset, gamma=gamma)
             assert is_fully_consistent(out)
             assert overall_consistency(out) == 1.0
+
+
+class TestShapeMismatch:
+    """Every entry that reads a configuration against an affinity set
+    rejects a set of another graph or node count, naming both."""
+
+    ENTRIES = {
+        "run_boost": lambda cfg, kset: run_boost(cfg, kset, BoostParams(t_max=1)),
+        "total_score": total_score,
+        "ScoreNormalizer.from_initial": ScoreNormalizer.from_initial,
+        "affinity_mst": lambda cfg, kset: enforce_full_consistency(cfg, kset, gamma=0.999),
+        "keep_masks": lambda cfg, kset: keep_masks(cfg, InlierEstimate(2, "affinity"), kset),
+        "node_affinity_all": node_affinity_all,
+    }
+
+    @staticmethod
+    def _edge_kernel_set(n_graphs, n):
+        return build_affinity_set(gen_random_graphs(SynthParams(
+            n_graphs=n_graphs, inliers=n, deform=0.1, seed=1)), 0.05)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(("cfg_shape", "make_kset"), [
+        ((4, 5), lambda: TestShapeMismatch._edge_kernel_set(5, 5)),
+        ((6, 5), lambda: TestShapeMismatch._edge_kernel_set(5, 5)),
+        ((5, 5), lambda: TestShapeMismatch._edge_kernel_set(5, 6)),
+        ((4, 4), lambda: random_kset(np.random.default_rng(3), 4, 3)),
+    ], ids=["fewer-graphs", "more-graphs", "fewer-nodes", "reference-set"])
+    def test_rejected_naming_both_shapes(self, entry, cfg_shape, make_kset):
+        kset = make_kset()
+        cfg = MatchConfig.random(*cfg_shape, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"configuration has (N, n) = {cfg_shape}, affinity set has "
+                f"({kset.N}, {kset.n})")):
+            self.ENTRIES[entry](cfg, kset)
 
 
 def run_isb_acc_oracle(cfg0, cfg_truth, inlier_rows, t_max=50):

@@ -7,6 +7,7 @@ Property coverage:
 - score invariance under simultaneous consistent relabeling (n <= 4)
 """
 
+import hashlib
 import itertools
 import pickle
 import re
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, ScoreNormalizer,
                       affinity_score, solve_pairwise)
 
-from conftest import naive_quad_form, random_affinity
+from conftest import naive_quad_form, random_affinity, reference_from_basis
 
 
 # floats that are not whole numbers: fractions, nan and +-inf
@@ -291,6 +292,54 @@ class TestMatchConfig:
             for i in range(n_graphs):
                 for j in range(n_graphs):
                     assert cfg.get(i, j) == basis[i].compose(basis[j].inverse())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_graphs=st.integers(2, 7), n=st.integers(1, 7), data=st.data())
+    def test_from_basis_equals_full_table(self, n_graphs, n, data):
+        basis = [data.draw(st.permutations(range(n))) for _ in range(n_graphs)]
+        cfg = MatchConfig.from_basis(basis)
+        assert cfg == reference_from_basis(basis)
+        assert cfg.perm_table().dtype == np.int64 and not cfg.perm_table().flags.writeable
+
+    @pytest.mark.parametrize(("basis", "graph"), [
+        ([[0, 1], [0, 0]], 1),
+        ([[0, 2, 1], [2, 1, 0], [1, 2, 3]], 2),
+        ([[-1, 0], [1, 0]], 0),
+    ])
+    def test_from_basis_rejects_non_permutation_row(self, basis, graph):
+        with pytest.raises(ValueError, match=rf"basis row of graph {graph}: .* not a permutation"):
+            MatchConfig.from_basis(basis)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 0), (2, 2, 2), ()])
+    def test_from_basis_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"basis must have shape (N, n) with n >= 1, got {shape}")):
+            MatchConfig.from_basis(np.zeros(shape, dtype=np.int64))
+
+    def test_from_basis_rejects_non_integer_indices(self):
+        with pytest.raises(ValueError, match="integer"):
+            MatchConfig.from_basis([[0.5, 1.0], [1.0, 0.0]])
+
+    def test_random_draws_unchanged(self):
+        # each pair draws rng.permutation(n), in row-major pair order; any
+        # other draw order or count moves this digest
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for n_graphs, n in [(2, 1), (3, 4), (6, 5), (9, 3), (4, 12)]:
+            table = MatchConfig.random(n_graphs, n, rng).perm_table()
+            digest.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
+        assert digest.hexdigest() == ("691cae510b18cf7c871fc245d1a02c86"
+                                      "ab941b13ea3d75a0b941fea55264e262")
+
+    @pytest.mark.parametrize("make", [
+        lambda: MatchConfig.identity(1, 3),
+        lambda: MatchConfig.identity(3, 0),
+        lambda: MatchConfig.random(1, 3, np.random.default_rng(0)),
+        lambda: MatchConfig.random(3, 0, np.random.default_rng(0)),
+    ], ids=["identity-N1", "identity-n0", "random-N1", "random-n0"])
+    def test_needs_two_graphs_and_one_node(self, make):
+        with pytest.raises(ValueError, match="need N >= 2 graphs and n >= 1 nodes"):
+            make()
 
     def test_perm_table_consistent_with_get(self, rng):
         cfg = MatchConfig.random(4, 3, rng)

@@ -391,6 +391,12 @@ class TestInitConfig:
         kset, _ = self._kset(rng)
         assert init_config(kset, 0.5, seed=7) == init_config(kset, 0.5, seed=7)
 
+    def test_solver_result_of_wrong_size_named(self, rng):
+        kset, _ = self._kset(rng)
+        with pytest.raises(ValueError, match=re.escape(
+                "pair (0, 1) has node count 5, expected 4")):
+            init_config(kset, 1.0, seed=0, solver=lambda k: Permutation.identity(5))
+
 
 def _graph_set(n_graphs, n, density, seed):
     p = SynthParams(n_graphs=n_graphs, inliers=n, deform=0.05, density=density,
@@ -422,8 +428,11 @@ class TestBatchedInitConfig:
         # 66 pairs: at full coverage they are discretized in lockstep
         (lambda: _graph_set(12, 8, 0.9, 7), True),
         (lambda: _len_angle_set(12, 14, 8), False),
+        # 120 pairs: at coverage 0.5, 60 rows solved in lockstep land in one
+        # table beside 60 random rows
+        (lambda: _graph_set(16, 8, 0.9, 9), True),
     ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-14", "edgeless",
-            "gauss-8-N12", "len_angle-14-N12"])
+            "gauss-8-N12", "len_angle-14-N12", "gauss-8-N16"])
     @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
     def test_equals_per_pair_solver(self, make, dense, coverage):
         kset = make()
@@ -527,6 +536,18 @@ class TestBoundaries:
         pts[row, col] = value
         with pytest.raises(ValueError, match=rf"coords\[{row}, {col}\] = {value} is not finite"):
             GraphInstance(adj, n, Permutation.identity(n), pts)
+
+    @pytest.mark.parametrize("name", ["n_graphs", "inliers", "outliers"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3", None])
+    def test_non_integer_count_named(self, name, value):
+        counts = {"n_graphs": 3, "inliers": 4, "outliers": 1, name: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            SynthParams(**counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = SynthParams(n_graphs=np.int64(3), inliers=np.int32(4), outliers=np.uint8(1))
+        assert [g.n for g in gen_random_graphs(p)] == [5, 5, 5]
 
     @settings(max_examples=60, deadline=None)
     @given(deform=st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)))
