@@ -22,7 +22,7 @@ import numpy as np
 
 from .boost import run_boost
 from .consistency import overall_consistency
-from .core import ScoreNormalizer, total_score, upper_indices
+from .core import ScoreNormalizer, check_count, total_score, upper_indices
 from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
                        gen_random_points, init_config, load_pointset,
                        truth_config)
@@ -65,6 +65,7 @@ class ExperimentSpec:
                     raise ValueError(f"{self.sweep_param} takes integers, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        check_count("seed_base", self.seed_base)
         if self.generator == "file" and not self.file_path:
             raise ValueError("file generator needs file_path")
         if not self.algorithms:
@@ -187,8 +188,7 @@ def run_experiment(spec, workers=1):
     and aggregate one ResultRow per (algorithm, swept value) over the
     trials that did not fail. Deterministic given the seed base, except
     wall times."""
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_count("workers", workers, 1)
     cells = [(si, tr) for si in range(len(spec.sweep_values)) for tr in range(spec.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

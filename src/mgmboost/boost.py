@@ -7,8 +7,9 @@ weights (a, b) and the term; graduated modes grow the consistency weight
 geometrically across iterations (graduated regularization). All updates
 within an iteration read the previous snapshot only, so per-pair updates
 are order-independent and the whole sweep is deterministic. A run keeps
-the kernel sums of its first-order candidates across sweeps and
-recomputes only those whose legs, or kept rows, changed. Optional
+the kernel sums of its first-order candidates across sweeps,
+recomputes only those whose legs, or kept rows, changed, and reads the
+pair scores of each sweep's snapshot from them when it can. Optional
 post-processing rewrites the result into an exactly cycle-consistent
 configuration via maximum-spanning-tree composition on a super graph, or
 spectral synchronization when there are more graphs than nodes.
@@ -24,7 +25,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from .core import MatchConfig, ScoreNormalizer, pair_scores, upper_indices
+from .core import MatchConfig, ScoreNormalizer, check_count, pair_scores, upper_indices
 from .consistency import (InlierEstimate, candidate_consistency, compositions,
                           is_fully_consistent, keep_masks, overall_consistency,
                           pairwise_consistency_all, unary_consistency_all)
@@ -68,10 +69,8 @@ class BoostParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        for name in ("t0", "t_max"):
-            count = getattr(self, name)
-            if not (isinstance(count, (int, np.integer)) and count >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+        for name in ("t0", "t_max", "seed"):
+            check_count(name, getattr(self, name))
         if not 0.0 <= self.lambda0 <= 1.0:
             raise ValueError("lambda0 must lie in [0, 1]")
         if not self.beta >= 1.0:
@@ -322,15 +321,20 @@ def run_boost(cfg0, kset, params):
                           params.elicit, cache)
         cache.expire(moved, tbl.kept_rows)
         upper = tbl.table[iu, ju]
+        anchors = np.empty(len(iu), dtype=np.int64)
         for start in range(0, len(iu), group):
             at = slice(start, start + group)
-            _, cands = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate, rng,
-                                   second_order)
+            anchors[at], cands = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate,
+                                             rng, second_order)
             moved[at] = (cands != upper[at]).any(axis=1)
             upper[at] = cands
         changed = int(np.count_nonzero(moved))
         cfg = MatchConfig._from_upper(cfg.N, upper)
-        snap = snapshot(cfg, pair_scores(cfg, kset))
+        # a sweep that scored J on all rows left the raw sum of each new X_ij,
+        # its anchor's candidate, in the cache, equal to a fresh one bit for bit
+        full_sums = a and not second_order and tbl.kept_rows is None
+        snap = snapshot(cfg, cache.sums[np.arange(len(iu)), anchors] if full_sums
+                        else pair_scores(cfg, kset))
         trace.record(*snap, changed, time.perf_counter() - started, tbl.scored)
         if best_at is not None and snap[best_at] > best_snap[best_at]:
             best_snap, best_cfg = snap, cfg

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Permutation, _kept_count, check_graph_index, check_same_shape,
-                   upper_indices)
+from .core import (Permutation, _kept_count, check_count, check_graph_index,
+                   check_same_shape, upper_indices)
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -34,8 +34,7 @@ class InlierEstimate:
     mode: str = "consistency"
 
     def __post_init__(self):
-        if not (isinstance(self.n_est, (int, np.integer)) and self.n_est >= 1):
-            raise ValueError(f"n_est must be an integer >= 1, got {self.n_est!r}")
+        check_count("n_est", self.n_est, 1)
         if self.mode not in MASK_MODES:
             raise ValueError(f"mode must be one of {MASK_MODES}")
 
@@ -55,8 +54,10 @@ def _mismatch_rows(table, keep=None):
 def compositions(table, i, j):
     """(N, n) array whose row k is the composition X_ik X_kj; with ``i``
     and ``j`` arrays of P graph indices, the (P, N, n) stack of them."""
-    k = np.arange(table.shape[0])[:, None]
-    return table[k, np.asarray(j)[..., None, None], table[i]]
+    n_graphs, _, n = table.shape
+    # flat offset of row X_kj in the table, for each anchor k
+    offsets = np.arange(0, n_graphs * n_graphs * n, n_graphs * n)[:, None]
+    return table.take(table[i] + (offsets + np.asarray(j)[..., None, None] * n))
 
 
 def candidate_consistency(cands, comps, keep_row=None):
@@ -72,8 +73,9 @@ def candidate_consistency(cands, comps, keep_row=None):
     flat = comps.reshape(-1, n_anchors, n)
     slots = np.arange(flat.shape[0] * n).reshape(-1, 1, n) * n   # (pair, u) -> row of counts
     counts = np.bincount((slots + flat).ravel(), minlength=slots.size * n)
-    counts = counts.reshape(comps.shape[:-2] + (1, n, n))
-    mism = n_anchors - np.take_along_axis(counts, cands[..., None], axis=-1)[..., 0]
+    # count[u, cand[u]] of every candidate row
+    hits = counts.take(cands.reshape(len(flat), cands.shape[-2], n) + slots)
+    mism = n_anchors - hits.reshape(cands.shape)
     rows = n
     if keep_row is not None:
         mism = mism * keep_row[..., None, :]

@@ -71,6 +71,34 @@ def upper_indices(n_graphs):
     return iu, ju
 
 
+@lru_cache(maxsize=64)
+def slot_map(count):
+    """The slots of a symmetric (count, count) block with a diagonal off
+    the edges: slot s < m numbers the m = count(count-1)/2 node pairs
+    u < v in row-major order, and slot m stands for every u = v and sits
+    at (0, 0). Returns the slots' rows and columns, (m + 1,) each, and the
+    (count, count) map of [u, v] to its slot, so ``vals.take(slot)``
+    expands the m + 1 slot values into the block. Read-only intp arrays,
+    built once per count, since ``take`` would convert narrower indices
+    on every call."""
+    r, c = np.triu_indices(count, 1)
+    m = r.size
+    slot = np.full((count, count), m, dtype=np.intp)
+    slot[r, c] = slot[c, r] = np.arange(m)
+    su, sv = np.append(r, 0).astype(np.intp), np.append(c, 0).astype(np.intp)
+    for a in (su, sv, slot):
+        a.setflags(write=False)
+    return su, sv, slot
+
+
+def check_count(name, value, least=0):
+    """Raise ValueError, naming the argument and its value, unless
+    ``value`` is an integer (Python or numpy, not a float) >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def check_graph_index(k, n_graphs):
     """Raise IndexError unless 0 <= k < n_graphs; negative indices do not
     wrap around."""
@@ -129,11 +157,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(np.arange(n))
+        return cls(np.arange(check_count("n_nodes", n)))
 
     @classmethod
     def random(cls, n, rng):
-        return cls(rng.permutation(n))
+        return cls(rng.permutation(check_count("n_nodes", n)))
 
     @property
     def matrix(self):
@@ -313,18 +341,12 @@ class AffinitySet:
     @cached_property
     def _dense_index(self):
         """The m + 1 flat attribute indices ``dense_stack`` gathers per
-        graph, and the (n^2, n^2) map of K[a*n + u, b*n + v] to
-        s(a, b) * (m + 1) + s(u, v). Slot s numbers the m = n(n-1)/2 node
-        pairs u < v in either order and gives u = v slot m, gathered at
-        (0, 0), off the edges. intp, since ``take`` would convert narrower
-        indices on every call."""
+        graph, at the slots of ``slot_map(n)``, and the (n^2, n^2) map of
+        K[a*n + u, b*n + v] to s(a, b) * (m + 1) + s(u, v)."""
         n = self.n
-        r, c = np.triu_indices(n, 1)
-        m = r.size
-        slot = np.full((n, n), m, dtype=np.intp)
-        slot[r, c] = slot[c, r] = np.arange(m)
-        index = slot[:, None, :, None] * (m + 1) + slot[None, :, None, :]   # [a, u, b, v]
-        return np.append(r * n + c, 0), index.reshape(n * n, n * n)
+        su, sv, slot = slot_map(n)
+        index = slot[:, None, :, None] * su.size + slot[None, :, None, :]   # [a, u, b, v]
+        return su * n + sv, index.reshape(n * n, n * n)
 
     def dense_stack(self, i, j):
         """K of the pairs (i[b], j[b]) as one (B, n^2, n^2) array, with
@@ -372,20 +394,23 @@ class AffinitySet:
         Block entry [p, a, u, v] is the K entry linking rows r[u] and r[v]
         of the candidate. The default ``axis`` gives each candidate's
         score, a (P, A) array; ``axis=3`` its per-row node affinities, a
-        (P, A, m) array. Blocks are built and summed in pair order, at
-        most BLOCK_CHUNK_ENTRIES entries (or one pair's) at a time. A
-        candidate's sum depends only on its own block, so it is the same
-        bit for bit in any batch: (P, A, n) candidates give the sums of
-        their (P A, 1, n) flattening. Without ``rows`` the row graph's
-        side of a block is its whole attribute array, gathered by graph,
-        so a candidate costs about the same alone in its row as among
-        many candidates of its pair.
+        (P, A, m) array.
+
+        Both attributes are symmetric and a block's diagonal lies off the
+        edges, so the kernel runs only at the slots of ``slot_map(m)``,
+        the pairs u < v and one diagonal entry, and one ``take`` expands
+        them into the (m, m) block that is summed; its entries equal those
+        of the kernel at all m^2 entries bit for bit. Blocks are built and
+        summed in pair order, at most BLOCK_CHUNK_ENTRIES entries (or one
+        pair's) at a time. A candidate's sum depends only on its own
+        block, so it is the same bit for bit in any batch: (P, A, n)
+        candidates give the sums of their (P A, 1, n) flattening.
         """
         n = self.n
         perms = np.asarray(perms, dtype=np.int64)
         pairs, count = perms.shape[:2]
         # np.full broadcasts single indices and shared rows to every pair
-        own_graph = np.full(pairs, i, dtype=np.int64)
+        own_graph = np.full((pairs, 1), np.reshape(i, (-1, 1)) * (n * n), dtype=np.int64)
         other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n),
                               dtype=np.int64)
         if rows is None:
@@ -393,25 +418,21 @@ class AffinitySet:
         else:
             r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
             kept, picked = r.shape[1], np.take_along_axis(perms, r[:, None, :], axis=2)
+        su, sv, expand = slot_map(kept)
         step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * kept ** 2))
         sums = []
         for s in range(0, pairs, step):
-            graphs = own_graph[s:s + step]
             if rows is None:
-                own = [a[graphs][:, None] for a in self._own]
+                own_flat = own_graph[s:s + step] + (su * n + sv)
             else:
-                own_flat = _flat_pairs(r[s:s + step], n, graphs[:, None] * (n * n))[:, None]
-                own = [a.take(own_flat) for a in self._own]
-            other_flat = _flat_pairs(picked[s:s + step], n, other_graph[s:s + step])
-            sums.append(self._kernel(own, [a.take(other_flat) for a in self._other])
-                        .sum(axis=axis))
+                rs = r[s:s + step]
+                own_flat = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
+            ps = picked[s:s + step]
+            other_flat = other_graph[s:s + step] + ps[..., su] * n + ps[..., sv]
+            vals = self._kernel([a.take(own_flat[:, None]) for a in self._own],
+                                [a.take(other_flat) for a in self._other])
+            sums.append(vals.take(expand, axis=2).sum(axis=axis))
         return np.concatenate(sums)
-
-
-def _flat_pairs(nodes, n, offset):
-    """Flat indices offset + u*n + v of every pair of nodes (u, v) of each
-    row of ``nodes``: shape (..., m) becomes (..., m, m)."""
-    return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
 
 
 def check_same_shape(cfg, kset):
@@ -442,12 +463,17 @@ class MatchConfig:
     __slots__ = ("N", "n", "_perms")
 
     def __init__(self, n_graphs, n_nodes, pairs):
+        check_count("n_graphs", n_graphs)
+        check_count("n_nodes", n_nodes)
         rows = []
         for i, j in zip(*(a.tolist() for a in upper_indices(n_graphs))):
             try:
                 x = pairs[(i, j)]
             except KeyError:
                 raise ValueError(f"missing matching for pair ({i}, {j})") from None
+            if not isinstance(x, Permutation):
+                raise ValueError(f"pair ({i}, {j}) holds {type(x).__name__}, "
+                                 "expected a Permutation")
             if x.n != n_nodes:
                 raise ValueError(f"pair ({i}, {j}) has node count {x.n}, expected {n_nodes}")
             rows.append(x.perm)
@@ -473,12 +499,15 @@ class MatchConfig:
 
     @classmethod
     def identity(cls, n_graphs, n_nodes):
-        pairs = len(upper_indices(n_graphs)[0])
-        return cls._from_upper(n_graphs, np.tile(np.arange(n_nodes), (pairs, 1)))
+        pairs = len(upper_indices(check_count("n_graphs", n_graphs))[0])
+        row = np.arange(check_count("n_nodes", n_nodes))
+        return cls._from_upper(n_graphs, np.tile(row, (pairs, 1)))
 
     @classmethod
     def random(cls, n_graphs, n_nodes, rng):
-        rows = [rng.permutation(n_nodes) for _ in upper_indices(n_graphs)[0]]
+        check_count("n_nodes", n_nodes)
+        pairs = len(upper_indices(check_count("n_graphs", n_graphs))[0])
+        rows = [rng.permutation(n_nodes) for _ in range(pairs)]
         upper = np.array(rows, dtype=np.int64).reshape(len(rows), n_nodes)
         return cls._from_upper(n_graphs, upper)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import AffinitySet, MatchConfig, Permutation, upper_indices
+from .core import AffinitySet, MatchConfig, Permutation, check_count, upper_indices
 from .pairwise import solve_pairs
 
 
@@ -46,6 +46,7 @@ class SynthParams:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
         _check_bandwidth("sigma2", self.sigma2)
+        check_count("seed", self.seed)
 
     @property
     def n_nodes(self):
@@ -228,6 +229,7 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
     the truth recorded. Without it, every point is an inlier. With
     ``max_frames``, that many frames are picked (seeded), at most n_frames.
     """
+    check_count("seed", seed)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(idx + 1, ln) for idx, ln in enumerate(lines) if ln]
@@ -364,7 +366,7 @@ def init_config(kset, coverage, seed, solver=None):
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError("coverage must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     iu, ju = upper_indices(kset.N)
     solved = np.zeros(len(iu), dtype=bool)
     solved[rng.choice(len(iu), size=int(round(coverage * len(iu))), replace=False)] = True

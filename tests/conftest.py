@@ -57,6 +57,14 @@ def naive_candidate_consistency(cands, comps, keep_row=None):
     return 1.0 - mism.sum(axis=(-2, -1)) / (rows * comps.shape[-2])
 
 
+def reference_compositions(table, i, j):
+    """(N, n) compositions X_ik X_kj, or their (P, N, n) stack for arrays
+    ``i`` and ``j``, by one fancy index over the (N, N, n) table:
+    [k, u] = table[k, j, table[i, k, u]]."""
+    k = np.arange(table.shape[0])[:, None]
+    return table[k, np.asarray(j)[..., None, None], table[i]]
+
+
 def naive_anchor_mismatch_counts(cfg, keep=None):
     """(N, N, N) row-disagreement counts: entry [k, i, j] compares X_ij
     with X_ik X_kj. With ``keep`` (an (N, n) boolean mask) only rows kept
@@ -399,6 +407,33 @@ def reference_dense_stack(kset, i, j):
     k = kset._kernel([a[i][:, None, :, None, :] for a in kset._own],
                      [a[j][:, :, None, :, None] for a in kset._other])
     return k.reshape(-1, size, size)
+
+
+def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
+    """``kernel_sums`` of an edge-kernel ``AffinitySet`` with the kernel
+    run at all m^2 entries of every candidate's (m, m) block, gathered
+    through flat indices offset + u*n + v, in one batch. The kernel
+    arithmetic is the set's own and every block is summed with the same
+    shape and axis, so the sums must equal ``kernel_sums`` bit for bit."""
+    n = kset.n
+    perms = np.asarray(perms, dtype=np.int64)
+    pairs = perms.shape[0]
+    own_graph = np.full(pairs, i, dtype=np.int64)
+    other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n), dtype=np.int64)
+
+    def flat_pairs(nodes, offset):
+        return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
+
+    if rows is None:
+        picked = perms
+        own = [a[own_graph][:, None] for a in kset._own]
+    else:
+        r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
+        picked = np.take_along_axis(perms, r[:, None, :], axis=2)
+        own_flat = flat_pairs(r, own_graph[:, None] * (n * n))[:, None]
+        own = [a.take(own_flat) for a in kset._own]
+    other_flat = flat_pairs(picked, other_graph)
+    return kset._kernel(own, [a.take(other_flat) for a in kset._other]).sum(axis=axis)
 
 
 def second_order_candidates(ii, jj, tbl, sample_rate, rng):

@@ -10,6 +10,9 @@ Property coverage:
 - chunked batches equal unchunked ones, and chunking bounds their memory
 - (P, A, n) candidates score bit for bit as their (P A, 1, n)
   flattening, with and without kept rows
+- kernel sums from each block's m + 1 slot values equal the kernel at all
+  m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all,
+  shared or per-pair kept rows, scores and row sums)
 - the set, its scores and a boosting sweep stay O(N n^2) in memory; a
   whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
@@ -17,9 +20,12 @@ Property coverage:
 """
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgmboost.core as core
 from mgmboost import (AffinitySet, BoostParams, GraphInstance, MatchConfig,
@@ -27,7 +33,8 @@ from mgmboost import (AffinitySet, BoostParams, GraphInstance, MatchConfig,
                       gen_random_graphs, gen_random_points, run_boost, total_score)
 from mgmboost.core import pair_scores
 
-from conftest import builder_affinity_sets, naive_quad_form, reference_dense_stack
+from conftest import (builder_affinity_sets, naive_quad_form, reference_dense_stack,
+                      reference_kernel_sums)
 
 
 def _candidates(rng, n, count):
@@ -122,6 +129,50 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
         assert np.array_equal(both[:len(iu)], batch)
         swapped = np.array([affinity_score(t[j, i], kset.get(j, i)) for i, j in zip(iu, ju)])
         _assert_scores(both[len(iu):], swapped, swapped, kset.n)
+
+
+@lru_cache(maxsize=None)
+def _kernel_set(kind, n):
+    """Four graphs on n nodes: gauss on random graphs, or the two len_angle
+    channels, on Delaunay point sets with outliers at n >= 3 and, below,
+    where there is no triangulation, on random symmetric lengths and
+    angles over every edge."""
+    if kind == "gauss":
+        return build_affinity_set(gen_random_graphs(SynthParams(
+            n_graphs=4, inliers=n, deform=0.1, density=0.7, seed=n)), 0.05)
+    if n >= 3:
+        return build_affinity_set(gen_random_points(SynthParams(
+            n_graphs=4, inliers=n - n // 3, outliers=n // 3, deform=0.05, seed=n)),
+            0.05, "len_angle")
+    lengths, angles = np.random.default_rng(n).uniform(size=(2, 4, n, n))
+    mask = np.broadcast_to(~np.eye(n, dtype=bool), (4, n, n))
+    return AffinitySet(mask, [(0.9, lengths + lengths.transpose(0, 2, 1), 0.05),
+                              (0.1, angles + angles.transpose(0, 2, 1), 0.05)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["gauss", "len_angle"]), n=st.sampled_from([1, 2, 3, 8, 14, 16]),
+       rows_kind=st.sampled_from(["all", "shared", "per pair"]),
+       axis=st.sampled_from([(2, 3), 3]), pairs=st.integers(1, 5), count=st.integers(1, 4),
+       data=st.data())
+def test_kernel_sums_equal_full_block_reference(kind, n, rows_kind, axis, pairs, count, data):
+    # the kernel at each candidate's m + 1 slots, expanded through the slot
+    # map, sums bit for bit as the kernel at all m^2 entries of its block
+    kset = _kernel_set(kind, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    i = rng.integers(0, kset.N, size=pairs)
+    j = (i + 1 + rng.integers(0, kset.N - 1, size=pairs)) % kset.N
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (pairs, count, n)), axis=2)
+    kept = data.draw(st.one_of(st.just(1), st.integers(1, n)))
+    rows = {"all": None,
+            "shared": np.sort(rng.choice(n, kept, replace=False)),
+            "per pair": np.sort([rng.choice(n, kept, replace=False) for _ in range(pairs)],
+                                axis=1)}[rows_kind]
+    got = kset.kernel_sums(i, j, perms, rows, axis)
+    want = reference_kernel_sums(kset, i, j, perms, rows, axis)
+    assert got.shape == want.shape == ((pairs, count) if axis == (2, 3) else
+                                       (pairs, count, n if rows is None else kept))
+    assert np.array_equal(got, want)
 
 
 def test_swapped_orientation_is_index_swap():

@@ -8,6 +8,7 @@ Property coverage:
 
 import csv
 import logging
+import re
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -248,6 +249,13 @@ class TestRunExperiment:
         # every trial sets its own data seed, so a swept seed cannot apply
         with pytest.raises(ValueError, match="seed cannot be swept"):
             replace(_tiny_spec(), sweep_param="seed", sweep_values=(1.0, 2.0))
+
+    @pytest.mark.parametrize("seed_base", [1.5, -1, "7", None])
+    def test_bad_seed_base_named(self, seed_base):
+        # checked with the spec, not when the first trial seeds its streams
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed_base must be an integer >= 0, got {seed_base!r}")):
+            replace(_tiny_spec(), seed_base=seed_base)
 
     def test_fractional_value_of_integer_field_rejected(self):
         with pytest.raises(ValueError, match="inliers takes integers, got 8.5"):

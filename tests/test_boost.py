@@ -29,7 +29,7 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, node_affinity_all,
                       overall_consistency, run_boost, total_score)
-from mgmboost import pairwise
+from mgmboost import boost, pairwise
 from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
                             _IterTables, _pairs_best, _spectral_sync, _SumCache,
                             _weights)
@@ -406,6 +406,15 @@ class TestBoostParams:
         with pytest.raises(ValueError, match=rf"{name} must .*got {re.escape(repr(value))}"):
             BoostParams(**{name: value})
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, "3", None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            BoostParams(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert BoostParams(seed=np.uint32(7)).seed == 7
+
 
 class TestRunBoost:
     def _instance(self, rng, n_graphs=5, n=4):
@@ -598,6 +607,29 @@ class TestSumCache:
         assert all(got <= full for got, full in zip(trace.scored, ref.scored))
         if mode not in ("isb_cst", "isb_2nd"):     # scores read from the cache
             assert sum(trace.scored) < sum(ref.scored)
+
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
+    @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
+    @pytest.mark.parametrize("mode", MODES, ids=mode_id)
+    def test_snapshot_scores_equal_fresh_total_scores(self, mode, elicit, sample_rate,
+                                                      monkeypatch):
+        # a sweep that scored J on all rows reads its snapshot's pair scores
+        # from the cache; every snapshot equals the total score of its
+        # configuration, computed afresh, bit for bit
+        cfg0, kset = self._points_run()
+        seen = []
+
+        def recorded(cfg):
+            seen.append(cfg)
+            return overall_consistency(cfg)
+
+        monkeypatch.setattr(boost, "overall_consistency", recorded)
+        _, trace = run_boost(cfg0, kset, BoostParams(
+            mode=mode, sample_rate=sample_rate, seed=1, enforce_final_consistency=False,
+            elicit=None if elicit is None else InlierEstimate(5, elicit)))
+        norm = ScoreNormalizer.from_initial(cfg0, kset).value
+        assert len(seen) == len(trace) > 2
+        assert trace.scores == [total_score(cfg, kset) / norm for cfg in seen]
 
     @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"])
     def test_scored_counts(self, mode):

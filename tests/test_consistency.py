@@ -10,7 +10,8 @@ Property coverage:
   for random masks keeping the same count per graph
 - candidate consistency from per-row anchor counts equals the N-fold
   comparison exactly, with and without masks, and stays below the memory
-  that comparison needs
+  that comparison needs; the flat-gather compositions of a sweep equal a
+  fancy index over the table, for one pair and for a stack of pairs
 - unary and pairwise consistency of a whole configuration, from one pass
   over the anchors, equal the formulas on the (N, N, N) count array
   exactly, with and without masks, and stay below that array's memory
@@ -33,7 +34,7 @@ from mgmboost import (AffinityMatrix, AffinitySet, InlierEstimate, MatchConfig,
                       node_consistency_all, overall_consistency,
                       pairwise_consistency, pairwise_consistency_all,
                       unary_consistency_all)
-from mgmboost.consistency import candidate_consistency
+from mgmboost.consistency import candidate_consistency, compositions
 
 from conftest import (ReferenceAffinitySet, builder_affinity_sets,
                       commuted_node_affinity_all, corrupted_config,
@@ -41,7 +42,8 @@ from conftest import (ReferenceAffinitySet, builder_affinity_sets,
                       naive_elicited_pairwise, naive_elicited_unary,
                       naive_node_affinity, naive_node_consistency,
                       naive_pairwise_consistency, naive_quad_form,
-                      naive_unary_consistency, random_config, random_kset)
+                      naive_unary_consistency, random_config, random_kset,
+                      reference_compositions)
 
 
 def three_graph_example():
@@ -170,6 +172,25 @@ class TestCandidateConsistency:
         for keep_row in (None, keep):
             got = candidate_consistency(cands, comps, keep_row)
             assert np.array_equal(got, naive_candidate_consistency(cands, comps, keep_row))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_graphs=st.integers(2, 8), n=st.integers(1, 7), pairs=st.integers(1, 6),
+           flip=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
+    def test_sweep_compositions_equal_references(self, n_graphs, n, pairs, flip, data):
+        # the flat gathers of a sweep, compositions and then the consistency
+        # of anchor candidates drawn from them, against the fancy index and
+        # the N-fold comparison
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        table = corrupted_config(rng, n_graphs, n, flip).perm_table()
+        i, j = rng.integers(0, n_graphs, size=(2, pairs))
+        for a, b in ((i, j), (int(i[0]), int(j[0]))):
+            assert np.array_equal(compositions(table, a, b), reference_compositions(table, a, b))
+        comps = compositions(table, i, j)
+        cands = comps[np.arange(pairs)[:, None], rng.integers(0, n_graphs, (pairs, n_graphs))]
+        keep = _equal_count_mask(rng, pairs, n, data.draw(st.integers(1, n)))
+        for keep_row in (None, keep):
+            assert np.array_equal(candidate_consistency(cands, comps, keep_row),
+                                  naive_candidate_consistency(cands, comps, keep_row))
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_peak_memory_below_comparison_size(self, masked, rng):

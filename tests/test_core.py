@@ -341,6 +341,32 @@ class TestMatchConfig:
         with pytest.raises(ValueError, match="need N >= 2 graphs and n >= 1 nodes"):
             make()
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, -1, "3", None])
+    @pytest.mark.parametrize("make", [
+        lambda n: Permutation.identity(n),
+        lambda n: Permutation.random(n, np.random.default_rng(0)),
+        lambda n: MatchConfig.identity(3, n),
+        lambda n: MatchConfig.random(3, n, np.random.default_rng(0)),
+        lambda n: MatchConfig(2, n, {(0, 1): Permutation.identity(3)}),
+    ], ids=["perm-identity", "perm-random", "identity", "random", "dict"])
+    def test_non_integer_node_count_named(self, make, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_nodes must be an integer >= 0, got {value!r}")):
+            make(value)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert Permutation.identity(np.int32(3)) == Permutation([0, 1, 2])
+        cfg = MatchConfig.random(np.int64(4), np.uint8(3), np.random.default_rng(0))
+        assert cfg.perm_table().shape == (4, 4, 3)
+        assert MatchConfig.identity(np.int16(3), np.int64(2)) == MatchConfig.identity(3, 2)
+
+    @pytest.mark.parametrize("value", [np.array([1, 0]), [1, 0], None])
+    def test_dict_value_not_permutation_named(self, value):
+        pairs = {(0, 1): Permutation.identity(2), (0, 2): value, (1, 2): Permutation.identity(2)}
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair (0, 2) holds {type(value).__name__}, expected a Permutation")):
+            MatchConfig(3, 2, pairs)
+
     def test_perm_table_consistent_with_get(self, rng):
         cfg = MatchConfig.random(4, 3, rng)
         t = cfg.perm_table()

@@ -315,6 +315,12 @@ class TestLoadPointset(object):
             load_pointset(path, **kw)
         assert str(exc.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize("seed", [1.5, -1, None])
+    def test_bad_seed_named_before_reading(self, tmp_path, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            load_pointset(str(tmp_path / "absent.txt"), seed=seed)
+
     def test_landmark_subselection(self, tmp_path, rng):
         # 30 annotated landmarks per frame; select 10 inliers and 4
         # outliers -> 14-node instances with consistent inlier truth
@@ -548,6 +554,27 @@ class TestBoundaries:
     def test_numpy_integer_counts_accepted(self):
         p = SynthParams(n_graphs=np.int64(3), inliers=np.int32(4), outliers=np.uint8(1))
         assert [g.n for g in gen_random_graphs(p)] == [5, 5, 5]
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, "3", None])
+    @pytest.mark.parametrize("make", [
+        lambda seed: SynthParams(n_graphs=2, inliers=3, seed=seed),
+        lambda seed: init_config(TestBoundaries._kset(), 0.5, seed),
+    ], ids=["SynthParams", "init_config"])
+    def test_bad_seed_named(self, make, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            make(seed)
+
+    @staticmethod
+    def _kset():
+        return build_affinity_set(TestBoundaries._graphs(), 0.05)
+
+    def test_numpy_integer_seed_accepted(self):
+        p = SynthParams(n_graphs=3, inliers=4, deform=0.1, seed=np.uint32(3))
+        assert all(np.array_equal(a.adjacency, b.adjacency)
+                   for a, b in zip(gen_random_graphs(p), self._graphs()))
+        kset = self._kset()
+        assert init_config(kset, 0.5, np.int64(7)) == init_config(kset, 0.5, 7)
 
     @settings(max_examples=60, deadline=None)
     @given(deform=st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)))
