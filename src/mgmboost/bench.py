@@ -23,9 +23,9 @@ import numpy as np
 from .boost import run_boost
 from .consistency import overall_consistency
 from .core import ScoreNormalizer, check_count, total_score, upper_indices
-from .synthgen import (SynthParams, build_affinity_set, gen_random_graphs,
-                       gen_random_points, init_config, load_pointset,
-                       truth_config)
+from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind,
+                       gen_random_graphs, gen_random_points, init_config,
+                       load_pointset, truth_config)
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ class ExperimentSpec:
     algorithms: tuple              # of (name, BoostParams)
     trials: int = 50
     seed_base: int = 0
-    affinity: str = "gauss"        # or "len_angle"
+    affinity: str = "gauss"        # one of AFFINITY_KINDS
     beta_w: float = 0.9
     file_path: str | None = None
 
@@ -63,9 +63,9 @@ class ExperimentSpec:
             for value in self.sweep_values:
                 if not float(value).is_integer():
                     raise ValueError(f"{self.sweep_param} takes integers, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_count("trials", self.trials, 1)
         check_count("seed_base", self.seed_base)
+        check_affinity_kind(self.affinity, self.beta_w)
         if self.generator == "file" and not self.file_path:
             raise ValueError("file generator needs file_path")
         if not self.algorithms:

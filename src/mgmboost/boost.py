@@ -9,7 +9,9 @@ within an iteration read the previous snapshot only, so per-pair updates
 are order-independent and the whole sweep is deterministic. A run keeps
 the kernel sums of its first-order candidates across sweeps,
 recomputes only those whose legs, or kept rows, changed, and reads the
-pair scores of each sweep's snapshot from them when it can. Optional
+pair scores of each sweep's snapshot from them when it can. Each sweep
+also counts the consistency of its input from the compositions it
+builds, so only a run's last iterate needs a pass of its own. Optional
 post-processing rewrites the result into an exactly cycle-consistent
 configuration via maximum-spanning-tree composition on a super graph, or
 spectral synchronization when there are more graphs than nodes.
@@ -26,8 +28,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .core import MatchConfig, ScoreNormalizer, check_count, pair_scores, upper_indices
-from .consistency import (InlierEstimate, candidate_consistency, compositions,
-                          is_fully_consistent, keep_masks, overall_consistency,
+from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
+                          compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
 from .pairwise import stacked_hungarian
 
@@ -146,7 +148,9 @@ class _IterTables:
     """Frozen per-iteration state shared by every pair update; ``term`` is
     the consistency term the sweep weights, None if it weights none.
     First-order scores are read from ``cache``, by default a new one;
-    ``scored`` counts the candidates whose kernel sum the sweep computed."""
+    ``scored`` counts the candidates whose kernel sum the sweep computed,
+    and ``mismatches`` the ``anchor_mismatches`` of ``cfg`` over the pairs
+    searched so far."""
 
     def __init__(self, cfg, kset, norm, term=None, est=None, cache=None):
         self.cfg = cfg
@@ -155,6 +159,7 @@ class _IterTables:
         self.term = term
         self.cache = _SumCache(cfg.N) if cache is None else cache
         self.scored = 0
+        self.mismatches = np.zeros(cfg.N, dtype=np.int64)
         self.table = cfg.perm_table()
         self.keep = None
         self.kept_rows = None
@@ -229,7 +234,9 @@ def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
     per-anchor and the argmax is exact; the anchor scan order makes exact
     ties keep the incumbent, then the smallest anchor. First-order kernel
     sums come from the tables' cache, where only stale entries are
-    computed; the consistency terms are computed in full.
+    computed; the consistency terms are computed in full. The pairs'
+    compositions X_ik X_kj, built for every mode, add their mismatches
+    with the stored X_ij to the tables' ``mismatches``.
 
     The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u)
     of the pool [i, j, rest...], with b = 0; exact ties keep the first in
@@ -244,6 +251,8 @@ def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
     ii, jj = np.asarray(ii), np.asarray(jj)
     pools = _anchor_pools(ii, jj, tbl.cfg.N, sample_rate, rng)
     pairs = np.arange(len(ii))
+    comps = compositions(table, ii, jj)
+    tbl.mismatches += (comps != table[ii, jj][:, None]).sum(axis=0).sum(axis=1)
     if second_order:
         rest = pools[:, 2:]
         rv, ru = np.nonzero(~np.eye(rest.shape[1], dtype=bool))    # row-major v != u
@@ -251,9 +260,8 @@ def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
         us = np.concatenate([pools, rest[:, ru]], axis=1)
         via = table[vs[..., None], us[..., None], table[ii[:, None], vs]]   # X_iv then X_vu
         cands = table[us[..., None], jj[:, None, None], via]               # then X_uj
-        pools, comps = vs, None
+        pools = vs
     else:
-        comps = compositions(table, ii, jj)
         cands = comps[pairs[:, None], pools]
     a, b = weights
     j_term = 0.0
@@ -286,6 +294,10 @@ def run_boost(cfg0, kset, params):
     cycle return the best iterate seen instead of the last one. With
     t_max = 0 no sweep runs, and the initial configuration is returned
     as it is, without post-processing.
+
+    Sweep t counts the consistency of iterate t - 1, its input; a sweep
+    that changes no pair leaves an iterate of known consistency, and only
+    a changed last iterate is counted by a pass of its own.
     """
     initial = pair_scores(cfg0, kset)
     norm = ScoreNormalizer(float(initial.max()))
@@ -300,19 +312,27 @@ def run_boost(cfg0, kset, params):
     group = max(1, SWEEP_BATCH_ENTRIES // (cfg0.N ** (3 if second_order else 2) * cfg0.n))
     cache = _SumCache(cfg0.N)
     moved = np.zeros(len(iu), dtype=bool)     # pairs the last sweep changed
+    # modes whose iterates may cycle keep the best iterate by this trace entry
+    best_of = {"isb_cst": trace.consistencies, "isb_gc_p": trace.scores}.get(params.mode)
+    kept = None     # (best_of entry, configuration, anchor mismatches) returned
 
-    def snapshot(cfg, scores):
-        # pair scores added in row-major order, as total_score adds them
-        return float(sum(scores.tolist())) / norm.value, overall_consistency(cfg)
+    def record(scores, changed, scored=0):
+        # pair scores added in row-major order, as total_score adds them; the
+        # consistency is filled in by settle once counted
+        trace.record(float(sum(scores.tolist())) / norm.value, None, changed,
+                     time.perf_counter() - started, scored)
+
+    def settle(cfg, mismatches):
+        nonlocal kept
+        trace.consistencies[-1] = overall_from_mismatches(mismatches, cfg.n)
+        if kept is None or best_of is None or best_of[-1] > kept[0]:
+            kept = (None if best_of is None else best_of[-1], cfg, mismatches)
 
     started = time.perf_counter()
     cfg = cfg0
-    snap = snapshot(cfg, initial)
-    trace.record(*snap, 0, time.perf_counter() - started)
+    record(initial, 0)
     lam = params.lambda0
-    # modes whose iterates may cycle keep the best iterate by this snapshot entry
-    best_at = {"isb_cst": 1, "isb_gc_p": 0}.get(params.mode)
-    best_snap, best_cfg = snap, cfg
+    known = None    # anchor mismatches of cfg, when already counted
 
     for t in range(1, params.t_max + 1):
         a, b = _weights(params.mode, t, params.t0, lam)
@@ -328,25 +348,28 @@ def run_boost(cfg0, kset, params):
                                              rng, second_order)
             moved[at] = (cands != upper[at]).any(axis=1)
             upper[at] = cands
+        if known is None:
+            settle(cfg, tbl.mismatches)
         changed = int(np.count_nonzero(moved))
+        known = None if changed else tbl.mismatches
         cfg = MatchConfig._from_upper(cfg.N, upper)
         # a sweep that scored J on all rows left the raw sum of each new X_ij,
         # its anchor's candidate, in the cache, equal to a fresh one bit for bit
         full_sums = a and not second_order and tbl.kept_rows is None
-        snap = snapshot(cfg, cache.sums[np.arange(len(iu)), anchors] if full_sums
-                        else pair_scores(cfg, kset))
-        trace.record(*snap, changed, time.perf_counter() - started, tbl.scored)
-        if best_at is not None and snap[best_at] > best_snap[best_at]:
-            best_snap, best_cfg = snap, cfg
+        record(cache.sums[np.arange(len(iu)), anchors] if full_sums
+               else pair_scores(cfg, kset), changed, tbl.scored)
+        if known is not None:
+            settle(cfg, known)
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
 
-    if best_at is not None:
-        cfg = best_cfg
+    if known is None:
+        settle(cfg, anchor_mismatches(cfg))     # the run's one direct pass
+    _, cfg, mismatches = kept
     if params.enforce_final_consistency and len(trace) > 1:   # a sweep ran
-        cfg = enforce_full_consistency(cfg, kset, params.gamma)
+        cfg = _make_consistent(cfg, kset, params.gamma, mismatches)
     return cfg, trace
 
 
@@ -418,10 +441,15 @@ def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     synchronization when there are more graphs than nodes.
     """
     _check_gamma(gamma)
-    if is_fully_consistent(cfg):
+    return _make_consistent(cfg, kset, gamma, anchor_mismatches(cfg))
+
+
+def _make_consistent(cfg, kset, gamma, mismatches):
+    """``enforce_full_consistency`` of a configuration given its
+    ``anchor_mismatches``."""
+    if not mismatches.any():
         return cfg
-    c_val = overall_consistency(cfg)
-    if c_val < gamma:
+    if overall_from_mismatches(mismatches, cfg.n) < gamma:
         weights = np.zeros((cfg.N, cfg.N))
         iu, ju = upper_indices(cfg.N)
         weights[iu, ju] = weights[ju, iu] = pair_scores(cfg, kset)
@@ -429,4 +457,3 @@ def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     if cfg.n >= cfg.N:
         return _config_from_tree(cfg, mst(pairwise_consistency_all(cfg)))
     return _spectral_sync(cfg)
-

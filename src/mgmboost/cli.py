@@ -14,7 +14,7 @@ from .bench import (GENERATORS, ExperimentSpec, accuracy, emit_csv, emit_plotdat
 from .boost import MODES, BoostParams, run_boost
 from .consistency import InlierEstimate, overall_consistency
 from .core import ScoreNormalizer, total_score
-from .synthgen import (SynthParams, build_affinity_set, init_config,
+from .synthgen import (AFFINITY_KINDS, SynthParams, build_affinity_set, init_config,
                        load_instances, load_pointset, save_instances, truth_config)
 
 
@@ -28,7 +28,7 @@ def _add_synth_flags(p):
     p.add_argument("--density", type=float, default=SynthParams.density)
     p.add_argument("--coverage", type=float, default=SynthParams.coverage)
     p.add_argument("--sigma2", type=float, default=SynthParams.sigma2)
-    p.add_argument("--affinity", choices=("gauss", "len_angle"), default=None,
+    p.add_argument("--affinity", choices=AFFINITY_KINDS, default=None,
                    help="default: gauss, or len_angle for coordinate data")
     p.add_argument("--beta-w", type=float, default=0.9,
                    help="length/angle kernel weight (len_angle affinity)")

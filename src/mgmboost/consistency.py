@@ -83,6 +83,28 @@ def candidate_consistency(cands, comps, keep_row=None):
     return 1.0 - mism.sum(axis=-1) / (rows * n_anchors)
 
 
+def anchor_mismatches(cfg, keep=None):
+    """Per anchor k, the number of rows where a stored X_ij, i < j, and
+    its composition X_ik X_kj disagree, as an (N,) int64 array; with an
+    (N, n) boolean ``keep`` mask only rows kept for the row graph i count.
+    All zero exactly when the configuration is fully consistent."""
+    upper = upper_indices(cfg.N)
+    return np.array([m[upper].sum() for m in _mismatch_rows(cfg.perm_table(), keep)])
+
+
+def _unary_from_mismatches(mismatches, rows):
+    """Unary consistency of every anchor from its ``anchor_mismatches``
+    count, for configurations counting ``rows`` rows per pair."""
+    n_graphs = len(mismatches)
+    return 1.0 - mismatches / (rows * n_graphs * (n_graphs - 1) / 2.0)
+
+
+def overall_from_mismatches(mismatches, n):
+    """``overall_consistency`` of an n-node configuration from its
+    ``anchor_mismatches`` count."""
+    return float(_unary_from_mismatches(mismatches, n).mean())
+
+
 def unary_consistency_all(cfg, keep=None):
     """Unary consistency of every graph k, as an (N,) array: how
     self-consistent the configuration is when routed through k, 1 minus
@@ -92,9 +114,7 @@ def unary_consistency_all(cfg, keep=None):
     the normalizer counts the kept rows. In (0, 1]; exactly 1 when all
     counted residuals vanish."""
     rows = _kept_count(keep, (cfg.N, cfg.n))
-    upper = upper_indices(cfg.N)
-    counts = np.array([m[upper].sum() for m in _mismatch_rows(cfg.perm_table(), keep)])
-    return 1.0 - counts / (rows * cfg.N * (cfg.N - 1) / 2.0)
+    return _unary_from_mismatches(anchor_mismatches(cfg, keep), rows)
 
 
 def pairwise_consistency(x, cfg, i, j, keep=None):
@@ -127,7 +147,7 @@ def overall_consistency(cfg, table=None):
     """Mean unary consistency; always identical to the mean pairwise
     consistency over stored pairs. ``table`` is accepted for older callers
     and ignored: the configuration holds its own table."""
-    return float(unary_consistency_all(cfg).mean())
+    return overall_from_mismatches(anchor_mismatches(cfg), cfg.n)
 
 
 def is_fully_consistent(cfg, table=None):

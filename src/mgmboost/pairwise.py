@@ -64,7 +64,9 @@ def stacked_power_iteration(k):
     A matrix that settles or vanishes records its output and stays in the
     stack, multiplied but unread; the stack is compacted to its live
     matrices only once at most half of its rows are live, so the copy is
-    made O(log B) times rather than on nearly every step. Every vector
+    made O(log B) times rather than on nearly every step. A step tests
+    its norms for a zero once, and keeps no live mask while every row is
+    live, so most steps make about ten numpy calls. Every vector
     equals the one its matrix gives alone, whatever its neighbours:
     stacked ``matmul`` and ``vecdot`` round as the single-matrix products
     do.
@@ -73,29 +75,38 @@ def stacked_power_iteration(k):
     dim = k.shape[-1]
     out = np.empty((1 if csr else k.shape[0], dim))
     rows = np.arange(out.shape[0])          # output row of each stack row
-    live = np.ones(out.shape[0], dtype=bool)
+    live = None                             # live stack rows; None while all are
     v = np.full(out.shape, 1.0 / np.sqrt(dim))
     for _ in range(MAX_POWER_ITERS):
         w = (k @ v[0])[None] if csr else np.matmul(k, v[:, :, None])[:, :, 0]
         nrm = np.sqrt(np.vecdot(w, w))
-        vanished = nrm == 0.0
-        nrm[vanished] = 1.0
+        vanished = None
+        if not nrm.all():
+            vanished = nrm == 0.0
+            nrm[vanished] = 1.0
         w /= nrm[:, None]
         d = w - v
-        settled = live & ~vanished & (np.sqrt(np.vecdot(d, d)) < POWER_TOL)
-        vanished &= live
-        if vanished.any() or settled.any():
-            out[rows[vanished]] = v[vanished]
-            out[rows[settled]] = w[settled]
-            live &= ~(vanished | settled)
+        # a vanished product finishes with its last iterate v; once dead,
+        # with v = 0, it also reads as settled, which the live mask drops
+        done = np.sqrt(np.vecdot(d, d)) < POWER_TOL
+        if vanished is not None:
+            done |= vanished
+        if live is not None:
+            done &= live
+        if done.any():
+            out[rows[done]] = (w if vanished is None
+                               else np.where(vanished[:, None], v, w))[done]
+            live = ~done if live is None else live & ~done
             n_live = np.count_nonzero(live)
             if not n_live:
                 return out
             if 2 * n_live <= live.size:
-                k, w, rows, live = k[live], w[live], rows[live], live[live]
+                k, w, rows, live = k[live], w[live], rows[live], None
         v = w
-    out[rows[live]] = v[live]
-    for _ in range(np.count_nonzero(live)):
+    if live is not None:
+        rows, v = rows[live], v[live]
+    out[rows] = v
+    for _ in range(len(rows)):
         warnings.warn("power iteration did not converge; returning best iterate")
     return out
 

@@ -19,6 +19,8 @@ from scipy.spatial import Delaunay, QhullError
 from .core import AffinitySet, MatchConfig, Permutation, check_count, upper_indices
 from .pairwise import solve_pairs
 
+AFFINITY_KINDS = ("gauss", "len_angle")
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -312,6 +314,15 @@ def _check_bandwidth(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_affinity_kind(kind, beta_w):
+    """Raise ValueError, naming the value, unless ``kind`` is one of
+    AFFINITY_KINDS and, for len_angle, beta_w lies in [0, 1]."""
+    if kind not in AFFINITY_KINDS:
+        raise ValueError(f"affinity must be one of {AFFINITY_KINDS}, got {kind!r}")
+    if kind == "len_angle" and not 0.0 <= beta_w <= 1.0:
+        raise ValueError(f"beta_w must lie in [0, 1], got {beta_w!r}")
+
+
 def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     """Edge-kernel affinity set of a list of instances (see AffinitySet).
 
@@ -327,14 +338,11 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     each edge's absolute angle to the horizontal, both of bandwidth sigma2.
     """
     _check_bandwidth("sigma2", sigma2)
+    check_affinity_kind(kind, beta_w)
     if kind == "gauss":
         n = max(g.n for g in instances)
         weights = np.stack([g.padded(n).adjacency for g in instances])
         return AffinitySet(weights != 0, [(1.0, weights, sigma2)])
-    if kind != "len_angle":
-        raise ValueError(f"unknown affinity kind {kind!r}")
-    if not 0.0 <= beta_w <= 1.0:
-        raise ValueError("beta_w must lie in [0, 1]")
     if len({g.n for g in instances}) != 1:
         raise ValueError("coordinate instances must have equal node counts")
     shape = (len(instances), instances[0].n, instances[0].n)

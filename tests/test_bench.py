@@ -257,6 +257,26 @@ class TestRunExperiment:
                 f"seed_base must be an integer >= 0, got {seed_base!r}")):
             replace(_tiny_spec(), seed_base=seed_base)
 
+    @pytest.mark.parametrize("trials", [1.5, 0, 2.0, "3", None])
+    def test_bad_trials_named(self, trials):
+        # a float count failed only once the first trial ran
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials must be an integer >= 1, got {trials!r}")):
+            replace(_tiny_spec(), trials=trials)
+
+    @pytest.mark.parametrize(("affinity", "beta_w", "message"), [
+        ("foo", 0.9, "affinity must be one of ('gauss', 'len_angle'), got 'foo'"),
+        ("len_angle", 1.5, "beta_w must lie in [0, 1], got 1.5"),
+        ("len_angle", float("nan"), "beta_w must lie in [0, 1], got nan"),
+    ])
+    def test_bad_affinity_named(self, affinity, beta_w, message):
+        # every trial used to fail inside build_affinity_set, leaving no rows
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(_tiny_spec(), affinity=affinity, beta_w=beta_w)
+
+    def test_beta_w_ignored_by_gauss_affinity(self):
+        assert replace(_tiny_spec(), beta_w=1.5).beta_w == 1.5
+
     def test_fractional_value_of_integer_field_rejected(self):
         with pytest.raises(ValueError, match="inliers takes integers, got 8.5"):
             replace(_tiny_spec(), sweep_param="inliers", sweep_values=(8, 8.5))

@@ -14,6 +14,9 @@ Property coverage:
   that recompute every sum, in every mode, eliciting and sample rate;
   ``BoostTrace.scored`` counts P N candidates in the first sweep and no
   more later
+- every trace consistency, counted inside the next sweep, equals a fresh
+  ``overall_consistency`` of its iterate, with at most one direct pass
+  per run, which post-processing reuses
 """
 
 import re
@@ -60,6 +63,21 @@ def sweep_picks(cfg, kset, mode, norm, lam, est=None, sample_rate=1.0, rng=None)
     tbl = _IterTables(cfg, kset, norm, _TERMS.get(mode) if weights[1] else None, est)
     anchors, cands = _pairs_best(iu, ju, tbl, weights, sample_rate, rng)
     return list(zip(iu.tolist(), ju.tolist(), anchors.tolist(), map(Permutation, cands)))
+
+
+def record_iterates(monkeypatch):
+    """List to which every configuration built by ``MatchConfig._from_upper``
+    is appended from now on: each sweep's iterate, in order, in a run
+    without post-processing."""
+    seen = []
+    build = MatchConfig._from_upper
+
+    def recorded(n_graphs, upper):
+        seen.append(build(n_graphs, upper))
+        return seen[-1]
+
+    monkeypatch.setattr(MatchConfig, "_from_upper", staticmethod(recorded))
+    return seen
 
 
 def _pair_best_2nd(i, j, tbl, sample_rate, rng):
@@ -617,19 +635,14 @@ class TestSumCache:
         # from the cache; every snapshot equals the total score of its
         # configuration, computed afresh, bit for bit
         cfg0, kset = self._points_run()
-        seen = []
-
-        def recorded(cfg):
-            seen.append(cfg)
-            return overall_consistency(cfg)
-
-        monkeypatch.setattr(boost, "overall_consistency", recorded)
+        seen = record_iterates(monkeypatch)
         _, trace = run_boost(cfg0, kset, BoostParams(
             mode=mode, sample_rate=sample_rate, seed=1, enforce_final_consistency=False,
             elicit=None if elicit is None else InlierEstimate(5, elicit)))
         norm = ScoreNormalizer.from_initial(cfg0, kset).value
-        assert len(seen) == len(trace) > 2
-        assert trace.scores == [total_score(cfg, kset) / norm for cfg in seen]
+        iterates = [cfg0] + seen
+        assert len(iterates) == len(trace) > 2
+        assert trace.scores == [total_score(cfg, kset) / norm for cfg in iterates]
 
     @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"])
     def test_scored_counts(self, mode):
@@ -649,6 +662,71 @@ class TestSumCache:
         assert trace.scored == [0] + [pairs * (a + (a - 2) * (a - 3))] * (len(trace) - 1)
         _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_cst", t_max=3))
         assert trace.scored == [0] * len(trace)
+
+
+def record_direct_passes(monkeypatch):
+    """List to which every configuration ``boost`` hands to
+    ``anchor_mismatches`` for a direct consistency pass is appended."""
+    seen = []
+    count = boost.anchor_mismatches
+
+    def recorded(cfg):
+        seen.append(cfg)
+        return count(cfg)
+
+    monkeypatch.setattr(boost, "anchor_mismatches", recorded)
+    return seen
+
+
+class TestTraceConsistency:
+    """Sweep t counts the consistency of iterate t - 1 from the
+    compositions it builds, a sweep that changes no pair repeats its
+    input's value, and only a changed last iterate takes a direct pass."""
+
+    @staticmethod
+    def _start(kind):
+        cfg0, kset = TestSumCache._points_run()
+        if kind == "fixed_point":
+            # every pure-score sweep from here changes no pair
+            cfg0, trace = run_boost(cfg0, kset, BoostParams(
+                mode="isb", t_max=50, enforce_final_consistency=False))
+            assert trace.changes[-1] == 0
+        return cfg0, kset
+
+    @pytest.mark.parametrize(("start", "t_max"), [("corrupted", 0), ("corrupted", 2),
+                                                  ("corrupted", 30), ("fixed_point", 4)])
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
+    @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
+    @pytest.mark.parametrize("mode", MODES, ids=mode_id)
+    def test_equal_fresh_overall_consistency(self, mode, elicit, sample_rate, start, t_max,
+                                             monkeypatch):
+        cfg0, kset = self._start(start)
+        seen = record_iterates(monkeypatch)
+        passes = record_direct_passes(monkeypatch)
+        _, trace = run_boost(cfg0, kset, BoostParams(
+            mode=mode, t_max=t_max, sample_rate=sample_rate, seed=1,
+            enforce_final_consistency=False,
+            elicit=None if elicit is None else InlierEstimate(5, elicit)))
+        iterates = [cfg0] + seen
+        assert len(iterates) == len(trace)
+        assert trace.consistencies == [overall_consistency(cfg) for cfg in iterates]
+        last_changed = len(trace) == 1 or trace.changes[-1] != 0
+        assert passes == ([iterates[-1]] if last_changed else [])
+        if t_max == 30 and elicit is None and mode in ("isb", "isb_2nd", "isb_gc", "isb_gc_u"):
+            assert len(trace) < t_max + 1 and not last_changed    # stopped early
+        if start == "fixed_point" and elicit is None and mode.startswith("isb_gc"):
+            # the pure-score sweeps 1 and 2 change nothing, then weighting begins
+            assert trace.changes[1:3] == [0, 0] and len(trace) > 3
+
+    @pytest.mark.parametrize("mode", MODES, ids=mode_id)
+    def test_post_processing_reuses_the_count(self, mode, monkeypatch):
+        cfg0, kset = self._start("corrupted")
+        plain, _ = run_boost(cfg0, kset, BoostParams(mode=mode, enforce_final_consistency=False))
+        want = enforce_full_consistency(plain, kset)
+        passes = record_direct_passes(monkeypatch)
+        out, trace = run_boost(cfg0, kset, BoostParams(mode=mode))
+        assert out == want and is_fully_consistent(out)
+        assert len(passes) == (trace.changes[-1] != 0)
 
 
 class TestMst:

@@ -258,6 +258,44 @@ class TestStackedPowerIteration:
                 assert np.array_equal(v, power_iteration(AffinityMatrix(k)))
         assert sum("did not converge" in str(w.message) for w in caught) == 1
 
+    def test_every_finishing_route_equals_reference(self, rng):
+        # the uniform start is an eigenvector of the all-ones matrix, which
+        # settles on the first step beside the zero matrix, which vanishes
+        # there; the shift K[i, i + 1] = 1 is nilpotent, so its product
+        # first vanishes on the fifth step, beside live members and the
+        # dead zero matrix; the star never settles
+        shift = np.eye(4, k=1)
+        other = random_affinity(rng, 2, density=1.0).dense()
+        stack = np.stack([np.ones((4, 4)), np.zeros((4, 4)), shift, STAR, other])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = stacked_power_iteration(stack)
+        assert sum("did not converge" in str(w.message) for w in caught) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k, v in zip(stack, got):
+                assert np.array_equal(v, reference_power_iteration(AffinityMatrix._wrap(2, k)))
+        assert sum("did not converge" in str(w.message) for w in caught) == 1
+        assert np.array_equal(got[2], [1.0, 0.0, 0.0, 0.0])   # the shift's last iterate
+
+    # no member settles, so no live mask is made; or the all-ones matrix
+    # settles on the first step, and the two stars leave under a live mask
+    # never compacted, as two of three members stay live
+    @pytest.mark.parametrize("members", [(STAR, 2.0 * STAR, STAR),
+                                         (STAR, np.ones((4, 4)), 2.0 * STAR)],
+                             ids=["unmasked", "masked"])
+    def test_unsettled_members_warn_once_each(self, members):
+        stack = np.stack(members)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = stacked_power_iteration(stack)
+        stars = sum(not np.array_equal(k, np.ones((4, 4))) for k in stack)
+        assert sum("did not converge" in str(w.message) for w in caught) == stars
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k, v in zip(stack, got):
+                assert np.array_equal(v, reference_power_iteration(AffinityMatrix(k)))
+
     @settings(max_examples=30, deadline=None)
     @given(b=st.integers(1, 40), n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))
     def test_stack_equals_per_pair(self, b, n, seed):
