@@ -114,12 +114,18 @@ def inlier_rows_from_instances(instances):
 def accuracy(cfg_alg, cfg_truth, inlier_rows):
     """Mean per-pair matching accuracy against ground truth, counting
     only rows that are common inliers; correspondences involving outlier
-    rows are ignored entirely."""
+    rows are ignored entirely. Inlier rows must lie in 0..n-1; negative
+    rows do not wrap around."""
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
     inlier = np.zeros((cfg_alg.N, cfg_alg.n), dtype=bool)
     for i, rows in enumerate(inlier_rows[:cfg_alg.N]):
-        inlier[i, np.asarray(rows, dtype=np.int64)] = True
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = rows[(rows < 0) | (rows >= cfg_alg.n)]
+        if bad.size:
+            raise ValueError(f"graph {i}: inlier row {int(bad[0])} out of range "
+                             f"0..{cfg_alg.n - 1}")
+        inlier[i, rows] = True
     counts = inlier.sum(axis=1)
     empty = np.flatnonzero(counts[:-1] == 0)
     if empty.size:

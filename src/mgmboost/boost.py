@@ -6,10 +6,10 @@ normalized affinity score and C a consistency term. Each mode fixes the
 weights (a, b) and the term; graduated modes grow the consistency weight
 geometrically across iterations (graduated regularization). All updates
 within an iteration read the previous snapshot only, so per-pair updates
-are order-independent and the whole sweep is deterministic. A run keeps
-the kernel sums of its first-order candidates across sweeps,
-recomputes only those whose legs, or kept rows, changed, and reads the
-pair scores of each sweep's snapshot from them when it can. Each sweep
+are order-independent and the whole sweep is deterministic. A run passes
+the kernel sums of its first-order candidates from sweep to sweep,
+recomputes only those whose legs, or kept rows, changed, and takes each
+snapshot's pair scores from the sums of the candidates picked. Each sweep
 also counts the consistency of its input from the compositions it
 builds, so only a run's last iterate needs a pass of its own. Optional
 post-processing rewrites the result into an exactly cycle-consistent
@@ -107,57 +107,24 @@ class BoostTrace:
         return len(self.scores)
 
 
-class _SumCache:
-    """Raw kernel sums of a run's first-order candidates X_ik X_kj, kept
-    across sweeps: a (P, N) float64 array indexed by row-major pair i < j
-    and anchor k, and a (P, N) boolean mask of the stale entries, which
-    are computed when next read. All entries start stale. A sum depends
-    only on X_ik, X_kj and, when eliciting, graph i's kept rows, so an
-    entry goes stale only when one of those changes. P N 9 bytes: 0.9 MiB
-    at N=60."""
-
-    def __init__(self, n_graphs):
-        self.iu, self.ju = upper_indices(n_graphs)
-        self.sums = np.zeros((len(self.iu), n_graphs))
-        self.stale = np.ones((len(self.iu), n_graphs), dtype=bool)
-        self.kept_rows = None
-
-    def entries(self, ii, jj, pools):
-        """Flat indices into ``sums`` and ``stale`` of the candidates of
-        the anchors pools[p, a] for the pairs (ii[p], jj[p]), ii < jj."""
-        n_graphs = self.sums.shape[1]
-        pair = ii * (2 * n_graphs - ii - 1) // 2 + jj - ii - 1    # row-major
-        return pair[:, None] * n_graphs + pools
-
-    def expire(self, moved, kept_rows):
-        """Mark stale every candidate with a leg X_ik or X_kj among the
-        pairs ``moved`` (a (P,) boolean mask; k = i and k = j give X_ij
-        itself) and every candidate of a pair whose row graph keeps other
-        rows than the cached sums counted."""
-        n_graphs = self.sums.shape[1]
-        legs = np.zeros((n_graphs, n_graphs), dtype=bool)
-        legs[self.iu[moved], self.ju[moved]] = True
-        legs |= legs.T
-        self.stale |= legs[self.iu] | legs[self.ju]
-        if self.kept_rows is not None:
-            self.stale[(kept_rows != self.kept_rows).any(axis=1)[self.iu]] = True
-        self.kept_rows = kept_rows
-
-
 class _IterTables:
     """Frozen per-iteration state shared by every pair update; ``term`` is
     the consistency term the sweep weights, None if it weights none.
-    First-order scores are read from ``cache``, by default a new one;
     ``scored`` counts the candidates whose kernel sum the sweep computed,
     and ``mismatches`` the ``anchor_mismatches`` of ``cfg`` over the pairs
-    searched so far."""
+    searched so far.
 
-    def __init__(self, cfg, kset, norm, term=None, est=None, cache=None):
+    ``sums`` holds the raw kernel sums of the first-order candidates
+    X_ik X_kj, a (P, N) array indexed by row-major pair i < j and anchor k,
+    and ``stale`` the mask of those computed when next read: all without
+    ``prev``, else those stale in ``prev``, the previous sweep's tables,
+    and those the pairs ``moved`` made stale. P N 9 bytes: 0.9 MiB at N=60."""
+
+    def __init__(self, cfg, kset, norm, term=None, est=None, prev=None, moved=None):
         self.cfg = cfg
         self.kset = kset
         self.norm = norm
         self.term = term
-        self.cache = _SumCache(cfg.N) if cache is None else cache
         self.scored = 0
         self.mismatches = np.zeros(cfg.N, dtype=np.int64)
         self.table = cfg.perm_table()
@@ -169,31 +136,48 @@ class _IterTables:
             self.kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
         self.cu = unary_consistency_all(cfg, self.keep) if term == "anchor" else None
         self.cp = pairwise_consistency_all(cfg, self.keep) if term == "legs" else None
+        if prev is None:
+            shape = (len(upper_indices(cfg.N)[0]), cfg.N)
+            self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
+        else:
+            self.sums, self.stale = prev.sums, self._stale_after(prev, moved)
 
-    def scores_for(self, ii, jj, cands):
-        """Normalized affinity scores of the (P, A, n) candidates of the
-        pairs (ii[p], jj[p]), as a (P, A) array; when eliciting, only the
-        rows kept for the row graph count."""
-        rows = None if self.kept_rows is None else self.kept_rows[ii]
-        self.scored += cands.shape[0] * cands.shape[1]
-        return self.kset.kernel_sums(ii, jj, cands, rows) / self.norm.value
+    def _stale_after(self, prev, moved):
+        """``prev.stale`` with every candidate marked stale that has a leg
+        X_ik or X_kj among the pairs ``moved`` (a (P,) boolean mask; k = i
+        and k = j give X_ij itself) or whose row graph keeps other rows
+        than it did in ``prev``: a sum depends on nothing else."""
+        iu, ju = upper_indices(self.cfg.N)
+        legs = np.zeros((self.cfg.N, self.cfg.N), dtype=bool)
+        legs[iu[moved], ju[moved]] = True
+        legs |= legs.T
+        prev.stale |= legs[iu] | legs[ju]
+        if self.kept_rows is not None:
+            prev.stale[(self.kept_rows != prev.kept_rows).any(axis=1)[iu]] = True
+        return prev.stale
 
-    def anchor_scores(self, ii, jj, pools, cands):
-        """``scores_for`` of the first-order candidates X_ik X_kj,
-        k = pools[p, a], read from the cache after computing its stale
-        entries among them, one candidate per entry."""
-        cache = self.cache
-        at = cache.entries(ii, jj, pools)
-        pos = np.flatnonzero(cache.stale.take(at))
+    def kernel_sums(self, ii, jj, cands, pools=None):
+        """Raw kernel sums of the (P, A, n) candidates of the pairs
+        (ii[p], jj[p]), ii < jj, as a (P, A) array; when eliciting, only
+        the rows kept for the row graph count. Given their anchors
+        ``pools``, the candidates are X_ik X_kj, k = pools[p, a], and the
+        sums are read from ``sums`` after computing the stale entries
+        among them, one candidate per entry."""
+        if pools is None:
+            self.scored += cands.shape[0] * cands.shape[1]
+            rows = None if self.kept_rows is None else self.kept_rows[ii]
+            return self.kset.kernel_sums(ii, jj, cands, rows)
+        n_graphs = self.cfg.N
+        pair = ii * (2 * n_graphs - ii - 1) // 2 + jj - ii - 1    # row-major
+        at = pair[:, None] * n_graphs + pools
+        pos = np.flatnonzero(self.stale.take(at))
         if pos.size:
             p = pos // pools.shape[1]
-            rows = None if self.kept_rows is None else self.kept_rows[ii[p]]
             fresh = at.take(pos)
-            cache.sums.put(fresh, self.kset.kernel_sums(
-                ii[p], jj[p], cands.reshape(-1, 1, cands.shape[2])[pos], rows))
-            cache.stale.put(fresh, False)
-            self.scored += pos.size
-        return cache.sums.take(at) / self.norm.value
+            self.sums.put(fresh, self.kernel_sums(
+                ii[p], jj[p], cands.reshape(-1, 1, cands.shape[2])[pos]))
+            self.stale.put(fresh, False)
+        return self.sums.take(at)
 
     def consistency(self, ii, jj, pools, cands, comps):
         """The term C of the (P, A, n) candidates X_ik X_kj, k = pools[p, a],
@@ -226,15 +210,16 @@ def _anchor_pools(ii, jj, n_graphs, sample_rate, rng):
 
 
 def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
-    """Best anchor and replacement candidate for each pair (ii[p], jj[p])
-    under the evaluation a·J + b·C with weights = (a, b), all pairs as one
-    batch; a term whose weight is 0 is not computed. Anchor pools are drawn
-    pair by pair in the given order. Every anchor's candidate is scored,
-    duplicates included, so anchor-dependent consistency terms stay
-    per-anchor and the argmax is exact; the anchor scan order makes exact
-    ties keep the incumbent, then the smallest anchor. First-order kernel
-    sums come from the tables' cache, where only stale entries are
-    computed; the consistency terms are computed in full. The pairs'
+    """Best anchor, replacement candidate and the candidate's raw kernel
+    sum (None if a = 0) for each pair (ii[p], jj[p]) under the evaluation
+    a·J + b·C with weights = (a, b), all pairs as one batch; a term whose
+    weight is 0 is not computed. Anchor pools are drawn pair by pair in
+    the given order. Every anchor's candidate is scored, duplicates
+    included, so anchor-dependent consistency terms stay per-anchor and
+    the argmax is exact; the anchor scan order makes exact ties keep the
+    incumbent, then the smallest anchor. First-order kernel sums are read
+    from the tables' ``sums``, where only stale entries are computed; the
+    consistency terms are computed in full. The pairs'
     compositions X_ik X_kj, built for every mode, add their mismatches
     with the stored X_ij to the tables' ``mismatches``.
 
@@ -266,11 +251,11 @@ def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
     a, b = weights
     j_term = 0.0
     if a:
-        j_term = a * (tbl.scores_for(ii, jj, cands) if second_order
-                      else tbl.anchor_scores(ii, jj, pools, cands))
+        sums = tbl.kernel_sums(ii, jj, cands, None if second_order else pools)
+        j_term = a * (sums / tbl.norm.value)
     c_term = b * tbl.consistency(ii, jj, pools, cands, comps) if b else 0.0
     best = np.argmax(j_term + c_term, axis=1)     # lowest index on exact ties
-    return pools[pairs, best], cands[pairs, best]
+    return pools[pairs, best], cands[pairs, best], sums[pairs, best] if a else None
 
 
 def _weights(mode, t, t0, lam):
@@ -310,8 +295,8 @@ def run_boost(cfg0, kset, params):
     iu, ju = upper_indices(cfg0.N)
     # pairs evaluated together, row-major; see SWEEP_BATCH_ENTRIES
     group = max(1, SWEEP_BATCH_ENTRIES // (cfg0.N ** (3 if second_order else 2) * cfg0.n))
-    cache = _SumCache(cfg0.N)
     moved = np.zeros(len(iu), dtype=bool)     # pairs the last sweep changed
+    sums = np.empty(len(iu))                  # raw kernel sums of the new X_ij
     # modes whose iterates may cycle keep the best iterate by this trace entry
     best_of = {"isb_cst": trace.consistencies, "isb_gc_p": trace.scores}.get(params.mode)
     kept = None     # (best_of entry, configuration, anchor mismatches) returned
@@ -333,31 +318,31 @@ def run_boost(cfg0, kset, params):
     record(initial, 0)
     lam = params.lambda0
     known = None    # anchor mismatches of cfg, when already counted
+    tbl = None
 
     for t in range(1, params.t_max + 1):
         a, b = _weights(params.mode, t, params.t0, lam)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
         tbl = _IterTables(cfg, kset, norm, _TERMS.get(params.mode) if b else None,
-                          params.elicit, cache)
-        cache.expire(moved, tbl.kept_rows)
+                          params.elicit, tbl, moved)
         upper = tbl.table[iu, ju]
-        anchors = np.empty(len(iu), dtype=np.int64)
         for start in range(0, len(iu), group):
             at = slice(start, start + group)
-            anchors[at], cands = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate,
-                                             rng, second_order)
+            _, cands, won = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate,
+                                        rng, second_order)
             moved[at] = (cands != upper[at]).any(axis=1)
             upper[at] = cands
+            if won is not None:
+                sums[at] = won
         if known is None:
             settle(cfg, tbl.mismatches)
         changed = int(np.count_nonzero(moved))
         known = None if changed else tbl.mismatches
         cfg = MatchConfig._from_upper(cfg.N, upper)
-        # a sweep that scored J on all rows left the raw sum of each new X_ij,
-        # its anchor's candidate, in the cache, equal to a fresh one bit for bit
-        full_sums = a and not second_order and tbl.kept_rows is None
-        record(cache.sums[np.arange(len(iu)), anchors] if full_sums
-               else pair_scores(cfg, kset), changed, tbl.scored)
+        # a sweep that scored J on all rows computed the raw sum of each new
+        # X_ij, equal to a fresh one bit for bit
+        record(sums if a and tbl.kept_rows is None else pair_scores(cfg, kset),
+               changed, tbl.scored)
         if known is not None:
             settle(cfg, known)
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):

@@ -125,15 +125,14 @@ def _cmd_match(args):
 
 
 def _parse_algorithms(spec_text, template):
-    """Comma list of distinct modes, or 'init' for the untouched initial
-    configuration; each entry becomes (name, BoostParams)."""
+    """Comma list of modes, or 'init' for the untouched initial
+    configuration; each entry becomes (name, BoostParams). ExperimentSpec
+    rejects a repeated entry."""
     algs = []
     for name in spec_text.split(","):
         name = name.strip()
         if not name:
             continue
-        if name in (a for a, _ in algs):
-            raise ValueError(f"algorithm {name!r} is listed twice")
         if name == "init":
             algs.append((name, BoostParams(mode="isb", t_max=0,
                                            enforce_final_consistency=False)))

@@ -276,7 +276,9 @@ class AffinitySet:
     The constructor rejects a mask edge (u, u) or one without its mirror
     (v, u), and an attribute that is not finite or not symmetric on an
     edge, naming the first bad (graph, u, v): the solver's K must be
-    symmetric.
+    symmetric. It also rejects an empty channel list, a weight that is not
+    finite and >= 0 and a bandwidth that is not finite and > 0, naming the
+    channel: K must be finite and non-negative.
     """
 
     def __init__(self, mask, channels):
@@ -296,7 +298,16 @@ class AffinitySet:
         self._channels = []
         self._own = []
         self._other = []
+        channels = list(channels)
+        if not channels:
+            raise ValueError("need at least one kernel channel")
         for c, (weight, attr, sigma2) in enumerate(channels):
+            weight, sigma2 = float(weight), float(sigma2)
+            if not (np.isfinite(weight) and weight >= 0):
+                raise ValueError(f"channel {c} weight must be finite and >= 0, got {weight!r}")
+            if not (np.isfinite(sigma2) and sigma2 > 0):
+                raise ValueError(f"channel {c} bandwidth must be finite and > 0, "
+                                 f"got {sigma2!r}")
             attr = np.asarray(attr, dtype=float)
             if attr.shape != mask.shape:
                 raise ValueError(f"edge attributes have shape {attr.shape}, "
@@ -307,7 +318,7 @@ class AffinitySet:
             _reject_first(np.isfinite(own) != mask, f"edge attribute {c} is not finite", attr)
             _reject_first(own != own.transpose(0, 2, 1),
                           f"edge attribute {c} is not symmetric", attr)
-            self._channels.append((float(weight), float(sigma2)))
+            self._channels.append((weight, sigma2))
             self._own.append(own)
             self._other.append(np.where(mask, attr, -np.inf))
 

@@ -230,8 +230,16 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
     are drawn per frame from the rest; node order is then shuffled with
     the truth recorded. Without it, every point is an inlier. With
     ``max_frames``, that many frames are picked (seeded), at most n_frames.
+    Bad counts fail, named, before the file is read.
     """
     check_count("seed", seed)
+    check_count("n_outliers", n_outliers)
+    for name, count in (("n_inliers", n_inliers), ("max_frames", max_frames)):
+        if count is not None:
+            check_count(name, count, 1)
+    if n_outliers and n_inliers is None:
+        raise ValueError(f"n_outliers={n_outliers!r} needs n_inliers: without it every "
+                         f"point is an inlier")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(idx + 1, ln) for idx, ln in enumerate(lines) if ln]
@@ -290,7 +298,7 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
         n_inliers, n_outliers = n_points, 0
         inlier_ids = np.arange(n_points)
     else:
-        if n_inliers + n_outliers > n_points or n_inliers < 1:
+        if n_inliers + n_outliers > n_points:
             raise ValueError(f"{path}: cannot select more landmarks than annotated: "
                              f"{n_inliers} inliers + {n_outliers} outliers of {n_points}")
         inlier_ids = rng.choice(n_points, size=n_inliers, replace=False)

@@ -319,6 +319,27 @@ def test_constructor_rejects_first_bad_entry(fault, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("channel, message", [
+    ((-1.0, 0.1), "channel 1 weight must be finite and >= 0, got -1.0"),
+    ((np.nan, 0.1), "channel 1 weight must be finite and >= 0, got nan"),
+    ((0.1, 0.0), "channel 1 bandwidth must be finite and > 0, got 0.0"),
+    ((0.1, -0.01), "channel 1 bandwidth must be finite and > 0, got -0.01")],
+    ids=["negative_weight", "nan_weight", "zero_bandwidth", "negative_bandwidth"])
+def test_constructor_rejects_bad_channel(channel, message):
+    # each would build a K with negative, all-zero or non-finite entries
+    mask, first, second = _valid_set_arrays()
+    weight, sigma2 = channel
+    with pytest.raises(ValueError) as exc:
+        AffinitySet(mask, [(0.9, first, 0.1), (weight, second, sigma2)])
+    assert str(exc.value) == message
+
+
+def test_constructor_rejects_no_channels():
+    mask, _, _ = _valid_set_arrays()
+    with pytest.raises(ValueError, match="need at least one kernel channel"):
+        AffinitySet(mask, [])
+
+
 def test_constructor_ignores_attributes_off_the_edges():
     mask, first, second = _valid_set_arrays()
     first[0, 0, 2] = np.nan

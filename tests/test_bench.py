@@ -66,6 +66,15 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="graph 1 has no inlier rows"):
             accuracy(cfg, cfg, rows)
 
+    @pytest.mark.parametrize("row", [-1, 4], ids=["negative", "past_end"])
+    def test_inlier_row_out_of_range_rejected(self, row):
+        # row -1 would otherwise count node 3 and report 1.0 here
+        cfg = MatchConfig.identity(3, 4)
+        rows = [np.arange(3), np.array([0, row]), np.arange(3)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"graph 1: inlier row {row} out of range 0..3")):
+            accuracy(cfg, cfg, rows)
+
     def test_symmetric_under_relabeling(self, rng):
         # relabeling every graph's nodes consistently leaves accuracy fixed
         n_graphs, n = 3, 4

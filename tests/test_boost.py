@@ -13,7 +13,8 @@ Property coverage:
 - the cross-sweep kernel-sum cache gives the tables and traces of runs
   that recompute every sum, in every mode, eliciting and sample rate;
   ``BoostTrace.scored`` counts P N candidates in the first sweep and no
-  more later
+  more later; unelicited snapshots after the initial one, ``isb_2nd``
+  included, take their scores from the sweep, not from ``pair_scores``
 - every trace consistency, counted inside the next sweep, equals a fresh
   ``overall_consistency`` of its iterate, with at most one direct pass
   per run, which post-processing reuses
@@ -34,8 +35,7 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       overall_consistency, run_boost, total_score)
 from mgmboost import boost, pairwise
 from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
-                            _IterTables, _pairs_best, _spectral_sync, _SumCache,
-                            _weights)
+                            _IterTables, _pairs_best, _spectral_sync, _weights)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
                       naive_elicited_unary, naive_pairwise_consistency,
@@ -61,7 +61,7 @@ def sweep_picks(cfg, kset, mode, norm, lam, est=None, sample_rate=1.0, rng=None)
     iu, ju = np.triu_indices(cfg.N, 1)
     weights = _weights(mode, 1, 0, lam)
     tbl = _IterTables(cfg, kset, norm, _TERMS.get(mode) if weights[1] else None, est)
-    anchors, cands = _pairs_best(iu, ju, tbl, weights, sample_rate, rng)
+    anchors, cands, _ = _pairs_best(iu, ju, tbl, weights, sample_rate, rng)
     return list(zip(iu.tolist(), ju.tolist(), anchors.tolist(), map(Permutation, cands)))
 
 
@@ -286,7 +286,7 @@ class TestPairBest2nd:
                                   np.random.default_rng(n_graphs), second_order=True)[1]
                 cands = second_order_candidates(iu, ju, tbl, sample_rate,
                                                 np.random.default_rng(n_graphs))
-                scores = tbl.scores_for(iu, ju, cands)
+                scores = tbl.kernel_sums(iu, ju, cands) / tbl.norm.value
                 assert np.array_equal(got, cands[np.arange(len(iu)), np.argmax(scores, axis=1)])
                 ties += sum(len(np.unique(c[s == s.max()], axis=0)) > 1
                             for c, s in zip(cands, scores))
@@ -605,9 +605,8 @@ class TestSumCache:
         return corrupted_config(np.random.default_rng(3), 7, 7, 0.5), kset
 
     @staticmethod
-    def _expire_all(cache, moved, kept_rows):
-        cache.stale[:] = True
-        cache.kept_rows = kept_rows
+    def _all_stale(tbl, prev, moved):
+        return np.ones_like(prev.stale)
 
     @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
     @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
@@ -617,7 +616,7 @@ class TestSumCache:
         params = BoostParams(mode=mode, sample_rate=sample_rate, seed=1,
                              elicit=None if elicit is None else InlierEstimate(5, elicit))
         out, trace = run_boost(cfg0, kset, params)
-        monkeypatch.setattr(_SumCache, "expire", self._expire_all)
+        monkeypatch.setattr(_IterTables, "_stale_after", self._all_stale)
         ref_out, ref = run_boost(cfg0, kset, params)
         assert out.perm_table().tobytes() == ref_out.perm_table().tobytes()
         assert (trace.scores, trace.consistencies, trace.changes) == \
@@ -631,9 +630,9 @@ class TestSumCache:
     @pytest.mark.parametrize("mode", MODES, ids=mode_id)
     def test_snapshot_scores_equal_fresh_total_scores(self, mode, elicit, sample_rate,
                                                       monkeypatch):
-        # a sweep that scored J on all rows reads its snapshot's pair scores
-        # from the cache; every snapshot equals the total score of its
-        # configuration, computed afresh, bit for bit
+        # a sweep that scored J on all rows takes its snapshot's pair scores
+        # from the sums of the candidates it picked; every snapshot equals
+        # the total score of its configuration, computed afresh, bit for bit
         cfg0, kset = self._points_run()
         seen = record_iterates(monkeypatch)
         _, trace = run_boost(cfg0, kset, BoostParams(
@@ -643,6 +642,23 @@ class TestSumCache:
         iterates = [cfg0] + seen
         assert len(iterates) == len(trace) > 2
         assert trace.scores == [total_score(cfg, kset) / norm for cfg in iterates]
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "isb_cst"], ids=mode_id)
+    def test_unelicited_snapshots_rescore_nothing(self, mode, monkeypatch):
+        # only the initial configuration is scored by pair_scores; every
+        # later snapshot comes from the sweep's own sums
+        cfg0, kset = self._points_run()
+        calls = []
+        rescore = boost.pair_scores
+
+        def counted(cfg, kset):
+            calls.append(cfg)
+            return rescore(cfg, kset)
+
+        monkeypatch.setattr(boost, "pair_scores", counted)
+        _, trace = run_boost(cfg0, kset, BoostParams(mode=mode, seed=1,
+                                                     enforce_final_consistency=False))
+        assert len(trace) > 2 and calls == [cfg0]
 
     @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"])
     def test_scored_counts(self, mode):

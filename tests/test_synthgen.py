@@ -321,6 +321,18 @@ class TestLoadPointset(object):
                 f"seed must be an integer >= 0, got {seed!r}")):
             load_pointset(str(tmp_path / "absent.txt"), seed=seed)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"max_frames": 0}, "max_frames must be an integer >= 1, got 0"),
+        ({"max_frames": -1}, "max_frames must be an integer >= 1, got -1"),
+        ({"n_inliers": 0}, "n_inliers must be an integer >= 1, got 0"),
+        ({"n_inliers": 1, "n_outliers": -1}, "n_outliers must be an integer >= 0, got -1"),
+        ({"n_outliers": 1}, "n_outliers=1 needs n_inliers")],
+        ids=["no_frames", "negative_frames", "no_inliers", "negative_outliers",
+             "outliers_alone"])
+    def test_bad_count_named_before_reading(self, tmp_path, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_pointset(str(tmp_path / "absent.txt"), **kw)
+
     def test_landmark_subselection(self, tmp_path, rng):
         # 30 annotated landmarks per frame; select 10 inliers and 4
         # outliers -> 14-node instances with consistent inlier truth
