@@ -6,10 +6,10 @@ normalized affinity score and C a consistency term. Each mode fixes the
 weights (a, b) and the term; graduated modes grow the consistency weight
 geometrically across iterations (graduated regularization). All updates
 within an iteration read the previous snapshot only, so per-pair updates
-are order-independent and the whole sweep is deterministic. A run passes
-the kernel sums of its first-order candidates from sweep to sweep,
-recomputes only those whose legs, or kept rows, changed, and takes each
-snapshot's pair scores from the sums of the candidates picked. Each sweep
+are order-independent and the whole sweep is deterministic. A run keeps
+the kernel sums of its first-order candidates, which the second-order
+search extends, recomputes only those whose legs, or kept rows, changed,
+and takes each snapshot's pair scores from the candidates picked. Each sweep
 also counts the consistency of its input from the compositions it
 builds, so only a run's last iterate needs a pass of its own. Optional
 post-processing rewrites the result into an exactly cycle-consistent
@@ -107,75 +107,76 @@ class BoostTrace:
         return len(self.scores)
 
 
-class _IterTables:
-    """Frozen per-iteration state shared by every pair update; ``term`` is
-    the consistency term the sweep weights, None if it weights none.
-    ``scored`` counts the candidates whose kernel sum the sweep computed,
-    and ``mismatches`` the ``anchor_mismatches`` of ``cfg`` over the pairs
-    searched so far.
-
+class _SweepState:
+    """State of one run's sweeps. Fixed for the run: the pairs i < j in
+    row-major order (``ii``, ``jj``), their ``groups`` of consecutive
+    pairs evaluated together (see SWEEP_BATCH_ENTRIES), and the (P, A)
+    anchor ``pools``; with sample_rate < 1 each sweep draws new pools.
     ``sums`` holds the raw kernel sums of the first-order candidates
-    X_ik X_kj, a (P, N) array indexed by row-major pair i < j and anchor k,
-    and ``stale`` the mask of those computed when next read: all without
-    ``prev``, else those stale in ``prev``, the previous sweep's tables,
-    and those the pairs ``moved`` made stale. P N 9 bytes: 0.9 MiB at N=60."""
+    X_ik X_kj, a (P, N) array indexed by pair and anchor k, entry
+    ``rowstart[p] + k`` when flat, and ``stale`` the mask of those
+    computed when next read. With the pools, P N 17 bytes: 1.7 MiB at N=60.
 
-    def __init__(self, cfg, kset, norm, term=None, est=None, prev=None, moved=None):
-        self.cfg = cfg
-        self.kset = kset
-        self.norm = norm
-        self.term = term
-        self.scored = 0
-        self.mismatches = np.zeros(cfg.N, dtype=np.int64)
-        self.table = cfg.perm_table()
-        self.keep = None
-        self.kept_rows = None
+    ``start`` sets a sweep's snapshot ``cfg`` and the consistency ``term``
+    it weights, None if it weights none; ``scored`` then counts the
+    candidates whose kernel sum the sweep computed, and ``mismatches`` the
+    ``anchor_mismatches`` of ``cfg`` over the pairs searched so far."""
+
+    def __init__(self, kset, norm, second_order=False, sample_rate=1.0, rng=None):
+        self.kset, self.norm = kset, norm
+        self.second_order, self.sample_rate, self.rng = second_order, sample_rate, rng
+        self.ii, self.jj = upper_indices(kset.N)
+        shape = (len(self.ii), kset.N)
+        group = max(1, SWEEP_BATCH_ENTRIES // (kset.N ** (3 if second_order else 2) * kset.n))
+        self.groups = [slice(s, s + group) for s in range(0, shape[0], group)]
+        self.rowstart = np.arange(0, shape[0] * shape[1], shape[1])[:, None]
+        self.pools = self.kept_rows = None
+        self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
+
+    def start(self, cfg, term=None, est=None, moved=None):
+        """Begin a sweep from ``cfg``. Every candidate is marked stale that
+        has a leg X_ik or X_kj among the pairs ``moved`` (a (P,) boolean
+        mask; k = i and k = j give X_ij itself) or whose row graph keeps
+        other rows than in the last sweep: a sum depends on nothing else."""
+        self.cfg, self.term, self.scored, self.table = cfg, term, 0, cfg.perm_table()
+        self.mismatches = np.zeros(cfg.N, dtype=np.int64)    # settled iterates keep theirs
+        if moved is not None:
+            legs = np.zeros((cfg.N, cfg.N), dtype=bool)
+            legs[self.ii[moved], self.jj[moved]] = True
+            legs |= legs.T
+            self.stale |= legs[self.ii] | legs[self.jj]
+        self.keep = kept_rows = None
         if est is not None:
-            self.keep = keep_masks(cfg, est, kset)
+            self.keep = keep_masks(cfg, est, self.kset)
             # every graph keeps exactly n_est rows: (N, n_est), ascending
-            self.kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
+            kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
+            if self.kept_rows is not None:
+                self.stale[(kept_rows != self.kept_rows).any(axis=1)[self.ii]] = True
+        self.kept_rows = kept_rows
         self.cu = unary_consistency_all(cfg, self.keep) if term == "anchor" else None
         self.cp = pairwise_consistency_all(cfg, self.keep) if term == "legs" else None
-        if prev is None:
-            shape = (len(upper_indices(cfg.N)[0]), cfg.N)
-            self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
-        else:
-            self.sums, self.stale = prev.sums, self._stale_after(prev, moved)
+        if self.pools is None or self.sample_rate < 1.0:
+            self.pools = _anchor_pools(cfg.N, self.sample_rate, self.rng)
 
-    def _stale_after(self, prev, moved):
-        """``prev.stale`` with every candidate marked stale that has a leg
-        X_ik or X_kj among the pairs ``moved`` (a (P,) boolean mask; k = i
-        and k = j give X_ij itself) or whose row graph keeps other rows
-        than it did in ``prev``: a sum depends on nothing else."""
-        iu, ju = upper_indices(self.cfg.N)
-        legs = np.zeros((self.cfg.N, self.cfg.N), dtype=bool)
-        legs[iu[moved], ju[moved]] = True
-        legs |= legs.T
-        prev.stale |= legs[iu] | legs[ju]
-        if self.kept_rows is not None:
-            prev.stale[(self.kept_rows != prev.kept_rows).any(axis=1)[iu]] = True
-        return prev.stale
+    def kernel_sums(self, ii, jj, cands):
+        """Raw kernel sums of the (P, A, n) candidates of the pairs (ii[p],
+        jj[p]), ii < jj, as a (P, A) array; when eliciting, only the rows
+        kept for the row graph count."""
+        self.scored += cands.shape[0] * cands.shape[1]
+        rows = None if self.kept_rows is None else self.kept_rows[ii]
+        return self.kset.kernel_sums(ii, jj, cands, rows)
 
-    def kernel_sums(self, ii, jj, cands, pools=None):
-        """Raw kernel sums of the (P, A, n) candidates of the pairs
-        (ii[p], jj[p]), ii < jj, as a (P, A) array; when eliciting, only
-        the rows kept for the row graph count. Given their anchors
-        ``pools``, the candidates are X_ik X_kj, k = pools[p, a], and the
-        sums are read from ``sums`` after computing the stale entries
-        among them, one candidate per entry."""
-        if pools is None:
-            self.scored += cands.shape[0] * cands.shape[1]
-            rows = None if self.kept_rows is None else self.kept_rows[ii]
-            return self.kset.kernel_sums(ii, jj, cands, rows)
-        n_graphs = self.cfg.N
-        pair = ii * (2 * n_graphs - ii - 1) // 2 + jj - ii - 1    # row-major
-        at = pair[:, None] * n_graphs + pools
+    def first_order_sums(self, pairs, cands):
+        """``kernel_sums`` of the candidates X_ik X_kj, k = pools[p, a], of
+        the row-major ``pairs``, read from ``sums`` after computing the
+        stale entries among them, one candidate per entry."""
+        at = self.rowstart[pairs] + self.pools[pairs]
         pos = np.flatnonzero(self.stale.take(at))
         if pos.size:
-            p = pos // pools.shape[1]
             fresh = at.take(pos)
+            pair = fresh // self.cfg.N
             self.sums.put(fresh, self.kernel_sums(
-                ii[p], jj[p], cands.reshape(-1, 1, cands.shape[2])[pos]))
+                self.ii[pair], self.jj[pair], cands.reshape(-1, 1, cands.shape[2])[pos]))
             self.stale.put(fresh, False)
         return self.sums.take(at)
 
@@ -191,14 +192,14 @@ class _IterTables:
                                      None if self.keep is None else self.keep[ii])
 
 
-def _anchor_pools(ii, jj, n_graphs, sample_rate, rng):
-    """Anchors tried for the pairs (ii[p], jj[p]), as one (P, A) array
-    whose row p is [i, j, the other graphs ascending]. Both k = i and
-    k = j reproduce the incumbent matching, so the incumbent always
-    competes (listed first for tie-breaking). With sample_rate < 1 the
-    other graphs are sampled without replacement, one draw per pair in
-    pair order, and kept in ascending order."""
-    ii, jj = np.reshape(ii, (-1, 1)), np.reshape(jj, (-1, 1))
+def _anchor_pools(n_graphs, sample_rate, rng):
+    """Anchors tried for every pair i < j, as one (P, A) array whose row
+    p, in row-major pair order, is [i, j, the other graphs ascending].
+    Both k = i and k = j reproduce the incumbent matching, so the
+    incumbent always competes (listed first for tie-breaking). With
+    sample_rate < 1 the other graphs are sampled without replacement, one
+    draw per pair in pair order, and kept in ascending order."""
+    ii, jj = (idx[:, None] for idx in upper_indices(n_graphs))
     graphs = np.arange(n_graphs)
     rest = np.broadcast_to(graphs, (len(ii), n_graphs))[(graphs != ii) & (graphs != jj)]
     rest = rest.reshape(len(ii), n_graphs - 2)
@@ -209,53 +210,50 @@ def _anchor_pools(ii, jj, n_graphs, sample_rate, rng):
     return np.concatenate([ii, jj, rest], axis=1)
 
 
-def _pairs_best(ii, jj, tbl, weights, sample_rate, rng, second_order=False):
+def _pairs_best(pairs, sweep, weights):
     """Best anchor, replacement candidate and the candidate's raw kernel
-    sum (None if a = 0) for each pair (ii[p], jj[p]) under the evaluation
-    a·J + b·C with weights = (a, b), all pairs as one batch; a term whose
-    weight is 0 is not computed. Anchor pools are drawn pair by pair in
-    the given order. Every anchor's candidate is scored, duplicates
-    included, so anchor-dependent consistency terms stay per-anchor and
-    the argmax is exact; the anchor scan order makes exact ties keep the
-    incumbent, then the smallest anchor. First-order kernel sums are read
-    from the tables' ``sums``, where only stale entries are computed; the
-    consistency terms are computed in full. The pairs'
-    compositions X_ik X_kj, built for every mode, add their mismatches
-    with the stored X_ij to the tables' ``mismatches``.
+    sum (None if a = 0) for each of the sweep's row-major ``pairs`` (a
+    slice or index array) under the evaluation a·J + b·C with weights =
+    (a, b), all pairs as one batch; a term whose weight is 0 is not
+    computed. Every anchor's candidate is scored, duplicates included, so
+    anchor-dependent consistency terms stay per-anchor and the argmax is
+    exact; the anchor scan order makes exact ties keep the incumbent, then
+    the smallest anchor. First-order kernel sums are read from the sweep's
+    ``sums``, where only stale entries are computed; the consistency terms
+    are computed in full. The pairs' compositions X_ik X_kj, built for
+    every mode, add their mismatches with the stored X_ij to the sweep's
+    ``mismatches``.
 
     The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u)
     of the pool [i, j, rest...], with b = 0; exact ties keep the first in
     (v, u) scan order, and the anchor reported is v. The table holds exact
-    inverses and identities, so v = j, u = i, u = j and u = v each repeat
-    a candidate of the row v = i (the incumbent or a first-order
-    candidate). Only row v = i and the pairs v != u of rest are scored:
-    the full scan with its later duplicates removed, in scan order, so the
-    first maximum, and the candidate chosen, are the same.
+    inverses and identities, so row v = i is the first-order candidates,
+    read as above, and v = j, u = i, u = j and u = v each repeat one of
+    them. Only row v = i and the pairs v != u of rest are scored: the full
+    scan without its later duplicates, so the first maximum is the same.
     """
-    table = tbl.table
-    ii, jj = np.asarray(ii), np.asarray(jj)
-    pools = _anchor_pools(ii, jj, tbl.cfg.N, sample_rate, rng)
-    pairs = np.arange(len(ii))
+    table = sweep.table
+    ii, jj, pools = sweep.ii[pairs], sweep.jj[pairs], sweep.pools[pairs]
+    rows = np.arange(len(ii))
     comps = compositions(table, ii, jj)
-    tbl.mismatches += (comps != table[ii, jj][:, None]).sum(axis=0).sum(axis=1)
-    if second_order:
+    sweep.mismatches += (comps != table[ii, jj][:, None]).sum(axis=0).sum(axis=1)
+    cands = comps[rows[:, None], pools]
+    a, b = weights
+    if a:
+        sums = sweep.first_order_sums(pairs, cands)
+    if sweep.second_order:
         rest = pools[:, 2:]
         rv, ru = np.nonzero(~np.eye(rest.shape[1], dtype=bool))    # row-major v != u
-        vs = np.concatenate([np.broadcast_to(ii[:, None], pools.shape), rest[:, rv]], axis=1)
-        us = np.concatenate([pools, rest[:, ru]], axis=1)
+        vs, us = rest[:, rv], rest[:, ru]
         via = table[vs[..., None], us[..., None], table[ii[:, None], vs]]   # X_iv then X_vu
-        cands = table[us[..., None], jj[:, None, None], via]               # then X_uj
-        pools = vs
-    else:
-        cands = comps[pairs[:, None], pools]
-    a, b = weights
-    j_term = 0.0
-    if a:
-        sums = tbl.kernel_sums(ii, jj, cands, None if second_order else pools)
-        j_term = a * (sums / tbl.norm.value)
-    c_term = b * tbl.consistency(ii, jj, pools, cands, comps) if b else 0.0
+        extra = table[us[..., None], jj[:, None, None], via]               # then X_uj
+        cands = np.concatenate([cands, extra], axis=1)
+        sums = np.concatenate([sums, sweep.kernel_sums(ii, jj, extra)], axis=1)
+        pools = np.concatenate([np.broadcast_to(ii[:, None], pools.shape), vs], axis=1)
+    j_term = a * (sums / sweep.norm.value) if a else 0.0
+    c_term = b * sweep.consistency(ii, jj, pools, cands, comps) if b else 0.0
     best = np.argmax(j_term + c_term, axis=1)     # lowest index on exact ties
-    return pools[pairs, best], cands[pairs, best], sums[pairs, best] if a else None
+    return pools[rows, best], cands[rows, best], sums[rows, best] if a else None
 
 
 def _weights(mode, t, t0, lam):
@@ -289,14 +287,11 @@ def run_boost(cfg0, kset, params):
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
         raise ValueError(f"elicit.n_est={params.elicit.n_est} exceeds the node count "
                          f"{cfg0.n}")
-    rng = np.random.default_rng(params.seed)
     trace = BoostTrace()
-    second_order = params.mode == "isb_2nd"
-    iu, ju = upper_indices(cfg0.N)
-    # pairs evaluated together, row-major; see SWEEP_BATCH_ENTRIES
-    group = max(1, SWEEP_BATCH_ENTRIES // (cfg0.N ** (3 if second_order else 2) * cfg0.n))
-    moved = np.zeros(len(iu), dtype=bool)     # pairs the last sweep changed
-    sums = np.empty(len(iu))                  # raw kernel sums of the new X_ij
+    sweep = _SweepState(kset, norm, params.mode == "isb_2nd", params.sample_rate,
+                        np.random.default_rng(params.seed))
+    moved = np.zeros(len(sweep.ii), dtype=bool)     # pairs the last sweep changed
+    sums = np.empty(len(sweep.ii))                  # raw kernel sums of the new X_ij
     # modes whose iterates may cycle keep the best iterate by this trace entry
     best_of = {"isb_cst": trace.consistencies, "isb_gc_p": trace.scores}.get(params.mode)
     kept = None     # (best_of entry, configuration, anchor mismatches) returned
@@ -317,40 +312,34 @@ def run_boost(cfg0, kset, params):
     cfg = cfg0
     record(initial, 0)
     lam = params.lambda0
-    known = None    # anchor mismatches of cfg, when already counted
-    tbl = None
 
     for t in range(1, params.t_max + 1):
         a, b = _weights(params.mode, t, params.t0, lam)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
-        tbl = _IterTables(cfg, kset, norm, _TERMS.get(params.mode) if b else None,
-                          params.elicit, tbl, moved)
-        upper = tbl.table[iu, ju]
-        for start in range(0, len(iu), group):
-            at = slice(start, start + group)
-            _, cands, won = _pairs_best(iu[at], ju[at], tbl, (a, b), params.sample_rate,
-                                        rng, second_order)
+        sweep.start(cfg, _TERMS.get(params.mode) if b else None, params.elicit, moved)
+        upper = sweep.table[sweep.ii, sweep.jj]
+        for at in sweep.groups:
+            _, cands, won = _pairs_best(at, sweep, (a, b))
             moved[at] = (cands != upper[at]).any(axis=1)
             upper[at] = cands
             if won is not None:
                 sums[at] = won
-        if known is None:
-            settle(cfg, tbl.mismatches)
+        if trace.consistencies[-1] is None:
+            settle(cfg, sweep.mismatches)
         changed = int(np.count_nonzero(moved))
-        known = None if changed else tbl.mismatches
         cfg = MatchConfig._from_upper(cfg.N, upper)
         # a sweep that scored J on all rows computed the raw sum of each new
         # X_ij, equal to a fresh one bit for bit
-        record(sums if a and tbl.kept_rows is None else pair_scores(cfg, kset),
-               changed, tbl.scored)
-        if known is not None:
-            settle(cfg, known)
+        record(sums if a and sweep.kept_rows is None else pair_scores(cfg, kset),
+               changed, sweep.scored)
+        if not changed:
+            settle(cfg, sweep.mismatches)
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
 
-    if known is None:
+    if trace.consistencies[-1] is None:
         settle(cfg, anchor_mismatches(cfg))     # the run's one direct pass
     _, cfg, mismatches = kept
     if params.enforce_final_consistency and len(trace) > 1:   # a sweep ran

@@ -93,8 +93,10 @@ def slot_map(count):
 
 def check_count(name, value, least=0):
     """Raise ValueError, naming the argument and its value, unless
-    ``value`` is an integer (Python or numpy, not a float) >= ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    ``value`` is an integer (Python or numpy, not a float or a bool) >=
+    ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -278,7 +280,8 @@ class AffinitySet:
     edge, naming the first bad (graph, u, v): the solver's K must be
     symmetric. It also rejects an empty channel list, a weight that is not
     finite and >= 0 and a bandwidth that is not finite and > 0, naming the
-    channel: K must be finite and non-negative.
+    channel, and weights that are all 0: K must be finite, non-negative and
+    not all zero.
     """
 
     def __init__(self, mask, channels):
@@ -321,6 +324,9 @@ class AffinitySet:
             self._channels.append((weight, sigma2))
             self._own.append(own)
             self._other.append(np.where(mask, attr, -np.inf))
+        if not any(weight for weight, _ in self._channels):
+            raise ValueError(f"channel weights {[w for w, _ in self._channels]} are all 0, "
+                             "so every affinity would be 0")
 
     def pairs(self):
         """Graph pairs (i, j) with i < j in row-major order, as Python ints."""

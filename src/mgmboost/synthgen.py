@@ -38,7 +38,7 @@ class SynthParams:
     def __post_init__(self):
         for name, least in (("n_graphs", 2), ("inliers", 1), ("outliers", 0)):
             count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < least:
                 raise ValueError(f"{name} must be >= {least}, got {count!r}")

@@ -14,7 +14,6 @@ import pytest
 
 from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
                       build_affinity_set, gen_random_graphs, gen_random_points)
-from mgmboost.boost import _anchor_pools
 from mgmboost.pairwise import MAX_POWER_ITERS, POWER_TOL
 
 
@@ -436,18 +435,17 @@ def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
     return kset._kernel(own, [a.take(other_flat) for a in kset._other]).sum(axis=axis)
 
 
-def second_order_candidates(ii, jj, tbl, sample_rate, rng):
-    """Every second-order candidate X_iv X_vu X_uj of the pairs (ii[p],
-    jj[p]) over all anchor pairs (v, u) of the pool, duplicates included,
-    in (v, u) scan order, as a (P, A^2, n) array: the full scan that the
-    library's second-order search must agree with on the first maximum."""
-    table = tbl.table
-    ii, jj = np.asarray(ii), np.asarray(jj)
-    pools = _anchor_pools(ii, jj, tbl.cfg.N, sample_rate, rng)
+def second_order_candidates(sweep):
+    """Every second-order candidate X_iv X_vu X_uj of every pair (ii[p],
+    jj[p]) of a started sweep over all anchor pairs (v, u) of the pair's
+    pool, duplicates included, in (v, u) scan order, as a (P, A^2, n)
+    array: the full scan that the library's second-order search must agree
+    with on the first maximum."""
+    table, pools, ii, jj = sweep.table, sweep.pools, sweep.ii, sweep.jj
     via = table[pools[:, :, None, None], pools[:, None, :, None],
                 table[ii[:, None], pools][:, :, None, :]]   # [., v, u] = X_iv then X_vu
     return table[pools[:, None, :, None], jj[:, None, None, None],
-                 via].reshape(len(ii), -1, tbl.cfg.n)      # then X_uj
+                 via].reshape(len(ii), -1, sweep.cfg.n)    # then X_uj
 
 
 def random_kset(rng, n_graphs, n_nodes, density=0.6):

@@ -340,6 +340,19 @@ def test_constructor_rejects_no_channels():
         AffinitySet(mask, [])
 
 
+@pytest.mark.parametrize("weights", [[0.0], [0.0, 0.0]])
+def test_constructor_rejects_all_zero_weights(weights):
+    # every K would be all zero: init_config would solve every pair on it
+    # and only run_boost would fail, on the score normalizer
+    mask, first, second = _valid_set_arrays()
+    channels = list(zip(weights, [first, second], [0.1, 0.1]))
+    with pytest.raises(ValueError) as exc:
+        AffinitySet(mask, channels)
+    assert str(exc.value) == f"channel weights {weights} are all 0, so every affinity would be 0"
+    channels[0] = (0.5, first, 0.1)     # one weighted channel is enough
+    assert AffinitySet(mask, channels).get(0, 1).dense().any()
+
+
 def test_constructor_ignores_attributes_off_the_edges():
     mask, first, second = _valid_set_arrays()
     first[0, 0, 2] = np.nan

@@ -34,8 +34,8 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       is_fully_consistent, keep_masks, mst, node_affinity_all,
                       overall_consistency, run_boost, total_score)
 from mgmboost import boost, pairwise
-from mgmboost.boost import (_TERMS, MODES, _anchor_pools, _config_from_tree,
-                            _IterTables, _pairs_best, _spectral_sync, _weights)
+from mgmboost.boost import (_TERMS, MODES, _config_from_tree, _pairs_best,
+                            _spectral_sync, _SweepState, _weights)
 
 from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pairwise,
                       naive_elicited_unary, naive_pairwise_consistency,
@@ -58,11 +58,12 @@ def sweep_picks(cfg, kset, mode, norm, lam, est=None, sample_rate=1.0, rng=None)
     """(i, j, anchor, candidate) of every pair i < j, from one ``_pairs_best``
     call over all pairs of one snapshot, as a weighted sweep of the mode
     runs it."""
-    iu, ju = np.triu_indices(cfg.N, 1)
     weights = _weights(mode, 1, 0, lam)
-    tbl = _IterTables(cfg, kset, norm, _TERMS.get(mode) if weights[1] else None, est)
-    anchors, cands, _ = _pairs_best(iu, ju, tbl, weights, sample_rate, rng)
-    return list(zip(iu.tolist(), ju.tolist(), anchors.tolist(), map(Permutation, cands)))
+    sweep = _SweepState(kset, norm, sample_rate=sample_rate, rng=rng)
+    sweep.start(cfg, _TERMS.get(mode) if weights[1] else None, est)
+    anchors, cands, _ = _pairs_best(slice(None), sweep, weights)
+    return list(zip(sweep.ii.tolist(), sweep.jj.tolist(), anchors.tolist(),
+                    map(Permutation, cands)))
 
 
 def record_iterates(monkeypatch):
@@ -80,9 +81,15 @@ def record_iterates(monkeypatch):
     return seen
 
 
-def _pair_best_2nd(i, j, tbl, sample_rate, rng):
-    """The second-order search of the single pair (i, j)."""
-    return _pairs_best([i], [j], tbl, (1.0, 0.0), sample_rate, rng, second_order=True)[1][0]
+def pair_index(sweep, i, j):
+    """Row-major index of the pair i < j among the sweep's pairs."""
+    return int(np.flatnonzero((sweep.ii == i) & (sweep.jj == j))[0])
+
+
+def _pair_best_2nd(i, j, sweep):
+    """The second-order search of the single pair (i, j) of a started
+    second-order sweep."""
+    return _pairs_best([pair_index(sweep, i, j)], sweep, (1.0, 0.0))[1][0]
 
 
 def naive_eval(mode, cand, anchor, i, j, cfg, kset, norm, lam, est=None, keep=None):
@@ -221,12 +228,23 @@ class TestAnchorPools:
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6, 0.1])
     @pytest.mark.parametrize("n_graphs", [2, 3, 7])
     def test_equal_pair_by_pair_draws(self, n_graphs, sample_rate):
-        iu, ju = np.triu_indices(n_graphs, 1)
-        got = _anchor_pools(iu, ju, n_graphs, sample_rate, np.random.default_rng(5))
+        # pair p's pool is the p-th draw of its sweep; at sample_rate 1 the
+        # run's pools are built once, by the first sweep
         rng = np.random.default_rng(5)
-        want = [self.pair_by_pair(i, j, n_graphs, sample_rate, rng)
-                for i, j in zip(iu.tolist(), ju.tolist())]
-        assert got.tolist() == want
+        cfg = random_config(rng, n_graphs, 3)
+        sweep = _SweepState(random_kset(rng, n_graphs, 3), ScoreNormalizer(1.0),
+                            sample_rate=sample_rate, rng=np.random.default_rng(5))
+        iu, ju = np.triu_indices(n_graphs, 1)
+        draws = np.random.default_rng(5)
+        built = []
+        for _ in range(3):
+            sweep.start(cfg)
+            want = [self.pair_by_pair(i, j, n_graphs, sample_rate, draws)
+                    for i, j in zip(iu.tolist(), ju.tolist())]
+            assert sweep.pools.tolist() == want
+            built.append(sweep.pools)
+        if sample_rate == 1.0:
+            assert built[0] is built[1] is built[2]
 
 
 class TestPairBest2nd:
@@ -256,10 +274,11 @@ class TestPairBest2nd:
             cfg = random_config(srng, 6, n)
             kset = random_kset(srng, 6, n, density)
             norm = ScoreNormalizer.from_initial(cfg, kset)
-            tbl = _IterTables(cfg, kset, norm)
+            sweep = _SweepState(kset, norm, True, sample_rate, np.random.default_rng(seed))
+            sweep.start(cfg)
             for i, j in [(0, 1), (1, 4), (3, 5)]:
-                pool = _anchor_pools(i, j, cfg.N, sample_rate, np.random.default_rng(seed))[0]
-                got = _pair_best_2nd(i, j, tbl, sample_rate, np.random.default_rng(seed))
+                pool = sweep.pools[pair_index(sweep, i, j)].tolist()
+                got = _pair_best_2nd(i, j, sweep)
                 _, want = self.exhaustive(i, j, cfg, kset, norm, pool)
                 assert Permutation(got) == want
 
@@ -281,12 +300,12 @@ class TestPairBest2nd:
         for kset in ksets:
             for cfg in (init_config(kset, 1.0, n_graphs),
                         random_config(np.random.default_rng(n_graphs), n_graphs, kset.n)):
-                tbl = _IterTables(cfg, kset, ScoreNormalizer.from_initial(cfg, kset))
-                got = _pairs_best(iu, ju, tbl, (1.0, 0.0), sample_rate,
-                                  np.random.default_rng(n_graphs), second_order=True)[1]
-                cands = second_order_candidates(iu, ju, tbl, sample_rate,
-                                                np.random.default_rng(n_graphs))
-                scores = tbl.kernel_sums(iu, ju, cands) / tbl.norm.value
+                sweep = _SweepState(kset, ScoreNormalizer.from_initial(cfg, kset), True,
+                                    sample_rate, np.random.default_rng(n_graphs))
+                sweep.start(cfg)
+                got = _pairs_best(slice(None), sweep, (1.0, 0.0))[1]
+                cands = second_order_candidates(sweep)
+                scores = sweep.kernel_sums(iu, ju, cands) / sweep.norm.value
                 assert np.array_equal(got, cands[np.arange(len(iu)), np.argmax(scores, axis=1)])
                 ties += sum(len(np.unique(c[s == s.max()], axis=0)) > 1
                             for c, s in zip(cands, scores))
@@ -305,8 +324,9 @@ class TestPairBest2nd:
         distinct_ties = 0
         for seed in range(8):
             cfg = random_config(np.random.default_rng(400 + seed), n_graphs, n)
-            tbl = _IterTables(cfg, kset, norm)
-            got = Permutation(_pair_best_2nd(0, 1, tbl, 1.0, None))
+            sweep = _SweepState(kset, norm, second_order=True)
+            sweep.start(cfg)
+            got = Permutation(_pair_best_2nd(0, 1, sweep))
             scored, want = self.exhaustive(0, 1, cfg, kset, norm, range(n_graphs))
             assert got == want
             top = {cand for cand, val in scored if val == 1.0}
@@ -605,8 +625,16 @@ class TestSumCache:
         return corrupted_config(np.random.default_rng(3), 7, 7, 0.5), kset
 
     @staticmethod
-    def _all_stale(tbl, prev, moved):
-        return np.ones_like(prev.stale)
+    def _every_entry_stale(monkeypatch):
+        """Make every sweep start with all kept sums stale, as a run that
+        recomputes every first-order sum each sweep."""
+        start = _SweepState.start
+
+        def all_stale(sweep, *args):
+            start(sweep, *args)
+            sweep.stale[:] = True
+
+        monkeypatch.setattr(_SweepState, "start", all_stale)
 
     @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
     @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
@@ -616,13 +644,13 @@ class TestSumCache:
         params = BoostParams(mode=mode, sample_rate=sample_rate, seed=1,
                              elicit=None if elicit is None else InlierEstimate(5, elicit))
         out, trace = run_boost(cfg0, kset, params)
-        monkeypatch.setattr(_IterTables, "_stale_after", self._all_stale)
+        self._every_entry_stale(monkeypatch)
         ref_out, ref = run_boost(cfg0, kset, params)
         assert out.perm_table().tobytes() == ref_out.perm_table().tobytes()
         assert (trace.scores, trace.consistencies, trace.changes) == \
             (ref.scores, ref.consistencies, ref.changes)
         assert all(got <= full for got, full in zip(trace.scored, ref.scored))
-        if mode not in ("isb_cst", "isb_2nd"):     # scores read from the cache
+        if mode != "isb_cst":     # first-order scores read from the kept sums
             assert sum(trace.scored) < sum(ref.scored)
 
     @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
@@ -669,13 +697,17 @@ class TestSumCache:
         assert trace.scored[:2] == [0, pairs * cfg0.N]
         assert max(trace.scored[2:]) <= pairs * cfg0.N
 
-    def test_scored_counts_without_cache(self):
-        # isb_2nd scores A + (A - 2)(A - 3) candidates per pair in every
-        # sweep; isb_cst weighs no score, so it computes none
+    def test_scored_counts_second_order(self):
+        # isb_2nd scores A + (A - 2)(A - 3) candidates per pair in its first
+        # sweep; later sweeps read the A first-order ones from the kept sums
+        # and compute only the stale among them; isb_cst weighs no score,
+        # so it computes none
         cfg0, kset = self._points_run()
         pairs, a = cfg0.N * (cfg0.N - 1) // 2, cfg0.N
+        full = pairs * (a + (a - 2) * (a - 3))
         _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=3))
-        assert trace.scored == [0] + [pairs * (a + (a - 2) * (a - 3))] * (len(trace) - 1)
+        assert len(trace) > 2 and trace.scored[:2] == [0, full]
+        assert all(pairs * (a - 2) * (a - 3) <= got < full for got in trace.scored[2:])
         _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_cst", t_max=3))
         assert trace.scored == [0] * len(trace)
 

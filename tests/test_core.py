@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgmboost import (AffinityMatrix, MatchConfig, Permutation, ScoreNormalizer,
-                      affinity_score, solve_pairwise)
+from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate, MatchConfig, Permutation,
+                      ScoreNormalizer, SynthParams, affinity_score, solve_pairwise)
+from mgmboost.core import check_count
 
 from conftest import naive_quad_form, random_affinity, reference_from_basis
 
@@ -421,3 +422,19 @@ class TestMatchConfig:
         t[0, 1] = [0.7, 1.2]
         with pytest.raises(ValueError, match="integer"):
             MatchConfig.from_table(t)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(("name", "make"), [
+    ("seed", lambda v: check_count("seed", v)),
+    ("n_nodes", lambda v: MatchConfig.identity(3, v)),
+    ("t_max", lambda v: BoostParams(t_max=v)),
+    ("n_est", lambda v: InlierEstimate(v)),
+    ("seed", lambda v: SynthParams(n_graphs=2, inliers=3, seed=v)),
+    ("outliers", lambda v: SynthParams(n_graphs=2, inliers=3, outliers=v)),
+], ids=["check_count", "MatchConfig", "BoostParams", "InlierEstimate", "SynthParams-seed",
+        "SynthParams-outliers"])
+def test_bool_count_rejected(name, make, value):
+    # bool is a subclass of int, but True is no count of anything
+    with pytest.raises(ValueError, match=rf"{name} must be an integer.*, got {value!r}$"):
+        make(value)
