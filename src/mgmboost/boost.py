@@ -27,7 +27,8 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from .core import MatchConfig, ScoreNormalizer, check_count, pair_scores, upper_indices
+from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
+                   upper_indices)
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
@@ -96,9 +97,8 @@ class BoostTrace:
     times: list[float] = field(default_factory=list)
     scored: list[int] = field(default_factory=list)
 
-    def record(self, score, consistency, changed, elapsed, scored=0):
+    def record(self, score, changed, elapsed, scored=0):
         self.scores.append(score)
-        self.consistencies.append(consistency)
         self.changes.append(changed)
         self.times.append(elapsed)
         self.scored.append(scored)
@@ -120,7 +120,10 @@ class _SweepState:
     ``start`` sets a sweep's snapshot ``cfg`` and the consistency ``term``
     it weights, None if it weights none; ``scored`` then counts the
     candidates whose kernel sum the sweep computed, and ``mismatches`` the
-    ``anchor_mismatches`` of ``cfg`` over the pairs searched so far."""
+    ``anchor_mismatches`` of ``cfg`` over the pairs searched so far. Each
+    pair searched leaves its new X_ij as a row of the (P, n) ``upper``,
+    whether that differs from the snapshot's in ``moved`` (all True before
+    the first sweep) and, when J is weighted, its raw kernel sum in ``won``."""
 
     def __init__(self, kset, norm, second_order=False, sample_rate=1.0, rng=None):
         self.kset, self.norm = kset, norm
@@ -132,19 +135,20 @@ class _SweepState:
         self.rowstart = np.arange(0, shape[0] * shape[1], shape[1])[:, None]
         self.pools = self.kept_rows = None
         self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
+        self.upper = np.empty((shape[0], kset.n), dtype=np.int64)
+        self.moved, self.won = np.ones(shape[0], dtype=bool), np.empty(shape[0])
 
-    def start(self, cfg, term=None, est=None, moved=None):
+    def start(self, cfg, term=None, est=None):
         """Begin a sweep from ``cfg``. Every candidate is marked stale that
-        has a leg X_ik or X_kj among the pairs ``moved`` (a (P,) boolean
-        mask; k = i and k = j give X_ij itself) or whose row graph keeps
-        other rows than in the last sweep: a sum depends on nothing else."""
+        has a leg X_ik or X_kj among the pairs ``moved`` (k = i and k = j
+        give X_ij itself) or whose row graph keeps other rows than in the
+        last sweep: a sum depends on nothing else."""
         self.cfg, self.term, self.scored, self.table = cfg, term, 0, cfg.perm_table()
         self.mismatches = np.zeros(cfg.N, dtype=np.int64)    # settled iterates keep theirs
-        if moved is not None:
-            legs = np.zeros((cfg.N, cfg.N), dtype=bool)
-            legs[self.ii[moved], self.jj[moved]] = True
-            legs |= legs.T
-            self.stale |= legs[self.ii] | legs[self.jj]
+        legs = np.zeros((cfg.N, cfg.N), dtype=bool)
+        legs[self.ii[self.moved], self.jj[self.moved]] = True
+        legs |= legs.T
+        self.stale |= legs[self.ii] | legs[self.jj]
         self.keep = kept_rows = None
         if est is not None:
             self.keep = keep_masks(cfg, est, self.kset)
@@ -211,14 +215,14 @@ def _anchor_pools(n_graphs, sample_rate, rng):
 
 
 def _pairs_best(pairs, sweep, weights):
-    """Best anchor, replacement candidate and the candidate's raw kernel
-    sum (None if a = 0) for each of the sweep's row-major ``pairs`` (a
-    slice or index array) under the evaluation a·J + b·C with weights =
-    (a, b), all pairs as one batch; a term whose weight is 0 is not
-    computed. Every anchor's candidate is scored, duplicates included, so
-    anchor-dependent consistency terms stay per-anchor and the argmax is
-    exact; the anchor scan order makes exact ties keep the incumbent, then
-    the smallest anchor. First-order kernel sums are read from the sweep's
+    """Best anchor and replacement candidate for each of the sweep's
+    row-major ``pairs`` (a slice or index array) under the evaluation
+    a·J + b·C with weights = (a, b), all pairs as one batch; a term whose
+    weight is 0 is not computed. The pairs' outcome goes to the sweep's
+    ``upper``, ``moved`` and, if a > 0, ``won``. Every anchor's candidate
+    is scored, duplicates included, so anchor-dependent consistency terms
+    stay per-anchor and the argmax is exact; the anchor scan order makes
+    exact ties keep the incumbent, then the smallest anchor. First-order kernel sums are read from the sweep's
     ``sums``, where only stale entries are computed; the consistency terms
     are computed in full. The pairs' compositions X_ik X_kj, built for
     every mode, add their mismatches with the stored X_ij to the sweep's
@@ -234,9 +238,9 @@ def _pairs_best(pairs, sweep, weights):
     """
     table = sweep.table
     ii, jj, pools = sweep.ii[pairs], sweep.jj[pairs], sweep.pools[pairs]
-    rows = np.arange(len(ii))
+    rows, held = np.arange(len(ii)), table[ii, jj]
     comps = compositions(table, ii, jj)
-    sweep.mismatches += (comps != table[ii, jj][:, None]).sum(axis=0).sum(axis=1)
+    sweep.mismatches += (comps != held[:, None]).sum(axis=0).sum(axis=1)
     cands = comps[rows[:, None], pools]
     a, b = weights
     if a:
@@ -253,7 +257,11 @@ def _pairs_best(pairs, sweep, weights):
     j_term = a * (sums / sweep.norm.value) if a else 0.0
     c_term = b * sweep.consistency(ii, jj, pools, cands, comps) if b else 0.0
     best = np.argmax(j_term + c_term, axis=1)     # lowest index on exact ties
-    return pools[rows, best], cands[rows, best], sums[rows, best] if a else None
+    sweep.upper[pairs] = picked = cands[rows, best]
+    sweep.moved[pairs] = (picked != held).any(axis=1)
+    if a:
+        sweep.won[pairs] = sums[rows, best]
+    return pools[rows, best], picked
 
 
 def _weights(mode, t, t0, lam):
@@ -290,21 +298,19 @@ def run_boost(cfg0, kset, params):
     trace = BoostTrace()
     sweep = _SweepState(kset, norm, params.mode == "isb_2nd", params.sample_rate,
                         np.random.default_rng(params.seed))
-    moved = np.zeros(len(sweep.ii), dtype=bool)     # pairs the last sweep changed
-    sums = np.empty(len(sweep.ii))                  # raw kernel sums of the new X_ij
     # modes whose iterates may cycle keep the best iterate by this trace entry
     best_of = {"isb_cst": trace.consistencies, "isb_gc_p": trace.scores}.get(params.mode)
     kept = None     # (best_of entry, configuration, anchor mismatches) returned
 
     def record(scores, changed, scored=0):
-        # pair scores added in row-major order, as total_score adds them; the
-        # consistency is filled in by settle once counted
-        trace.record(float(sum(scores.tolist())) / norm.value, None, changed,
+        # pair scores added in row-major order, as total_score adds them
+        trace.record(float(sum(scores.tolist())) / norm.value, changed,
                      time.perf_counter() - started, scored)
 
     def settle(cfg, mismatches):
+        # the consistency of the last iterate recorded, once it is counted
         nonlocal kept
-        trace.consistencies[-1] = overall_from_mismatches(mismatches, cfg.n)
+        trace.consistencies.append(overall_from_mismatches(mismatches, cfg.n))
         if kept is None or best_of is None or best_of[-1] > kept[0]:
             kept = (None if best_of is None else best_of[-1], cfg, mismatches)
 
@@ -316,31 +322,23 @@ def run_boost(cfg0, kset, params):
     for t in range(1, params.t_max + 1):
         a, b = _weights(params.mode, t, params.t0, lam)
         weighted = params.mode.startswith("isb_gc") and t > params.t0
-        sweep.start(cfg, _TERMS.get(params.mode) if b else None, params.elicit, moved)
-        upper = sweep.table[sweep.ii, sweep.jj]
+        sweep.start(cfg, _TERMS.get(params.mode) if b else None, params.elicit)
         for at in sweep.groups:
-            _, cands, won = _pairs_best(at, sweep, (a, b))
-            moved[at] = (cands != upper[at]).any(axis=1)
-            upper[at] = cands
-            if won is not None:
-                sums[at] = won
-        if trace.consistencies[-1] is None:
-            settle(cfg, sweep.mismatches)
-        changed = int(np.count_nonzero(moved))
-        cfg = MatchConfig._from_upper(cfg.N, upper)
+            _pairs_best(at, sweep, (a, b))
+        settle(cfg, sweep.mismatches)
+        changed = int(np.count_nonzero(sweep.moved))
+        cfg = MatchConfig._from_upper(cfg.N, sweep.upper)
         # a sweep that scored J on all rows computed the raw sum of each new
         # X_ij, equal to a fresh one bit for bit
-        record(sums if a and sweep.kept_rows is None else pair_scores(cfg, kset),
+        record(sweep.won if a and sweep.kept_rows is None else pair_scores(cfg, kset),
                changed, sweep.scored)
-        if not changed:
-            settle(cfg, sweep.mismatches)
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break
         if weighted:
             lam = min(1.0, params.beta * lam)
 
-    if trace.consistencies[-1] is None:
-        settle(cfg, anchor_mismatches(cfg))     # the run's one direct pass
+    # an unchanged last sweep counted its output too; else the run's one direct pass
+    settle(cfg, anchor_mismatches(cfg) if sweep.moved.any() else sweep.mismatches)
     _, cfg, mismatches = kept
     if params.enforce_final_consistency and len(trace) > 1:   # a sweep ran
         cfg = _make_consistent(cfg, kset, params.gamma, mismatches)
@@ -415,6 +413,7 @@ def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     synchronization when there are more graphs than nodes.
     """
     _check_gamma(gamma)
+    check_same_shape(cfg, kset)
     return _make_consistent(cfg, kset, gamma, anchor_mismatches(cfg))
 
 

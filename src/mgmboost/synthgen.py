@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .core import AffinitySet, MatchConfig, Permutation, check_count, upper_indices
 from .pairwise import solve_pairs
@@ -192,6 +191,8 @@ def gen_random_points(p):
 def delaunay_edges(coords):
     """Undirected edges of the Delaunay triangulation of 2-D points, as an
     (E, 2) array of rows (u, v) with u < v, sorted lexicographically."""
+    from scipy.spatial import Delaunay, QhullError    # only len_angle sets need it
+
     coords = np.asarray(coords, dtype=float)
     if coords.shape[0] < 3:
         raise ValueError("Delaunay triangulation needs at least 3 points")
@@ -347,6 +348,8 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     """
     _check_bandwidth("sigma2", sigma2)
     check_affinity_kind(kind, beta_w)
+    if len(instances) < 2:
+        raise ValueError(f"need at least 2 instances to match, got {len(instances)}")
     if kind == "gauss":
         n = max(g.n for g in instances)
         weights = np.stack([g.padded(n).adjacency for g in instances])
@@ -402,14 +405,19 @@ def init_config(kset, coverage, seed, solver=None):
 
 
 def save_instances(path, instances):
-    """Dump instances to a .npz archive (stable round-trip format)."""
-    has_coords = instances[0].coords is not None
+    """Dump instances to a .npz archive (stable round-trip format). Raises
+    ValueError for no instances, or for a list in which some instances
+    carry coordinates and others do not."""
+    if not instances:
+        raise ValueError("need at least 1 instance to save, got 0")
+    bare = [k for k, g in enumerate(instances) if g.coords is None]
+    if 0 < len(bare) < len(instances):
+        raise ValueError(f"instance {bare[0]} carries no coordinates, but others do")
     np.savez(path,
              adjacency=np.stack([g.adjacency for g in instances]),
              truth=np.stack([g.truth.perm for g in instances]),
              inlier_counts=np.array([g.inlier_count for g in instances]),
-             coords=(np.stack([g.coords for g in instances]) if has_coords
-                     else np.empty(0)))
+             coords=(np.empty(0) if bare else np.stack([g.coords for g in instances])))
 
 
 def load_instances(path):

@@ -61,7 +61,7 @@ def sweep_picks(cfg, kset, mode, norm, lam, est=None, sample_rate=1.0, rng=None)
     weights = _weights(mode, 1, 0, lam)
     sweep = _SweepState(kset, norm, sample_rate=sample_rate, rng=rng)
     sweep.start(cfg, _TERMS.get(mode) if weights[1] else None, est)
-    anchors, cands, _ = _pairs_best(slice(None), sweep, weights)
+    anchors, cands = _pairs_best(slice(None), sweep, weights)
     return list(zip(sweep.ii.tolist(), sweep.jj.tolist(), anchors.tolist(),
                     map(Permutation, cands)))
 
@@ -729,7 +729,8 @@ def record_direct_passes(monkeypatch):
 class TestTraceConsistency:
     """Sweep t counts the consistency of iterate t - 1 from the
     compositions it builds, a sweep that changes no pair repeats its
-    input's value, and only a changed last iterate takes a direct pass."""
+    input's value, and only a changed last iterate takes a direct pass;
+    every trace list holds one entry per iterate."""
 
     @staticmethod
     def _start(kind):
@@ -756,7 +757,10 @@ class TestTraceConsistency:
             enforce_final_consistency=False,
             elicit=None if elicit is None else InlierEstimate(5, elicit)))
         iterates = [cfg0] + seen
-        assert len(iterates) == len(trace)
+        # one entry per iterate in every list, each settled
+        for entries in (trace.scores, trace.consistencies, trace.changes, trace.times,
+                        trace.scored):
+            assert len(entries) == len(iterates) and None not in entries
         assert trace.consistencies == [overall_consistency(cfg) for cfg in iterates]
         last_changed = len(trace) == 1 or trace.changes[-1] != 0
         assert passes == ([iterates[-1]] if last_changed else [])
@@ -862,6 +866,19 @@ class TestEnforceFullConsistency:
             out = enforce_full_consistency(cfg, kset, gamma=gamma)
             assert is_fully_consistent(out)
             assert overall_consistency(out) == 1.0
+
+    @pytest.mark.parametrize(("cfg_shape", "gamma", "route"), [
+        ((5, 4), 0.999, "affinity_mst"),
+        ((5, 6), 0.05, "consistency_mst"),    # n >= N
+        ((9, 4), 0.05, "spectral"),           # n < N
+    ], ids=["affinity_mst", "consistency_mst", "spectral"])
+    def test_other_shape_rejected_on_every_route(self, cfg_shape, gamma, route, rng):
+        kset = random_kset(rng, 3, 4)
+        cfg = random_config(rng, *cfg_shape)
+        assert (overall_consistency(cfg) < gamma) == (route == "affinity_mst")
+        with pytest.raises(ValueError, match=re.escape(
+                f"configuration has (N, n) = {cfg_shape}, affinity set has (3, 4)")):
+            enforce_full_consistency(cfg, kset, gamma)
 
 
 class TestShapeMismatch:

@@ -10,8 +10,12 @@ Property coverage:
   memory does not grow with the pair count
 """
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from scipy.spatial import Delaunay
 from hypothesis import strategies as st
 
+import mgmboost
 from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
                       affinity_score, build_affinity_set,
                       gen_random_graphs, gen_random_points, init_config,
@@ -689,3 +694,34 @@ class TestBoundaries:
         with pytest.raises(ValueError, match=re.escape(
                 f"coords must have shape (6, 2), one 2-D point per node, got {shape}")):
             GraphInstance(adj, 6, Permutation.identity(6), np.zeros(shape))
+
+    @pytest.mark.parametrize("bare", [0, 1], ids=["graph-first", "points-first"])
+    def test_save_instances_rejects_mixed_coordinates(self, tmp_path, bare):
+        # one instance with coordinates and one without would lose the
+        # coordinates on reload, or fail inside numpy
+        graph = gen_random_graphs(SynthParams(n_graphs=2, inliers=5, seed=3))[0]
+        points = gen_random_points(SynthParams(n_graphs=2, inliers=5, seed=3))[0]
+        instances = [graph, points] if bare == 0 else [points, graph]
+        with pytest.raises(ValueError, match=re.escape(
+                f"instance {bare} carries no coordinates, but others do")):
+            save_instances(str(tmp_path / "dump.npz"), instances)
+
+    def test_save_instances_rejects_no_instances(self, tmp_path):
+        with pytest.raises(ValueError, match="need at least 1 instance to save, got 0"):
+            save_instances(str(tmp_path / "dump.npz"), [])
+
+    @pytest.mark.parametrize("kind", ["gauss", "len_angle"])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_build_affinity_set_needs_two_instances(self, count, kind):
+        points = gen_random_points(SynthParams(n_graphs=2, inliers=5, seed=3))[:count]
+        with pytest.raises(ValueError, match=f"need at least 2 instances to match, got {count}"):
+            build_affinity_set(points, 0.05, kind)
+
+
+def test_import_leaves_out_scipy_spatial():
+    # only len_angle sets triangulate, so scipy.spatial loads on first use
+    src = str(Path(mgmboost.__file__).parents[1])
+    code = "import sys, mgmboost; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
