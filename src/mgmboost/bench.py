@@ -115,11 +115,13 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     """Mean per-pair matching accuracy against ground truth, counting
     only rows that are common inliers; correspondences involving outlier
     rows are ignored entirely. Inlier rows must lie in 0..n-1; negative
-    rows do not wrap around."""
+    rows do not wrap around. Takes one list of inlier rows per graph."""
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
+    if len(inlier_rows) != cfg_alg.N:
+        raise ValueError(f"got {len(inlier_rows)} inlier-row lists for {cfg_alg.N} graphs")
     inlier = np.zeros((cfg_alg.N, cfg_alg.n), dtype=bool)
-    for i, rows in enumerate(inlier_rows[:cfg_alg.N]):
+    for i, rows in enumerate(inlier_rows):
         rows = np.asarray(rows, dtype=np.int64)
         bad = rows[(rows < 0) | (rows >= cfg_alg.n)]
         if bad.size:

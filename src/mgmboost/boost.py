@@ -23,9 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
                    upper_indices)
@@ -350,6 +348,8 @@ def mst(weights):
     edge list; ties go to the lexicographically first edge. csgraph takes
     the minimum tree of dense weight ranks (1 = heaviest, so zero weights
     stay edges) and sorts them stably in row-major order."""
+    from scipy.sparse.csgraph import minimum_spanning_tree   # on first use: see the README
+
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
@@ -370,6 +370,8 @@ def mst(weights):
 def _config_from_tree(cfg, tree):
     """Rebuild every pairwise matching by composing along tree paths;
     the result is exactly cycle-consistent."""
+    from scipy.sparse.csgraph import breadth_first_order   # on first use: see the README
+
     table = cfg.perm_table()
     rows, cols = np.array(tree, dtype=np.int64).reshape(-1, 2).T
     adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(cfg.N, cfg.N))
@@ -388,6 +390,8 @@ def _spectral_sync(cfg):
     gauge at the identity. The re-projection does not depend on the
     basis chosen inside the leading eigenspace, so only that space is
     computed."""
+    from scipy.linalg import eigh   # on first use: see the README
+
     table = cfg.perm_table()
     n_graphs, n = cfg.N, cfg.n
     size = n_graphs * n

@@ -72,6 +72,8 @@ def _affinity_kind(args):
 
 def _boost_params(args):
     elicit = None
+    if args.n_est is not None and args.elicit == "none":
+        raise ValueError("--n-est needs --elicit")
     if args.elicit != "none":
         if args.n_est is None:
             raise ValueError("--elicit needs --n-est")
@@ -117,7 +119,8 @@ def _cmd_match(args):
     print(f"norm. score    : {total_score(cfg, kset) / norm.value:.4f}")
     if args.out:
         try:
-            np.savez(args.out, **{f"pair_{i}_{j}": x.perm for i, j, x in cfg.pairs()})
+            with open(args.out, "wb") as fh:    # np.savez would append .npz to a path
+                np.savez(fh, **{f"pair_{i}_{j}": x.perm for i, j, x in cfg.pairs()})
         except OSError as exc:
             args.parser.error(str(exc))
         print(f"wrote matching to {args.out}")

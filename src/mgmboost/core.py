@@ -258,9 +258,9 @@ def _reject_first(bad, what, values=None):
 class AffinitySet:
     """Edge-kernel affinities between every pair of N graphs on n nodes.
 
-    No n^2 x n^2 matrix is stored. Per graph the set holds an (n, n) edge
-    mask, and per kernel channel c an (n, n) edge attribute a_c with a
-    weight w_c and a bandwidth s_c. With graph i as the row graph, the
+    No n^2 x n^2 matrix is stored. Per kernel channel c the set holds an
+    (N, n, n) edge attribute a_c, infinite exactly off each graph's edges,
+    with a weight w_c and a bandwidth s_c. With graph i as the row graph, the
     affinity matrix of the pair (i, j) has the entry
 
         K[a*n + u, b*n + v] = sum_c w_c exp(-(a_c[i, u, v] - a_c[j, a, b])^2 / s_c)
@@ -292,7 +292,6 @@ class AffinitySet:
         if np.count_nonzero(mask.diagonal(0, 1, 2)):
             _reject_first(mask & np.eye(self.n, dtype=bool), "edge mask has a self-loop")
         _reject_first(mask != mask.transpose(0, 2, 1), "edge mask is not symmetric")
-        self._mask = mask
         self._edges = mask.sum(axis=(1, 2)).tolist()
         # Per channel (weight, bandwidth), and the attribute twice: as the
         # row graph's, +inf off the edges, and as the column graph's, -inf
@@ -333,12 +332,12 @@ class AffinitySet:
         return list(zip(*(a.tolist() for a in upper_indices(self.N))))
 
     def _kernel(self, own, other):
-        """Kernel values of row-graph attributes ``own`` against
-        column-graph attributes ``other``, one array per channel, the two
-        broadcast together."""
+        """Kernel values of the row-graph attributes at ``own`` against the
+        column-graph attributes at ``other``, flat indices g*n^2 + u*n + v
+        into the (N, n, n) attributes, the two broadcast together."""
         out = None
-        for (weight, sigma2), a, b in zip(self._channels, own, other):
-            k = a - b
+        for (weight, sigma2), a, b in zip(self._channels, self._own, self._other):
+            k = a.take(own) - b.take(other)
             np.square(k, out=k)
             np.divide(k, -sigma2, out=k)   # = -(d^2) / sigma2, bit for bit
             np.exp(k, out=k)
@@ -375,9 +374,8 @@ class AffinitySet:
         ``_dense_index`` expands them; the bytes equal those of the full
         broadcast of a_c[i, u, v] against a_c[j, a, b]."""
         gather, index = self._dense_index
-        i, j = np.reshape(i, (-1, 1)), np.reshape(j, (-1, 1))
-        vals = self._kernel([a.reshape(self.N, -1)[i, gather][:, None, :] for a in self._own],
-                            [a.reshape(self.N, -1)[j, gather][:, :, None] for a in self._other])
+        i, j = np.reshape(i, (-1, 1)) * self.n ** 2, np.reshape(j, (-1, 1)) * self.n ** 2
+        vals = self._kernel((i + gather)[:, None, :], (j + gather)[:, :, None])
         return vals.reshape(len(i), -1).take(index, axis=1)
 
     def get(self, i, j):
@@ -391,12 +389,12 @@ class AffinitySet:
         n, size = self.n, self.n * self.n
         if self.is_dense(i, j):
             return AffinityMatrix._wrap(n, self.dense_stack([i], [j])[0])
-        ui, vi = np.nonzero(self._mask[i])
-        uj, vj = np.nonzero(self._mask[j])
-        vals = self._kernel([a[i, ui, vi][None, :] for a in self._own],
-                            [a[j, uj, vj][:, None] for a in self._other]).ravel()
-        rows = (uj[:, None] * n + ui[None, :]).ravel()
-        cols = (vj[:, None] * n + vi[None, :]).ravel()
+        # a graph's edges are where its attributes are finite
+        ei, ej = (np.flatnonzero(np.isfinite(self._own[0][g])) for g in (i, j))
+        vals = self._kernel(i * size + ei, (j * size + ej)[:, None]).ravel()
+        (ui, vi), (uj, vj) = divmod(ei, n), divmod(ej, n)
+        rows = (uj[:, None] * n + ui).ravel()
+        cols = (vj[:, None] * n + vi).ravel()
         k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
         return AffinityMatrix._wrap(n, k)
 
@@ -446,8 +444,7 @@ class AffinitySet:
                 own_flat = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
             ps = picked[s:s + step]
             other_flat = other_graph[s:s + step] + ps[..., su] * n + ps[..., sv]
-            vals = self._kernel([a.take(own_flat[:, None]) for a in self._own],
-                                [a.take(other_flat) for a in self._other])
+            vals = self._kernel(own_flat[:, None], other_flat)
             sums.append(vals.take(expand, axis=2).sum(axis=axis))
         return np.concatenate(sums)
 

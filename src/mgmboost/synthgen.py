@@ -206,8 +206,6 @@ def delaunay_edges(coords):
 
 
 def _delaunay_geometry(g):
-    if g.coords is None:
-        raise ValueError("instance carries no coordinates")
     edges = np.asarray(delaunay_edges(g.coords), dtype=np.int64)
     d = g.coords[edges[:, 1]] - g.coords[edges[:, 0]]
     lengths = np.linalg.norm(d, axis=1)
@@ -354,6 +352,9 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
         n = max(g.n for g in instances)
         weights = np.stack([g.padded(n).adjacency for g in instances])
         return AffinitySet(weights != 0, [(1.0, weights, sigma2)])
+    bare = [k for k, g in enumerate(instances) if g.coords is None]
+    if bare:
+        raise ValueError(f"instance {bare[0]} carries no coordinates, which len_angle needs")
     if len({g.n for g in instances}) != 1:
         raise ValueError("coordinate instances must have equal node counts")
     shape = (len(instances), instances[0].n, instances[0].n)
@@ -405,19 +406,24 @@ def init_config(kset, coverage, seed, solver=None):
 
 
 def save_instances(path, instances):
-    """Dump instances to a .npz archive (stable round-trip format). Raises
-    ValueError for no instances, or for a list in which some instances
-    carry coordinates and others do not."""
+    """Dump instances to a .npz archive (stable round-trip format) at
+    exactly ``path``, with no suffix appended. Raises ValueError for no
+    instances, for a list in which some instances carry coordinates and
+    others do not, or for one of unequal node counts."""
     if not instances:
         raise ValueError("need at least 1 instance to save, got 0")
     bare = [k for k, g in enumerate(instances) if g.coords is None]
     if 0 < len(bare) < len(instances):
         raise ValueError(f"instance {bare[0]} carries no coordinates, but others do")
-    np.savez(path,
-             adjacency=np.stack([g.adjacency for g in instances]),
-             truth=np.stack([g.truth.perm for g in instances]),
-             inlier_counts=np.array([g.inlier_count for g in instances]),
-             coords=(np.empty(0) if bare else np.stack([g.coords for g in instances])))
+    odd = [k for k, g in enumerate(instances) if g.n != instances[0].n]
+    if odd:
+        raise ValueError(f"instance {odd[0]} has {instances[odd[0]].n} nodes, instance 0 "
+                         f"has {instances[0].n}: an archive holds equal node counts")
+    with open(path, "wb") as fh:    # np.savez would append .npz to a path
+        np.savez(fh, adjacency=np.stack([g.adjacency for g in instances]),
+                 truth=np.stack([g.truth.perm for g in instances]),
+                 inlier_counts=np.array([g.inlier_count for g in instances]),
+                 coords=(np.empty(0) if bare else np.stack([g.coords for g in instances])))
 
 
 def load_instances(path):

@@ -401,10 +401,10 @@ def reference_dense_stack(kset, i, j):
     a_c[j, a, b] lands at [a, u, b, v], which is K[a*n + u, b*n + v]. The
     kernel arithmetic is the set's own, so the result must equal
     ``dense_stack`` byte for byte."""
-    i, j = np.atleast_1d(i), np.atleast_1d(j)
     size = kset.n * kset.n
-    k = kset._kernel([a[i][:, None, :, None, :] for a in kset._own],
-                     [a[j][:, :, None, :, None] for a in kset._other])
+    edge = np.arange(size).reshape(kset.n, kset.n)
+    i, j = (np.reshape(g, (-1, 1, 1)) * size + edge for g in (i, j))
+    k = kset._kernel(i[:, None, :, None, :], j[:, :, None, :, None])
     return k.reshape(-1, size, size)
 
 
@@ -417,22 +417,17 @@ def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
     n = kset.n
     perms = np.asarray(perms, dtype=np.int64)
     pairs = perms.shape[0]
-    own_graph = np.full(pairs, i, dtype=np.int64)
+    own_graph = np.full((pairs, 1), np.reshape(i, (-1, 1)) * (n * n), dtype=np.int64)
     other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n), dtype=np.int64)
+    rows = np.arange(n) if rows is None else rows
+    r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
+    picked = np.take_along_axis(perms, r[:, None, :], axis=2)
 
     def flat_pairs(nodes, offset):
         return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
 
-    if rows is None:
-        picked = perms
-        own = [a[own_graph][:, None] for a in kset._own]
-    else:
-        r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
-        picked = np.take_along_axis(perms, r[:, None, :], axis=2)
-        own_flat = flat_pairs(r, own_graph[:, None] * (n * n))[:, None]
-        own = [a.take(own_flat) for a in kset._own]
-    other_flat = flat_pairs(picked, other_graph)
-    return kset._kernel(own, [a.take(other_flat) for a in kset._other]).sum(axis=axis)
+    return kset._kernel(flat_pairs(r, own_graph)[:, None],
+                        flat_pairs(picked, other_graph)).sum(axis=axis)
 
 
 def second_order_candidates(sweep):

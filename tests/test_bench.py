@@ -66,6 +66,13 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="graph 1 has no inlier rows"):
             accuracy(cfg, cfg, rows)
 
+    @pytest.mark.parametrize("lists", [8, 3, 2])
+    def test_one_row_list_per_graph(self, lists):
+        # extra lists were ignored, and too few read as graphs without rows
+        cfg = MatchConfig.identity(4, 3)
+        with pytest.raises(ValueError, match=f"got {lists} inlier-row lists for 4 graphs"):
+            accuracy(cfg, cfg, [np.arange(3)] * lists)
+
     @pytest.mark.parametrize("row", [-1, 4], ids=["negative", "past_end"])
     def test_inlier_row_out_of_range_rejected(self, row):
         # row -1 would otherwise count node 3 and report 1.0 here
@@ -337,6 +344,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "final acc" in out
 
+    def test_archives_go_to_the_given_paths(self, tmp_path, capsys, monkeypatch):
+        # numpy would write data.npz and res.npz, while the CLI reports data and res
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["gen", "--n-graphs", "3", "--inliers", "4", "--out", "data"]) == 0
+        assert cli_main(["match", "--data", "data", "--t-max", "1", "--out", "res"]) == 0
+        out = capsys.readouterr().out
+        assert "to data\n" in out and "to res\n" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "res"]
+        with np.load("res") as res:
+            assert sorted(res.files) == ["pair_0_1", "pair_0_2", "pair_1_2"]
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
         assert cli_main(["bench", "--n-graphs", "4", "--inliers", "4",
@@ -392,11 +410,13 @@ class TestCli:
     @pytest.mark.parametrize("command, message", [
         (["match", "--generator", "file"], "--file is required with --generator file"),
         (["match", "--elicit", "cst"], "--elicit needs --n-est"),
+        (["match", "--n-est", "2"], "--n-est needs --elicit"),
         (["bench", "--sweep", "deform", "--values", "0", "--algorithms", "isb,foo",
           "--out", "x.csv"], "unknown algorithm 'foo'"),
         (["bench", "--sweep", "deform", "--values", "0", "--algorithms", "isb,isb_gc, isb",
           "--out", "x.csv"], "algorithm 'isb' is listed twice")],
-        ids=["match-no-file", "match-no-n-est", "bench-algorithm", "bench-repeated-algorithm"])
+        ids=["match-no-file", "match-no-n-est", "match-no-elicit", "bench-algorithm",
+             "bench-repeated-algorithm"])
     def test_argument_error_is_usage_error(self, command, message, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -706,6 +706,20 @@ class TestBoundaries:
                 f"instance {bare} carries no coordinates, but others do")):
             save_instances(str(tmp_path / "dump.npz"), instances)
 
+    def test_save_instances_rejects_unequal_node_counts(self, tmp_path):
+        instances = [gen_random_graphs(SynthParams(n_graphs=2, inliers=k, seed=3))[0]
+                     for k in (4, 4, 5)]
+        with pytest.raises(ValueError, match=re.escape(
+                "instance 2 has 5 nodes, instance 0 has 4")):
+            save_instances(str(tmp_path / "dump.npz"), instances)
+
+    def test_len_angle_names_the_instance_without_coordinates(self):
+        points = gen_random_points(SynthParams(n_graphs=3, inliers=5, seed=3))
+        graph = gen_random_graphs(SynthParams(n_graphs=2, inliers=5, seed=3))[0]
+        with pytest.raises(ValueError, match=re.escape(
+                "instance 1 carries no coordinates, which len_angle needs")):
+            build_affinity_set([points[0], graph, points[2]], 0.05, "len_angle")
+
     def test_save_instances_rejects_no_instances(self, tmp_path):
         with pytest.raises(ValueError, match="need at least 1 instance to save, got 0"):
             save_instances(str(tmp_path / "dump.npz"), [])
@@ -719,9 +733,11 @@ class TestBoundaries:
 
 
 def test_import_leaves_out_scipy_spatial():
-    # only len_angle sets triangulate, so scipy.spatial loads on first use
+    # only len_angle sets triangulate, and only post-processing takes a
+    # spanning tree or an eigendecomposition, so these load on first use
     src = str(Path(mgmboost.__file__).parents[1])
-    code = "import sys, mgmboost; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, mgmboost; print([m for m in ('scipy.spatial', 'scipy.linalg', "
+            "'scipy.sparse.csgraph') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
