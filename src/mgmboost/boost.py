@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
                    upper_indices)
@@ -345,11 +344,10 @@ def run_boost(cfg0, kset, params):
 
 def mst(weights):
     """Maximum spanning tree of a complete weighted graph, as a sorted
-    edge list; ties go to the lexicographically first edge. csgraph takes
-    the minimum tree of dense weight ranks (1 = heaviest, so zero weights
-    stay edges) and sorts them stably in row-major order."""
-    from scipy.sparse.csgraph import minimum_spanning_tree   # on first use: see the README
-
+    edge list; ties go to the lexicographically first edge. Kruskal's
+    method takes the upper-triangle edges in stable descending-weight
+    order, so tied edges go in row-major order and zero weights stay
+    edges, and joins their ends by union-find."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
@@ -361,25 +359,47 @@ def mst(weights):
         raise ValueError("weights must be symmetric")
     n = w.shape[0]
     iu, ju = upper_indices(n)
-    ranks = np.zeros((n, n))
-    ranks[iu, ju] = np.unique(-w[iu, ju], return_inverse=True)[1] + 1
-    tree = minimum_spanning_tree(ranks).tocoo()
-    return sorted(zip(tree.row.tolist(), tree.col.tolist()))
+    order = np.argsort(-w[iu, ju], kind="stable")
+    parent = list(range(n))     # union-find forest: a root is its own parent
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]     # path halving
+        return a
+
+    tree = []
+    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j))
+            if len(tree) == n - 1:
+                break
+    return sorted(tree)
 
 
 def _config_from_tree(cfg, tree):
-    """Rebuild every pairwise matching by composing along tree paths;
-    the result is exactly cycle-consistent."""
-    from scipy.sparse.csgraph import breadth_first_order   # on first use: see the README
-
+    """Rebuild every pairwise matching by composing along the paths of
+    the spanning ``tree``, an edge list, from graph 0; the result is
+    exactly cycle-consistent. Raises ValueError naming the first graph
+    the tree does not reach."""
     table = cfg.perm_table()
-    rows, cols = np.array(tree, dtype=np.int64).reshape(-1, 2).T
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(cfg.N, cfg.N))
-    order, pred = breadth_first_order(adj, 0, directed=False)
+    adj = [[] for _ in range(cfg.N)]
+    for i, j in tree:
+        adj[i].append(j)
+        adj[j].append(i)
     root_to = np.empty((cfg.N, cfg.n), dtype=np.int64)
     root_to[0] = np.arange(cfg.n)
-    for k in order[1:]:        # each parent is filled before its children
-        root_to[k] = table[pred[k], k][root_to[pred[k]]]
+    reached, todo = [True] + [False] * (cfg.N - 1), [0]
+    while todo:                # a graph is filled before any neighbour reads it
+        p = todo.pop()
+        for k in adj[p]:
+            if not reached[k]:
+                reached[k] = True
+                root_to[k] = table[p, k][root_to[p]]
+                todo.append(k)
+    if not all(reached):
+        raise ValueError(f"tree does not reach graph {reached.index(False)}")
     return MatchConfig.from_basis(np.argsort(root_to, axis=1))
 
 

@@ -120,9 +120,10 @@ def unary_consistency_all(cfg, keep=None):
 def pairwise_consistency(x, cfg, i, j, keep=None):
     """Consistency of an arbitrary candidate matching for the pair (i, j)
     against all single-anchor compositions of the configuration; the
-    candidate need not belong to the configuration itself. With an
-    (N, n) boolean ``keep`` mask only the rows kept for graph i count."""
-    p = x.perm if isinstance(x, Permutation) else np.asarray(x)
+    candidate, a ``Permutation`` or anything its constructor accepts, need
+    not belong to the configuration itself. With an (N, n) boolean
+    ``keep`` mask only the rows kept for graph i count."""
+    p = (x if isinstance(x, Permutation) else Permutation(x)).perm
     if p.shape != (cfg.n,):
         raise ValueError(f"candidate has {p.size} nodes, expected {cfg.n}")
     check_graph_index(i, cfg.N)

@@ -13,11 +13,11 @@ every consistency metric inside (0, 1].
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 # A pair's affinity matrix is a dense array at or below this node count
 # (n^2 x n^2 <= 144^2), and above it when at least a third of its n^4
@@ -36,6 +36,13 @@ def dense_by_fill(n, nnz):
     3 * nnz >= n^4, about where a CSR product K @ v stops being faster
     than a dense one at n = 24-32 (see the README)."""
     return n <= DENSE_NODE_LIMIT or 3 * int(nnz) >= n ** 4
+
+
+def issparse(x):
+    """``scipy.sparse.issparse(x)``, without loading ``scipy.sparse``: no
+    sparse matrix exists before it is loaded (see the README)."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(x)
 
 
 def _index_array(values):
@@ -211,10 +218,13 @@ class AffinityMatrix:
         if n * n != shape[0]:
             raise ValueError("affinity matrix size must be a perfect square")
         self.n = n
-        given_sparse = sp.issparse(data)
-        d = sp.csr_matrix(data, dtype=float) if given_sparse else np.asarray(data, dtype=float)
-        if dense_by_fill(n, d.nnz if given_sparse else np.count_nonzero(d)) == given_sparse:
-            d = d.toarray() if given_sparse else sp.csr_matrix(d)
+        given_sparse = issparse(data)
+        d = data if given_sparse else np.asarray(data, dtype=float)
+        if given_sparse or not dense_by_fill(n, np.count_nonzero(d)):
+            import scipy.sparse as sp    # only for CSR: see the README
+            d = sp.csr_matrix(d, dtype=float)
+            if dense_by_fill(n, d.nnz):
+                d = d.toarray()
         self.data = d
         vals = d.data if self.is_sparse else d.ravel()
         bad = np.flatnonzero(~np.isfinite(vals))
@@ -238,7 +248,7 @@ class AffinityMatrix:
 
     @property
     def is_sparse(self):
-        return sp.issparse(self.data)
+        return issparse(self.data)
 
     def dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
@@ -395,6 +405,7 @@ class AffinitySet:
         (ui, vi), (uj, vj) = divmod(ei, n), divmod(ej, n)
         rows = (uj[:, None] * n + ui).ravel()
         cols = (vj[:, None] * n + vi).ravel()
+        import scipy.sparse as sp    # only for CSR: see the README
         k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
         return AffinityMatrix._wrap(n, k)
 

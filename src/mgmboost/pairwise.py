@@ -21,9 +21,8 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import AffinityMatrix, Permutation
+from .core import AffinityMatrix, Permutation, issparse
 
 MAX_POWER_ITERS = 500
 POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
@@ -46,7 +45,7 @@ def power_iteration(k):
     (an ``AffinityMatrix``, or anything its constructor accepts): the
     one-matrix case of ``stacked_power_iteration``."""
     data = (k if isinstance(k, AffinityMatrix) else AffinityMatrix(k)).data
-    return stacked_power_iteration(data if sp.issparse(data) else data[None])[0]
+    return stacked_power_iteration(data if issparse(data) else data[None])[0]
 
 
 def stacked_power_iteration(k):
@@ -71,7 +70,7 @@ def stacked_power_iteration(k):
     stacked ``matmul`` and ``vecdot`` round as the single-matrix products
     do.
     """
-    csr = sp.issparse(k)
+    csr = issparse(k)
     dim = k.shape[-1]
     out = np.empty((1 if csr else k.shape[0], dim))
     rows = np.arange(out.shape[0])          # output row of each stack row

@@ -18,6 +18,10 @@ Property coverage:
 - every trace consistency, counted inside the next sweep, equals a fresh
   ``overall_consistency`` of its iterate, with at most one direct pass
   per run, which post-processing reuses
+- ``mst`` returns the edge list of scipy's ``minimum_spanning_tree`` on
+  dense weight ranks, and the tree walk of ``_config_from_tree`` the
+  root-to-graph matchings of ``breadth_first_order``, on tie-heavy,
+  all-equal, all-zero and random inputs
 """
 
 import re
@@ -382,6 +386,13 @@ class TestSpectralSync:
 
 class TestConfigFromTree:
     @staticmethod
+    def random_tree(srng, n_graphs):
+        """Sorted edge list of a random spanning tree on n_graphs graphs."""
+        label = srng.permutation(n_graphs)
+        return sorted(tuple(sorted((int(label[k]), int(label[srng.integers(k)]))))
+                      for k in range(1, n_graphs))
+
+    @staticmethod
     def tree_path(tree, i, j):
         adj = {}
         for a, b in tree:
@@ -406,9 +417,7 @@ class TestConfigFromTree:
             srng = np.random.default_rng(600 + seed)
             n_graphs = int(srng.integers(2, 9))
             cfg = random_config(srng, n_graphs, int(srng.integers(1, 6)))
-            label = srng.permutation(n_graphs)
-            tree = sorted(tuple(sorted((int(label[k]), int(label[srng.integers(k)]))))
-                          for k in range(1, n_graphs))
+            tree = self.random_tree(srng, n_graphs)
             out = _config_from_tree(cfg, tree)
             for i in range(n_graphs):
                 for j in range(n_graphs):
@@ -417,6 +426,35 @@ class TestConfigFromTree:
                     for a, b in zip(path, path[1:]):
                         want = want.compose(cfg.get(a, b))
                     assert out.get(i, j) == want
+
+    def test_root_to_equals_breadth_first_order(self):
+        # the walk gives row 0, X_0k = the composition from graph 0 to k,
+        # exactly as a composition in csgraph's breadth-first order does
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
+        for seed in range(60):
+            srng = np.random.default_rng(900 + seed)
+            n_graphs = int(srng.integers(2, 16))
+            cfg = random_config(srng, n_graphs, int(srng.integers(1, 7)))
+            tree = self.random_tree(srng, n_graphs)
+            rows, cols = np.array(tree, dtype=np.int64).reshape(-1, 2).T
+            adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_graphs, n_graphs))
+            order, pred = breadth_first_order(adj, 0, directed=False)
+            table, want = cfg.perm_table(), np.empty((n_graphs, cfg.n), dtype=np.int64)
+            want[0] = np.arange(cfg.n)
+            for k in order[1:]:
+                want[k] = table[pred[k], k][want[pred[k]]]
+            assert np.array_equal(_config_from_tree(cfg, tree).perm_table()[0], want)
+
+    @pytest.mark.parametrize(("tree", "first"), [
+        ([(0, 1)], 2), ([], 1), ([(0, 2), (1, 3)], 1), ([(0, 1), (1, 2), (0, 2)], 3),
+    ])
+    def test_unreached_graph_named(self, tree, first, rng):
+        # rows of graphs off the tree would come from uninitialized memory
+        cfg = random_config(rng, 4, 3)
+        with pytest.raises(ValueError, match=f"tree does not reach graph {first}$"):
+            _config_from_tree(cfg, tree)
 
 
 NAN = float("nan")
@@ -781,7 +819,41 @@ class TestTraceConsistency:
         assert len(passes) == (trace.changes[-1] != 0)
 
 
+def csgraph_mst(weights):
+    """``mst`` as scipy's ``minimum_spanning_tree`` gives it: the minimum
+    tree of dense upper-triangle weight ranks, 1 = heaviest."""
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    n = weights.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    ranks = np.zeros((n, n))
+    ranks[iu, ju] = np.unique(-weights[iu, ju], return_inverse=True)[1] + 1
+    tree = minimum_spanning_tree(ranks).tocoo()
+    return sorted(zip(tree.row.tolist(), tree.col.tolist()))
+
+
+def kind_weights(kind, n, seed):
+    """Symmetric (n, n) weights of one kind: few distinct values (tie-heavy),
+    one value, all zero, or random of either sign."""
+    rng = np.random.default_rng(seed)
+    w = {"ties": lambda: rng.integers(0, 3, size=(n, n)).astype(float),
+         "equal": lambda: np.full((n, n), rng.uniform(0.1, 2.0)),
+         "zero": lambda: np.zeros((n, n)),
+         "random": lambda: rng.normal(size=(n, n))}[kind]()
+    return np.triu(w, 1) + np.triu(w, 1).T
+
+
 class TestMst:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 44), st.sampled_from(["ties", "equal", "zero", "random"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, "zero", 0)
+    @example(44, "equal", 0)
+    @example(44, "ties", 0)
+    def test_equals_csgraph_on_dense_ranks(self, n, kind, seed):
+        w = kind_weights(kind, n, seed)
+        assert mst(w) == csgraph_mst(w)
+
     def test_two_nodes(self):
         assert mst(np.array([[0.0, 1.0], [1.0, 0.0]])) == [(0, 1)]
 

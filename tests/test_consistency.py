@@ -143,6 +143,18 @@ class TestPairwiseConsistency:
         with pytest.raises(ValueError):
             pairwise_consistency(Permutation.identity(5), MatchConfig.identity(3, 2), 0, 1)
 
+    @pytest.mark.parametrize(("candidate", "message"), [
+        ([0, 1, 5, 3], "indices [0, 1, 5, 3] are not a permutation of 0..3"),  # another row
+        ([0, 0, 0, 0], "indices [0, 0, 0, 0] are not a permutation of 0..3"),
+        ([0, 1, 2, -1], "indices [0, 1, 2, -1] are not a permutation of 0..3"),  # no wrap
+        ([0.5, 1, 2, 3], "index 0.5 is not an integer"),
+    ], ids=["out-of-range", "repeated", "negative", "fractional"])
+    def test_candidate_validated_as_permutation(self, candidate, message, rng):
+        # validated as affinity_score validates its matching, before any count
+        cfg = random_config(rng, 3, 4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pairwise_consistency(candidate, cfg, 0, 1)
+
 
 def _candidate_batch(rng, pairs, count, anchors, n):
     """(P, N, n) random permutation rows as compositions, and (P, A, n)

@@ -8,6 +8,7 @@ Property coverage:
 - the batched init_config equals the per-pair solver bit for bit: dense
   and CSR K, coverage < 1, a partial last stack, all-zero K; its peak
   memory does not grow with the pair count
+- in a fresh process, each path loads only the scipy modules it uses
 """
 
 import os
@@ -732,12 +733,60 @@ class TestBoundaries:
             build_affinity_set(points, 0.05, kind)
 
 
+def _gauss_run(n_graphs, n, start, gamma):
+    """Code of a dense gauss ``run_boost`` that prints the post-processing
+    route it takes, read from its unprocessed result."""
+    return f"""
+import dataclasses
+from mgmboost import (BoostParams, MatchConfig, SynthParams, build_affinity_set,
+                      gen_random_points, init_config, is_fully_consistent,
+                      overall_consistency, run_boost)
+p = SynthParams(n_graphs={n_graphs}, inliers={n}, deform=0.2, seed=2)
+kset = build_affinity_set(gen_random_points(p), p.sigma2)
+cfg0 = {start}
+params = BoostParams(mode="isb", t_max=1, gamma={gamma})
+plain, _ = run_boost(cfg0, kset, dataclasses.replace(params, enforce_final_consistency=False))
+run_boost(cfg0, kset, params)
+print("none" if is_fully_consistent(plain) else "affinity_mst"
+      if overall_consistency(plain) < params.gamma else
+      "consistency_mst" if plain.n >= plain.N else "spectral")
+"""
+
+
+# the code of each path, what it prints, and the scipy modules it loads
+SCIPY_PATHS = {
+    "import": ("import mgmboost", "", []),
+    "none": (_gauss_run(4, 6, "MatchConfig.identity(4, 6)", 0.3), "none", []),
+    "affinity_mst": (_gauss_run(5, 6, "init_config(kset, 0.5, 0)", 0.999), "affinity_mst", []),
+    "consistency_mst": (_gauss_run(4, 6, "init_config(kset, 0.5, 0)", 1e-6),
+                        "consistency_mst", []),
+    "spectral": (_gauss_run(6, 4, "init_config(kset, 0.5, 0)", 1e-6), "spectral",
+                 ["scipy.linalg"]),
+    "csr_affinity": ("import numpy as np\nfrom mgmboost import AffinityMatrix\n"
+                     "k = np.zeros((169, 169))\nk[0, 1] = k[1, 0] = 1.0\n"
+                     "print(AffinityMatrix(k).is_sparse)", "True", ["scipy.sparse"]),
+    # Delaunay itself loads scipy.sparse and scipy.linalg
+    "len_angle_csr": ("from mgmboost import SynthParams, build_affinity_set, gen_random_points\n"
+                      "p = SynthParams(n_graphs=3, inliers=14, seed=4)\n"
+                      "kset = build_affinity_set(gen_random_points(p), p.sigma2, 'len_angle')\n"
+                      "print(kset.get(0, 1).is_sparse)", "True",
+                      ["scipy.spatial", "scipy.sparse", "scipy.linalg"]),
+}
+
+
 def test_import_leaves_out_scipy_spatial():
-    # only len_angle sets triangulate, and only post-processing takes a
-    # spanning tree or an eigendecomposition, so these load on first use
+    # each path, in a fresh process, loads only the scipy modules it uses:
+    # import and the dense runs none, a spectral run scipy.linalg and a CSR
+    # pair scipy.sparse; the spanning-tree routes load no csgraph
     src = str(Path(mgmboost.__file__).parents[1])
-    code = ("import sys, mgmboost; print([m for m in ('scipy.spatial', 'scipy.linalg', "
-            "'scipy.sparse.csgraph') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    watched = ("scipy.spatial", "scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg")
+    report = f"\nimport sys\nprint([m for m in {watched!r} if m in sys.modules])"
+    runs = {path: subprocess.Popen([sys.executable, "-c", code + report], text=True,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                   env={**os.environ, "PYTHONPATH": src})
+            for path, (code, _, _) in SCIPY_PATHS.items()}
+    for path, run in runs.items():
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, f"{path}: {err}"
+        _, shown, loaded = SCIPY_PATHS[path]
+        assert out.splitlines() == [shown] * bool(shown) + [repr(loaded)], path
