@@ -22,7 +22,7 @@ import numpy as np
 
 from .boost import run_boost
 from .consistency import overall_consistency
-from .core import ScoreNormalizer, check_count, total_score, upper_indices
+from .core import ScoreNormalizer, _index_array, check_count, total_score, upper_indices
 from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind,
                        gen_random_graphs, gen_random_points, init_config,
                        load_pointset, truth_config)
@@ -114,15 +114,19 @@ def inlier_rows_from_instances(instances):
 def accuracy(cfg_alg, cfg_truth, inlier_rows):
     """Mean per-pair matching accuracy against ground truth, counting
     only rows that are common inliers; correspondences involving outlier
-    rows are ignored entirely. Inlier rows must lie in 0..n-1; negative
-    rows do not wrap around. Takes one list of inlier rows per graph."""
+    rows are ignored entirely. Inlier rows must be integers, not
+    fractions or a boolean mask, in 0..n-1; negative rows do not wrap
+    around. Takes one list of inlier rows per graph."""
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
     if len(inlier_rows) != cfg_alg.N:
         raise ValueError(f"got {len(inlier_rows)} inlier-row lists for {cfg_alg.N} graphs")
     inlier = np.zeros((cfg_alg.N, cfg_alg.n), dtype=bool)
     for i, rows in enumerate(inlier_rows):
-        rows = np.asarray(rows, dtype=np.int64)
+        try:
+            rows = _index_array(rows)
+        except ValueError as exc:
+            raise ValueError(f"graph {i}: inlier rows: {exc}") from None
         bad = rows[(rows < 0) | (rows >= cfg_alg.n)]
         if bad.size:
             raise ValueError(f"graph {i}: inlier row {int(bad[0])} out of range "
@@ -232,19 +236,23 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def emit_csv(rows, path):
-    """Write rows under the fixed documented header."""
+def _write_csv(path, what, header, rows):
+    """Write ``header`` and ``rows`` to ``path``; an OSError names the path and ``what``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER.split(","))
-            for r in rows:
-                writer.writerow([r.algorithm, r.swept_param, _fmt(r.swept_value),
-                                 _fmt(r.trial_mean_acc), _fmt(r.acc_std),
-                                 _fmt(r.mean_time_s), _fmt(r.mean_consistency),
-                                 _fmt(r.mean_score)])
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(rows, path):
+    """Write rows under the fixed documented header."""
+    _write_csv(path, "results", CSV_HEADER.split(","),
+               ([r.algorithm, r.swept_param, _fmt(r.swept_value), _fmt(r.trial_mean_acc),
+                 _fmt(r.acc_std), _fmt(r.mean_time_s), _fmt(r.mean_consistency),
+                 _fmt(r.mean_score)] for r in rows))
 
 
 def emit_plotdata(rows, prefix):
@@ -255,16 +263,9 @@ def emit_plotdata(rows, prefix):
         by_alg.setdefault(r.algorithm, []).append(r)
     paths = []
     for alg, series in by_alg.items():
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", alg)
-        path = f"{prefix}_{safe}.csv"
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["swept_value", "trial_mean_acc", "acc_std", "mean_time_s"])
-                for r in sorted(series, key=lambda r: r.swept_value):
-                    writer.writerow([_fmt(r.swept_value), _fmt(r.trial_mean_acc),
-                                     _fmt(r.acc_std), _fmt(r.mean_time_s)])
-        except OSError as exc:
-            raise OSError(f"cannot write plot data to {path}: {exc}") from exc
+        path = f"{prefix}_{re.sub(r'[^A-Za-z0-9_.-]', '_', alg)}.csv"
+        _write_csv(path, "plot data", ["swept_value", "trial_mean_acc", "acc_std", "mean_time_s"],
+                   ([_fmt(r.swept_value), _fmt(r.trial_mean_acc), _fmt(r.acc_std),
+                     _fmt(r.mean_time_s)] for r in sorted(series, key=lambda r: r.swept_value)))
         paths.append(path)
     return paths

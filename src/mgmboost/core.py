@@ -47,13 +47,16 @@ def issparse(x):
 
 def _index_array(values):
     """``values`` as a new int64 array; raises when a value is not a whole
-    number, instead of truncating it."""
+    number, instead of truncating it, or is a boolean, instead of reading
+    a mask as indices."""
     a = np.asarray(values)
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():
             raise ValueError(f"index {float(a[bad].flat[0])!r} is not an integer")
-    elif a.dtype.kind not in "biu":
+    elif a.dtype == bool and a.size:
+        raise ValueError(f"index {bool(a.flat[0])} is a boolean, not an integer")
+    elif a.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got dtype {a.dtype}")
     return np.array(a, dtype=np.int64)
 
@@ -71,7 +74,7 @@ def _check_permutations(rows, where=lambda r: ""):
 @lru_cache(maxsize=64)
 def upper_indices(n_graphs):
     """``np.triu_indices(n_graphs, 1)``, the pairs i < j in row-major
-    order, as two read-only arrays built once per graph count."""
+    order, as two read-only arrays built once per graph or node count."""
     iu, ju = np.triu_indices(n_graphs, 1)
     iu.setflags(write=False)
     ju.setflags(write=False)
@@ -109,8 +112,11 @@ def check_count(name, value, least=0):
 
 
 def check_graph_index(k, n_graphs):
-    """Raise IndexError unless 0 <= k < n_graphs; negative indices do not
-    wrap around."""
+    """Raise ValueError unless ``k`` is an integer (Python or numpy, not a
+    float or a bool), and IndexError unless 0 <= k < n_graphs; negative
+    indices do not wrap around."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"graph index {k!r} is not an integer")
     if not 0 <= k < n_graphs:
         raise IndexError(f"graph index {k} out of range 0..{n_graphs - 1}")
     return k
@@ -457,7 +463,7 @@ class AffinitySet:
             other_flat = other_graph[s:s + step] + ps[..., su] * n + ps[..., sv]
             vals = self._kernel(own_flat[:, None], other_flat)
             sums.append(vals.take(expand, axis=2).sum(axis=axis))
-        return np.concatenate(sums)
+        return np.concatenate(sums) if sums else np.zeros((0, count, kept, kept)).sum(axis=axis)
 
 
 def check_same_shape(cfg, kset):

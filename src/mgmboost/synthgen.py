@@ -124,9 +124,15 @@ def _relabel(adjacency, coords, inlier_count, rng):
     return GraphInstance(adj, inlier_count, Permutation(order), pts)
 
 
-def _apply_density(upper, rng, density):
-    mask = rng.uniform(size=upper.size) < density
-    return upper * mask
+def _instance(upper, coords, p, rng):
+    """Instance of ``p.n_nodes`` nodes from its upper-triangle edge weights
+    in row-major order: each edge survives with probability ``p.density``,
+    negative weights become absent, and node order is shuffled."""
+    w = np.maximum(upper * (rng.uniform(size=upper.size) < p.density), 0.0)
+    adj = np.zeros((p.n_nodes, p.n_nodes))
+    adj[upper_indices(p.n_nodes)] = w
+    adj += adj.T
+    return _relabel(adj, coords, p.inliers, rng)
 
 
 def gen_random_graphs(p):
@@ -139,25 +145,16 @@ def gen_random_graphs(p):
     weights to zero, and finally shuffles node order (truth recorded).
     """
     rng = np.random.default_rng(p.seed)
-    n_i, n = p.inliers, p.n_nodes
-    iu_full = np.triu_indices(n, 1)
-    ref = np.zeros((n_i, n_i))
-    iu_ref = np.triu_indices(n_i, 1)
-    ref[iu_ref] = rng.uniform(size=iu_ref[0].size)
+    ref = rng.uniform(size=p.inliers * (p.inliers - 1) // 2)
+    # pairs i < j < inliers, which come in the reference's row-major order
+    inlier_pair = upper_indices(p.n_nodes)[1] < p.inliers
 
     instances = []
     for _ in range(p.n_graphs):
-        full = np.zeros((n, n))
-        full[:n_i, :n_i][iu_ref] = ref[iu_ref] + rng.normal(0.0, p.deform, size=iu_ref[0].size)
-        outlier_edges = (iu_full[0] >= n_i) | (iu_full[1] >= n_i)
-        full[iu_full[0][outlier_edges], iu_full[1][outlier_edges]] = rng.uniform(
-            size=int(outlier_edges.sum()))
-        w = _apply_density(full[iu_full], rng, p.density)
-        w = np.maximum(w, 0.0)   # weights live in [0, 1]; negative = absent
-        adj = np.zeros((n, n))
-        adj[iu_full] = w
-        adj += adj.T
-        instances.append(_relabel(adj, None, n_i, rng))
+        w = np.empty(inlier_pair.size)
+        w[inlier_pair] = ref + rng.normal(0.0, p.deform, size=ref.size)
+        w[~inlier_pair] = rng.uniform(size=w.size - ref.size)
+        instances.append(_instance(w, None, p, rng))
     return instances
 
 
@@ -170,21 +167,15 @@ def gen_random_points(p):
     distances, subsampled by ``density`` like the random-graph protocol.
     """
     rng = np.random.default_rng(p.seed)
-    n_i, n = p.inliers, p.n_nodes
-    ref_pts = rng.normal(size=(n_i, 2))
-    iu = np.triu_indices(n, 1)
+    ref_pts = rng.normal(size=(p.inliers, 2))
+    iu, ju = upper_indices(p.n_nodes)
 
     instances = []
     for _ in range(p.n_graphs):
         # a zero-row draw of outliers takes nothing from the stream
-        pts = np.vstack([ref_pts + rng.normal(0.0, p.deform, size=(n_i, 2)),
+        pts = np.vstack([ref_pts + rng.normal(0.0, p.deform, size=(p.inliers, 2)),
                          rng.normal(size=(p.outliers, 2))])
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        w = _apply_density(dist[iu], rng, p.density)
-        adj = np.zeros((n, n))
-        adj[iu] = w
-        adj += adj.T
-        instances.append(_relabel(adj, pts, n_i, rng))
+        instances.append(_instance(np.linalg.norm(pts[iu] - pts[ju], axis=1), pts, p, rng))
     return instances
 
 
@@ -372,6 +363,8 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
 def truth_config(instances):
     """Ground-truth matching configuration: the consistent configuration
     through the instances' reference labelings."""
+    if not instances:
+        raise ValueError("truth_config needs at least 1 instance, got an empty list")
     return MatchConfig.from_basis(np.stack([g.truth.perm for g in instances]))
 
 

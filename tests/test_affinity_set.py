@@ -359,3 +359,25 @@ def test_constructor_ignores_attributes_off_the_edges():
     first[1, 0, 3] = 4.0
     kset = AffinitySet(mask, [(0.9, first, 0.1), (0.1, second, 0.1)])
     assert np.isfinite(kset.get(0, 1).dense()).all()
+
+
+@pytest.mark.parametrize("rows", [None, [0, 2]], ids=["all_rows", "kept_rows"])
+@pytest.mark.parametrize("axis", [(2, 3), 3])
+def test_kernel_sums_of_no_pairs_is_empty(rows, axis):
+    # an empty batch once failed in np.concatenate
+    kset = _kernel_set("gauss", 8)
+    empty = np.zeros(0, dtype=np.int64)
+    got = kset.kernel_sums(empty, empty, np.zeros((0, 3, kset.n), dtype=np.int64), rows, axis)
+    kept = kset.n if rows is None else len(rows)
+    assert got.dtype == np.float64
+    assert got.shape == ((0, 3) if axis == (2, 3) else (0, 3, kept))
+
+
+@pytest.mark.parametrize("graph", [0.5, 1.0, True, np.bool_(True)])
+def test_get_rejects_graph_index_not_an_integer(graph):
+    # 0.5 once passed the range check and failed indexing a Python list
+    kset = _kernel_set("gauss", 8)
+    for i, j in ((graph, 2), (2, graph)):
+        with pytest.raises(ValueError, match=f"graph index {graph!r} is not an integer"):
+            kset.get(i, j)
+    assert kset.get(np.int64(1), 2).n == kset.get(1, 2).n

@@ -82,6 +82,18 @@ class TestAccuracy:
                 f"graph 1: inlier row {row} out of range 0..3")):
             accuracy(cfg, cfg, rows)
 
+    @pytest.mark.parametrize("rows, named", [
+        ([[1.9]] * 4, "graph 0: inlier rows: index 1.9 is not an integer"),
+        ([[0], [0], [2.5], [0]], "graph 2: inlier rows: index 2.5 is not an integer"),
+        ([[True, False]] * 4, "graph 0: inlier rows: index True is a boolean"),
+        ([[0], [False, True], [0], [0]], "graph 1: inlier rows: index False is a boolean"),
+    ], ids=["fraction", "fraction_in_graph_2", "mask", "mask_in_graph_1"])
+    def test_fractional_or_boolean_rows_rejected(self, rows, named):
+        # 1.9 was truncated to row 1, and a mask read as rows 1 and 0: both gave 1.0
+        cfg = MatchConfig.identity(4, 3)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            accuracy(cfg, cfg, rows)
+
     def test_symmetric_under_relabeling(self, rng):
         # relabeling every graph's nodes consistently leaves accuracy fixed
         n_graphs, n = 3, 4
@@ -332,6 +344,31 @@ class TestEmission:
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([_row()], "/no/such/dir/out.csv")
+
+    def test_files_byte_for_byte(self, tmp_path):
+        # CRLF line ends, csv quoting, 12 significant digits, series sorted
+        # by swept value, and file names with unsafe characters replaced
+        rows = [ResultRow("isb_gc", "deform", 0.2, 2 / 3, 0.1, 1.5e-05, 0.875, 1.0000000000001),
+                ResultRow("isb_gc", "deform", 0.1, 1.0, 0.0, 123456.789, 1.0, 0.25),
+                ResultRow('isb "gc", v2', "deform", 0.1, 0.5, 1 / 7, 2e-300, 1 / 3, 12.0)]
+        emit_csv(rows, str(tmp_path / "out.csv"))
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"algorithm,swept_param,swept_value,trial_mean_acc,acc_std,mean_time_s,"
+            b"mean_consistency,mean_score\r\n"
+            b"isb_gc,deform,0.2,0.666666666667,0.1,1.5e-05,0.875,1\r\n"
+            b"isb_gc,deform,0.1,1,0,123456.789,1,0.25\r\n"
+            b'"isb ""gc"", v2",deform,0.1,0.5,0.142857142857,2e-300,0.333333333333,12\r\n')
+        paths = emit_plotdata(rows, str(tmp_path / "series"))
+        assert paths == [str(tmp_path / "series_isb_gc.csv"),
+                         str(tmp_path / "series_isb__gc___v2.csv")]
+        header = b"swept_value,trial_mean_acc,acc_std,mean_time_s\r\n"
+        assert open(paths[0], "rb").read() == (header + b"0.1,1,0,123456.789\r\n"
+                                               b"0.2,0.666666666667,0.1,1.5e-05\r\n")
+        assert open(paths[1], "rb").read() == header + b"0.1,0.5,0.142857142857,2e-300\r\n"
+
+    def test_plot_io_error_carries_path(self):
+        with pytest.raises(OSError, match="cannot write plot data to /no/such/dir/s_a.csv"):
+            emit_plotdata([_row()], "/no/such/dir/s")
 
 
 class TestCli:

@@ -78,6 +78,15 @@ def test_graph_index_out_of_range_raises(name, graph, rng):
         _index_users()[name](cfg, InlierEstimate(2, "consistency"), graph)
 
 
+@pytest.mark.parametrize("graph", [0.5, 1.0, np.float64(2.0), True, np.bool_(False), "1"])
+@pytest.mark.parametrize("name", sorted(_index_users()))
+def test_graph_index_not_an_integer_raises(name, graph, rng):
+    # 0.5 once passed the range check and failed inside numpy or a list
+    cfg = random_config(rng, 4, 3)
+    with pytest.raises(ValueError, match=re.escape(f"graph index {graph!r} is not an integer")):
+        _index_users()[name](cfg, InlierEstimate(2, "consistency"), graph)
+
+
 class TestUnaryConsistency:
     def test_fully_consistent_is_one(self, rng):
         cfg = MatchConfig.identity(4, 3)

@@ -60,6 +60,14 @@ class TestPermutation:
     def test_accepts_whole_floats(self):
         assert Permutation([1.0, 0.0]) == Permutation([1, 0])
 
+    @pytest.mark.parametrize("mask", [[True, False], np.array([False, True])])
+    def test_rejects_boolean_indices(self, mask):
+        # a mask once read as the indices 1 and 0
+        with pytest.raises(ValueError, match=f"index {mask[0]} is a boolean, not an integer"):
+            Permutation(mask)
+        with pytest.raises(ValueError, match="got dtype bool"):
+            Permutation(np.zeros(0, dtype=bool))
+
     def test_matrix_roundtrip(self, rng):
         for _ in range(10):
             p = Permutation.random(5, rng)

@@ -1,0 +1,42 @@
+"""The output digest script ``tools/digest.py``: a case prints the same
+line on every run, so a difference between two source trees is a
+difference in their outputs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+CASES = ["len_angle_N5_n14/seed=1/mode=isb_2nd/elicit=affinity/rate=0.6/gamma=0.3",
+         "graphs_N8_n6/seed=2/mode=isb_gc_p/elicit=consistency/rate=1.0/gamma=0.3"]
+
+
+def _load():
+    """A fresh copy of the script, with empty caches."""
+    spec = importlib.util.spec_from_file_location("digest_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_cases_print_the_same_lines_twice(capsys):
+    runs = []
+    for _ in range(2):
+        _load().main(CASES)
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[:2] for line in runs[0]] == [[CASES[0], "consistency_mst"],
+                                                      [CASES[1], "spectral"]]
+    assert all(len(line.split()[2]) == 64 for line in runs[0])
+
+
+def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
+    module = _load()
+    names = list(module.case_names())
+    assert len(names) == len(set(names)) == 1260
+    assert set(CASES) <= set(names)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["graphs_N8_n6/seed=9"])
+    assert exc.value.code == 2
+    assert "unknown case 'graphs_N8_n6/seed=9'" in capsys.readouterr().err

@@ -7,10 +7,13 @@ holds. A change that alters an output on purpose updates the digest and
 says why. The cases cover every post-processing route, second-order
 search on CSR affinities and on dense ones with a subsampled anchor pool,
 consistency-only boosting over several sweep groups, and boosting on
-point sets elicited under both rankings.
+point sets elicited under both rankings. Further digests pin the
+generators' output over a small parameter grid, a ``len_angle`` point-set
+case whose pairs are all CSR, and one case's trace lists.
 """
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -110,3 +113,52 @@ def test_final_table_digest(name):
     taken, digest = run_case(name)
     assert taken == CASES[name][3]
     assert digest == GOLDEN[name]
+
+
+# the random streams of both generators over deform 0, density 0 and 1,
+# one inlier and no outliers: (generator, n_graphs, inliers, outliers,
+# deform, density, seed)
+GENERATOR_GRID = list(itertools.product(
+    (gen_random_graphs, gen_random_points), (2, 5), (1, 4), (0, 3), (0.0, 0.1),
+    (0.0, 0.5, 1.0), (0, 1)))
+GENERATOR_GOLDEN = "252742e50db0755e7bb64f21714b479a58023fa6f34b22b1069d8164400bc855"
+
+
+def test_generator_output_digest():
+    h = hashlib.sha256()
+    for generate, n_graphs, inliers, outliers, deform, density, seed in GENERATOR_GRID:
+        for g in generate(SynthParams(n_graphs=n_graphs, inliers=inliers, outliers=outliers,
+                                      deform=deform, density=density, seed=seed)):
+            h.update(np.ascontiguousarray(g.adjacency, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(g.truth.perm, dtype="<i8").tobytes())
+            if g.coords is not None:
+                h.update(np.ascontiguousarray(g.coords, dtype="<f8").tobytes())
+    assert h.hexdigest() == GENERATOR_GOLDEN
+
+
+def test_len_angle_points_with_csr_pairs_digest():
+    # n = 14 Delaunay graphs: K is stored CSR for every pair
+    synth = SynthParams(n_graphs=5, inliers=11, outliers=3, deform=0.02, sigma2=0.05, seed=10)
+    params = BoostParams(mode="isb_gc", t_max=6, elicit=InlierEstimate(11, "consistency"))
+    kset = build_affinity_set(gen_random_points(synth), synth.sigma2, kind="len_angle")
+    assert not any(kset.is_dense(i, j) for i, j in kset.pairs())
+    cfg0 = init_config(kset, synth.coverage, synth.seed)
+    boosted, _ = run_boost(cfg0, kset, replace(params, enforce_final_consistency=False))
+    assert route(boosted, params.gamma) == "consistency_mst"
+    final = enforce_full_consistency(boosted, kset, params.gamma)
+    table = np.ascontiguousarray(final.perm_table(), dtype="<i8")
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "ddd6e496fc995c9285a75152f117791c1a3db3537f377e0116d78ae42acd4e0e")
+
+
+def test_trace_lists_digest():
+    # every trace list but the wall times: floats by float.hex, counts as ints
+    generate, synth, params, _ = CASES["elicited_points"]
+    kset = build_affinity_set(generate(synth), synth.sigma2)
+    _, trace = run_boost(init_config(kset, synth.coverage, synth.seed), kset, params)
+    text = "\n".join([" ".join(float(v).hex() for v in trace.scores),
+                      " ".join(float(v).hex() for v in trace.consistencies),
+                      " ".join(str(int(c)) for c in trace.changes),
+                      " ".join(str(int(c)) for c in trace.scored)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "13130aed931a25bc785c49c2d62def3b0657b8ac1995e98018abe0176f0a7bfc")

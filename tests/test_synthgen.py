@@ -520,6 +520,12 @@ class TestBoundaries:
         with pytest.raises(TypeError, match="sigma2"):
             build_affinity_set(self._graphs())
 
+    def test_truth_config_of_no_instances_rejected(self):
+        # np.stack once failed with "need at least one array to stack"
+        with pytest.raises(ValueError, match="truth_config needs at least 1 instance, "
+                                             "got an empty list"):
+            truth_config([])
+
     @settings(max_examples=40, deadline=None)
     @given(sigma2=BAD_BANDWIDTH)
     def test_bad_sigma2_rejected_naming_value(self, sigma2):

@@ -1,0 +1,152 @@
+"""Print one sha256 line per run of a fixed matrix of boosting runs.
+
+Each line reads ``<case> <route> <sha256>``. The case names the instance
+set, the mode, the eliciting ranking, the anchor sample rate and the
+post-processing threshold gamma; the route is the post-processing branch
+the boosted configuration takes. The digest covers:
+
+- the generated instances: adjacency, truth and coordinate bytes;
+- the initial and the final int64 index tables;
+- the trace lists: scores and consistencies as ``float.hex``, pair
+  changes and scored candidates as ints. Wall times are left out.
+
+The matrix crosses every mode, eliciting none, by consistency and by
+affinity, and sample rates 1 and 0.6, on three seeds of five instance
+sets: random graphs with N > n, with N <= n and without deformation, and
+point sets under the ``gauss`` kernel and under ``len_angle`` with
+n = 14, whose pairs are CSR. Each boosted configuration is post-processed at two
+thresholds, so every route is taken somewhere.
+
+A change that must keep outputs bit-identical is checked by running the
+script against both source trees and comparing the lines::
+
+    mkdir parent && git archive HEAD~1 | tar -x -C parent
+    PYTHONPATH=parent/src python tools/digest.py > parent.txt
+    PYTHONPATH=src python tools/digest.py > change.txt
+    diff parent.txt change.txt
+
+Name cases on the command line to run only those. The script reports on
+stderr which ``mgmboost`` it imported and how many lines it printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+
+import mgmboost
+from mgmboost import (BoostParams, InlierEstimate, SynthParams, build_affinity_set,
+                      enforce_full_consistency, gen_random_graphs, gen_random_points,
+                      init_config, is_fully_consistent, overall_consistency, run_boost)
+from mgmboost.boost import MODES
+
+SIGMA2 = 0.05
+# name: (generator, instance params, affinity kind)
+SETS = {
+    "graphs_N8_n6": (gen_random_graphs, SynthParams(n_graphs=8, inliers=6, deform=0.15,
+                                                    density=0.9, sigma2=SIGMA2, seed=1),
+                     "gauss"),
+    "graphs_N5_n8": (gen_random_graphs, SynthParams(n_graphs=5, inliers=7, outliers=1,
+                                                    deform=0.2, sigma2=SIGMA2, seed=2),
+                     "gauss"),
+    "graphs_exact": (gen_random_graphs, SynthParams(n_graphs=4, inliers=5, sigma2=SIGMA2,
+                                                    seed=3), "gauss"),
+    "points_N6_n8": (gen_random_points, SynthParams(n_graphs=6, inliers=5, outliers=3,
+                                                    deform=0.05, sigma2=SIGMA2, seed=4),
+                     "gauss"),
+    "len_angle_N5_n14": (gen_random_points, SynthParams(n_graphs=5, inliers=11, outliers=3,
+                                                        deform=0.02, sigma2=SIGMA2, seed=5),
+                         "len_angle"),
+}
+SEEDS = (1, 2, 3)
+ELICIT = ("none", "consistency", "affinity")
+SAMPLE_RATES = (1.0, 0.6)
+GAMMAS = (0.3, 0.95)
+
+
+def _sha(h, array, dtype):
+    h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+
+def route(cfg, gamma):
+    """The branch ``enforce_full_consistency`` takes for ``cfg``."""
+    if is_fully_consistent(cfg):
+        return "none"
+    if overall_consistency(cfg) < gamma:
+        return "affinity_mst"
+    return "consistency_mst" if cfg.n >= cfg.N else "spectral"
+
+
+@lru_cache(maxsize=None)
+def instance_set(name, seed):
+    """(instance params, affinity set, initial configuration, hash of the
+    instances and the initial table) of one set and seed, built once."""
+    generate, synth, kind = SETS[name]
+    synth = replace(synth, seed=seed)
+    instances = generate(synth)
+    h = hashlib.sha256()
+    for g in instances:
+        _sha(h, g.adjacency, "<f8")
+        _sha(h, g.truth.perm, "<i8")
+        if g.coords is not None:
+            _sha(h, g.coords, "<f8")
+    kset = build_affinity_set(instances, synth.sigma2, kind=kind)
+    cfg0 = init_config(kset, synth.coverage, synth.seed)
+    _sha(h, cfg0.perm_table(), "<i8")
+    return synth, kset, cfg0, h
+
+
+def case_names():
+    """Every case of the matrix, in the order they are printed."""
+    for cell in itertools.product(SETS, SEEDS, MODES, ELICIT, SAMPLE_RATES, GAMMAS):
+        yield "{}/seed={}/mode={}/elicit={}/rate={}/gamma={}".format(*cell)
+
+
+@lru_cache(maxsize=None)
+def _boosted(set_name, seed, mode, elicit, rate):
+    synth, kset, cfg0, h = instance_set(set_name, seed)
+    est = None if elicit == "none" else InlierEstimate(synth.inliers, elicit)
+    params = BoostParams(mode=mode, sample_rate=rate, elicit=est, seed=synth.seed,
+                         enforce_final_consistency=False)
+    cfg, trace = run_boost(cfg0, kset, params)
+    h = h.copy()
+    for values in (trace.scores, trace.consistencies):
+        h.update(" ".join(float(v).hex() for v in values).encode() + b";")
+    for counts in (trace.changes, trace.scored):
+        h.update(" ".join(str(int(c)) for c in counts).encode() + b";")
+    return kset, cfg, h
+
+
+def digest_line(name):
+    """The printed line of one case."""
+    set_name, *fields = name.split("/")
+    f = dict(field.split("=") for field in fields)
+    kset, cfg, h = _boosted(set_name, int(f["seed"]), f["mode"], f["elicit"],
+                            float(f["rate"]))
+    gamma = float(f["gamma"])
+    h = h.copy()
+    _sha(h, enforce_full_consistency(cfg, kset, gamma).perm_table(), "<i8")
+    return f"{name} {route(cfg, gamma)} {h.hexdigest()}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("cases", nargs="*", help="case names to run (default: all)")
+    names = parser.parse_args(argv).cases or list(case_names())
+    unknown = sorted(set(names) - set(case_names()))
+    if unknown:
+        parser.error(f"unknown case {unknown[0]!r}")
+    print(f"mgmboost from {mgmboost.__file__}", file=sys.stderr)
+    for name in names:
+        print(digest_line(name), flush=True)
+    print(f"{len(names)} lines", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
