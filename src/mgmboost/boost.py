@@ -19,6 +19,7 @@ spectral synchronization when there are more graphs than nodes.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, 
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
-from .pairwise import stacked_hungarian
+from .pairwise import STACK_ENTRIES, stacked_hungarian
 
 MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_gc_p")
 
@@ -46,6 +47,14 @@ _TERMS = {"isb_cst": "candidate", "isb_gc": "candidate", "isb_gc_inv": "candidat
 # scores A + (A - 2)(A - 3) < N^2 candidates per pair for a pool of A
 # anchors, so its candidates hold less than that too.
 SWEEP_BATCH_ENTRIES = 1 << 18
+
+# Spectral synchronization's subspace iteration stops once its leading
+# Ritz pairs' residual is below SPECTRAL_TOL, or after MAX_SPECTRAL_ITERS
+# products with the stacked matching matrix.
+SPECTRAL_TOL = 1e-10
+MAX_SPECTRAL_ITERS = 1000
+
+log = logging.getLogger(__name__)
 
 
 def _check_gamma(gamma):
@@ -287,6 +296,8 @@ def run_boost(cfg0, kset, params):
     that changes no pair leaves an iterate of known consistency, and only
     a changed last iterate is counted by a pass of its own.
     """
+    if not isinstance(params, BoostParams):
+        raise TypeError(f"params must be a BoostParams, got {type(params).__name__}")
     initial = pair_scores(cfg0, kset)
     norm = ScoreNormalizer(float(initial.max()))
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
@@ -348,7 +359,10 @@ def mst(weights):
     method takes the upper-triangle edges in stable descending-weight
     order, so tied edges go in row-major order and zero weights stay
     edges, and joins their ends by union-find."""
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights)
+    if w.dtype.kind not in "biuf":
+        raise ValueError(f"weights must be real numbers, got dtype {w.dtype}")
+    w = w.astype(float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
     bad = np.argwhere(~np.isfinite(w))
@@ -405,24 +419,45 @@ def _config_from_tree(cfg, tree):
 
 def _spectral_sync(cfg):
     """Consistent configuration from the n leading eigenvectors of the
-    stacked block matrix of all matchings, each block re-projected to a
-    permutation by the Hungarian method; the first block anchors the
-    gauge at the identity. The re-projection does not depend on the
-    basis chosen inside the leading eigenspace, so only that space is
-    computed."""
-    from scipy.linalg import eigh   # on first use: see the README
+    stacked (Nn, Nn) matrix W whose (i, j) block is X_ij, each block
+    re-projected to a permutation by the Hungarian method; the first block
+    anchors the gauge at the identity. The re-projection does not depend
+    on the basis chosen inside the leading eigenspace, so only that space
+    is computed, without W: row i*n + u of W V is the sum over j of row
+    j*n + X_ij[u] of V, gathered STACK_ENTRIES entries (or one row graph's)
+    at a time.
 
+    Subspace iteration runs on 2n columns, the stacked X_i0 and n fixed
+    cosines, so that its rate is |lambda_2n+1| / lambda_n even where
+    lambda_n+1 / lambda_n is near 1. Each iteration takes one product
+    Z = W Q, picks the n leading Ritz pairs (Y, theta) of Q^T Z and
+    orthonormalizes Z as the next Q. It stops once W Y - Y diag(theta) is
+    below SPECTRAL_TOL in Frobenius norm, as any basis of a repeated n-th
+    eigenvalue's space is, or logs a warning after MAX_SPECTRAL_ITERS."""
     table = cfg.perm_table()
     n_graphs, n = cfg.N, cfg.n
-    size = n_graphs * n
-    stack = np.zeros((size, size))
-    rows = np.arange(size).reshape(n_graphs, 1, n)            # [i, j, u] -> i*n + u
-    cols = table + n * np.arange(n_graphs).reshape(1, n_graphs, 1)  # -> j*n + X_ij[u]
-    stack[rows, cols] = 1.0
-    _, lead = eigh(stack, subset_by_index=[size - n, size - 1])
-    base = lead[:n]
-    # one product per block: a single (N-1)n x n GEMM may round otherwise
-    blocks = np.stack([lead[k * n:(k + 1) * n] @ base.T for k in range(1, n_graphs)])
+    size, width = n_graphs * n, 2 * n
+    flat = table + n * np.arange(n_graphs).reshape(1, n_graphs, 1)   # j*n + X_ij[u]
+    step = max(1, STACK_ENTRIES // (n_graphs * n * width))     # row graphs per gather
+    start = np.empty((size, width))
+    start[:, :n] = (table[:, 0].reshape(-1, 1) == np.arange(n)) / np.sqrt(n_graphs)
+    start[:, n:] = np.cos(np.pi / size * np.arange(0.5, size)[:, None] * np.arange(1, n + 1))
+    q = np.linalg.qr(start)[0]
+    z = np.empty_like(q)
+    for _ in range(MAX_SPECTRAL_ITERS):
+        for s in range(0, n_graphs, step):
+            z[s * n:(s + step) * n] = q[flat[s:s + step]].sum(axis=1).reshape(-1, width)
+        theta, vecs = np.linalg.eigh(q.T @ z)
+        lead = q @ vecs[:, n:]           # ascending: the n largest
+        if np.linalg.norm(z @ vecs[:, n:] - lead * theta[n:]) < SPECTRAL_TOL:
+            break
+        q = np.linalg.qr(z)[0]
+    else:
+        log.warning("spectral synchronization did not converge in %d iterations "
+                    "(N=%d, n=%d); using the last leading subspace",
+                    MAX_SPECTRAL_ITERS, n_graphs, n)
+    lead = lead.reshape(n_graphs, n, n)
+    blocks = lead[1:] @ lead[0].T
     return MatchConfig.from_basis(np.vstack([np.arange(n), stacked_hungarian(blocks)]))
 
 

@@ -191,6 +191,8 @@ def keep_masks(cfg, est, kset=None):
     the estimate mode; ties break toward lower node indices. Computed
     once per configuration snapshot and passed as ``keep`` to every metric.
     """
+    if not isinstance(est, InlierEstimate):
+        raise TypeError(f"est must be an InlierEstimate, got {type(est).__name__}")
     if est.n_est > cfg.n:
         raise ValueError(f"n_est={est.n_est} exceeds node count {cfg.n}")
     if est.mode == "affinity":

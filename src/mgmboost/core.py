@@ -45,17 +45,28 @@ def issparse(x):
     return sp is not None and sp.issparse(x)
 
 
+def _first_bool(values):
+    """The first boolean in ``values``, nested lists and arrays included,
+    or None: np.asarray reads True as 1 once a list mixes it with numbers."""
+    if isinstance(values, np.ndarray):
+        return bool(values.flat[0]) if values.dtype == bool and values.size else None
+    if isinstance(values, (list, tuple)):
+        return next((b for b in map(_first_bool, values) if b is not None), None)
+    return bool(values) if isinstance(values, (bool, np.bool_)) else None
+
+
 def _index_array(values):
     """``values`` as a new int64 array; raises when a value is not a whole
-    number, instead of truncating it, or is a boolean, instead of reading
-    a mask as indices."""
+    number, instead of truncating it, or is a boolean anywhere, instead of
+    reading a mask or a flag as indices."""
     a = np.asarray(values)
+    flag = _first_bool(values)
+    if flag is not None:
+        raise ValueError(f"index {flag} is a boolean, not an integer")
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():
             raise ValueError(f"index {float(a[bad].flat[0])!r} is not an integer")
-    elif a.dtype == bool and a.size:
-        raise ValueError(f"index {bool(a.flat[0])} is a boolean, not an integer")
     elif a.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got dtype {a.dtype}")
     return np.array(a, dtype=np.int64)
@@ -220,6 +231,8 @@ class AffinityMatrix:
         shape = np.shape(data)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("affinity matrix must be square")
+        if shape[0] == 0:
+            raise ValueError("affinity matrix must not be empty, got shape (0, 0)")
         n = int(round(shape[0] ** 0.5))
         if n * n != shape[0]:
             raise ValueError("affinity matrix size must be a perfect square")
@@ -294,8 +307,9 @@ class AffinitySet:
     The constructor rejects a mask edge (u, u) or one without its mirror
     (v, u), and an attribute that is not finite or not symmetric on an
     edge, naming the first bad (graph, u, v): the solver's K must be
-    symmetric. It also rejects an empty channel list, a weight that is not
-    finite and >= 0 and a bandwidth that is not finite and > 0, naming the
+    symmetric. It also rejects an empty channel list, a channel that is not
+    a (weight, attribute, bandwidth) triple, a weight that is not finite
+    and >= 0 and a bandwidth that is not finite and > 0, naming the
     channel, and weights that are all 0: K must be finite, non-negative and
     not all zero.
     """
@@ -319,7 +333,14 @@ class AffinitySet:
         channels = list(channels)
         if not channels:
             raise ValueError("need at least one kernel channel")
-        for c, (weight, attr, sigma2) in enumerate(channels):
+        for c, channel in enumerate(channels):
+            try:
+                weight, attr, sigma2 = channel
+            except (TypeError, ValueError):
+                got = (f"{len(channel)} values" if hasattr(channel, "__len__")
+                       else type(channel).__name__)
+                raise ValueError(f"channel {c} must be (weight, attribute, bandwidth), "
+                                 f"got {got}") from None
             weight, sigma2 = float(weight), float(sigma2)
             if not (np.isfinite(weight) and weight >= 0):
                 raise ValueError(f"channel {c} weight must be finite and >= 0, got {weight!r}")

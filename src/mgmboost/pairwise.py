@@ -29,7 +29,9 @@ POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
 
 # ``solve_pairs`` power-iterates dense K in stacks of at most this many
 # entries (1 MiB of float64), or one pair's K when it alone is larger, and
-# discretizes profit grids in batches of at most this many entries.
+# discretizes profit grids in batches of at most this many entries; the
+# spectral synchronization of ``boost`` gathers its products in chunks of
+# at most this many entries too.
 STACK_ENTRIES = 1 << 17
 
 # ``stacked_hungarian`` solves this many problems or more in lockstep and

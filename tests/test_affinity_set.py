@@ -334,6 +334,15 @@ def test_constructor_rejects_bad_channel(channel, message):
     assert str(exc.value) == message
 
 
+def test_constructor_rejects_channel_not_a_triple():
+    # (weight, attribute) failed with "not enough values to unpack"
+    mask, first, _ = _valid_set_arrays()
+    for channels, got in (([(1.0, first)], "2 values"), ([1.0], "float")):
+        with pytest.raises(ValueError) as exc:
+            AffinitySet(mask, channels)
+        assert str(exc.value) == f"channel 0 must be (weight, attribute, bandwidth), got {got}"
+
+
 def test_constructor_rejects_no_channels():
     mask, _, _ = _valid_set_arrays()
     with pytest.raises(ValueError, match="need at least one kernel channel"):

@@ -87,9 +87,11 @@ class TestAccuracy:
         ([[0], [0], [2.5], [0]], "graph 2: inlier rows: index 2.5 is not an integer"),
         ([[True, False]] * 4, "graph 0: inlier rows: index True is a boolean"),
         ([[0], [False, True], [0], [0]], "graph 1: inlier rows: index False is a boolean"),
-    ], ids=["fraction", "fraction_in_graph_2", "mask", "mask_in_graph_1"])
+        ([[True, 2]] * 4, "graph 0: inlier rows: index True is a boolean"),
+    ], ids=["fraction", "fraction_in_graph_2", "mask", "mask_in_graph_1", "bool_among_rows"])
     def test_fractional_or_boolean_rows_rejected(self, rows, named):
-        # 1.9 was truncated to row 1, and a mask read as rows 1 and 0: both gave 1.0
+        # 1.9 was truncated to row 1, a mask read as rows 1 and 0 and [True, 2]
+        # as rows 1 and 2: each gave 1.0
         cfg = MatchConfig.identity(4, 3)
         with pytest.raises(ValueError, match=re.escape(named)):
             accuracy(cfg, cfg, rows)

@@ -18,13 +18,20 @@ Property coverage:
 - every trace consistency, counted inside the next sweep, equals a fresh
   ``overall_consistency`` of its iterate, with at most one direct pass
   per run, which post-processing reuses
+- spectral synchronization equals the full eigendecomposition's wherever
+  the matchings determine it, holds bounded memory at N = 100, and gives
+  a pinned result where the n-th eigenvalue repeats
 - ``mst`` returns the edge list of scipy's ``minimum_spanning_tree`` on
   dense weight ranks, and the tree walk of ``_config_from_tree`` the
   root-to-graph matchings of ``breadth_first_order``, on tie-heavy,
   all-equal, all-zero and random inputs
 """
 
+import hashlib
+import logging
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -339,7 +346,7 @@ class TestPairBest2nd:
 
 
 class TestSpectralSync:
-    """Top-n eigensolve against the full eigendecomposition."""
+    """Block subspace iteration against the full eigendecomposition."""
 
     def test_matches_full_eigendecomposition(self):
         compared = 0
@@ -382,6 +389,44 @@ class TestSpectralSync:
         got = _spectral_sync(cfg)
         monkeypatch.setattr(pairwise, "LOCKSTEP_BATCH", cfg.N)
         assert _spectral_sync(cfg) == got
+
+    def test_repeated_nth_eigenvalue_digest(self):
+        # N = 5, n = 3: the 3rd and 4th largest eigenvalues are both 3, so
+        # the matchings leave the result open; the fixed start block and
+        # stop rule pick it
+        srng = np.random.default_rng(610)
+        n = int(srng.integers(2, 5))
+        n_graphs = int(srng.integers(n + 1, 9))
+        cfg = corrupted_config(srng, n_graphs, n, float(srng.uniform(0.1, 0.9)))
+        assert (n_graphs, n) == (5, 3)
+        vals = np.linalg.eigvalsh(stacked_matching_matrix(cfg))
+        assert vals[-n] - vals[-n - 1] < 1e-9
+        table = np.ascontiguousarray(_spectral_sync(cfg).perm_table(), dtype="<i8")
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "08565a959afed8e179112c054978ac409a13cb4e68a2c92685ce5f6a80d705b8")
+
+    def test_memory_bounded(self):
+        # N = 100, n = 20: the stacked matrix alone would hold 30.5 MiB
+        cfg = corrupted_config(np.random.default_rng(1), 100, 20, 0.2)
+        tracemalloc.start()
+        try:
+            _spectral_sync(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_iteration_cap_logs_one_record(self, monkeypatch, caplog):
+        # one product cannot settle a 60% corrupted configuration
+        cfg = corrupted_config(np.random.default_rng(61), 60, 5, 0.6)
+        monkeypatch.setattr(boost, "MAX_SPECTRAL_ITERS", 1)
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "mgmboost.boost"):
+            warnings.simplefilter("error")
+            got = _spectral_sync(cfg)
+        assert is_fully_consistent(got)
+        assert [r.getMessage() for r in caplog.records] == [
+            "spectral synchronization did not converge in 1 iterations (N=60, n=5); "
+            "using the last leading subspace"]
 
 
 class TestConfigFromTree:
@@ -503,6 +548,12 @@ class TestRunBoost:
         out, trace = run_boost(cfg, kset, BoostParams(mode="isb", t_max=0))
         assert out == cfg
         assert len(trace) == 1
+
+    def test_params_must_be_boost_params(self, rng):
+        # None used to fail inside, reading None.elicit
+        cfg, kset = self._instance(rng)
+        with pytest.raises(TypeError, match="params must be a BoostParams, got NoneType"):
+            run_boost(cfg, kset, None)
 
     def test_t_max_zero_checks_n_est(self, rng):
         cfg, kset = self._instance(rng)
@@ -886,6 +937,11 @@ class TestMst:
         w[1, 3] = w[3, 1] = value
         with pytest.raises(ValueError, match=re.escape(f"weight (1, 3) = {value} is not finite")):
             mst(w)
+
+    def test_complex_weights_named(self):
+        # the imaginary parts were dropped with only a ComplexWarning
+        with pytest.raises(ValueError, match="weights must be real numbers, got dtype complex128"):
+            mst(np.ones((3, 3)) * (1 + 1j))
 
     def test_zero_and_tied_weights(self):
         # (2, 3) is the one heavy edge; of the tied weight-1 edges, (0, 2)

@@ -445,6 +445,11 @@ class TestInlierMask:
         with pytest.raises(ValueError, match=rf"n_est must be an integer >= 1, got {n_est!r}"):
             InlierEstimate(n_est)
 
+    def test_estimate_must_be_inlier_estimate(self):
+        # a bare count used to fail inside, reading 3.n_est
+        with pytest.raises(TypeError, match="est must be an InlierEstimate, got int"):
+            keep_masks(MatchConfig.identity(3, 4), 3)
+
     def test_ties_break_toward_low_index(self):
         cfg = MatchConfig.identity(3, 4)
         keep = keep_masks(cfg, InlierEstimate(2, "consistency"))

@@ -60,9 +60,9 @@ class TestPermutation:
     def test_accepts_whole_floats(self):
         assert Permutation([1.0, 0.0]) == Permutation([1, 0])
 
-    @pytest.mark.parametrize("mask", [[True, False], np.array([False, True])])
+    @pytest.mark.parametrize("mask", [[True, False], np.array([False, True]), [True, 0, 2]])
     def test_rejects_boolean_indices(self, mask):
-        # a mask once read as the indices 1 and 0
+        # a mask once read as the indices 1 and 0, and [True, 0, 2] as [1, 0, 2]
         with pytest.raises(ValueError, match=f"index {mask[0]} is a boolean, not an integer"):
             Permutation(mask)
         with pytest.raises(ValueError, match="got dtype bool"):
@@ -200,6 +200,11 @@ class TestAffinityScore:
             AffinityMatrix(bad)
         with pytest.raises(ValueError):
             AffinityMatrix(-np.eye(4))
+
+    def test_rejects_empty(self):
+        # a (0, 0) matrix is square with n = 0: no pair of graphs has it
+        with pytest.raises(ValueError, match=re.escape("must not be empty, got shape (0, 0)")):
+            AffinityMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("n", [2, 13])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

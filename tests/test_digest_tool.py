@@ -34,7 +34,7 @@ def test_two_cases_print_the_same_lines_twice(capsys):
 def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
     module = _load()
     names = list(module.case_names())
-    assert len(names) == len(set(names)) == 1260
+    assert len(names) == len(set(names)) == 1512
     assert set(CASES) <= set(names)
     with pytest.raises(SystemExit) as exc:
         module.main(["graphs_N8_n6/seed=9"])

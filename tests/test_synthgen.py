@@ -766,8 +766,7 @@ SCIPY_PATHS = {
     "affinity_mst": (_gauss_run(5, 6, "init_config(kset, 0.5, 0)", 0.999), "affinity_mst", []),
     "consistency_mst": (_gauss_run(4, 6, "init_config(kset, 0.5, 0)", 1e-6),
                         "consistency_mst", []),
-    "spectral": (_gauss_run(6, 4, "init_config(kset, 0.5, 0)", 1e-6), "spectral",
-                 ["scipy.linalg"]),
+    "spectral": (_gauss_run(6, 4, "init_config(kset, 0.5, 0)", 1e-6), "spectral", []),
     "csr_affinity": ("import numpy as np\nfrom mgmboost import AffinityMatrix\n"
                      "k = np.zeros((169, 169))\nk[0, 1] = k[1, 0] = 1.0\n"
                      "print(AffinityMatrix(k).is_sparse)", "True", ["scipy.sparse"]),
@@ -782,7 +781,7 @@ SCIPY_PATHS = {
 
 def test_import_leaves_out_scipy_spatial():
     # each path, in a fresh process, loads only the scipy modules it uses:
-    # import and the dense runs none, a spectral run scipy.linalg and a CSR
+    # import and the dense runs none, the spectral route included, and a CSR
     # pair scipy.sparse; the spanning-tree routes load no csgraph
     src = str(Path(mgmboost.__file__).parents[1])
     watched = ("scipy.spatial", "scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg")

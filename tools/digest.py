@@ -11,11 +11,12 @@ the boosted configuration takes. The digest covers:
   changes and scored candidates as ints. Wall times are left out.
 
 The matrix crosses every mode, eliciting none, by consistency and by
-affinity, and sample rates 1 and 0.6, on three seeds of five instance
-sets: random graphs with N > n, with N <= n and without deformation, and
-point sets under the ``gauss`` kernel and under ``len_angle`` with
-n = 14, whose pairs are CSR. Each boosted configuration is post-processed at two
-thresholds, so every route is taken somewhere.
+affinity, and sample rates 1 and 0.6, on three seeds of six instance
+sets: random graphs with N > n, with N much larger than n (24 and 5),
+with N <= n and without deformation, and point sets under the ``gauss``
+kernel and under ``len_angle`` with n = 14, whose pairs are CSR. Each
+boosted configuration is post-processed at two thresholds, so every
+route is taken somewhere.
 
 A change that must keep outputs bit-identical is checked by running the
 script against both source trees and comparing the lines::
@@ -52,6 +53,9 @@ SETS = {
     "graphs_N8_n6": (gen_random_graphs, SynthParams(n_graphs=8, inliers=6, deform=0.15,
                                                     density=0.9, sigma2=SIGMA2, seed=1),
                      "gauss"),
+    "graphs_N24_n5": (gen_random_graphs, SynthParams(n_graphs=24, inliers=5, deform=0.1,
+                                                      density=0.9, sigma2=SIGMA2, seed=6),
+                      "gauss"),
     "graphs_N5_n8": (gen_random_graphs, SynthParams(n_graphs=5, inliers=7, outliers=1,
                                                     deform=0.2, sigma2=SIGMA2, seed=2),
                      "gauss"),
