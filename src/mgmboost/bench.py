@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import numbers
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,8 +58,14 @@ class ExperimentSpec:
                              "from seed_base, the swept value's index and the trial")
         if self.sweep_param not in _SWEEPABLE:
             raise ValueError(f"unknown swept parameter {self.sweep_param!r}")
+        if isinstance(self.sweep_values, (str, bytes)):
+            raise ValueError("sweep_values must be a sequence of numbers, "
+                             f"got {self.sweep_values!r}")
         if not self.sweep_values:
             raise ValueError("need at least one swept value")
+        for value in self.sweep_values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.sweep_param} takes numbers, got {value!r}")
         if _SWEEPABLE[self.sweep_param] in ("int", int):
             for value in self.sweep_values:
                 if not float(value).is_integer():

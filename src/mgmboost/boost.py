@@ -9,7 +9,8 @@ within an iteration read the previous snapshot only, so per-pair updates
 are order-independent and the whole sweep is deterministic. A run keeps
 the kernel sums of its first-order candidates, which the second-order
 search extends, recomputes only those whose legs, or kept rows, changed,
-and takes each snapshot's pair scores from the candidates picked. Each sweep
+and takes each snapshot's pair scores from the candidates picked; the
+second-order search computes each distinct candidate of a pair once. Each sweep
 also counts the consistency of its input from the compositions it
 builds, so only a run's last iterate needs a pass of its own. Optional
 post-processing rewrites the result into an exactly cycle-consistent
@@ -129,7 +130,8 @@ class _SweepState:
     ``anchor_mismatches`` of ``cfg`` over the pairs searched so far. Each
     pair searched leaves its new X_ij as a row of the (P, n) ``upper``,
     whether that differs from the snapshot's in ``moved`` (all True before
-    the first sweep) and, when J is weighted, its raw kernel sum in ``won``."""
+    the first sweep) and, when J is weighted, its raw kernel sum in ``won``.
+    A second-order run keys candidates by the ``_digit_weights`` ``digits``."""
 
     def __init__(self, kset, norm, second_order=False, sample_rate=1.0, rng=None):
         self.kset, self.norm = kset, norm
@@ -143,6 +145,7 @@ class _SweepState:
         self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
         self.upper = np.empty((shape[0], kset.n), dtype=np.int64)
         self.moved, self.won = np.ones(shape[0], dtype=bool), np.empty(shape[0])
+        self.digits = _digit_weights(kset.n) if second_order else None
 
     def start(self, cfg, term=None, est=None):
         """Begin a sweep from ``cfg``. Every candidate is marked stale that
@@ -190,6 +193,30 @@ class _SweepState:
             self.stale.put(fresh, False)
         return self.sums.take(at)
 
+    def distinct_sums(self, ii, jj, cands, sums):
+        """``kernel_sums`` of the (P, C, n) candidates of the pairs (ii[p],
+        jj[p]), as a (P, C) array, given ``sums``, those of the first A
+        candidates of each pair. Equal candidates of a pair have equal sums
+        bit for bit, as a sum depends only on its own block. So one stable
+        sort per pair by exact ``digits`` keys groups them in scan order,
+        every member takes its group's first sum, and only a group whose
+        first candidate lies past the A known ones is computed, once."""
+        keys = cands.astype(np.uint64) @ self.digits                 # (P, C, words)
+        order = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=1)
+        keys = np.take_along_axis(keys, order[..., None], axis=1)
+        lead = np.ones(order.shape, dtype=bool)
+        lead[:, 1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=2)
+        out = np.empty(order.shape)
+        out[:, :sums.shape[1]] = sums
+        pair, at = np.nonzero(lead & (order >= sums.shape[1]))
+        fresh = order[pair, at]
+        out[pair, fresh] = self.kernel_sums(ii[pair], jj[pair], cands[pair, fresh][:, None])[:, 0]
+        head = np.where(lead, np.arange(cands.shape[1]), 0)
+        np.maximum.accumulate(head, axis=1, out=head)    # sorted position of each group's first
+        leader = np.take_along_axis(order, head, axis=1)
+        np.put_along_axis(out, order, np.take_along_axis(out, leader, axis=1), axis=1)
+        return out
+
     def consistency(self, ii, jj, pools, cands, comps):
         """The term C of the (P, A, n) candidates X_ik X_kj, k = pools[p, a],
         of the pairs (ii[p], jj[p]) given their (P, N, n) compositions, as a
@@ -200,6 +227,20 @@ class _SweepState:
             return np.sqrt(self.cp[ii[:, None], pools] * self.cp[pools, jj[:, None]])
         return candidate_consistency(cands, comps,
                                      None if self.keep is None else self.keep[ii])
+
+
+def _digit_weights(n):
+    """(n, W) uint64 weights that key an index vector on n nodes exactly:
+    ``x @ weights`` reads its digits as W base-n numbers of d digits each,
+    the last maybe fewer, where d is the most whose number fits in 64 bits
+    (d = n while n <= 16). Equal keys therefore mean equal vectors."""
+    d = 1
+    while d < n and n ** (d + 1) <= 1 << 64:
+        d += 1
+    k = np.arange(n)
+    weights = np.zeros((n, -(-n // d)), dtype=np.uint64)
+    weights[k, k // d] = [n ** (d - 1 - r) for r in (k % d).tolist()]
+    return weights
 
 
 def _anchor_pools(n_graphs, sample_rate, rng):
@@ -241,6 +282,8 @@ def _pairs_best(pairs, sweep, weights):
     read as above, and v = j, u = i, u = j and u = v each repeat one of
     them. Only row v = i and the pairs v != u of rest are scored: the full
     scan without its later duplicates, so the first maximum is the same.
+    A rest x rest candidate that repeats another of the pair takes that
+    one's sum (``distinct_sums``), so each distinct one is computed once.
     """
     table = sweep.table
     ii, jj, pools = sweep.ii[pairs], sweep.jj[pairs], sweep.pools[pairs]
@@ -258,7 +301,7 @@ def _pairs_best(pairs, sweep, weights):
         via = table[vs[..., None], us[..., None], table[ii[:, None], vs]]   # X_iv then X_vu
         extra = table[us[..., None], jj[:, None, None], via]               # then X_uj
         cands = np.concatenate([cands, extra], axis=1)
-        sums = np.concatenate([sums, sweep.kernel_sums(ii, jj, extra)], axis=1)
+        sums = sweep.distinct_sums(ii, jj, cands, sums)
         pools = np.concatenate([np.broadcast_to(ii[:, None], pools.shape), vs], axis=1)
     j_term = a * (sums / sweep.norm.value) if a else 0.0
     c_term = b * sweep.consistency(ii, jj, pools, cands, comps) if b else 0.0

@@ -14,6 +14,7 @@ every consistency metric inside (0, 1].
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,14 +56,19 @@ def _first_bool(values):
     return bool(values) if isinstance(values, (bool, np.bool_)) else None
 
 
+def _reject_bool(values):
+    """Raise ValueError naming the first boolean in ``values``, if any."""
+    flag = _first_bool(values)
+    if flag is not None:
+        raise ValueError(f"index {flag} is a boolean, not an integer")
+
+
 def _index_array(values):
     """``values`` as a new int64 array; raises when a value is not a whole
     number, instead of truncating it, or is a boolean anywhere, instead of
     reading a mask or a flag as indices."""
     a = np.asarray(values)
-    flag = _first_bool(values)
-    if flag is not None:
-        raise ValueError(f"index {flag} is a boolean, not an integer")
+    _reject_bool(values)
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if bad.any():
@@ -517,6 +523,9 @@ class MatchConfig:
     def __init__(self, n_graphs, n_nodes, pairs):
         check_count("n_graphs", n_graphs)
         check_count("n_nodes", n_nodes)
+        if not isinstance(pairs, Mapping):
+            raise TypeError("pairs must be a mapping of (i, j) to Permutation, "
+                            f"got {type(pairs).__name__}")
         rows = []
         for i, j in zip(*(a.tolist() for a in upper_indices(n_graphs))):
             try:
@@ -566,7 +575,9 @@ class MatchConfig:
     @classmethod
     def from_table(cls, table):
         """Build from an (N, N, n) index table, reading the upper triangle;
-        every row there must be a permutation of 0..n-1."""
+        every row there must be a permutation of 0..n-1, and no entry
+        anywhere a boolean."""
+        _reject_bool(table)       # np.asarray reads True in a list as 1
         t = np.asarray(table)
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] == 0:
             raise ValueError(f"table must have shape (N, N, n) with n >= 1, got {t.shape}")

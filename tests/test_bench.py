@@ -307,6 +307,18 @@ class TestRunExperiment:
     def test_beta_w_ignored_by_gauss_affinity(self):
         assert replace(_tiny_spec(), beta_w=1.5).beta_w == 1.5
 
+    @pytest.mark.parametrize(("param", "values", "message"), [
+        ("inliers", "34", "sweep_values must be a sequence of numbers, got '34'"),
+        ("deform", b"0.1", "sweep_values must be a sequence of numbers, got b'0.1'"),
+        ("inliers", (3, "4"), "inliers takes numbers, got '4'"),
+        ("deform", (0.1, True), "deform takes numbers, got True"),
+        ("deform", (None,), "deform takes numbers, got None"),
+    ])
+    def test_non_numeric_sweep_values_named(self, param, values, message):
+        # the string "34" was once swept as the values 3 and 4
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(_tiny_spec(), sweep_param=param, sweep_values=values)
+
     def test_fractional_value_of_integer_field_rejected(self):
         with pytest.raises(ValueError, match="inliers takes integers, got 8.5"):
             replace(_tiny_spec(), sweep_param="inliers", sweep_values=(8, 8.5))

@@ -275,9 +275,10 @@ class TestPairBest2nd:
         best = max(val for _, val in scored)
         return scored, next(cand for cand, val in scored if val == best)
 
-    # K is dense at n = 4, and at n = 13 when 84% full; CSR when 10% full
-    @pytest.mark.parametrize(("n", "density"), [(4, 0.6), (13, 0.6), (13, 0.05)],
-                             ids=["4-dense", "13-sparse", "13-csr"])
+    # K is dense at n = 4, and at n = 13 and 17 when 84% full; CSR when 10%
+    # full; n = 17 keys candidates by two words
+    @pytest.mark.parametrize(("n", "density"), [(4, 0.6), (13, 0.6), (13, 0.05), (17, 0.6)],
+                             ids=["4-dense", "13-sparse", "13-csr", "17-dense"])
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
     def test_matches_exhaustive_enumeration(self, n, density, sample_rate):
         for seed in range(3):
@@ -343,6 +344,73 @@ class TestPairBest2nd:
             top = {cand for cand, val in scored if val == 1.0}
             distinct_ties += len(top) > 1 and cfg.get(0, 1) not in top
         assert distinct_ties > 0   # some seed ties distinct non-incumbent candidates
+
+
+class TestDistinctSums:
+    """Scoring each distinct second-order candidate of a pair once gives
+    every candidate the sum that scoring it alone gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([*range(2, 17), 17, 24]), n_graphs=st.integers(4, 6),
+           flip=st.sampled_from([0.1, 1.0]), elicit=st.booleans(),
+           sample_rate=st.sampled_from([1.0, 0.6]), seed=st.integers(0, 1000))
+    @example(n=17, n_graphs=6, flip=0.1, elicit=False, sample_rate=1.0, seed=0)
+    @example(n=24, n_graphs=5, flip=0.1, elicit=True, sample_rate=0.6, seed=1)
+    @example(n=16, n_graphs=6, flip=0.1, elicit=True, sample_rate=1.0, seed=2)
+    def test_equal_full_kernel_sums(self, n, n_graphs, flip, elicit, sample_rate, seed):
+        # flip 0.1 starts nearly consistent, so most candidates repeat
+        kset = build_affinity_set(gen_random_graphs(SynthParams(
+            n_graphs=n_graphs, inliers=n, deform=0.1, density=0.9, seed=seed)), 0.05)
+        cfg = corrupted_config(np.random.default_rng(seed), n_graphs, n, flip)
+        sweep = _SweepState(kset, ScoreNormalizer.from_initial(cfg, kset), True,
+                            sample_rate, np.random.default_rng(seed))
+        sweep.start(cfg, est=InlierEstimate(max(1, n - 2), "affinity") if elicit else None)
+        ii, jj, first = sweep.ii, sweep.jj, sweep.pools.shape[1]
+        cands = second_order_candidates(sweep)       # row v = i is the first-order one
+        rows = None if sweep.kept_rows is None else sweep.kept_rows[ii]
+        want = kset.kernel_sums(ii, jj, cands, rows)
+        got = sweep.distinct_sums(ii, jj, cands, want[:, :first])
+        assert np.array_equal(got, want)
+        # one sum per candidate that no first-order one and no earlier one repeats
+        assert sweep.scored == sum(len({tuple(c) for c in row[first:]} -
+                                       {tuple(c) for c in row[:first]})
+                                   for row in cands.tolist())
+        picked = _pairs_best(slice(None), sweep, (1.0, 0.0))[1]
+        best = np.argmax(want, axis=1)
+        assert np.array_equal(picked, cands[np.arange(len(ii)), best])
+        assert np.array_equal(sweep.won, want[np.arange(len(ii)), best])
+
+    @pytest.mark.parametrize("n", [16, 17, 24, 40])
+    def test_candidates_differing_in_last_nodes_keep_their_sums(self, n):
+        # a key that read only the leading digits would give them one sum
+        kset = build_affinity_set(gen_random_graphs(SynthParams(
+            n_graphs=4, inliers=n, deform=0.1, density=0.9, seed=n)), 0.05)
+        cfg = MatchConfig.random(4, n, np.random.default_rng(n))
+        sweep = _SweepState(kset, ScoreNormalizer.from_initial(cfg, kset), True)
+        sweep.start(cfg)
+        base = np.random.default_rng(n).permutation(n)
+        tails = [base.copy() for _ in range(4)]
+        tails[1][[-1, -2]] = tails[1][[-2, -1]]
+        tails[2][[-1, -3]] = tails[2][[-3, -1]]
+        cands = np.array([[base, *tails, tails[2], base]] * 2)   # (2 pairs, 7, n)
+        ii, jj = np.array([0, 1]), np.array([2, 3])
+        want = kset.kernel_sums(ii, jj, cands)
+        assert (want[:, 1] != want[:, 2]).all()
+        got = sweep.distinct_sums(ii, jj, cands, want[:, :1])
+        assert np.array_equal(got, want) and sweep.scored == 2 * 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 24, 40, 64])
+    def test_digit_keys_are_exact(self, n):
+        # word w holds digits w d .. w d + d - 1 as a base-n number, d the
+        # most that fit in 64 bits, so no key wraps
+        d = max(d for d in range(1, n + 1) if n ** d <= 1 << 64)
+        rng = np.random.default_rng(n)
+        x = np.array([rng.permutation(n) for _ in range(20)] + [np.arange(n)[::-1]])
+        keys = x.astype(np.uint64) @ boost._digit_weights(n)
+        want = [[sum(v * n ** (d - 1 - r) for r, v in enumerate(row[s:s + d]))
+                 for s in range(0, n, d)] for row in x.tolist()]
+        assert keys.tolist() == want
+        assert keys.shape[1] == 1 or n > 16
 
 
 class TestSpectralSync:
@@ -786,19 +854,39 @@ class TestSumCache:
         assert trace.scored[:2] == [0, pairs * cfg0.N]
         assert max(trace.scored[2:]) <= pairs * cfg0.N
 
-    def test_scored_counts_second_order(self):
-        # isb_2nd scores A + (A - 2)(A - 3) candidates per pair in its first
-        # sweep; later sweeps read the A first-order ones from the kept sums
-        # and compute only the stale among them; isb_cst weighs no score,
-        # so it computes none
+    def test_scored_counts_second_order(self, monkeypatch):
+        # isb_2nd computes each first-order sum that is stale (every one in
+        # the first sweep, then those with a leg moved by the last sweep) and
+        # once each rest x rest candidate that repeats no first-order one;
+        # isb_cst weighs no score, so it computes none
         cfg0, kset = self._points_run()
-        pairs, a = cfg0.N * (cfg0.N - 1) // 2, cfg0.N
-        full = pairs * (a + (a - 2) * (a - 3))
-        _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=3))
-        assert len(trace) > 2 and trace.scored[:2] == [0, full]
-        assert all(pairs * (a - 2) * (a - 3) <= got < full for got in trace.scored[2:])
+        seen = record_iterates(monkeypatch)
+        _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=3,
+                                                     enforce_final_consistency=False))
+        iterates = [cfg0] + seen
+        assert len(trace) == len(iterates) > 2
+        want = [0] + [self._second_order_sums(iterates[t - 1], iterates[t - 2] if t > 1 else None)
+                      for t in range(1, len(trace))]
+        assert trace.scored == want
         _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_cst", t_max=3))
         assert trace.scored == [0] * len(trace)
+
+    @staticmethod
+    def _second_order_sums(cfg, prev):
+        """Sums a full-pool second-order sweep from ``cfg`` computes, after
+        a sweep from ``prev`` (None before the first sweep), by Python sets."""
+        def moved(a, b):
+            return prev is None or (a != b and cfg.get(a, b) != prev.get(a, b))
+
+        total = 0
+        for i, j, _ in cfg.pairs():
+            rest = [k for k in range(cfg.N) if k not in (i, j)]
+            first = {cfg.get(i, k).compose(cfg.get(k, j)) for k in [i, j, *rest]}
+            total += sum(moved(i, k) or moved(k, j) for k in [i, j, *rest])
+            extra = {cfg.get(i, v).compose(cfg.get(v, u)).compose(cfg.get(u, j))
+                     for v in rest for u in rest if v != u}
+            total += len(extra - first)
+        return total
 
 
 def record_direct_passes(monkeypatch):

@@ -436,6 +436,22 @@ class TestMatchConfig:
         with pytest.raises(ValueError, match="integer"):
             MatchConfig.from_table(t)
 
+    @pytest.mark.parametrize("table", [
+        [[[0, 1], [True, 0]], [[1, 0], [0, 1]]],       # once read as X_01 = [1, 0]
+        [[[0, 1], [1, 0]], [[1, 0], [False, 1]]],      # on the diagonal, never read
+        [[[0, 1], np.array([1, 0])], [[True, 0], [0, 1]]],
+    ], ids=["upper", "diagonal", "lower"])
+    def test_from_table_rejects_boolean_in_list(self, table):
+        with pytest.raises(ValueError, match="index (True|False) is a boolean, not an integer"):
+            MatchConfig.from_table(table)
+
+    @pytest.mark.parametrize("pairs", [None, [Permutation.identity(2)] * 3, 5])
+    def test_pairs_not_a_mapping_named(self, pairs):
+        with pytest.raises(TypeError, match=re.escape(
+                "pairs must be a mapping of (i, j) to Permutation, "
+                f"got {type(pairs).__name__}")):
+            MatchConfig(3, 2, pairs)
+
 
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize(("name", "make"), [

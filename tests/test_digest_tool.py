@@ -1,6 +1,7 @@
 """The output digest script ``tools/digest.py``: a case prints the same
 line on every run, so a difference between two source trees is a
-difference in their outputs."""
+difference in their outputs (third field) or in the kernel sums they
+computed (fourth)."""
 
 import importlib.util
 from pathlib import Path
@@ -28,7 +29,9 @@ def test_two_cases_print_the_same_lines_twice(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[:2] for line in runs[0]] == [[CASES[0], "consistency_mst"],
                                                       [CASES[1], "spectral"]]
-    assert all(len(line.split()[2]) == 64 for line in runs[0])
+    # the outputs' digest, then the digest of the sums computed
+    assert all(len(line.split()) == 4 for line in runs[0])
+    assert all(len(digest) == 64 for line in runs[0] for digest in line.split()[2:])
 
 
 def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
@@ -40,3 +43,19 @@ def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
         module.main(["graphs_N8_n6/seed=9"])
     assert exc.value.code == 2
     assert "unknown case 'graphs_N8_n6/seed=9'" in capsys.readouterr().err
+
+
+def test_sums_computed_move_only_the_fourth_field():
+    lines = []
+    for scale in (1, 2):
+        module = _load()
+        boost = module.run_boost
+
+        def scaled(cfg0, kset, params, scale=scale):
+            cfg, trace = boost(cfg0, kset, params)
+            trace.scored = [c * scale for c in trace.scored]
+            return cfg, trace
+
+        module.run_boost = scaled
+        lines.append(module.digest_line(CASES[0]).split())
+    assert lines[0][:3] == lines[1][:3] and lines[0][3] != lines[1][3]

@@ -1,14 +1,17 @@
 """Print one sha256 line per run of a fixed matrix of boosting runs.
 
-Each line reads ``<case> <route> <sha256>``. The case names the instance
-set, the mode, the eliciting ranking, the anchor sample rate and the
-post-processing threshold gamma; the route is the post-processing branch
-the boosted configuration takes. The digest covers:
+Each line reads ``<case> <route> <outputs> <scored>``. The case names the
+instance set, the mode, the eliciting ranking, the anchor sample rate and
+the post-processing threshold gamma; the route is the post-processing
+branch the boosted configuration takes. The two sha256 digests cover:
 
-- the generated instances: adjacency, truth and coordinate bytes;
-- the initial and the final int64 index tables;
-- the trace lists: scores and consistencies as ``float.hex``, pair
-  changes and scored candidates as ints. Wall times are left out.
+- outputs: the generated instances (adjacency, truth and coordinate
+  bytes), the initial and the final int64 index tables, and the trace's
+  scores and consistencies as ``float.hex`` and pair changes as ints;
+- scored: the trace's count of kernel sums computed per iteration, which
+  a change to how candidates are scored may move while the outputs stay.
+
+Wall times are left out.
 
 The matrix crosses every mode, eliciting none, by consistency and by
 affinity, and sample rates 1 and 0.6, on three seeds of six instance
@@ -25,6 +28,9 @@ script against both source trees and comparing the lines::
     PYTHONPATH=parent/src python tools/digest.py > parent.txt
     PYTHONPATH=src python tools/digest.py > change.txt
     diff parent.txt change.txt
+
+A change that moves only the number of sums computed compares the first
+three fields instead, ``cut -d' ' -f1-3`` of each file.
 
 Name cases on the command line to run only those. The script reports on
 stderr which ``mgmboost`` it imported and how many lines it printed.
@@ -122,21 +128,24 @@ def _boosted(set_name, seed, mode, elicit, rate):
     h = h.copy()
     for values in (trace.scores, trace.consistencies):
         h.update(" ".join(float(v).hex() for v in values).encode() + b";")
-    for counts in (trace.changes, trace.scored):
-        h.update(" ".join(str(int(c)) for c in counts).encode() + b";")
-    return kset, cfg, h
+    h.update(_counts(trace.changes))
+    return kset, cfg, h, hashlib.sha256(_counts(trace.scored)).hexdigest()
+
+
+def _counts(counts):
+    return " ".join(str(int(c)) for c in counts).encode() + b";"
 
 
 def digest_line(name):
     """The printed line of one case."""
     set_name, *fields = name.split("/")
     f = dict(field.split("=") for field in fields)
-    kset, cfg, h = _boosted(set_name, int(f["seed"]), f["mode"], f["elicit"],
-                            float(f["rate"]))
+    kset, cfg, h, scored = _boosted(set_name, int(f["seed"]), f["mode"], f["elicit"],
+                                    float(f["rate"]))
     gamma = float(f["gamma"])
     h = h.copy()
     _sha(h, enforce_full_consistency(cfg, kset, gamma).perm_table(), "<i8")
-    return f"{name} {route(cfg, gamma)} {h.hexdigest()}"
+    return f"{name} {route(cfg, gamma)} {h.hexdigest()} {scored}"
 
 
 def main(argv=None):
