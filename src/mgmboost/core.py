@@ -293,9 +293,9 @@ def _reject_first(bad, what, values=None):
 class AffinitySet:
     """Edge-kernel affinities between every pair of N graphs on n nodes.
 
-    No n^2 x n^2 matrix is stored. Per kernel channel c the set holds an
-    (N, n, n) edge attribute a_c, infinite exactly off each graph's edges,
-    with a weight w_c and a bandwidth s_c. With graph i as the row graph, the
+    No n^2 x n^2 matrix is stored. Per kernel channel c the set holds one
+    (N, n, n) edge attribute a_c, NaN exactly off each graph's edges, with
+    a weight w_c and a bandwidth s_c. With graph i as the row graph, the
     affinity matrix of the pair (i, j) has the entry
 
         K[a*n + u, b*n + v] = sum_c w_c exp(-(a_c[i, u, v] - a_c[j, a, b])^2 / s_c)
@@ -329,13 +329,11 @@ class AffinitySet:
             _reject_first(mask & np.eye(self.n, dtype=bool), "edge mask has a self-loop")
         _reject_first(mask != mask.transpose(0, 2, 1), "edge mask is not symmetric")
         self._edges = mask.sum(axis=(1, 2)).tolist()
-        # Per channel (weight, bandwidth), and the attribute twice: as the
-        # row graph's, +inf off the edges, and as the column graph's, -inf
-        # off the edges, so a missing edge on either side makes the
-        # difference +inf and the kernel exactly 0.
+        # Per channel (weight, bandwidth) and the attribute, NaN off the
+        # edges: a missing edge on either side makes the kernel's input NaN,
+        # which ``_kernel`` turns into exactly 0
         self._channels = []
-        self._own = []
-        self._other = []
+        self._attrs = []
         channels = list(channels)
         if not channels:
             raise ValueError("need at least one kernel channel")
@@ -357,15 +355,15 @@ class AffinitySet:
             if attr.shape != mask.shape:
                 raise ValueError(f"edge attributes have shape {attr.shape}, "
                                  f"expected {mask.shape}")
-            # +inf off the (symmetric) edges: finite exactly on the edges and
+            # NaN off the (symmetric) edges: finite exactly on the edges and
             # symmetric exactly when the attribute is, on the edges
-            own = np.where(mask, attr, np.inf)
-            _reject_first(np.isfinite(own) != mask, f"edge attribute {c} is not finite", attr)
-            _reject_first(own != own.transpose(0, 2, 1),
+            edge_attr = np.where(mask, attr, np.nan)
+            _reject_first(np.isfinite(edge_attr) != mask, f"edge attribute {c} is not finite",
+                          attr)
+            _reject_first((edge_attr != edge_attr.transpose(0, 2, 1)) & mask,
                           f"edge attribute {c} is not symmetric", attr)
             self._channels.append((weight, sigma2))
-            self._own.append(own)
-            self._other.append(np.where(mask, attr, -np.inf))
+            self._attrs.append(edge_attr)
         if not any(weight for weight, _ in self._channels):
             raise ValueError(f"channel weights {[w for w, _ in self._channels]} are all 0, "
                              "so every affinity would be 0")
@@ -377,13 +375,17 @@ class AffinitySet:
     def _kernel(self, own, other):
         """Kernel values of the row-graph attributes at ``own`` against the
         column-graph attributes at ``other``, flat indices g*n^2 + u*n + v
-        into the (N, n, n) attributes, the two broadcast together."""
+        into the (N, n, n) attributes, the two broadcast together. Off an
+        edge the difference is NaN, and ``fmax`` turns exp(NaN) into
+        exactly +0.0 with no floating-point flag raised; NaN, unlike -inf,
+        keeps numpy's ``exp`` on its fast SIMD path."""
         out = None
-        for (weight, sigma2), a, b in zip(self._channels, self._own, self._other):
-            k = a.take(own) - b.take(other)
+        for (weight, sigma2), a in zip(self._channels, self._attrs):
+            k = a.take(own) - a.take(other)
             np.square(k, out=k)
             np.divide(k, -sigma2, out=k)   # = -(d^2) / sigma2, bit for bit
             np.exp(k, out=k)
+            np.fmax(k, 0.0, out=k)
             if weight != 1.0:
                 k *= weight
             if out is None:
@@ -433,7 +435,7 @@ class AffinitySet:
         if self.is_dense(i, j):
             return AffinityMatrix._wrap(n, self.dense_stack([i], [j])[0])
         # a graph's edges are where its attributes are finite
-        ei, ej = (np.flatnonzero(np.isfinite(self._own[0][g])) for g in (i, j))
+        ei, ej = (np.flatnonzero(np.isfinite(self._attrs[0][g])) for g in (i, j))
         vals = self._kernel(i * size + ei, (j * size + ej)[:, None]).ravel()
         (ui, vi), (uj, vj) = divmod(ei, n), divmod(ej, n)
         rows = (uj[:, None] * n + ui).ravel()

@@ -136,7 +136,9 @@ def hungarian(profit):
     scalar form is 4-5x faster at n = 8-16 and 1.4-1.6x at n = 100, and
     the two break even between n = 150 and 200 (x86-64, Python 3.11,
     numpy 2.4). Each step is the same IEEE double operation in the same
-    order as the vectorized form, so the result is bit-identical.
+    order as the vectorized form, so the result is bit-identical; only
+    the step's subtraction of delta from each free column's minimum is
+    deferred to the next scan, which does it on the same values.
     """
     return Permutation(_scalar_assign(_profit_array(profit, 2)))
 
@@ -155,6 +157,7 @@ def _scalar_assign(p):
         minv = [math.inf] * n
         free = list(range(n))  # unused real columns, ascending
         used = [n]             # used columns, virtual column first
+        last = 0.0             # the previous step's delta, not yet taken off minv
         while True:
             i0 = col_row[j0]
             row = cost[i0]
@@ -162,19 +165,19 @@ def _scalar_assign(p):
             delta = math.inf
             j1 = free[0]
             for j in free:
-                m = minv[j]
+                m = minv[j] - last
                 reduced = row[j] - ui - v[j]
                 if reduced < m:
-                    minv[j] = m = reduced
+                    m = reduced
                     way[j] = j0
+                minv[j] = m
                 if m < delta:
                     delta = m
                     j1 = j
             for j in used:
                 u[col_row[j]] += delta
                 v[j] -= delta
-            for j in free:
-                minv[j] -= delta
+            last = delta
             j0 = j1
             if col_row[j0] == -1:
                 break

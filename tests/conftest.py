@@ -395,25 +395,46 @@ class ReferenceAffinitySet:
         return blocks.sum(axis=axis)
 
 
-def reference_dense_stack(kset, i, j):
+def reference_kernel(kset, own, other):
+    """``AffinitySet._kernel`` as it was computed with each attribute held
+    twice, +inf off the edges as the row graph's and -inf as the column
+    graph's: a missing edge on either side makes the difference +inf and
+    exp(-inf) exactly 0. The set's NaN off the edges must give the same
+    bytes."""
+    out = None
+    for (weight, sigma2), a in zip(kset._channels, kset._attrs):
+        edge = np.isfinite(a)
+        k = np.where(edge, a, np.inf).take(own) - np.where(edge, a, -np.inf).take(other)
+        np.square(k, out=k)
+        np.divide(k, -sigma2, out=k)
+        np.exp(k, out=k)
+        if weight != 1.0:
+            k *= weight
+        out = k if out is None else out + k
+    return out
+
+
+def reference_dense_stack(kset, i, j, kernel=None):
     """K of the pairs (i[b], j[b]) of an edge-kernel ``AffinitySet`` from
     one broadcast of its kernel over all n^4 entries: a_c[i, u, v] against
     a_c[j, a, b] lands at [a, u, b, v], which is K[a*n + u, b*n + v]. The
-    kernel arithmetic is the set's own, so the result must equal
-    ``dense_stack`` byte for byte."""
+    kernel arithmetic is the set's own, or ``kernel(kset, own, other)``
+    when given, so the result must equal ``dense_stack`` byte for byte."""
     size = kset.n * kset.n
     edge = np.arange(size).reshape(kset.n, kset.n)
     i, j = (np.reshape(g, (-1, 1, 1)) * size + edge for g in (i, j))
-    k = kset._kernel(i[:, None, :, None, :], j[:, :, None, :, None])
+    own, other = i[:, None, :, None, :], j[:, :, None, :, None]
+    k = kset._kernel(own, other) if kernel is None else kernel(kset, own, other)
     return k.reshape(-1, size, size)
 
 
-def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
+def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3), kernel=None):
     """``kernel_sums`` of an edge-kernel ``AffinitySet`` with the kernel
     run at all m^2 entries of every candidate's (m, m) block, gathered
     through flat indices offset + u*n + v, in one batch. The kernel
-    arithmetic is the set's own and every block is summed with the same
-    shape and axis, so the sums must equal ``kernel_sums`` bit for bit."""
+    arithmetic is the set's own, or ``kernel(kset, own, other)`` when
+    given, and every block is summed with the same shape and axis, so the
+    sums must equal ``kernel_sums`` bit for bit."""
     n = kset.n
     perms = np.asarray(perms, dtype=np.int64)
     pairs = perms.shape[0]
@@ -426,8 +447,9 @@ def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3)):
     def flat_pairs(nodes, offset):
         return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
 
-    return kset._kernel(flat_pairs(r, own_graph)[:, None],
-                        flat_pairs(picked, other_graph)).sum(axis=axis)
+    own, other = flat_pairs(r, own_graph)[:, None], flat_pairs(picked, other_graph)
+    k = kset._kernel(own, other) if kernel is None else kernel(kset, own, other)
+    return k.sum(axis=axis)
 
 
 def second_order_candidates(sweep):

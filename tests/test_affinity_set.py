@@ -17,6 +17,10 @@ Property coverage:
   whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
   non-finite or asymmetric attribute on an edge, naming the first one
+- dense_stack, kernel_sums and get with NaN off the edges equal, byte for
+  byte, the kernel with +inf and -inf off the edges (gauss at edge
+  density 0-1 and len_angle, dense and CSR pairs), and raise no
+  floating-point flag
 """
 
 import tracemalloc
@@ -34,7 +38,7 @@ from mgmboost import (AffinitySet, BoostParams, GraphInstance, MatchConfig,
 from mgmboost.core import pair_scores
 
 from conftest import (builder_affinity_sets, naive_quad_form, reference_dense_stack,
-                      reference_kernel_sums)
+                      reference_kernel, reference_kernel_sums)
 
 
 def _candidates(rng, n, count):
@@ -132,14 +136,14 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
 
 
 @lru_cache(maxsize=None)
-def _kernel_set(kind, n):
-    """Four graphs on n nodes: gauss on random graphs, or the two len_angle
-    channels, on Delaunay point sets with outliers at n >= 3 and, below,
-    where there is no triangulation, on random symmetric lengths and
-    angles over every edge."""
+def _kernel_set(kind, n, density=0.7):
+    """Four graphs on n nodes: gauss on random graphs at the edge
+    density, or the two len_angle channels, on Delaunay point sets with
+    outliers at n >= 3 and, below, where there is no triangulation, on
+    random symmetric lengths and angles over every edge."""
     if kind == "gauss":
         return build_affinity_set(gen_random_graphs(SynthParams(
-            n_graphs=4, inliers=n, deform=0.1, density=0.7, seed=n)), 0.05)
+            n_graphs=4, inliers=n, deform=0.1, density=density, seed=n)), 0.05)
     if n >= 3:
         return build_affinity_set(gen_random_points(SynthParams(
             n_graphs=4, inliers=n - n // 3, outliers=n // 3, deform=0.05, seed=n)),
@@ -173,6 +177,35 @@ def test_kernel_sums_equal_full_block_reference(kind, n, rows_kind, axis, pairs,
     assert got.shape == want.shape == ((pairs, count) if axis == (2, 3) else
                                        (pairs, count, n if rows is None else kept))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, density", [("gauss", 0.0), ("gauss", 0.5), ("gauss", 0.9),
+                                           ("gauss", 1.0), ("len_angle", None)])
+@pytest.mark.parametrize("n", [8, 14])
+def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
+    # exp(NaN) turned into +0.0 by fmax gives the bytes of exp(-inf), with
+    # no floating-point flag raised (inf - inf would raise "invalid")
+    kset = _kernel_set(kind, n, density)
+    rng = np.random.default_rng(n)
+    iu, ju = np.triu_indices(kset.N, 1)
+    i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (len(i), 5, n)), axis=2)
+    rows = np.sort([rng.choice(n, n - 3, replace=False) for _ in range(len(i))], axis=1)
+    want = reference_dense_stack(kset, i, j, reference_kernel)
+    with np.errstate(all="raise"):
+        assert kset.dense_stack(i, j).tobytes() == want.tobytes()
+        csr = 0
+        for b, (g, h) in enumerate(zip(i.tolist(), j.tolist())):
+            k = kset.get(g, h)
+            csr += k.is_sparse
+            assert k.dense().tobytes() == want[b].tobytes()
+        for r in (None, rows):
+            for axis in ((2, 3), 3):
+                got = kset.kernel_sums(i, j, perms, r, axis)
+                assert got.tobytes() == reference_kernel_sums(kset, i, j, perms, r, axis,
+                                                              reference_kernel).tobytes()
+    # the CSR branch of get is taken at n = 14 below 1/3 fill
+    assert (csr > 0) == (n == 14 and density in (None, 0.0, 0.5))
 
 
 def test_swapped_orientation_is_index_swap():

@@ -1,12 +1,16 @@
 """The output digest script ``tools/digest.py``: a case prints the same
 line on every run, so a difference between two source trees is a
 difference in their outputs (third field) or in the kernel sums they
-computed (fourth)."""
+computed (fourth), and a kernel case's line moves with any bit of the
+edge kernel (second field)."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mgmboost import AffinitySet
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 CASES = ["len_angle_N5_n14/seed=1/mode=isb_2nd/elicit=affinity/rate=0.6/gamma=0.3",
@@ -37,7 +41,8 @@ def test_two_cases_print_the_same_lines_twice(capsys):
 def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
     module = _load()
     names = list(module.case_names())
-    assert len(names) == len(set(names)) == 1512
+    assert len(names) == len(set(names)) == 1530
+    assert sum(name.startswith("kernel/") for name in names) == 18
     assert set(CASES) <= set(names)
     with pytest.raises(SystemExit) as exc:
         module.main(["graphs_N8_n6/seed=9"])
@@ -59,3 +64,15 @@ def test_sums_computed_move_only_the_fourth_field():
         module.run_boost = scaled
         lines.append(module.digest_line(CASES[0]).split())
     assert lines[0][:3] == lines[1][:3] and lines[0][3] != lines[1][3]
+
+
+def test_kernel_case_moves_with_one_bit_of_the_kernel(monkeypatch):
+    case = "kernel/len_angle_N5_n14/seed=2"
+    lines = [_load().digest_line(case) for _ in range(2)]
+    assert lines[0] == lines[1]
+    name, digest = lines[0].split()
+    assert name == case and len(digest) == 64
+    kernel = AffinitySet._kernel
+    monkeypatch.setattr(AffinitySet, "_kernel",
+                        lambda self, own, other: np.nextafter(kernel(self, own, other), 2.0))
+    assert _load().digest_line(case) != lines[0]

@@ -21,6 +21,14 @@ kernel and under ``len_angle`` with n = 14, whose pairs are CSR. Each
 boosted configuration is post-processed at two thresholds, so every
 route is taken somewhere.
 
+After the runs, one line ``kernel/<set>/seed=<s> <kernel>`` per instance
+set and seed digests the edge kernel itself: ``dense_stack`` of every
+pair in both orientations, the CSR data, indices and indptr of ``get``
+for every ordered pair it builds as CSR, and ``kernel_sums`` of the
+initial table's first-order candidates X_ik X_kj and of fixed random
+candidates, each with all rows and with fixed kept rows, as scores and as
+row sums.
+
 A change that must keep outputs bit-identical is checked by running the
 script against both source trees and comparing the lines::
 
@@ -52,6 +60,7 @@ from mgmboost import (BoostParams, InlierEstimate, SynthParams, build_affinity_s
                       enforce_full_consistency, gen_random_graphs, gen_random_points,
                       init_config, is_fully_consistent, overall_consistency, run_boost)
 from mgmboost.boost import MODES
+from mgmboost.consistency import compositions
 
 SIGMA2 = 0.05
 # name: (generator, instance params, affinity kind)
@@ -116,6 +125,32 @@ def case_names():
     """Every case of the matrix, in the order they are printed."""
     for cell in itertools.product(SETS, SEEDS, MODES, ELICIT, SAMPLE_RATES, GAMMAS):
         yield "{}/seed={}/mode={}/elicit={}/rate={}/gamma={}".format(*cell)
+    for cell in itertools.product(SETS, SEEDS):
+        yield "kernel/{}/seed={}".format(*cell)
+
+
+def kernel_line(set_name, seed):
+    """The printed line of one set's kernel case."""
+    _, kset, cfg0, _ = instance_set(set_name, seed)
+    n, h = kset.n, hashlib.sha256()
+    iu, ju = np.triu_indices(kset.N, 1)
+    i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
+    _sha(h, kset.dense_stack(i, j), "<f8")
+    for g, k in zip(i.tolist(), j.tolist()):
+        if not kset.is_dense(g, k):
+            csr = kset.get(g, k).data
+            _sha(h, csr.data, "<f8")
+            _sha(h, csr.indices, "<i8")
+            _sha(h, csr.indptr, "<i8")
+    rng = np.random.default_rng(seed)
+    fixed = rng.permuted(np.broadcast_to(np.arange(n), (len(i), 4, n)), axis=2)
+    rows = np.sort(rng.permuted(np.broadcast_to(np.arange(n), (len(i), n)), axis=1)
+                   [:, :max(1, n - n // 3)], axis=1)
+    for perms in (compositions(cfg0.perm_table(), i, j), fixed):
+        for r in (None, rows):
+            for axis in ((2, 3), 3):
+                _sha(h, kset.kernel_sums(i, j, perms, r, axis), "<f8")
+    return f"kernel/{set_name}/seed={seed} {h.hexdigest()}"
 
 
 @lru_cache(maxsize=None)
@@ -138,6 +173,9 @@ def _counts(counts):
 
 def digest_line(name):
     """The printed line of one case."""
+    if name.startswith("kernel/"):
+        _, set_name, seed = name.split("/")
+        return kernel_line(set_name, int(seed.split("=")[1]))
     set_name, *fields = name.split("/")
     f = dict(field.split("=") for field in fields)
     kset, cfg, h, scored = _boosted(set_name, int(f["seed"]), f["mode"], f["elicit"],
