@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
-                   upper_indices)
+from .core import (STACK_ENTRIES, MatchConfig, ScoreNormalizer, check_count, check_same_shape,
+                   pair_scores, upper_indices)
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
-from .pairwise import STACK_ENTRIES, stacked_hungarian
+from .pairwise import stacked_hungarian
 
 MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_gc_p")
 

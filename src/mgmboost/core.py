@@ -20,10 +20,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# A pair's affinity matrix is a dense array at or below this node count
-# (n^2 x n^2 <= 144^2), and above it when at least a third of its n^4
-# entries are stored; otherwise it is CSR. See ``dense_by_fill``.
-DENSE_NODE_LIMIT = 12
+# ``pairwise.solve_pairs`` power-iterates dense K in stacks of at most
+# this many entries (1 MiB of float64), or one pair's K when it alone is
+# larger, and discretizes profit grids in batches of at most this many
+# entries; ``dense_by_fill`` holds K dense wherever a stack takes two, and
+# the spectral synchronization of ``boost`` gathers its products in chunks
+# of at most this many entries too.
+STACK_ENTRIES = 1 << 17
 
 # Kernel blocks are built at most this many entries at a time (8 bytes
 # each per temporary, 256 KiB), so scoring many pairs in one batch holds a
@@ -33,10 +36,11 @@ BLOCK_CHUNK_ENTRIES = 1 << 15
 
 def dense_by_fill(n, nnz):
     """Whether an n^2 x n^2 affinity matrix with ``nnz`` stored entries is
-    held dense: always for n <= DENSE_NODE_LIMIT, and above it when
-    3 * nnz >= n^4, about where a CSR product K @ v stops being faster
-    than a dense one at n = 24-32 (see the README)."""
-    return n <= DENSE_NODE_LIMIT or 3 * int(nnz) >= n ** 4
+    held dense: whenever a STACK_ENTRIES stack holds two of them (n <= 16
+    at 2^17), where the stacked dense solve beats CSR one pair at a time,
+    and above that when 3 * nnz >= n^4, about where a CSR product K @ v
+    stops being faster than a dense one at n = 24-32 (see the README)."""
+    return STACK_ENTRIES // n ** 4 >= 2 or 3 * int(nnz) >= n ** 4
 
 
 def issparse(x):

@@ -22,17 +22,11 @@ import warnings
 
 import numpy as np
 
+from . import core
 from .core import AffinityMatrix, Permutation, issparse
 
 MAX_POWER_ITERS = 500
 POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
-
-# ``solve_pairs`` power-iterates dense K in stacks of at most this many
-# entries (1 MiB of float64), or one pair's K when it alone is larger, and
-# discretizes profit grids in batches of at most this many entries; the
-# spectral synchronization of ``boost`` gathers its products in chunks of
-# at most this many entries too.
-STACK_ENTRIES = 1 << 17
 
 # ``stacked_hungarian`` solves this many problems or more in lockstep and
 # fewer one by one. Lockstep time over scalar time on power-iteration
@@ -114,12 +108,14 @@ def stacked_power_iteration(k):
 
 def _profit_array(profit, ndim):
     """``profit`` as a float array of ``ndim`` dimensions whose last two
-    are equal, with finite entries."""
+    are equal, with finite entries; raises naming the first entry that is
+    not."""
     p = np.asarray(profit, dtype=float)
     if p.ndim != ndim or p.shape[-2] != p.shape[-1]:
         raise ValueError("profit matrix must be square")
     if not np.isfinite(p).all():
-        raise ValueError("profit entries must be finite")
+        at = tuple(int(x) for x in np.argwhere(~np.isfinite(p))[0])
+        raise ValueError(f"profit entries must be finite, got entry {at} = {p[at]}")
     return p
 
 
@@ -285,16 +281,16 @@ def solve_pairs(kset, i, j):
     """``solve_pairwise(kset.get(i[p], j[p])).perm`` for the pairs of the
     index arrays ``i`` and ``j``, as one (P, n) array, equal bit for bit.
 
-    Pairs are taken in batches of STACK_ENTRIES profit entries. In each,
-    pairs whose K is dense are power-iterated in stacks of STACK_ENTRIES
-    entries, each built by ``dense_stack``, and CSR pairs one by one; the
-    batch's score grids are then discretized by one ``stacked_hungarian``
-    call.
+    Pairs are taken in batches of ``core.STACK_ENTRIES`` profit entries.
+    In each, pairs whose K is dense are power-iterated in stacks of that
+    many entries, each built by ``dense_stack``, and CSR pairs one by one;
+    the batch's score grids are then discretized by one
+    ``stacked_hungarian`` call.
     """
     n = kset.n
     out = np.empty((len(i), n), dtype=np.int64)
-    batch = max(1, STACK_ENTRIES // n ** 2)
-    step = max(1, STACK_ENTRIES // n ** 4)
+    batch = max(1, core.STACK_ENTRIES // n ** 2)
+    step = max(1, core.STACK_ENTRIES // n ** 4)
     for s in range(0, len(i), batch):
         ci, cj = i[s:s + batch], j[s:s + batch]
         vecs = np.empty((len(ci), n * n))

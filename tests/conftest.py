@@ -285,13 +285,13 @@ def commuted_node_affinity_all(cfg, kset):
 
 
 def builder_affinity_sets(seed):
-    """Affinity sets from both builders, at n <= 12 (whose pair matrices
-    are dense) and n = 14: Gaussian edge affinities on random graphs
-    (K 30-50% full at n = 14, so dense or CSR pair by pair) and
-    length+angle affinities on point sets with outliers (Delaunay K
-    11-13% full at n = 14, so CSR)."""
+    """Affinity sets from both builders: Gaussian edge affinities on random
+    graphs at n = 8 and 14 and length+angle affinities on point sets with
+    outliers at n = 10 and 17. K is dense at n <= 16, where the solver
+    stacks two of them, and CSR below 1/3 full above: Delaunay K is 7-10%
+    full at n = 17."""
     sets = []
-    for inliers, (pt_inliers, pt_outliers) in ((8, (6, 4)), (14, (9, 5))):
+    for inliers, (pt_inliers, pt_outliers) in ((8, (6, 4)), (14, (12, 5))):
         graphs = gen_random_graphs(SynthParams(n_graphs=4, inliers=inliers, deform=0.1,
                                                density=0.7, seed=seed))
         points = gen_random_points(SynthParams(n_graphs=4, inliers=pt_inliers,
@@ -333,7 +333,7 @@ def random_config(rng, n_graphs, n_nodes):
 def random_affinity(rng, n, density=0.6):
     """Random symmetric non-negative affinity matrix with zero diagonal,
     a fraction 1 - (1 - density)^2 full; dense or CSR as the library's fill
-    rule picks (dense for n <= 12, and above when at least a third full)."""
+    rule picks (dense for n <= 16, and above when at least a third full)."""
     m = rng.uniform(size=(n * n, n * n)) * (rng.uniform(size=(n * n, n * n)) < density)
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, 0.0)

@@ -4,8 +4,9 @@ Property coverage:
 - dense_stack equals the full broadcast of the edge kernel byte for byte,
   at n = 1-3, on padded sets and in both orientations
 - kernel-block scores equal the quadratic form of get(i, j): bit for bit
-  at n <= 12, to 1e-12 above (dense or CSR K), masked and
-  unmasked, in both orientations, per pair and as one all-pair batch
+  where K is dense whatever its fill (n <= 16), to 1e-12 above (CSR K),
+  masked and unmasked, in both orientations, per pair and as one
+  all-pair batch
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, and chunking bounds their memory
 - (P, A, n) candidates score bit for bit as their (P A, 1, n)
@@ -61,7 +62,7 @@ def _reference(kset, i, j, perms, keep=None):
 
 
 def _assert_scores(got, fast, naive, n):
-    if n <= core.DENSE_NODE_LIMIT:
+    if core.dense_by_fill(n, 0):
         assert np.array_equal(got, fast)
     else:
         np.testing.assert_allclose(got, fast, rtol=1e-12)
@@ -83,7 +84,7 @@ def test_dense_stack_equals_full_broadcast():
                                              seed=4))[0] for k in (3, 0, 2, 1)]
     sets.append(build_affinity_set([GraphInstance(g.adjacency, g.inlier_count, g.truth)
                                     for g in unequal], 0.05))
-    assert [kset.n for kset in sets] == [1, 2, 3, 3, 8, 10, 14, 14, 8]
+    assert [kset.n for kset in sets] == [1, 2, 3, 3, 8, 10, 14, 17, 8]
     for kset in sets:
         iu, ju = np.triu_indices(kset.N, 1)
         for i, j in ((iu, ju), (ju, iu)):
@@ -95,7 +96,8 @@ def test_dense_stack_equals_full_broadcast():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_scores_equal_explicit_quadratic_form(seed):
     # gauss on random graphs and len_angle on point sets with outliers, at
-    # n <= 12 and n > 12; i < j and i > j; with and without a row mask
+    # n <= 16 (dense K) and n = 17 (CSR K); i < j and i > j; with and
+    # without a row mask
     rng = np.random.default_rng(seed)
     for kset in builder_affinity_sets(seed):
         n = kset.n
@@ -181,7 +183,7 @@ def test_kernel_sums_equal_full_block_reference(kind, n, rows_kind, axis, pairs,
 
 @pytest.mark.parametrize("kind, density", [("gauss", 0.0), ("gauss", 0.5), ("gauss", 0.9),
                                            ("gauss", 1.0), ("len_angle", None)])
-@pytest.mark.parametrize("n", [8, 14])
+@pytest.mark.parametrize("n", [8, 14, 17])
 def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
     # exp(NaN) turned into +0.0 by fmax gives the bytes of exp(-inf), with
     # no floating-point flag raised (inf - inf would raise "invalid")
@@ -204,8 +206,8 @@ def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
                 got = kset.kernel_sums(i, j, perms, r, axis)
                 assert got.tobytes() == reference_kernel_sums(kset, i, j, perms, r, axis,
                                                               reference_kernel).tobytes()
-    # the CSR branch of get is taken at n = 14 below 1/3 fill
-    assert (csr > 0) == (n == 14 and density in (None, 0.0, 0.5))
+    # the CSR branch of get is taken at n = 17 below 1/3 fill
+    assert (csr > 0) == (n == 17 and density in (None, 0.0, 0.5))
 
 
 def test_swapped_orientation_is_index_swap():
@@ -218,8 +220,7 @@ def test_swapped_orientation_is_index_swap():
             assert np.array_equal(k_ij[np.ix_(sigma, sigma)], k_ji)
             assert np.array_equal(k_ij, k_ij.T)
             stored = np.count_nonzero(k_ij)
-            assert kset.get(i, j).is_sparse == (
-                n > core.DENSE_NODE_LIMIT and 3 * stored < n ** 4)
+            assert kset.get(i, j).is_sparse == (not core.dense_by_fill(n, stored))
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):
@@ -241,9 +242,9 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_flattened_candidates_score_bit_for_bit(seed):
-    # gauss and len_angle at n = 8 and n = 14; a sweep scores its stale
-    # candidates one per row, (D, 1, n), and caches the sums next to
-    # those scored many per pair
+    # gauss at n = 8 and 14 and len_angle at n = 10 and 17; a sweep
+    # scores its stale candidates one per row, (D, 1, n), and caches the
+    # sums next to those scored many per pair
     rng = np.random.default_rng(seed)
     for kset in builder_affinity_sets(seed):
         n, pairs, count = kset.n, 6, 5

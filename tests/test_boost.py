@@ -275,10 +275,10 @@ class TestPairBest2nd:
         best = max(val for _, val in scored)
         return scored, next(cand for cand, val in scored if val == best)
 
-    # K is dense at n = 4, and at n = 13 and 17 when 84% full; CSR when 10%
-    # full; n = 17 keys candidates by two words
-    @pytest.mark.parametrize(("n", "density"), [(4, 0.6), (13, 0.6), (13, 0.05), (17, 0.6)],
-                             ids=["4-dense", "13-sparse", "13-csr", "17-dense"])
+    # K is dense at n = 4 and 13, and at n = 17 when 84% full; CSR at
+    # n = 17 when 10% full; n = 17 keys candidates by two words
+    @pytest.mark.parametrize(("n", "density"), [(4, 0.6), (13, 0.6), (17, 0.05), (17, 0.6)],
+                             ids=["4-dense", "13-sparse", "17-csr", "17-dense"])
     @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
     def test_matches_exhaustive_enumeration(self, n, density, sample_rate):
         for seed in range(3):

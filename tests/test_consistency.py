@@ -363,7 +363,7 @@ class TestNodeAffinity:
     def test_stored_orientation_equals_commuted(self, seed, monkeypatch):
         # node affinities in both orientations equal, bit for bit, the row
         # sums of the explicit matrices get(k, i), the commuted one for
-        # k > i, dense (n <= 12) or CSR; and ranking the nodes builds no
+        # k > i, dense (n <= 16) or CSR; and ranking the nodes builds no
         # pair matrix at all
         rng = np.random.default_rng(seed)
         ksets = builder_affinity_sets(seed) + [random_kset(rng, 4, n) for n in (5, 13)]
@@ -619,7 +619,7 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "node_affinity", "check_node_index", "compose", "normalized_score",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
                  "quad_form", "shape", "SolverOptions", "best_anchor", "EVAL_KINDS",
-                 "kernel_blocks")
+                 "kernel_blocks", "DENSE_NODE_LIMIT")
 
 
 def test_public_names():

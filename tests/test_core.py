@@ -2,9 +2,12 @@
 
 Property coverage:
 - compose associativity and tree-path closure (enumerated, N <= 5, n <= 4)
-- gather score == dense vec quadratic form (1e-9; dense K at n <= 6 and
-  at n = 13 with fill 0.84, CSR at n = 13 with fill 0.10)
+- gather score == dense vec quadratic form (1e-9; dense K at n <= 6, at
+  n = 13 at fills 0.84 and 0.10 and at n = 17 with fill 0.84, CSR at
+  n = 17 with fill 0.10)
 - score invariance under simultaneous consistent relabeling (n <= 4)
+- K is dense at any fill while a solver stack holds two of them (n <= 16
+  at 2^17 entries, n <= 19 at 2^18), and above only from a third full
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mgmboost.core as core
 from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate, MatchConfig, Permutation,
                       ScoreNormalizer, SynthParams, affinity_score, solve_pairwise)
 from mgmboost.core import check_count
@@ -158,19 +162,19 @@ class TestAffinityScore:
         with pytest.raises(ValueError, match="1-D index vector"):
             affinity_score(bad, random_affinity(rng, 3))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13, 17])
     def test_gather_matches_dense_quadratic_form(self, n, rng):
-        # row-gather vs the dense vec reference: dense K for n <= 12 and
-        # for the 84% full K at n = 13, CSR for the 10% full one at n = 13
+        # row-gather vs the dense vec reference: dense K for n <= 16 and
+        # for the 84% full K at n = 17, CSR for the 10% full one at n = 17
         low_fill = np.random.default_rng(n)
         for _ in range(5):
             k = random_affinity(rng, n)
-            assert k.is_sparse == (n > 12 and 3 * np.count_nonzero(k.dense()) < n ** 4)
+            assert not k.is_sparse
             x = Permutation.random(n, rng)
             ref = naive_quad_form(x.matrix, k.dense())
             assert affinity_score(x, k) == pytest.approx(ref, rel=1e-9)
             k = random_affinity(low_fill, n, density=0.05)
-            assert k.is_sparse == (n > 12)
+            assert k.is_sparse == (n > 16)
             ref = naive_quad_form(x.matrix, k.dense())
             assert affinity_score(x, k) == pytest.approx(ref, rel=1e-9)
 
@@ -206,11 +210,11 @@ class TestAffinityScore:
         with pytest.raises(ValueError, match=re.escape("must not be empty, got shape (0, 0)")):
             AffinityMatrix(np.zeros((0, 0)))
 
-    @pytest.mark.parametrize("n", [2, 13])
+    @pytest.mark.parametrize("n", [2, 17])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_naming_entry(self, value, n):
         # a symmetric pair, so neither the symmetry nor the sign check
-        # can be what rejects it; K is dense at n = 2 and CSR at n = 13
+        # can be what rejects it; K is dense at n = 2 and CSR at n = 17
         m = np.eye(n * n)
         m[1, 3] = m[3, 1] = value
         named = re.escape(f"affinity entry (1, 3) = {value} is not finite")
@@ -218,6 +222,17 @@ class TestAffinityScore:
             AffinityMatrix(m)
         with pytest.raises(ValueError, match=named):
             solve_pairwise(m)
+
+    @pytest.mark.parametrize(("entries", "largest"), [(1 << 17, 16), (1 << 18, 19)])
+    def test_dense_below_fill_while_a_stack_holds_two(self, entries, largest, monkeypatch):
+        # K is dense at any fill up to the largest n whose K a solver stack
+        # of STACK_ENTRIES holds twice; above it, only from a third full
+        monkeypatch.setattr(core, "STACK_ENTRIES", entries)
+        for n, dense in ((largest, True), (largest + 1, False)):
+            for nnz in (0, (n ** 4 - 1) // 3):
+                assert core.dense_by_fill(n, nnz) is dense
+            assert core.dense_by_fill(n, -(-n ** 4 // 3))
+            assert AffinityMatrix(np.eye(n * n)).is_sparse is not dense
 
 
 class TestNormalizedScore:

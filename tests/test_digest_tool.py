@@ -2,9 +2,12 @@
 line on every run, so a difference between two source trees is a
 difference in their outputs (third field) or in the kernel sums they
 computed (fourth), and a kernel case's line moves with any bit of the
-edge kernel (second field)."""
+edge kernel (second field). ``--against REV`` finds no difference
+between a tree and itself, and names each case a changed tree moves."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +44,8 @@ def test_two_cases_print_the_same_lines_twice(capsys):
 def test_every_case_name_is_distinct_and_unknown_ones_rejected(capsys):
     module = _load()
     names = list(module.case_names())
-    assert len(names) == len(set(names)) == 1530
-    assert sum(name.startswith("kernel/") for name in names) == 18
+    assert len(names) == len(set(names)) == 1785
+    assert sum(name.startswith("kernel/") for name in names) == 21
     assert set(CASES) <= set(names)
     with pytest.raises(SystemExit) as exc:
         module.main(["graphs_N8_n6/seed=9"])
@@ -76,3 +79,40 @@ def test_kernel_case_moves_with_one_bit_of_the_kernel(monkeypatch):
     monkeypatch.setattr(AffinitySet, "_kernel",
                         lambda self, own, other: np.nextafter(kernel(self, own, other), 2.0))
     assert _load().digest_line(case) != lines[0]
+
+
+# appended to the second commit's package: every kernel value one ulp up
+NUDGE = """
+import numpy as _np
+from .core import AffinitySet as _AffinitySet
+_kernel = _AffinitySet._kernel
+_AffinitySet._kernel = lambda self, own, other: _np.nextafter(_kernel(self, own, other), 2.0)
+"""
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_against_a_revision_names_each_differing_case(tmp_path, capsys):
+    # a repository whose first commit holds this tree's src/ and whose
+    # second nudges the edge kernel
+    shutil.copytree(SCRIPT.parents[1] / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=digest", "-c",
+           "user.email=digest@localhost", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "src"], check=True)
+    subprocess.run(git + ["commit", "-qm", "tree"], check=True)
+    with open(tmp_path / "src" / "mgmboost" / "__init__.py", "a") as f:
+        f.write(NUDGE)
+    subprocess.run(git + ["commit", "-qam", "nudged"], check=True)
+    module = _load()
+    module.ROOT = tmp_path
+    kernel = "kernel/graphs_N8_n6/seed=1"
+    assert module.main(["--against", "HEAD~1", kernel, CASES[1]]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 2 cases differ from HEAD~1"]
+    assert module.main(["--against", "HEAD", kernel, CASES[1]]) == 1
+    # the scores move with the kernel; the route and the sums computed do not
+    assert capsys.readouterr().out.splitlines() == [f"{kernel}: kernel differ",
+                                                    f"{CASES[1]}: outputs differ",
+                                                    "2 of 2 cases differ from HEAD"]
+    with pytest.raises(SystemExit, match="git archive nosuchrev failed"):
+        module.main(["--against", "nosuchrev", kernel])

@@ -5,11 +5,13 @@ The digests pin the exact matchings, so any change to the numerics that
 alters one result fails here, even where every property test still
 holds. A change that alters an output on purpose updates the digest and
 says why. The cases cover every post-processing route, second-order
-search on CSR affinities and on dense ones with a subsampled anchor pool,
-consistency-only boosting over several sweep groups, and boosting on
-point sets elicited under both rankings. Further digests pin the
-generators' output over a small parameter grid, a ``len_angle`` point-set
-case whose pairs are all CSR, and one case's trace lists.
+search on dense affinities of high and low fill (the ``isb_2nd_csr``
+cases keep the names of the CSR K their n = 13 pairs had under a fixed
+n <= 12 dense bound) and with a subsampled anchor pool, consistency-only
+boosting over several sweep groups, and boosting on point sets elicited
+under both rankings. Further digests pin the generators' output over a
+small parameter grid, ``len_angle`` point-set cases whose pairs are all
+dense (n = 14) and all CSR (n = 17), and one case's trace lists.
 """
 
 import hashlib
@@ -136,19 +138,25 @@ def test_generator_output_digest():
     assert h.hexdigest() == GENERATOR_GOLDEN
 
 
-def test_len_angle_points_with_csr_pairs_digest():
-    # n = 14 Delaunay graphs: K is stored CSR for every pair
-    synth = SynthParams(n_graphs=5, inliers=11, outliers=3, deform=0.02, sigma2=0.05, seed=10)
-    params = BoostParams(mode="isb_gc", t_max=6, elicit=InlierEstimate(11, "consistency"))
+@pytest.mark.parametrize(("inliers", "dense", "digest"), [
+    (11, True, "ddd6e496fc995c9285a75152f117791c1a3db3537f377e0116d78ae42acd4e0e"),
+    (14, False, "58e78d552d791c8c8468674cdc0e4cc56d8c0596908562c83afcff46f3b6578c"),
+], ids=["n14-dense", "n17-csr"])
+def test_len_angle_points_digest(inliers, dense, digest):
+    # Delaunay graphs with 3 outliers: K is about 10% full, so dense for
+    # every pair at n = 14, where the solver stacks it, and CSR at n = 17.
+    # The n = 14 digest dates from when its pairs were CSR.
+    synth = SynthParams(n_graphs=5, inliers=inliers, outliers=3, deform=0.02, sigma2=0.05,
+                        seed=10)
+    params = BoostParams(mode="isb_gc", t_max=6, elicit=InlierEstimate(inliers, "consistency"))
     kset = build_affinity_set(gen_random_points(synth), synth.sigma2, kind="len_angle")
-    assert not any(kset.is_dense(i, j) for i, j in kset.pairs())
+    assert all(kset.is_dense(i, j) == dense for i, j in kset.pairs())
     cfg0 = init_config(kset, synth.coverage, synth.seed)
     boosted, _ = run_boost(cfg0, kset, replace(params, enforce_final_consistency=False))
     assert route(boosted, params.gamma) == "consistency_mst"
     final = enforce_full_consistency(boosted, kset, params.gamma)
     table = np.ascontiguousarray(final.perm_table(), dtype="<i8")
-    assert hashlib.sha256(table.tobytes()).hexdigest() == (
-        "ddd6e496fc995c9285a75152f117791c1a3db3537f377e0116d78ae42acd4e0e")
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest
 
 
 def test_trace_lists_digest():

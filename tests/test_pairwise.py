@@ -17,6 +17,7 @@ Property coverage:
 """
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -162,6 +163,14 @@ class TestStackedHungarian:
         profits[-1, 2, 1] = np.nan
         with pytest.raises(ValueError, match="profit entries must be finite"):
             stacked_hungarian(profits)
+        # the first non-finite entry in index order is named
+        profits[-1, 1, 2] = -np.inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"profit entries must be finite, got entry ({b - 1}, 1, 2) = -inf")):
+            stacked_hungarian(profits)
+        with pytest.raises(ValueError, match=re.escape(
+                "profit entries must be finite, got entry (1, 2) = -inf")):
+            hungarian(profits[-1])
 
 
 class TestPowerIteration:
@@ -172,8 +181,8 @@ class TestPowerIteration:
                 k = kset.get(i, j)
                 assert np.array_equal(power_iteration(k), reference_power_iteration(k))
 
-    # K is dense at n = 3 and CSR at n = 13
-    @pytest.mark.parametrize("n", [3, 13], ids=["dense", "sparse"])
+    # K is dense at n = 3 and CSR at n = 17
+    @pytest.mark.parametrize("n", [3, 17], ids=["dense", "sparse"])
     def test_zero_matrix_equals_norm_reference(self, n):
         k = AffinityMatrix(np.zeros((n * n, n * n)))
         assert np.array_equal(power_iteration(k), reference_power_iteration(k))
@@ -186,8 +195,9 @@ class TestPowerIteration:
             ref = reference_power_iteration(k)
         assert np.array_equal(got, ref)
 
-    # K is dense at n = 3, and at n = 13 when 84% full; CSR when 10% full
-    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (13, 0.05)],
+    # K is dense at n = 3 and 13, and at n = 17 when 84% full; CSR at
+    # n = 17 when 10% full
+    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (17, 0.05)],
                              ids=["dense", "sparse", "csr"])
     def test_raw_matrix_equals_affinity_matrix(self, n, density, rng):
         k = random_affinity(rng, n, density)
@@ -321,8 +331,9 @@ class TestSolvePairwise:
     def test_zero_affinity_returns_identity(self):
         assert solve_pairwise(AffinityMatrix(np.zeros((16, 16)))) == Permutation.identity(4)
 
-    # K is dense at n = 3, and at n = 13 when 84% full; CSR when 10% full
-    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (13, 0.05)],
+    # K is dense at n = 3 and 13, and at n = 17 when 84% full; CSR at
+    # n = 17 when 10% full
+    @pytest.mark.parametrize(("n", "density"), [(3, 0.6), (13, 0.6), (17, 0.05)],
                              ids=["dense", "sparse", "csr"])
     def test_raw_matrix_equals_affinity_matrix(self, n, density, rng):
         k = random_affinity(rng, n, density)

@@ -4,7 +4,7 @@ Property coverage:
 - generators are pure functions of their params (bit-reproducible)
 - truth o truth^T = I and accuracy(truth, truth) = 1
 - Gaussian affinity symmetric and index-convention-correct vs a naive
-  quadruple-loop builder (n <= 5, dense and CSR at n = 13)
+  quadruple-loop builder (n <= 5 and 13, dense, and n = 17, CSR)
 - the batched init_config equals the per-pair solver bit for bit: dense
   and CSR K, coverage < 1, a partial last stack, all-zero K; its peak
   memory does not grow with the pair count
@@ -31,7 +31,7 @@ from mgmboost import (GraphInstance, Permutation, SynthParams, accuracy,
                       inlier_rows_from_instances, load_instances,
                       load_pointset, save_instances, solve_pairwise,
                       truth_config)
-from mgmboost import pairwise
+from mgmboost import core
 from mgmboost.cli import main as cli_main
 from mgmboost.synthgen import delaunay_edges
 
@@ -179,12 +179,11 @@ class TestGaussAffinity:
         # edge (0,1) vs present (1,2) of graph 2 -> exp(0) = 1
         assert k[1 * 3 + 0, 2 * 3 + 1] == 1.0
 
-    # K is dense at n <= 5; at n = 13 it is 33-44% full on graphs of edge
-    # density 0.7, so dense or CSR by the drawn graphs, and about 8% full,
-    # so CSR, at edge density 0.3
+    # K is dense at n <= 16; at n = 17 it is about 8% full, so CSR, on
+    # graphs of edge density 0.3
     @pytest.mark.parametrize(("n", "density"),
-                             [(3, 0.7), (4, 0.7), (5, 0.7), (13, 0.7), (13, 0.3)],
-                             ids=["3", "4", "5", "13", "13-csr"])
+                             [(3, 0.7), (4, 0.7), (5, 0.7), (13, 0.7), (17, 0.3)],
+                             ids=["3", "4", "5", "13", "17-csr"])
     def test_matches_quadruple_loop_and_symmetric(self, n, density, rng):
         p = SynthParams(n_graphs=2, inliers=n, deform=0.2, density=density,
                         sigma2=0.1, seed=int(rng.integers(1 << 30)))
@@ -447,16 +446,16 @@ class TestBatchedInitConfig:
         (lambda: _graph_set(6, 8, 0.9, 1), True),
         (lambda: _graph_set(5, 13, 0.9, 2), True),
         (lambda: _graph_set(4, 16, 0.9, 3), True),
-        (lambda: _len_angle_set(5, 14, 4), False),
+        (lambda: _len_angle_set(5, 17, 4), False),
         (lambda: _edgeless_set(5), True),
         # 66 pairs: at full coverage they are discretized in lockstep
         (lambda: _graph_set(12, 8, 0.9, 7), True),
-        (lambda: _len_angle_set(12, 14, 8), False),
+        (lambda: _len_angle_set(12, 17, 8), False),
         # 120 pairs: at coverage 0.5, 60 rows solved in lockstep land in one
         # table beside 60 random rows
         (lambda: _graph_set(16, 8, 0.9, 9), True),
-    ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-14", "edgeless",
-            "gauss-8-N12", "len_angle-14-N12", "gauss-8-N16"])
+    ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-17", "edgeless",
+            "gauss-8-N12", "len_angle-17-N12", "gauss-8-N16"])
     @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
     def test_equals_per_pair_solver(self, make, dense, coverage):
         kset = make()
@@ -473,13 +472,13 @@ class TestBatchedInitConfig:
     def test_partial_last_stack(self, monkeypatch):
         # 15 pairs in stacks of 4: the last stack holds 3
         kset = _graph_set(6, 8, 0.9, 5)
-        monkeypatch.setattr(pairwise, "STACK_ENTRIES", 4 * 8 ** 4)
+        monkeypatch.setattr(core, "STACK_ENTRIES", 4 * 8 ** 4)
         assert len(kset.pairs()) % 4 == 3
         assert init_config(kset, 1.0, 0) == init_config(kset, 1.0, 0, solve_pairwise)
 
     def test_peak_memory_does_not_grow_with_pairs(self):
         # at n = 16 one K is half a stack; 28 vs 120 pairs
-        bound = 3 * 8 * pairwise.STACK_ENTRIES
+        bound = 3 * 8 * core.STACK_ENTRIES
         for n_graphs in (8, 16):
             kset = _graph_set(n_graphs, 16, 0.9, 6)
             tracemalloc.start()
@@ -768,11 +767,11 @@ SCIPY_PATHS = {
                         "consistency_mst", []),
     "spectral": (_gauss_run(6, 4, "init_config(kset, 0.5, 0)", 1e-6), "spectral", []),
     "csr_affinity": ("import numpy as np\nfrom mgmboost import AffinityMatrix\n"
-                     "k = np.zeros((169, 169))\nk[0, 1] = k[1, 0] = 1.0\n"
+                     "k = np.zeros((289, 289))\nk[0, 1] = k[1, 0] = 1.0\n"
                      "print(AffinityMatrix(k).is_sparse)", "True", ["scipy.sparse"]),
     # Delaunay itself loads scipy.sparse and scipy.linalg
     "len_angle_csr": ("from mgmboost import SynthParams, build_affinity_set, gen_random_points\n"
-                      "p = SynthParams(n_graphs=3, inliers=14, seed=4)\n"
+                      "p = SynthParams(n_graphs=3, inliers=17, seed=4)\n"
                       "kset = build_affinity_set(gen_random_points(p), p.sigma2, 'len_angle')\n"
                       "print(kset.get(0, 1).is_sparse)", "True",
                       ["scipy.spatial", "scipy.sparse", "scipy.linalg"]),

@@ -14,12 +14,12 @@ branch the boosted configuration takes. The two sha256 digests cover:
 Wall times are left out.
 
 The matrix crosses every mode, eliciting none, by consistency and by
-affinity, and sample rates 1 and 0.6, on three seeds of six instance
+affinity, and sample rates 1 and 0.6, on three seeds of seven instance
 sets: random graphs with N > n, with N much larger than n (24 and 5),
 with N <= n and without deformation, and point sets under the ``gauss``
-kernel and under ``len_angle`` with n = 14, whose pairs are CSR. Each
-boosted configuration is post-processed at two thresholds, so every
-route is taken somewhere.
+kernel and under ``len_angle`` with n = 14, whose pairs are dense, and
+n = 17, whose pairs are CSR. Each boosted configuration is post-processed
+at two thresholds, so every route is taken somewhere.
 
 After the runs, one line ``kernel/<set>/seed=<s> <kernel>`` per instance
 set and seed digests the edge kernel itself: ``dense_stack`` of every
@@ -29,16 +29,17 @@ initial table's first-order candidates X_ik X_kj and of fixed random
 candidates, each with all rows and with fixed kept rows, as scores and as
 row sums.
 
-A change that must keep outputs bit-identical is checked by running the
-script against both source trees and comparing the lines::
+A change that must keep outputs bit-identical is checked against the
+source tree of a git revision::
 
-    mkdir parent && git archive HEAD~1 | tar -x -C parent
-    PYTHONPATH=parent/src python tools/digest.py > parent.txt
-    PYTHONPATH=src python tools/digest.py > change.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python tools/digest.py --against HEAD~1
 
-A change that moves only the number of sums computed compares the first
-three fields instead, ``cut -d' ' -f1-3`` of each file.
+This extracts the revision's ``src/`` with ``git archive`` into a
+temporary directory, runs the same cases on it in a subprocess while
+running them here, and prints each case whose line differs, with the
+fields that differ (a change that moves only the number of sums computed
+differs in ``scored`` alone), then a count. It exits 1 if any case
+differs.
 
 Name cases on the command line to run only those. The script reports on
 stderr which ``mgmboost`` it imported and how many lines it printed.
@@ -48,10 +49,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -82,11 +89,16 @@ SETS = {
     "len_angle_N5_n14": (gen_random_points, SynthParams(n_graphs=5, inliers=11, outliers=3,
                                                         deform=0.02, sigma2=SIGMA2, seed=5),
                          "len_angle"),
+    "len_angle_N5_n17": (gen_random_points, SynthParams(n_graphs=5, inliers=14, outliers=3,
+                                                        deform=0.02, sigma2=SIGMA2, seed=5),
+                         "len_angle"),
 }
 SEEDS = (1, 2, 3)
 ELICIT = ("none", "consistency", "affinity")
 SAMPLE_RATES = (1.0, 0.6)
 GAMMAS = (0.3, 0.95)
+ROOT = Path(__file__).resolve().parents[1]
+FIELDS = ("route", "outputs", "scored")
 
 
 def _sha(h, array, dtype):
@@ -186,18 +198,61 @@ def digest_line(name):
     return f"{name} {route(cfg, gamma)} {h.hexdigest()} {scored}"
 
 
+def against(rev, cases):
+    """Run ``cases`` (all when empty) here and, in a subprocess at the same
+    time, on the ``src/`` of git revision ``rev`` of the repository at
+    ROOT; print each case whose line differs, with the fields that differ,
+    and a count. Returns the count."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    names = cases or list(case_names())
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        src, out, err = (os.path.join(tmp, name) for name in ("src", "out", "err"))
+        # files, not pipes: the child never waits for this process to read
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            run = subprocess.Popen([sys.executable, __file__, *cases], stdout=stdout,
+                                   stderr=stderr, env={**os.environ, "PYTHONPATH": src})
+            try:
+                here = [digest_line(name) for name in names]
+            finally:
+                run.wait()
+        there, log = Path(out).read_text().splitlines(), Path(err).read_text()
+    if run.returncode or len(there) != len(names) or not log.startswith(f"mgmboost from {src}"):
+        raise SystemExit(f"the digest of {rev} failed:\n{log}")
+    differ = 0
+    for name, a, b in zip(names, there, here):
+        fields = ("kernel",) if name.startswith("kernel/") else FIELDS
+        moved = [f for f, x, y in zip(fields, a.split()[1:], b.split()[1:]) if x != y]
+        if moved:
+            differ += 1
+            print(f"{name}: {', '.join(moved)} differ", flush=True)
+    print(f"{differ} of {len(names)} cases differ from {rev}")
+    return differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cases", nargs="*", help="case names to run (default: all)")
-    names = parser.parse_args(argv).cases or list(case_names())
+    parser.add_argument("--against", metavar="REV",
+                        help="compare each case with its line on the src/ of git revision "
+                             "REV; exit 1 if any differs")
+    args = parser.parse_args(argv)
+    names = args.cases or list(case_names())
     unknown = sorted(set(names) - set(case_names()))
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}")
     print(f"mgmboost from {mgmboost.__file__}", file=sys.stderr)
+    if args.against:
+        return int(against(args.against, args.cases) > 0)
     for name in names:
         print(digest_line(name), flush=True)
     print(f"{len(names)} lines", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
