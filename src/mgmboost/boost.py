@@ -172,12 +172,12 @@ class _SweepState:
             self.pools = _anchor_pools(cfg.N, self.sample_rate, self.rng)
 
     def kernel_sums(self, ii, jj, cands):
-        """Raw kernel sums of the (P, A, n) candidates of the pairs (ii[p],
-        jj[p]), ii < jj, as a (P, A) array; when eliciting, only the rows
-        kept for the row graph count."""
-        self.scored += cands.shape[0] * cands.shape[1]
+        """Raw kernel sums of the (S, n) candidates, row s one of the pair
+        (ii[s], jj[s]), ii < jj, as an (S,) array; when eliciting, only the
+        rows kept for the row graph count."""
+        self.scored += len(cands)
         rows = None if self.kept_rows is None else self.kept_rows[ii]
-        return self.kset.kernel_sums(ii, jj, cands, rows)
+        return self.kset._kernel_sums(ii, jj, cands, rows)
 
     def first_order_sums(self, pairs, cands):
         """``kernel_sums`` of the candidates X_ik X_kj, k = pools[p, a], of
@@ -188,8 +188,8 @@ class _SweepState:
         if pos.size:
             fresh = at.take(pos)
             pair = fresh // self.cfg.N
-            self.sums.put(fresh, self.kernel_sums(
-                self.ii[pair], self.jj[pair], cands.reshape(-1, 1, cands.shape[2])[pos]))
+            self.sums.put(fresh, self.kernel_sums(self.ii[pair], self.jj[pair],
+                                                  cands.reshape(-1, cands.shape[2])[pos]))
             self.stale.put(fresh, False)
         return self.sums.take(at)
 
@@ -210,7 +210,7 @@ class _SweepState:
         out[:, :sums.shape[1]] = sums
         pair, at = np.nonzero(lead & (order >= sums.shape[1]))
         fresh = order[pair, at]
-        out[pair, fresh] = self.kernel_sums(ii[pair], jj[pair], cands[pair, fresh][:, None])[:, 0]
+        out[pair, fresh] = self.kernel_sums(ii[pair], jj[pair], cands[pair, fresh])
         head = np.where(lead, np.arange(cands.shape[1]), 0)
         np.maximum.accumulate(head, axis=1, out=head)    # sorted position of each group's first
         leader = np.take_along_axis(order, head, axis=1)

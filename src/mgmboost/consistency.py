@@ -180,7 +180,7 @@ def node_affinity_all(cfg, kset):
     """
     check_same_shape(cfg, kset)
     k, i = np.nonzero(~np.eye(cfg.N, dtype=bool))     # row-major, i != k
-    rows = kset.kernel_sums(k, i, cfg.perm_table()[k, i][:, None], axis=3)
+    rows = kset._kernel_sums(k, i, cfg.perm_table()[k, i], axis=2)
     return np.add.accumulate(rows.reshape(cfg.N, cfg.N - 1, cfg.n), axis=1)[:, -1]
 
 

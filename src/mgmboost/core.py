@@ -307,11 +307,11 @@ class AffinitySet:
     where edge (u, v) exists in graph i and edge (a, b) in graph j, and 0
     elsewhere, the diagonal included. A matching p of the pair therefore
     touches only the n x n block B[u, v] = K[p(u)*n + u, p(v)*n + v],
-    which ``kernel_sums`` computes from a_c[i] and the gathered
+    which ``_kernel_sums`` computes from a_c[i] and the gathered
     a_c[j][p][:, p] and sums: its sum is the score vec(X)^T K vec(X) and
     its row sums are node affinities (Zhou & De la Torre, "Factorized Graph
     Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
-    solver and ``dense_stack`` many pairs' at once, evaluating the kernel
+    solver and ``_dense_stack`` many pairs' at once, evaluating the kernel
     once per distinct entry; neither keeps it.
 
     The constructor rejects a mask edge (u, u) or one without its mirror
@@ -398,14 +398,14 @@ class AffinitySet:
                 out += k
         return out
 
-    def is_dense(self, i, j):
+    def _is_dense(self, i, j):
         """Whether the pair's K is held dense: ``dense_by_fill`` on its
         |E_i| * |E_j| stored entries."""
         return dense_by_fill(self.n, self._edges[i] * self._edges[j])
 
     @cached_property
     def _dense_index(self):
-        """The m + 1 flat attribute indices ``dense_stack`` gathers per
+        """The m + 1 flat attribute indices ``_dense_stack`` gathers per
         graph, at the slots of ``slot_map(n)``, and the (n^2, n^2) map of
         K[a*n + u, b*n + v] to s(a, b) * (m + 1) + s(u, v)."""
         n = self.n
@@ -413,7 +413,7 @@ class AffinitySet:
         index = slot[:, None, :, None] * su.size + slot[None, :, None, :]   # [a, u, b, v]
         return su * n + sv, index.reshape(n * n, n * n)
 
-    def dense_stack(self, i, j):
+    def _dense_stack(self, i, j):
         """K of the pairs (i[b], j[b]) as one (B, n^2, n^2) array, with
         graph i[b] as the row graph. Both attributes are symmetric, so
         K[a*n + u, b*n + v] depends only on {u, v} and {a, b}, and every
@@ -429,15 +429,15 @@ class AffinitySet:
 
     def get(self, i, j):
         """K of the pair (i, j) with graph i as the row graph, dense or CSR
-        as ``is_dense`` picks; CSR is built from the edge lists of both
+        as ``_is_dense`` picks; CSR is built from the edge lists of both
         graphs. Built on every call and kept nowhere."""
         check_graph_index(i, self.N)
         check_graph_index(j, self.N)
         if i == j:
             raise ValueError("affinity is defined between distinct graphs")
         n, size = self.n, self.n * self.n
-        if self.is_dense(i, j):
-            return AffinityMatrix._wrap(n, self.dense_stack([i], [j])[0])
+        if self._is_dense(i, j):
+            return AffinityMatrix._wrap(n, self._dense_stack([i], [j])[0])
         # a graph's edges are where its attributes are finite
         ei, ej = (np.flatnonzero(np.isfinite(self._attrs[0][g])) for g in (i, j))
         vals = self._kernel(i * size + ei, (j * size + ej)[:, None]).ravel()
@@ -448,60 +448,56 @@ class AffinitySet:
         k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
         return AffinityMatrix._wrap(n, k)
 
-    def kernel_sums(self, i, j, perms, rows=None, axis=(2, 3)):
+    def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
         """Sums of candidate matchings' kernel blocks over ``axis``.
 
-        ``perms`` is a (P, A, n) stack of index vectors: A candidates for
-        each of P pairs (i[p], j[p]), where ``i`` and ``j`` are length-P
-        arrays of graph indices (or single indices). ``rows`` selects the
-        kept rows of each pair's row graph, ascending: all of them by
-        default, one (m,) index vector for every pair, or a (P, m) array.
-        Block entry [p, a, u, v] is the K entry linking rows r[u] and r[v]
-        of the candidate. The default ``axis`` gives each candidate's
-        score, a (P, A) array; ``axis=3`` its per-row node affinities, a
-        (P, A, m) array.
+        Row s of the (S, n) index array ``perms`` is a candidate matching
+        of the pair (i[s], j[s]), graph i[s] the row graph, for (S,) graph
+        index arrays ``i`` and ``j``. ``rows``, when given, is an (S, m)
+        array of the kept rows of each row graph, ascending; all n are
+        kept by default. Block entry [s, u, v] is the K entry linking rows
+        r[u] and r[v] of the candidate. The default ``axis`` gives each
+        candidate's score, an (S,) array; ``axis=2`` its per-row node
+        affinities, an (S, m) array. Nothing is checked: only the library
+        calls this, with graph indices i != j and permutations.
 
         Both attributes are symmetric and a block's diagonal lies off the
         edges, so the kernel runs only at the slots of ``slot_map(m)``,
         the pairs u < v and one diagonal entry, and one ``take`` expands
         them into the (m, m) block that is summed; its entries equal those
         of the kernel at all m^2 entries bit for bit. Blocks are built and
-        summed in pair order, at most BLOCK_CHUNK_ENTRIES entries (or one
-        pair's) at a time. A candidate's sum depends only on its own
-        block, so it is the same bit for bit in any batch: (P, A, n)
-        candidates give the sums of their (P A, 1, n) flattening.
+        summed in order, at most BLOCK_CHUNK_ENTRIES entries (or one
+        block's) at a time. A row's sum depends only on its own block, so
+        it is the same bit for bit in any batch.
         """
         n = self.n
-        perms = np.asarray(perms, dtype=np.int64)
-        pairs, count = perms.shape[:2]
-        # np.full broadcasts single indices and shared rows to every pair
-        own_graph = np.full((pairs, 1), np.reshape(i, (-1, 1)) * (n * n), dtype=np.int64)
-        other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n),
-                              dtype=np.int64)
+        own_graph, other_graph = i[:, None] * (n * n), j[:, None] * (n * n)
         if rows is None:
             kept, picked = n, perms
         else:
-            r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
-            kept, picked = r.shape[1], np.take_along_axis(perms, r[:, None, :], axis=2)
+            kept, picked = rows.shape[1], np.take_along_axis(perms, rows, axis=1)
         su, sv, expand = slot_map(kept)
-        step = max(1, BLOCK_CHUNK_ENTRIES // max(1, count * kept ** 2))
+        step = max(1, BLOCK_CHUNK_ENTRIES // max(1, kept ** 2))
         sums = []
-        for s in range(0, pairs, step):
+        for s in range(0, len(perms), step):
             if rows is None:
                 own_flat = own_graph[s:s + step] + (su * n + sv)
             else:
-                rs = r[s:s + step]
+                rs = rows[s:s + step]
                 own_flat = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
             ps = picked[s:s + step]
-            other_flat = other_graph[s:s + step] + ps[..., su] * n + ps[..., sv]
-            vals = self._kernel(own_flat[:, None], other_flat)
-            sums.append(vals.take(expand, axis=2).sum(axis=axis))
-        return np.concatenate(sums) if sums else np.zeros((0, count, kept, kept)).sum(axis=axis)
+            other_flat = other_graph[s:s + step] + ps[:, su] * n + ps[:, sv]
+            vals = self._kernel(own_flat, other_flat)
+            sums.append(vals.take(expand, axis=1).sum(axis=axis))
+        return np.concatenate(sums) if sums else np.zeros((0, kept, kept)).sum(axis=axis)
 
 
 def check_same_shape(cfg, kset):
-    """Raise ValueError unless a configuration and an affinity set have
-    the same graph count N and node count n."""
+    """Raise TypeError unless ``cfg`` is a MatchConfig, and ValueError
+    unless it and the affinity set have the same graph count N and node
+    count n."""
+    if not isinstance(cfg, MatchConfig):
+        raise TypeError(f"configuration must be a MatchConfig, got {type(cfg).__name__}")
     if (cfg.N, cfg.n) != (kset.N, kset.n):
         raise ValueError(f"configuration has (N, n) = ({cfg.N}, {cfg.n}), "
                          f"affinity set has ({kset.N}, {kset.n})")
@@ -512,7 +508,7 @@ def pair_scores(cfg, kset):
     in row-major order, computed as one batch."""
     check_same_shape(cfg, kset)
     iu, ju = upper_indices(cfg.N)
-    return kset.kernel_sums(iu, ju, cfg.perm_table()[iu, ju][:, None])[:, 0]
+    return kset._kernel_sums(iu, ju, cfg.perm_table()[iu, ju])
 
 
 class MatchConfig:
@@ -641,6 +637,8 @@ class ScoreNormalizer:
     def __post_init__(self):
         if not self.value > 0:
             raise ValueError("normalizer must be positive (all-zero affinities are degenerate)")
+        if not np.isfinite(self.value):
+            raise ValueError(f"normalizer must be finite, got {self.value!r}")
 
     @classmethod
     def from_initial(cls, cfg, kset):

@@ -283,7 +283,7 @@ def solve_pairs(kset, i, j):
 
     Pairs are taken in batches of ``core.STACK_ENTRIES`` profit entries.
     In each, pairs whose K is dense are power-iterated in stacks of that
-    many entries, each built by ``dense_stack``, and CSR pairs one by one;
+    many entries, each built by ``_dense_stack``, and CSR pairs one by one;
     the batch's score grids are then discretized by one
     ``stacked_hungarian`` call.
     """
@@ -294,12 +294,12 @@ def solve_pairs(kset, i, j):
     for s in range(0, len(i), batch):
         ci, cj = i[s:s + batch], j[s:s + batch]
         vecs = np.empty((len(ci), n * n))
-        dense = np.array([kset.is_dense(a, b) for a, b in zip(ci, cj)], dtype=bool)
+        dense = np.array([kset._is_dense(a, b) for a, b in zip(ci, cj)], dtype=bool)
         for b in np.flatnonzero(~dense):
             vecs[b] = power_iteration(kset.get(ci[b], cj[b]))
         dense = np.flatnonzero(dense)
         for t in range(0, len(dense), step):
             rows = dense[t:t + step]
-            vecs[rows] = stacked_power_iteration(kset.dense_stack(ci[rows], cj[rows]))
+            vecs[rows] = stacked_power_iteration(kset._dense_stack(ci[rows], cj[rows]))
         out[s:s + batch] = stacked_hungarian(vecs.reshape(-1, n, n).transpose(0, 2, 1))
     return out

@@ -351,7 +351,7 @@ def swapped_affinity(k):
 class ReferenceAffinitySet:
     """Explicit affinity matrices for every unordered pair of N graphs,
     with the interface of the library's edge-kernel ``AffinitySet``
-    (``N``, ``n``, ``pairs``, ``get``, ``kernel_sums``), so tests can
+    (``N``, ``n``, ``pairs``, ``get``, ``_kernel_sums``), so tests can
     boost on arbitrary K. ``get(i, j)`` with i > j returns the swapped
     matrix; kernel sums add blocks gathered from the dense matrices."""
 
@@ -380,18 +380,13 @@ class ReferenceAffinitySet:
     def pairs(self):
         return sorted(self._mats)
 
-    def kernel_sums(self, i, j, perms, rows=None, axis=(2, 3)):
-        perms = np.asarray(perms, dtype=np.int64)
-        pairs, count = perms.shape[:2]
-        rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
-        rows = np.broadcast_to(rows, (pairs, rows.shape[-1]))
-        blocks = np.empty((pairs, count, rows.shape[1], rows.shape[1]))
-        for p, (a, b) in enumerate(zip(np.broadcast_to(i, pairs).tolist(),
-                                       np.broadcast_to(j, pairs).tolist())):
-            dense = self.get(a, b).dense()
-            for c in range(count):
-                idx = perms[p, c, rows[p]] * self.n + rows[p]
-                blocks[p, c] = dense[np.ix_(idx, idx)]
+    def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
+        if rows is None:
+            rows = np.broadcast_to(np.arange(self.n), perms.shape)
+        blocks = np.empty((len(perms), rows.shape[1], rows.shape[1]))
+        for s, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            idx = perms[s, rows[s]] * self.n + rows[s]
+            blocks[s] = self.get(a, b).dense()[np.ix_(idx, idx)]
         return blocks.sum(axis=axis)
 
 
@@ -419,7 +414,7 @@ def reference_dense_stack(kset, i, j, kernel=None):
     one broadcast of its kernel over all n^4 entries: a_c[i, u, v] against
     a_c[j, a, b] lands at [a, u, b, v], which is K[a*n + u, b*n + v]. The
     kernel arithmetic is the set's own, or ``kernel(kset, own, other)``
-    when given, so the result must equal ``dense_stack`` byte for byte."""
+    when given, so the result must equal ``_dense_stack`` byte for byte."""
     size = kset.n * kset.n
     edge = np.arange(size).reshape(kset.n, kset.n)
     i, j = (np.reshape(g, (-1, 1, 1)) * size + edge for g in (i, j))
@@ -428,28 +423,33 @@ def reference_dense_stack(kset, i, j, kernel=None):
     return k.reshape(-1, size, size)
 
 
-def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(2, 3), kernel=None):
-    """``kernel_sums`` of an edge-kernel ``AffinitySet`` with the kernel
+def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(1, 2), kernel=None):
+    """``_kernel_sums`` of an edge-kernel ``AffinitySet`` with the kernel
     run at all m^2 entries of every candidate's (m, m) block, gathered
     through flat indices offset + u*n + v, in one batch. The kernel
     arithmetic is the set's own, or ``kernel(kset, own, other)`` when
     given, and every block is summed with the same shape and axis, so the
-    sums must equal ``kernel_sums`` bit for bit."""
+    sums must equal ``_kernel_sums`` bit for bit."""
     n = kset.n
-    perms = np.asarray(perms, dtype=np.int64)
-    pairs = perms.shape[0]
-    own_graph = np.full((pairs, 1), np.reshape(i, (-1, 1)) * (n * n), dtype=np.int64)
-    other_graph = np.full((pairs, 1, 1), np.reshape(j, (-1, 1, 1)) * (n * n), dtype=np.int64)
-    rows = np.arange(n) if rows is None else rows
-    r = np.full((pairs, np.shape(rows)[-1]), rows, dtype=np.int64)
-    picked = np.take_along_axis(perms, r[:, None, :], axis=2)
+    rows = np.broadcast_to(np.arange(n), perms.shape) if rows is None else rows
+    picked = np.take_along_axis(perms, rows, axis=1)
 
-    def flat_pairs(nodes, offset):
-        return (nodes * n + offset)[..., :, None] + nodes[..., None, :]
+    def flat_pairs(nodes, graph):
+        return (nodes * n + graph[:, None] * (n * n))[:, :, None] + nodes[:, None, :]
 
-    own, other = flat_pairs(r, own_graph)[:, None], flat_pairs(picked, other_graph)
+    own, other = flat_pairs(rows, i), flat_pairs(picked, j)
     k = kset._kernel(own, other) if kernel is None else kernel(kset, own, other)
     return k.sum(axis=axis)
+
+
+def stacked_kernel_sums(kset, i, j, cands, rows=None):
+    """``kset._kernel_sums`` of the (P, C, n) candidates of the pairs
+    (i[p], j[p]), each pair's kept rows the (P, m) ``rows[p]``, as a
+    (P, C) array: every pair's C candidates scored as consecutive rows."""
+    count = cands.shape[1]
+    rows = None if rows is None else np.repeat(rows, count, axis=0)
+    return kset._kernel_sums(np.repeat(i, count), np.repeat(j, count),
+                             cands.reshape(-1, cands.shape[2]), rows).reshape(-1, count)
 
 
 def second_order_candidates(sweep):

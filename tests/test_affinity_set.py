@@ -1,7 +1,7 @@
 """The edge-kernel affinity set: candidate scores against explicit K.
 
 Property coverage:
-- dense_stack equals the full broadcast of the edge kernel byte for byte,
+- _dense_stack equals the full broadcast of the edge kernel byte for byte,
   at n = 1-3, on padded sets and in both orientations
 - kernel-block scores equal the quadratic form of get(i, j): bit for bit
   where K is dense whatever its fill (n <= 16), to 1e-12 above (CSR K),
@@ -9,16 +9,16 @@ Property coverage:
   all-pair batch
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, and chunking bounds their memory
-- (P, A, n) candidates score bit for bit as their (P A, 1, n)
-  flattening, with and without kept rows
+- any subset or reordering of the candidate rows scores bit for bit as
+  those rows of the full call, with and without kept rows
 - kernel sums from each block's m + 1 slot values equal the kernel at all
-  m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all,
-  shared or per-pair kept rows, scores and row sums)
+  m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all or
+  per-row kept rows, scores and row sums)
 - the set, its scores and a boosting sweep stay O(N n^2) in memory; a
   whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
   non-finite or asymmetric attribute on an edge, naming the first one
-- dense_stack, kernel_sums and get with NaN off the edges equal, byte for
+- _dense_stack, _kernel_sums and get with NaN off the edges equal, byte for
   byte, the kernel with +inf and -inf off the edges (gauss at edge
   density 0-1 and len_angle, dense and CSR pairs), and raise no
   floating-point flag
@@ -44,6 +44,12 @@ from conftest import (builder_affinity_sets, naive_quad_form, reference_dense_st
 
 def _candidates(rng, n, count):
     return np.array([rng.permutation(n) for _ in range(count)])
+
+
+def _pair_indices(rng, kset, size):
+    """Graph indices i and j != i of ``size`` random ordered pairs."""
+    i = rng.integers(0, kset.N, size=size)
+    return i, (i + 1 + rng.integers(0, kset.N - 1, size=size)) % kset.N
 
 
 def _reference(kset, i, j, perms, keep=None):
@@ -88,7 +94,7 @@ def test_dense_stack_equals_full_broadcast():
     for kset in sets:
         iu, ju = np.triu_indices(kset.N, 1)
         for i, j in ((iu, ju), (ju, iu)):
-            got, want = kset.dense_stack(i, j), reference_dense_stack(kset, i, j)
+            got, want = kset._dense_stack(i, j), reference_dense_stack(kset, i, j)
             assert got.shape == want.shape == (len(iu), kset.n ** 2, kset.n ** 2)
             assert got.tobytes() == want.tobytes()
 
@@ -104,8 +110,8 @@ def test_scores_equal_explicit_quadratic_form(seed):
         for i, j in [(0, 1), (2, 1), (3, 0), (1, 3)]:
             perms = _candidates(rng, n, 6)
             keep = rng.uniform(size=n) < 0.6
-            for rows in (None, np.flatnonzero(keep)):
-                got = kset.kernel_sums(i, j, perms[None], rows)[0]
+            for rows in (None, np.tile(np.flatnonzero(keep), (6, 1))):
+                got = kset._kernel_sums(np.full(6, i), np.full(6, j), perms, rows)
                 fast, naive = _reference(kset, i, j, perms,
                                          None if rows is None else keep)
                 _assert_scores(got, fast, naive, n)
@@ -117,7 +123,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
     for kset in builder_affinity_sets(seed):
         cfg = MatchConfig.random(kset.N, kset.n, rng)
         batch = pair_scores(cfg, kset)
-        single = np.array([kset.kernel_sums(i, j, x.perm[None, None])[0, 0]
+        single = np.array([kset._kernel_sums(np.array([i]), np.array([j]), x.perm[None])[0]
                            for i, j, x in cfg.pairs()])
         assert np.array_equal(batch, single)
         fast = np.array([affinity_score(x, kset.get(i, j)) for i, j, x in cfg.pairs()])
@@ -131,7 +137,7 @@ def test_all_pair_batch_equals_single_pair_calls(seed):
         iu, ju = np.triu_indices(kset.N, 1)
         rows_i = np.concatenate([iu, ju])
         rows_j = np.concatenate([ju, iu])
-        both = kset.kernel_sums(rows_i, rows_j, t[rows_i, rows_j][:, None])[:, 0]
+        both = kset._kernel_sums(rows_i, rows_j, t[rows_i, rows_j])
         assert np.array_equal(both[:len(iu)], batch)
         swapped = np.array([affinity_score(t[j, i], kset.get(j, i)) for i, j in zip(iu, ju)])
         _assert_scores(both[len(iu):], swapped, swapped, kset.n)
@@ -158,26 +164,21 @@ def _kernel_set(kind, n, density=0.7):
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["gauss", "len_angle"]), n=st.sampled_from([1, 2, 3, 8, 14, 16]),
-       rows_kind=st.sampled_from(["all", "shared", "per pair"]),
-       axis=st.sampled_from([(2, 3), 3]), pairs=st.integers(1, 5), count=st.integers(1, 4),
+       kept_rows=st.booleans(), axis=st.sampled_from([(1, 2), 2]), size=st.integers(1, 20),
        data=st.data())
-def test_kernel_sums_equal_full_block_reference(kind, n, rows_kind, axis, pairs, count, data):
+def test_kernel_sums_equal_full_block_reference(kind, n, kept_rows, axis, size, data):
     # the kernel at each candidate's m + 1 slots, expanded through the slot
     # map, sums bit for bit as the kernel at all m^2 entries of its block
     kset = _kernel_set(kind, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    i = rng.integers(0, kset.N, size=pairs)
-    j = (i + 1 + rng.integers(0, kset.N - 1, size=pairs)) % kset.N
-    perms = rng.permuted(np.broadcast_to(np.arange(n), (pairs, count, n)), axis=2)
-    kept = data.draw(st.one_of(st.just(1), st.integers(1, n)))
-    rows = {"all": None,
-            "shared": np.sort(rng.choice(n, kept, replace=False)),
-            "per pair": np.sort([rng.choice(n, kept, replace=False) for _ in range(pairs)],
-                                axis=1)}[rows_kind]
-    got = kset.kernel_sums(i, j, perms, rows, axis)
+    i, j = _pair_indices(rng, kset, size)
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (size, n)), axis=1)
+    kept = data.draw(st.one_of(st.just(1), st.integers(1, n))) if kept_rows else n
+    rows = (np.sort([rng.choice(n, kept, replace=False) for _ in range(size)], axis=1)
+            if kept_rows else None)
+    got = kset._kernel_sums(i, j, perms, rows, axis)
     want = reference_kernel_sums(kset, i, j, perms, rows, axis)
-    assert got.shape == want.shape == ((pairs, count) if axis == (2, 3) else
-                                       (pairs, count, n if rows is None else kept))
+    assert got.shape == want.shape == ((size,) if axis == (1, 2) else (size, kept))
     assert np.array_equal(got, want)
 
 
@@ -191,20 +192,22 @@ def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
     rng = np.random.default_rng(n)
     iu, ju = np.triu_indices(kset.N, 1)
     i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
-    perms = rng.permuted(np.broadcast_to(np.arange(n), (len(i), 5, n)), axis=2)
-    rows = np.sort([rng.choice(n, n - 3, replace=False) for _ in range(len(i))], axis=1)
+    # five candidates per ordered pair, one per row
+    fi, fj = np.repeat(i, 5), np.repeat(j, 5)
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (len(fi), n)), axis=1)
+    rows = np.sort([rng.choice(n, n - 3, replace=False) for _ in range(len(fi))], axis=1)
     want = reference_dense_stack(kset, i, j, reference_kernel)
     with np.errstate(all="raise"):
-        assert kset.dense_stack(i, j).tobytes() == want.tobytes()
+        assert kset._dense_stack(i, j).tobytes() == want.tobytes()
         csr = 0
         for b, (g, h) in enumerate(zip(i.tolist(), j.tolist())):
             k = kset.get(g, h)
             csr += k.is_sparse
             assert k.dense().tobytes() == want[b].tobytes()
         for r in (None, rows):
-            for axis in ((2, 3), 3):
-                got = kset.kernel_sums(i, j, perms, r, axis)
-                assert got.tobytes() == reference_kernel_sums(kset, i, j, perms, r, axis,
+            for axis in ((1, 2), 2):
+                got = kset._kernel_sums(fi, fj, perms, r, axis)
+                assert got.tobytes() == reference_kernel_sums(kset, fi, fj, perms, r, axis,
                                                               reference_kernel).tobytes()
     # the CSR branch of get is taken at n = 17 below 1/3 fill
     assert (csr > 0) == (n == 17 and density in (None, 0.0, 0.5))
@@ -224,56 +227,55 @@ def test_swapped_orientation_is_index_swap():
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):
-    # 40 pairs x 3 candidates, each pair with its own kept rows
+    # 120 candidates of random pairs, each with its own kept rows
     rng = np.random.default_rng(5)
     kset = builder_affinity_sets(5)[1]       # len_angle, two channels, n = 10
-    perms = np.array([_candidates(rng, kset.n, 3) for _ in range(40)])
-    i = rng.integers(0, kset.N, size=40)
-    j = (i + 1 + rng.integers(0, kset.N - 1, size=40)) % kset.N
-    rows = np.sort([rng.choice(kset.n, size=4, replace=False) for _ in range(40)], axis=1)
-    whole = kset.kernel_sums(i, j, perms, rows)
-    for p in range(40):
-        keep = np.isin(np.arange(kset.n), rows[p])
-        fast, _ = _reference(kset, i[p], j[p], perms[p], keep)
-        assert np.array_equal(whole[p], fast)
-    monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 2 * 3 * 4 ** 2)   # 20 chunks
-    assert np.array_equal(kset.kernel_sums(i, j, perms, rows), whole)
+    perms = _candidates(rng, kset.n, 120)
+    i, j = _pair_indices(rng, kset, 120)
+    rows = np.sort([rng.choice(kset.n, size=4, replace=False) for _ in range(120)], axis=1)
+    whole = kset._kernel_sums(i, j, perms, rows)
+    for s in range(120):
+        keep = np.isin(np.arange(kset.n), rows[s])
+        fast, _ = _reference(kset, i[s], j[s], perms[s:s + 1], keep)
+        assert np.array_equal(whole[s:s + 1], fast)
+    monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 6 * 4 ** 2)   # 20 chunks
+    assert np.array_equal(kset._kernel_sums(i, j, perms, rows), whole)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_flattened_candidates_score_bit_for_bit(seed):
+def test_row_subsets_score_bit_for_bit(seed):
     # gauss at n = 8 and 14 and len_angle at n = 10 and 17; a sweep
-    # scores its stale candidates one per row, (D, 1, n), and caches the
-    # sums next to those scored many per pair
+    # scores only its stale candidates and caches their sums next to
+    # those of earlier calls, and takes its winners' sums from the batch
     rng = np.random.default_rng(seed)
     for kset in builder_affinity_sets(seed):
-        n, pairs, count = kset.n, 6, 5
-        i = rng.integers(0, kset.N, size=pairs)
-        j = (i + 1 + rng.integers(0, kset.N - 1, size=pairs)) % kset.N
-        perms = np.array([_candidates(rng, n, count) for _ in range(pairs)])
-        rows = np.sort([rng.choice(n, size=n - 3, replace=False) for _ in range(pairs)],
+        n, size = kset.n, 30
+        i, j = _pair_indices(rng, kset, size)
+        perms = _candidates(rng, n, size)
+        rows = np.sort([rng.choice(n, size=n - 3, replace=False) for _ in range(size)],
                        axis=1)
-        for r, flat_rows in ((None, None), (rows, np.repeat(rows, count, axis=0))):
-            whole = kset.kernel_sums(i, j, perms, r)
-            flat = kset.kernel_sums(np.repeat(i, count), np.repeat(j, count),
-                                    perms.reshape(-1, 1, n), flat_rows)
-            assert flat.shape == (pairs * count, 1)
-            assert flat[:, 0].tobytes() == whole.reshape(-1).tobytes()
+        for pick in (rng.permutation(size), np.sort(rng.choice(size, 7, replace=False)),
+                     rng.choice(size, 12), np.array([size - 1])):
+            for r in (None, rows):
+                for axis in ((1, 2), 2):
+                    whole = kset._kernel_sums(i, j, perms, r, axis)
+                    part = kset._kernel_sums(i[pick], j[pick], perms[pick],
+                                             None if r is None else r[pick], axis)
+                    assert part.tobytes() == whole[pick].tobytes()
 
 
 def test_kernel_sums_memory_stays_chunked():
-    # 40 pairs x 30 candidates at n = 20: all blocks at once hold 480,000
-    # entries, 3.7 MiB per temporary (11 MiB peak); a chunk holds 60,000
+    # 1,200 candidates at n = 20: all blocks at once hold 480,000 entries,
+    # 3.7 MiB per temporary (8.9 MiB peak); a chunk holds 81 blocks, 32,400
     rng = np.random.default_rng(6)
     kset = build_affinity_set(gen_random_graphs(SynthParams(n_graphs=4, inliers=20,
                                                             deform=0.1, density=0.9,
                                                             seed=6)), 0.05)
-    perms = np.array([_candidates(rng, kset.n, 30) for _ in range(40)])
-    i = rng.integers(0, kset.N, size=40)
-    j = (i + 1 + rng.integers(0, kset.N - 1, size=40)) % kset.N
+    perms = _candidates(rng, kset.n, 1200)
+    i, j = _pair_indices(rng, kset, 1200)
     tracemalloc.start()
     try:
-        kset.kernel_sums(i, j, perms)
+        kset._kernel_sums(i, j, perms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,16 +406,16 @@ def test_constructor_ignores_attributes_off_the_edges():
     assert np.isfinite(kset.get(0, 1).dense()).all()
 
 
-@pytest.mark.parametrize("rows", [None, [0, 2]], ids=["all_rows", "kept_rows"])
-@pytest.mark.parametrize("axis", [(2, 3), 3])
-def test_kernel_sums_of_no_pairs_is_empty(rows, axis):
+@pytest.mark.parametrize("kept", [None, 2], ids=["all_rows", "kept_rows"])
+@pytest.mark.parametrize("axis", [(1, 2), 2])
+def test_kernel_sums_of_no_pairs_is_empty(kept, axis):
     # an empty batch once failed in np.concatenate
     kset = _kernel_set("gauss", 8)
     empty = np.zeros(0, dtype=np.int64)
-    got = kset.kernel_sums(empty, empty, np.zeros((0, 3, kset.n), dtype=np.int64), rows, axis)
-    kept = kset.n if rows is None else len(rows)
+    rows = None if kept is None else np.zeros((0, kept), dtype=np.int64)
+    got = kset._kernel_sums(empty, empty, np.zeros((0, kset.n), dtype=np.int64), rows, axis)
     assert got.dtype == np.float64
-    assert got.shape == ((0, 3) if axis == (2, 3) else (0, 3, kept))
+    assert got.shape == ((0,) if axis == (1, 2) else (0, kept or kset.n))
 
 
 @pytest.mark.parametrize("graph", [0.5, 1.0, True, np.bool_(True)])

@@ -52,7 +52,7 @@ from conftest import (ReferenceAffinitySet, corrupted_config, naive_elicited_pai
                       naive_elicited_unary, naive_pairwise_consistency,
                       naive_quad_form, naive_spectral_sync,
                       naive_unary_consistency, random_config, random_kset,
-                      second_order_candidates,
+                      second_order_candidates, stacked_kernel_sums,
                       spanning_tree_best, stacked_matching_matrix)
 
 
@@ -317,7 +317,7 @@ class TestPairBest2nd:
                 sweep.start(cfg)
                 got = _pairs_best(slice(None), sweep, (1.0, 0.0))[1]
                 cands = second_order_candidates(sweep)
-                scores = sweep.kernel_sums(iu, ju, cands) / sweep.norm.value
+                scores = stacked_kernel_sums(kset, iu, ju, cands) / sweep.norm.value
                 assert np.array_equal(got, cands[np.arange(len(iu)), np.argmax(scores, axis=1)])
                 ties += sum(len(np.unique(c[s == s.max()], axis=0)) > 1
                             for c, s in zip(cands, scores))
@@ -368,7 +368,7 @@ class TestDistinctSums:
         ii, jj, first = sweep.ii, sweep.jj, sweep.pools.shape[1]
         cands = second_order_candidates(sweep)       # row v = i is the first-order one
         rows = None if sweep.kept_rows is None else sweep.kept_rows[ii]
-        want = kset.kernel_sums(ii, jj, cands, rows)
+        want = stacked_kernel_sums(kset, ii, jj, cands, rows)
         got = sweep.distinct_sums(ii, jj, cands, want[:, :first])
         assert np.array_equal(got, want)
         # one sum per candidate that no first-order one and no earlier one repeats
@@ -394,7 +394,7 @@ class TestDistinctSums:
         tails[2][[-1, -3]] = tails[2][[-3, -1]]
         cands = np.array([[base, *tails, tails[2], base]] * 2)   # (2 pairs, 7, n)
         ii, jj = np.array([0, 1]), np.array([2, 3])
-        want = kset.kernel_sums(ii, jj, cands)
+        want = stacked_kernel_sums(kset, ii, jj, cands)
         assert (want[:, 1] != want[:, 2]).all()
         got = sweep.distinct_sums(ii, jj, cands, want[:, :1])
         assert np.array_equal(got, want) and sweep.scored == 2 * 2

@@ -399,6 +399,17 @@ class TestNodeAffinity:
         cfg = MatchConfig.identity(2, 3)
         assert node_affinity_all(cfg, kset)[0, 0] > node_affinity_all(cfg, kset)[0, 2]
 
+    def test_rejects_a_table_for_the_configuration(self):
+        # the index table, not its MatchConfig, once failed with
+        # AttributeError; the same shape check guards every call taking both
+        kset = builder_affinity_sets(0)[0]
+        table = MatchConfig.identity(kset.N, kset.n).perm_table()
+        for call in (node_affinity_all, mgmboost.core.pair_scores, mgmboost.total_score,
+                     mgmboost.ScoreNormalizer.from_initial, mgmboost.enforce_full_consistency):
+            with pytest.raises(TypeError) as exc:
+                call(table, kset)
+            assert str(exc.value) == "configuration must be a MatchConfig, got ndarray"
+
 
 class TestInlierMask:
     def test_keep_all_is_identity_operation(self, rng):
@@ -619,7 +630,8 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "node_affinity", "check_node_index", "compose", "normalized_score",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
                  "quad_form", "shape", "SolverOptions", "best_anchor", "EVAL_KINDS",
-                 "kernel_blocks", "DENSE_NODE_LIMIT")
+                 "kernel_blocks", "DENSE_NODE_LIMIT", "kernel_sums", "dense_stack",
+                 "is_dense")
 
 
 def test_public_names():

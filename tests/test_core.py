@@ -272,6 +272,12 @@ class TestNormalizedScore:
         with pytest.raises(ValueError):
             ScoreNormalizer(0.0)
 
+    def test_infinite_normalizer_rejected(self):
+        # inf was accepted and made every normalized score 0
+        with pytest.raises(ValueError) as exc:
+            ScoreNormalizer(float("inf"))
+        assert str(exc.value) == "normalizer must be finite, got inf"
+
 
 class TestAffinityOrientation:
     def test_commuted_matches_freshly_built_swap(self, rng):

@@ -150,7 +150,7 @@ def test_len_angle_points_digest(inliers, dense, digest):
                         seed=10)
     params = BoostParams(mode="isb_gc", t_max=6, elicit=InlierEstimate(inliers, "consistency"))
     kset = build_affinity_set(gen_random_points(synth), synth.sigma2, kind="len_angle")
-    assert all(kset.is_dense(i, j) == dense for i, j in kset.pairs())
+    assert all(kset._is_dense(i, j) == dense for i, j in kset.pairs())
     cfg0 = init_config(kset, synth.coverage, synth.seed)
     boosted, _ = run_boost(cfg0, kset, replace(params, enforce_final_consistency=False))
     assert route(boosted, params.gamma) == "consistency_mst"

@@ -145,7 +145,7 @@ class TestStackedHungarian:
                              sigma2=0.05, seed=5)
         kset = build_affinity_set(gen_random_graphs(params), params.sigma2)
         i, j = np.array(kset.pairs()).T
-        grids = stacked_power_iteration(kset.dense_stack(i, j)).reshape(-1, 8, 8)
+        grids = stacked_power_iteration(kset._dense_stack(i, j)).reshape(-1, 8, 8)
         grids = grids.transpose(0, 2, 1)
         assert len(grids) >= LOCKSTEP_BATCH
         assert np.array_equal(stacked_hungarian(grids), _per_problem(grids))

@@ -459,7 +459,7 @@ class TestBatchedInitConfig:
     @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
     def test_equals_per_pair_solver(self, make, dense, coverage):
         kset = make()
-        assert all(kset.is_dense(i, j) == dense for i, j in kset.pairs())
+        assert all(kset._is_dense(i, j) == dense for i, j in kset.pairs())
         for seed in (0, 1):
             assert (init_config(kset, coverage, seed)
                     == init_config(kset, coverage, seed, solve_pairwise))

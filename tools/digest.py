@@ -22,9 +22,9 @@ n = 17, whose pairs are CSR. Each boosted configuration is post-processed
 at two thresholds, so every route is taken somewhere.
 
 After the runs, one line ``kernel/<set>/seed=<s> <kernel>`` per instance
-set and seed digests the edge kernel itself: ``dense_stack`` of every
+set and seed digests the edge kernel itself: ``_dense_stack`` of every
 pair in both orientations, the CSR data, indices and indptr of ``get``
-for every ordered pair it builds as CSR, and ``kernel_sums`` of the
+for every ordered pair it builds as CSR, and ``_kernel_sums`` of the
 initial table's first-order candidates X_ik X_kj and of fixed random
 candidates, each with all rows and with fixed kept rows, as scores and as
 row sums.
@@ -141,15 +141,31 @@ def case_names():
         yield "kernel/{}/seed={}".format(*cell)
 
 
+def _kernel_primitives(kset):
+    """``kset``'s ``_dense_stack``, ``_is_dense`` and flat ``_kernel_sums``.
+    Older revisions have them public, with ``kernel_sums`` over (P, A, n)
+    candidate stacks; ``--against`` runs this script on those revisions
+    too, so there the flat call is made as one candidate per pair."""
+    if hasattr(kset, "_kernel_sums"):
+        return kset._dense_stack, kset._is_dense, kset._kernel_sums
+
+    def kernel_sums(i, j, perms, rows=None, axis=(1, 2)):
+        return kset.kernel_sums(i, j, perms[:, None], rows,
+                                (2, 3) if axis == (1, 2) else 3)[:, 0]
+
+    return kset.dense_stack, kset.is_dense, kernel_sums
+
+
 def kernel_line(set_name, seed):
     """The printed line of one set's kernel case."""
     _, kset, cfg0, _ = instance_set(set_name, seed)
+    dense_stack, is_dense, kernel_sums = _kernel_primitives(kset)
     n, h = kset.n, hashlib.sha256()
     iu, ju = np.triu_indices(kset.N, 1)
     i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
-    _sha(h, kset.dense_stack(i, j), "<f8")
+    _sha(h, dense_stack(i, j), "<f8")
     for g, k in zip(i.tolist(), j.tolist()):
-        if not kset.is_dense(g, k):
+        if not is_dense(g, k):
             csr = kset.get(g, k).data
             _sha(h, csr.data, "<f8")
             _sha(h, csr.indices, "<i8")
@@ -158,10 +174,14 @@ def kernel_line(set_name, seed):
     fixed = rng.permuted(np.broadcast_to(np.arange(n), (len(i), 4, n)), axis=2)
     rows = np.sort(rng.permuted(np.broadcast_to(np.arange(n), (len(i), n)), axis=1)
                    [:, :max(1, n - n // 3)], axis=1)
+    # each pair's candidates as consecutive rows, so the sums come in the
+    # order of a (P, A) array of them
     for perms in (compositions(cfg0.perm_table(), i, j), fixed):
-        for r in (None, rows):
-            for axis in ((2, 3), 3):
-                _sha(h, kset.kernel_sums(i, j, perms, r, axis), "<f8")
+        count = perms.shape[1]
+        fi, fj = np.repeat(i, count), np.repeat(j, count)
+        for r in (None, np.repeat(rows, count, axis=0)):
+            for axis in ((1, 2), 2):
+                _sha(h, kernel_sums(fi, fj, perms.reshape(-1, n), r, axis), "<f8")
     return f"kernel/{set_name}/seed={seed} {h.hexdigest()}"
 
 
