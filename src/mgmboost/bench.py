@@ -23,7 +23,8 @@ import numpy as np
 
 from .boost import run_boost
 from .consistency import overall_consistency
-from .core import ScoreNormalizer, _index_array, check_count, total_score, upper_indices
+from .core import (ScoreNormalizer, _index_array, check_config, check_count, total_score,
+                   upper_indices)
 from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind,
                        gen_random_graphs, gen_random_points, init_config,
                        load_pointset, truth_config)
@@ -124,6 +125,8 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     rows are ignored entirely. Inlier rows must be integers, not
     fractions or a boolean mask, in 0..n-1; negative rows do not wrap
     around. Takes one list of inlier rows per graph."""
+    check_config(cfg_alg)
+    check_config(cfg_truth)
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
     if len(inlier_rows) != cfg_alg.N:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (STACK_ENTRIES, MatchConfig, ScoreNormalizer, check_count, check_same_shape,
-                   pair_scores, upper_indices)
+from . import core
+from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
+                   upper_indices)
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
@@ -40,14 +41,6 @@ MODES = ("isb", "isb_cst", "isb_2nd", "isb_gc", "isb_gc_inv", "isb_gc_u", "isb_g
 # mean of the pairwise consistencies of the legs X_ik and X_kj.
 _TERMS = {"isb_cst": "candidate", "isb_gc": "candidate", "isb_gc_inv": "candidate",
           "isb_gc_u": "anchor", "isb_gc_p": "legs"}
-
-# A sweep evaluates its pairs together, in row-major groups of
-# SWEEP_BATCH_ENTRIES // (N^2 n) pairs, or // (N^3 n) for the second-order
-# search. A group's compositions and first-order candidates then hold at
-# most about SWEEP_BATCH_ENTRIES / N entries each. A second-order group
-# scores A + (A - 2)(A - 3) < N^2 candidates per pair for a pool of A
-# anchors, so its candidates hold less than that too.
-SWEEP_BATCH_ENTRIES = 1 << 18
 
 # Spectral synchronization's subspace iteration stops once its leading
 # Ritz pairs' residual is below SPECTRAL_TOL, or after MAX_SPECTRAL_ITERS
@@ -117,8 +110,8 @@ class BoostTrace:
 class _SweepState:
     """State of one run's sweeps. Fixed for the run: the pairs i < j in
     row-major order (``ii``, ``jj``), their ``groups`` of consecutive
-    pairs evaluated together (see SWEEP_BATCH_ENTRIES), and the (P, A)
-    anchor ``pools``; with sample_rate < 1 each sweep draws new pools.
+    pairs evaluated together, and the (P, A) anchor ``pools``; with
+    sample_rate < 1 each sweep draws new pools.
     ``sums`` holds the raw kernel sums of the first-order candidates
     X_ik X_kj, a (P, N) array indexed by pair and anchor k, entry
     ``rowstart[p] + k`` when flat, and ``stale`` the mask of those
@@ -138,7 +131,11 @@ class _SweepState:
         self.second_order, self.sample_rate, self.rng = second_order, sample_rate, rng
         self.ii, self.jj = upper_indices(kset.N)
         shape = (len(self.ii), kset.N)
-        group = max(1, SWEEP_BATCH_ENTRIES // (kset.N ** (3 if second_order else 2) * kset.n))
+        # a group's (P_g, N, n) compositions and first-order candidates, or
+        # its (P_g, C, n) second-order ones, C = A + (A - 2)(A - 3) < N^2 for
+        # a pool of A anchors, hold at most BLOCK_CHUNK_ENTRIES entries each,
+        # or one pair's
+        group = max(1, core.BLOCK_CHUNK_ENTRIES // (kset.N ** (2 if second_order else 1) * kset.n))
         self.groups = [slice(s, s + group) for s in range(0, shape[0], group)]
         self.rowstart = np.arange(0, shape[0] * shape[1], shape[1])[:, None]
         self.pools = self.kept_rows = None
@@ -467,8 +464,8 @@ def _spectral_sync(cfg):
     anchors the gauge at the identity. The re-projection does not depend
     on the basis chosen inside the leading eigenspace, so only that space
     is computed, without W: row i*n + u of W V is the sum over j of row
-    j*n + X_ij[u] of V, gathered STACK_ENTRIES entries (or one row graph's)
-    at a time.
+    j*n + X_ij[u] of V, gathered BLOCK_CHUNK_ENTRIES entries (or one row
+    graph's) at a time.
 
     Subspace iteration runs on 2n columns, the stacked X_i0 and n fixed
     cosines, so that its rate is |lambda_2n+1| / lambda_n even where
@@ -481,7 +478,7 @@ def _spectral_sync(cfg):
     n_graphs, n = cfg.N, cfg.n
     size, width = n_graphs * n, 2 * n
     flat = table + n * np.arange(n_graphs).reshape(1, n_graphs, 1)   # j*n + X_ij[u]
-    step = max(1, STACK_ENTRIES // (n_graphs * n * width))     # row graphs per gather
+    step = max(1, core.BLOCK_CHUNK_ENTRIES // (n_graphs * n * width))   # row graphs per gather
     start = np.empty((size, width))
     start[:, :n] = (table[:, 0].reshape(-1, 1) == np.arange(n)) / np.sqrt(n_graphs)
     start[:, n:] = np.cos(np.pi / size * np.arange(0.5, size)[:, None] * np.arange(1, n + 1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Permutation, _kept_count, check_count, check_graph_index,
+from .core import (Permutation, _kept_count, check_config, check_count, check_graph_index,
                    check_same_shape, upper_indices)
 
 MASK_MODES = ("consistency", "affinity")
@@ -113,6 +113,7 @@ def unary_consistency_all(cfg, keep=None):
     keep_masks returns it, only the kept rows of each row graph count and
     the normalizer counts the kept rows. In (0, 1]; exactly 1 when all
     counted residuals vanish."""
+    check_config(cfg)
     rows = _kept_count(keep, (cfg.N, cfg.n))
     return _unary_from_mismatches(anchor_mismatches(cfg, keep), rows)
 
@@ -123,6 +124,7 @@ def pairwise_consistency(x, cfg, i, j, keep=None):
     candidate, a ``Permutation`` or anything its constructor accepts, need
     not belong to the configuration itself. With an (N, n) boolean
     ``keep`` mask only the rows kept for graph i count."""
+    check_config(cfg)
     p = (x if isinstance(x, Permutation) else Permutation(x)).perm
     if p.shape != (cfg.n,):
         raise ValueError(f"candidate has {p.size} nodes, expected {cfg.n}")
@@ -139,6 +141,7 @@ def pairwise_consistency_all(cfg, keep=None):
     diagonal; symmetric without a mask. With an (N, n) boolean ``keep``
     mask entry (i, j) counts only the rows kept for graph i, so the
     result is not symmetric in general."""
+    check_config(cfg)
     rows = _kept_count(keep, (cfg.N, cfg.n))
     counts = sum(m.sum(axis=2) for m in _mismatch_rows(cfg.perm_table(), keep))
     return 1.0 - counts / (rows * cfg.N)
@@ -148,12 +151,14 @@ def overall_consistency(cfg, table=None):
     """Mean unary consistency; always identical to the mean pairwise
     consistency over stored pairs. ``table`` is accepted for older callers
     and ignored: the configuration holds its own table."""
+    check_config(cfg)
     return overall_from_mismatches(anchor_mismatches(cfg), cfg.n)
 
 
 def is_fully_consistent(cfg, table=None):
     """Exact check that every composition reproduces the stored matching.
     ``table`` is accepted for older callers and ignored."""
+    check_config(cfg)
     return not any(mism.any() for mism in _mismatch_rows(cfg.perm_table()))
 
 
@@ -163,6 +168,7 @@ def node_consistency_all(cfg):
     Node u of graph k is penalized once for each graph pair (i, j) whose
     direct matching from k disagrees, at row u, with the route through i.
     """
+    check_config(cfg)
     counts = np.zeros((cfg.N, cfg.n), dtype=np.int64)
     for i, mism in enumerate(_mismatch_rows(cfg.perm_table())):
         counts += mism[:, i + 1:].sum(axis=1)   # [k, j, u]: X_kj vs X_ki X_ij, j > i
@@ -191,6 +197,7 @@ def keep_masks(cfg, est, kset=None):
     the estimate mode; ties break toward lower node indices. Computed
     once per configuration snapshot and passed as ``keep`` to every metric.
     """
+    check_config(cfg)
     if not isinstance(est, InlierEstimate):
         raise TypeError(f"est must be an InlierEstimate, got {type(est).__name__}")
     if est.n_est > cfg.n:

@@ -15,7 +15,8 @@ Property coverage:
   m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all or
   per-row kept rows, scores and row sums)
 - the set, its scores and a boosting sweep stay O(N n^2) in memory; a
-  whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache
+  whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache,
+  and so does a second-order sweep at N = 30
 - the constructor rejects a self-loop or an asymmetric mask edge, and a
   non-finite or asymmetric attribute on an edge, naming the first one
 - _dense_stack, _kernel_sums and get with NaN off the edges equal, byte for
@@ -302,7 +303,7 @@ def test_memory_stays_linear_in_graphs():
 
 def test_run_memory_at_sixty_graphs():
     # one isb_gc run at N=60, n=10: the cross-sweep sum cache holds
-    # P N 9 bytes = 0.9 MiB; the run peaks at about 2.9 MiB (an (N, N, N)
+    # P N 9 bytes = 0.9 MiB; the run peaks at about 3.8 MiB (an (N, N, N)
     # float64 cache would add 1.7 MiB of its own)
     instances = gen_random_graphs(SynthParams(n_graphs=60, inliers=10, deform=0.1,
                                               density=0.9, seed=0))
@@ -311,6 +312,24 @@ def test_run_memory_at_sixty_graphs():
     tracemalloc.start()
     try:
         run_boost(cfg0, kset, BoostParams(mode="isb_gc", t_max=2,
+                                          enforce_final_consistency=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_second_order_sweep_memory_at_thirty_graphs():
+    # one isb_2nd sweep at N=30, n=10: a group of 3 pairs holds their
+    # (3, 786, 10) candidates; the sweep peaks at about 1.9 MiB (groups of
+    # 14 pairs take 5.4 MiB, first-order groups of 109 pairs 35 MiB)
+    instances = gen_random_graphs(SynthParams(n_graphs=30, inliers=10, deform=0.1,
+                                              density=0.9, seed=0))
+    kset = build_affinity_set(instances, 0.05)
+    cfg0 = MatchConfig.random(30, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=1,
                                           enforce_final_consistency=False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -18,6 +18,9 @@ Property coverage:
 - every trace consistency, counted inside the next sweep, equals a fresh
   ``overall_consistency`` of its iterate, with at most one direct pass
   per run, which post-processing reuses
+- sweep groups of one pair give the tables and traces of one group of
+  all pairs, in every mode, eliciting and sample rate, and spectral
+  gathers of one row graph the result of larger ones
 - spectral synchronization equals the full eigendecomposition's wherever
   the matchings determine it, holds bounded memory at N = 100, and gives
   a pinned result where the n-th eigenvalue repeats
@@ -44,7 +47,7 @@ from mgmboost import (AffinityMatrix, BoostParams, GraphInstance, InlierEstimate
                       gen_random_graphs, gen_random_points, init_config,
                       is_fully_consistent, keep_masks, mst, node_affinity_all,
                       overall_consistency, run_boost, total_score)
-from mgmboost import boost, pairwise
+from mgmboost import boost, core, pairwise
 from mgmboost.boost import (_TERMS, MODES, _config_from_tree, _pairs_best,
                             _spectral_sync, _SweepState, _weights)
 
@@ -887,6 +890,38 @@ class TestSumCache:
                      for v in rest for u in rest if v != u}
             total += len(extra - first)
         return total
+
+
+class TestSweepGroups:
+    """Sweep groups and spectral gathers are sized from
+    ``core.BLOCK_CHUNK_ENTRIES``, read when a run starts; no output
+    depends on their size."""
+
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.6])
+    @pytest.mark.parametrize("elicit", [None, "consistency", "affinity"])
+    @pytest.mark.parametrize("mode", MODES, ids=mode_id)
+    def test_one_pair_per_group_changes_no_output(self, mode, elicit, sample_rate,
+                                                  monkeypatch):
+        cfg0, kset = TestSumCache._points_run()
+        params = BoostParams(mode=mode, sample_rate=sample_rate, seed=1,
+                             elicit=None if elicit is None else InlierEstimate(5, elicit))
+        second_order = mode == "isb_2nd"
+        assert len(_SweepState(kset, None, second_order).groups) == 1
+        out, trace = run_boost(cfg0, kset, params)
+        monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 1)
+        assert len(_SweepState(kset, None, second_order).groups) == 21
+        ref_out, ref = run_boost(cfg0, kset, params)
+        assert out.perm_table().tobytes() == ref_out.perm_table().tobytes()
+        assert (trace.scores, trace.consistencies, trace.changes, trace.scored) == \
+            (ref.scores, ref.consistencies, ref.changes, ref.scored)
+
+    @pytest.mark.parametrize("flip", [0.2, 0.6])
+    def test_one_row_graph_per_gather_changes_no_result(self, flip, monkeypatch):
+        # N = 60, n = 5: 10 row graphs per gather by default
+        cfg = corrupted_config(np.random.default_rng(61), 60, 5, flip)
+        got = _spectral_sync(cfg)
+        monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 1)
+        assert _spectral_sync(cfg) == got
 
 
 def record_direct_passes(monkeypatch):

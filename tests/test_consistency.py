@@ -400,14 +400,28 @@ class TestNodeAffinity:
         assert node_affinity_all(cfg, kset)[0, 0] > node_affinity_all(cfg, kset)[0, 2]
 
     def test_rejects_a_table_for_the_configuration(self):
-        # the index table, not its MatchConfig, once failed with
-        # AttributeError; the same shape check guards every call taking both
+        # the index table, not its MatchConfig, once failed with an
+        # AttributeError naming no argument; one check guards every call
+        # taking a configuration, with or without an affinity set
         kset = builder_affinity_sets(0)[0]
-        table = MatchConfig.identity(kset.N, kset.n).perm_table()
-        for call in (node_affinity_all, mgmboost.core.pair_scores, mgmboost.total_score,
-                     mgmboost.ScoreNormalizer.from_initial, mgmboost.enforce_full_consistency):
+        cfg = MatchConfig.identity(kset.N, kset.n)
+        table, rows = cfg.perm_table(), [range(kset.n)] * kset.N
+        calls = [lambda c, f=f: f(c, kset) for f in (
+            node_affinity_all, mgmboost.core.pair_scores, mgmboost.total_score,
+            mgmboost.ScoreNormalizer.from_initial, mgmboost.enforce_full_consistency)]
+        calls += [overall_consistency, is_fully_consistent, unary_consistency_all,
+                  pairwise_consistency_all, node_consistency_all,
+                  lambda c: overall_consistency(c, table),
+                  lambda c: is_fully_consistent(c, table),
+                  lambda c: keep_masks(c, InlierEstimate(2)),
+                  lambda c: pairwise_consistency(np.arange(kset.n), c, 0, 1),
+                  lambda c: mgmboost.accuracy(c, cfg, rows),
+                  lambda c: mgmboost.accuracy(cfg, c, rows),
+                  lambda c: mgmboost.run_boost(c, kset, mgmboost.BoostParams(t_max=1))]
+        for call in calls:
+            call(cfg)      # the configuration itself is accepted
             with pytest.raises(TypeError) as exc:
-                call(table, kset)
+                call(table)
             assert str(exc.value) == "configuration must be a MatchConfig, got ndarray"
 
 
@@ -631,7 +645,7 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
                  "quad_form", "shape", "SolverOptions", "best_anchor", "EVAL_KINDS",
                  "kernel_blocks", "DENSE_NODE_LIMIT", "kernel_sums", "dense_stack",
-                 "is_dense")
+                 "is_dense", "SWEEP_BATCH_ENTRIES")
 
 
 def test_public_names():
