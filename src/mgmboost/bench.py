@@ -21,10 +21,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .boost import run_boost
+from .boost import BoostParams, run_boost
 from .consistency import overall_consistency
-from .core import (ScoreNormalizer, _index_array, check_config, check_count, total_score,
-                   upper_indices)
+from .core import (ScoreNormalizer, _index_array, check_choice, check_config, check_count,
+                   check_real, total_score, upper_indices)
 from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind,
                        gen_random_graphs, gen_random_points, init_config,
                        load_pointset, truth_config)
@@ -52,8 +52,7 @@ class ExperimentSpec:
     file_path: str | None = None
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ValueError(f"generator must be one of {GENERATORS}")
+        check_choice("generator", self.generator, GENERATORS)
         if self.sweep_param == "seed":
             raise ValueError("seed cannot be swept: each trial derives its data seed "
                              "from seed_base, the swept value's index and the trial")
@@ -78,6 +77,10 @@ class ExperimentSpec:
             raise ValueError("file generator needs file_path")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        for entry in self.algorithms:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[1], BoostParams)):
+                raise TypeError(f"algorithm {entry!r} must be a (name, BoostParams) pair")
         names = [name for name, _ in self.algorithms]
         for name in names:
             if names.count(name) > 1:
@@ -110,8 +113,7 @@ class ResultRow:
     mean_score: float
 
     def __post_init__(self):
-        if not 0.0 <= self.trial_mean_acc <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
+        check_real("accuracy", self.trial_mean_acc, 0, 1)
 
 
 def inlier_rows_from_instances(instances):
@@ -129,6 +131,9 @@ def accuracy(cfg_alg, cfg_truth, inlier_rows):
     check_config(cfg_truth)
     if cfg_alg.N != cfg_truth.N or cfg_alg.n != cfg_truth.n:
         raise ValueError("algorithm and truth configurations differ in shape")
+    if not isinstance(inlier_rows, (list, tuple, np.ndarray)):
+        raise TypeError("inlier_rows must be a list of row lists, one per graph, "
+                        f"got {type(inlier_rows).__name__}")
     if len(inlier_rows) != cfg_alg.N:
         raise ValueError(f"got {len(inlier_rows)} inlier-row lists for {cfg_alg.N} graphs")
     inlier = np.zeros((cfg_alg.N, cfg_alg.n), dtype=bool)
@@ -169,9 +174,10 @@ def make_instances(generator, params, file_path=None):
 
 
 def _run_trial(spec, sweep_idx, trial):
-    """One (swept value, trial) cell: returns {algorithm: metrics} or None
-    when generation, solving, boosting or scoring fails (logged, cell
-    dropped)."""
+    """One (swept value, trial) cell: returns {algorithm: metrics}, without
+    the algorithms whose boosting or scoring failed, or None when the
+    setup (generation, affinities, initial solve) failed; each failure
+    is logged."""
     value = spec.sweep_values[sweep_idx]
     seeds = np.random.SeedSequence([spec.seed_base, sweep_idx, trial]).generate_state(3)
     data_seed, init_seed, boost_seed = (int(s) for s in seeds)
@@ -199,17 +205,16 @@ def _run_trial(spec, sweep_idx, trial):
                          overall_consistency(cfg_out),
                          total_score(cfg_out, kset) / norm.value)
         except Exception:
-            log.warning("trial (%s=%s, trial %d) aborted in algorithm %s",
+            log.warning("trial (%s=%s, trial %d): algorithm %s aborted",
                         spec.sweep_param, value, trial, name, exc_info=True)
-            return None
     return out
 
 
 def run_experiment(spec, workers=1):
     """Run the whole grid, in ``workers`` parallel processes when above 1,
     and aggregate one ResultRow per (algorithm, swept value) over the
-    trials that did not fail. Deterministic given the seed base, except
-    wall times."""
+    trials in which that algorithm did not fail. Deterministic given the
+    seed base, except wall times."""
     check_count("workers", workers, 1)
     cells = [(si, tr) for si in range(len(spec.sweep_values)) for tr in range(spec.trials)]
     if workers > 1:
@@ -230,11 +235,16 @@ def run_experiment(spec, workers=1):
         if not trials:
             log.warning("all trials failed for %s=%s; row dropped", spec.sweep_param, value)
             continue
-        if len(trials) < spec.trials:
-            log.warning("%d of %d trials failed for %s=%s", spec.trials - len(trials),
-                        spec.trials, spec.sweep_param, value)
         for name, _ in spec.algorithms:
-            accs, times, cons, scores = np.array([t[name] for t in trials]).T
+            runs = [t[name] for t in trials if name in t]
+            if not runs:
+                log.warning("all trials failed for %s=%s in algorithm %s; row dropped",
+                            spec.sweep_param, value, name)
+                continue
+            if len(runs) < spec.trials:
+                log.warning("%d of %d trials failed for %s=%s in algorithm %s",
+                            spec.trials - len(runs), spec.trials, spec.sweep_param, value, name)
+            accs, times, cons, scores = np.array(runs).T
             rows.append(ResultRow(name, spec.sweep_param, float(value),
                                   float(accs.mean()), float(accs.std()),
                                   float(times.mean()), float(cons.mean()),

@@ -21,14 +21,15 @@ spectral synchronization when there are more graphs than nodes.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import core
-from .core import (MatchConfig, ScoreNormalizer, check_count, check_same_shape, pair_scores,
-                   upper_indices)
+from .core import (MatchConfig, ScoreNormalizer, check_choice, check_count, check_finite,
+                   check_real, check_same_shape, pair_scores, upper_indices)
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
@@ -51,11 +52,6 @@ MAX_SPECTRAL_ITERS = 1000
 log = logging.getLogger(__name__)
 
 
-def _check_gamma(gamma):
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-
-
 @dataclass(frozen=True)
 class BoostParams:
     mode: str = "isb_gc"
@@ -70,17 +66,13 @@ class BoostParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        check_choice("mode", self.mode, MODES)
         for name in ("t0", "t_max", "seed"):
             check_count(name, getattr(self, name))
-        if not 0.0 <= self.lambda0 <= 1.0:
-            raise ValueError("lambda0 must lie in [0, 1]")
-        if not self.beta >= 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta!r}")
-        _check_gamma(self.gamma)
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must lie in (0, 1]")
+        check_real("lambda0", self.lambda0, 0, 1)
+        check_real("beta", self.beta, 1, math.inf)
+        check_real("gamma", self.gamma, 0, 1, open_low=True, open_high=True)
+        check_real("sample_rate", self.sample_rate, 0, 1, open_low=True)
         if not (self.elicit is None or isinstance(self.elicit, InlierEstimate)):
             raise ValueError(f"elicit must be None or an InlierEstimate, got {self.elicit!r}")
 
@@ -405,10 +397,7 @@ def mst(weights):
     w = w.astype(float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
-    bad = np.argwhere(~np.isfinite(w))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ValueError(f"weight ({i}, {j}) = {w[i, j]} is not finite")
+    check_finite("weights", w)
     if not np.array_equal(w, w.T):
         raise ValueError("weights must be symmetric")
     n = w.shape[0]
@@ -511,7 +500,7 @@ def enforce_full_consistency(cfg, kset, gamma=BoostParams.gamma):
     consistency-weighted super graph is used, falling back to spectral
     synchronization when there are more graphs than nodes.
     """
-    _check_gamma(gamma)
+    check_real("gamma", gamma, 0, 1, open_low=True, open_high=True)
     check_same_shape(cfg, kset)
     return _make_consistent(cfg, kset, gamma, anchor_mismatches(cfg))
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Permutation, _kept_count, check_config, check_count, check_graph_index,
-                   check_same_shape, upper_indices)
+from .core import (Permutation, _kept_count, check_choice, check_config, check_count,
+                   check_graph_index, check_same_shape, upper_indices)
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -35,8 +35,7 @@ class InlierEstimate:
 
     def __post_init__(self):
         check_count("n_est", self.n_est, 1)
-        if self.mode not in MASK_MODES:
-            raise ValueError(f"mode must be one of {MASK_MODES}")
+        check_choice("mode", self.mode, MASK_MODES)
 
 
 def _mismatch_rows(table, keep=None):

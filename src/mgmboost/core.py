@@ -13,6 +13,8 @@ every consistency metric inside (0, 1].
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -132,6 +134,41 @@ def check_count(name, value, least=0):
                                        and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def check_real(name, value, low, high, open_low=False, open_high=False):
+    """``value`` as a float; raises ValueError, naming the argument and its
+    value, unless it is a real number (Python or numpy, not a bool or a
+    string) from ``low`` to ``high``, an end excluded when its flag is set.
+    NaN lies in no interval. A ``high`` of inf reads "must be >= low", and
+    "must be finite and >= low" when excluded; numpy scalars are shown as
+    the Python number."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    v = float(value) if real else math.nan
+    if not ((low < v if open_low else low <= v) and (v < high if open_high else v <= high)):
+        if high == math.inf:
+            want = f"be {'finite and ' if open_high else ''}{'>' if open_low else '>='} {low}"
+        else:
+            want = f"lie in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{name} must {want}, got {shown!r}")
+    return v
+
+
+def check_choice(name, value, choices):
+    """Raise ValueError, naming the argument and its value, unless
+    ``value`` is a string among ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_finite(name, array):
+    """Raise ValueError naming the first entry of ``array`` that is not
+    finite, as ``name[i, j]``, and its value."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"{name}[{', '.join(map(str, at))}] = {float(array[at])} is not finite")
 
 
 def check_graph_index(k, n_graphs):
@@ -351,12 +388,8 @@ class AffinitySet:
                        else type(channel).__name__)
                 raise ValueError(f"channel {c} must be (weight, attribute, bandwidth), "
                                  f"got {got}") from None
-            weight, sigma2 = float(weight), float(sigma2)
-            if not (np.isfinite(weight) and weight >= 0):
-                raise ValueError(f"channel {c} weight must be finite and >= 0, got {weight!r}")
-            if not (np.isfinite(sigma2) and sigma2 > 0):
-                raise ValueError(f"channel {c} bandwidth must be finite and > 0, "
-                                 f"got {sigma2!r}")
+            weight = check_real(f"channel {c} weight", weight, 0, math.inf, open_high=True)
+            sigma2 = check_real(f"channel {c} bandwidth", sigma2, 0, math.inf, True, True)
             attr = np.asarray(attr, dtype=float)
             if attr.shape != mask.shape:
                 raise ValueError(f"edge attributes have shape {attr.shape}, "
@@ -642,10 +675,8 @@ class ScoreNormalizer:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("normalizer must be positive (all-zero affinities are degenerate)")
-        if not np.isfinite(self.value):
-            raise ValueError(f"normalizer must be finite, got {self.value!r}")
+        # all-zero affinities give 0, which would divide every score by 0
+        check_real("normalizer", self.value, 0, math.inf, True, True)
 
     @classmethod
     def from_initial(cls, cfg, kset):
@@ -654,10 +685,13 @@ class ScoreNormalizer:
 
 def affinity_score(x, k, keep=None):
     """Raw score vec(X)^T K vec(X) of a permutation or index vector against
-    an explicit affinity matrix, gathered from the entries X touches. With
+    an explicit affinity matrix (an ``AffinityMatrix``, or anything its
+    constructor accepts), gathered from the entries X touches. With
     ``keep``, the row graph's (n,) boolean row of keep_masks, only
     affinities among kept rows count."""
     p = (x if isinstance(x, Permutation) else Permutation(x)).perm
+    if not isinstance(k, AffinityMatrix):
+        k = AffinityMatrix(k)
     if p.shape != (k.n,):
         raise ValueError(f"permutation has {p.size} nodes but affinity matrix expects {k.n}")
     _kept_count(keep, (k.n,))

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import core
-from .core import AffinityMatrix, Permutation, issparse
+from .core import AffinityMatrix, Permutation, check_finite, issparse
 
 MAX_POWER_ITERS = 500
 POWER_TOL = 1e-9   # stop once successive iterates differ by less in 2-norm
@@ -113,9 +113,7 @@ def _profit_array(profit, ndim):
     p = np.asarray(profit, dtype=float)
     if p.ndim != ndim or p.shape[-2] != p.shape[-1]:
         raise ValueError("profit matrix must be square")
-    if not np.isfinite(p).all():
-        at = tuple(int(x) for x in np.argwhere(~np.isfinite(p))[0])
-        raise ValueError(f"profit entries must be finite, got entry {at} = {p[at]}")
+    check_finite("profit", p)
     return p
 
 

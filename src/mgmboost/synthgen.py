@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffinitySet, MatchConfig, Permutation, check_count, upper_indices
+from .core import (AffinitySet, MatchConfig, Permutation, check_choice, check_count,
+                   check_finite, check_real, upper_indices)
 from .pairwise import solve_pairs
 
 AFFINITY_KINDS = ("gauss", "len_angle")
@@ -35,19 +36,12 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_graphs", 2), ("inliers", 1), ("outliers", 0)):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < least:
-                raise ValueError(f"{name} must be >= {least}, got {count!r}")
-        if not (np.isfinite(self.deform) and self.deform >= 0):
-            raise ValueError(f"deform must be finite and >= 0, got {self.deform!r}")
+        for name, least in (("n_graphs", 2), ("inliers", 1), ("outliers", 0), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
+        check_real("deform", self.deform, 0, math.inf, open_high=True)
         for name in ("density", "coverage"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-        _check_bandwidth("sigma2", self.sigma2)
-        check_count("seed", self.seed)
+            check_real(name, getattr(self, name), 0, 1)
+        check_real("sigma2", self.sigma2, 0, math.inf, open_low=True, open_high=True)
 
     @property
     def n_nodes(self):
@@ -68,13 +62,13 @@ class GraphInstance:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        _check_finite("adjacency", a)
+        check_finite("adjacency", a)
         if self.coords is not None:
             self.coords = np.asarray(self.coords, dtype=float)
             if self.coords.shape != (a.shape[0], 2):
                 raise ValueError(f"coords must have shape ({a.shape[0]}, 2), one 2-D point "
                                  f"per node, got {self.coords.shape}")
-            _check_finite("coords", self.coords)
+            check_finite("coords", self.coords)
         if not np.array_equal(a, a.T) or np.any(np.diag(a) != 0):
             raise ValueError("adjacency must be symmetric with zero diagonal")
         if not 0 <= self.inlier_count <= a.shape[0]:
@@ -104,14 +98,6 @@ class GraphInstance:
         perm = np.concatenate([self.truth.perm, np.arange(self.n, n_total)])
         return GraphInstance(np.pad(self.adjacency, (0, n_total - self.n)),
                              self.inlier_count, Permutation(perm))
-
-
-def _check_finite(name, a):
-    """Raise ValueError naming the first non-finite entry of ``a``."""
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        at = tuple(bad[0].tolist())
-        raise ValueError(f"{name}[{', '.join(map(str, at))}] = {float(a[at])} is not finite")
 
 
 def _relabel(adjacency, coords, inlier_count, rng):
@@ -307,18 +293,12 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
     return instances
 
 
-def _check_bandwidth(name, value):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def check_affinity_kind(kind, beta_w):
     """Raise ValueError, naming the value, unless ``kind`` is one of
     AFFINITY_KINDS and, for len_angle, beta_w lies in [0, 1]."""
-    if kind not in AFFINITY_KINDS:
-        raise ValueError(f"affinity must be one of {AFFINITY_KINDS}, got {kind!r}")
-    if kind == "len_angle" and not 0.0 <= beta_w <= 1.0:
-        raise ValueError(f"beta_w must lie in [0, 1], got {beta_w!r}")
+    check_choice("affinity", kind, AFFINITY_KINDS)
+    if kind == "len_angle":
+        check_real("beta_w", beta_w, 0, 1)
 
 
 def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
@@ -335,7 +315,7 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     lengths (normalized per graph by the largest Delaunay edge) and one on
     each edge's absolute angle to the horizontal, both of bandwidth sigma2.
     """
-    _check_bandwidth("sigma2", sigma2)
+    check_real("sigma2", sigma2, 0, math.inf, open_low=True, open_high=True)
     check_affinity_kind(kind, beta_w)
     if len(instances) < 2:
         raise ValueError(f"need at least 2 instances to match, got {len(instances)}")
@@ -377,8 +357,7 @@ def init_config(kset, coverage, seed, solver=None):
     together by ``solve_pairs``; a ``solver`` callable is instead given
     each pair's ``kset.get(i, j)``.
     """
-    if not 0.0 <= coverage <= 1.0:
-        raise ValueError("coverage must lie in [0, 1]")
+    check_real("coverage", coverage, 0, 1)
     rng = np.random.default_rng(check_count("seed", seed))
     iu, ju = upper_indices(kset.N)
     solved = np.zeros(len(iu), dtype=bool)

@@ -114,6 +114,14 @@ class TestAccuracy:
         new_rows = [relabel[i].inverse().perm[rows[i]] for i in range(n_graphs)]
         assert accuracy(apply(alg), apply(tru), new_rows) == pytest.approx(base)
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_inlier_rows_not_a_list_named(self, rows):
+        # None met a bare "has no len()" TypeError
+        cfg = MatchConfig.identity(3, 3)
+        with pytest.raises(TypeError, match="inlier_rows must be a list of row lists, one per "
+                                            f"graph, got {type(rows).__name__}"):
+            accuracy(cfg, cfg, rows)
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             accuracy(MatchConfig.identity(3, 2), MatchConfig.identity(3, 3), [])
@@ -170,22 +178,40 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "run_boost", flaky)
         with caplog.at_level(logging.WARNING, logger="mgmboost.bench"):
             rows = run_experiment(spec)
-        assert len(calls) == 11   # the failed cell skips its last algorithm
+        assert len(calls) == 12   # the failed cell still runs its other algorithms
         (record,) = [r for r in caplog.records if "aborted" in r.getMessage()]
         assert "deform=0.2" in record.getMessage()
         assert "trial 0" in record.getMessage() and "isb" in record.getMessage()
         assert record.exc_info is not None
         (counted,) = [r for r in caplog.records if "trials failed" in r.getMessage()]
-        assert counted.getMessage() == "1 of 2 trials failed for deform=0.2"
+        assert counted.getMessage() == "1 of 2 trials failed for deform=0.2 in algorithm isb"
         assert [(r.swept_value, r.algorithm) for r in rows] == [
             (v, a) for v in (0.0, 0.2) for a in ("init", "isb", "isb_gc")]
         monkeypatch.undo()
         full = run_experiment(spec)
-        assert [r.trial_mean_acc for r in rows[:3]] == [r.trial_mean_acc for r in full[:3]]
+        # only the failed algorithm's row at deform=0.2 loses a trial
+        assert [r.trial_mean_acc for r in rows if r.algorithm != "isb" or r.swept_value == 0.0] \
+            == [r.trial_mean_acc for r in full if r.algorithm != "isb" or r.swept_value == 0.0]
         survivor = _run_trial(spec, 1, 1)
-        for r in rows[3:]:
-            assert r.trial_mean_acc == survivor[r.algorithm][0]
-            assert r.acc_std == 0.0
+        (isb,) = [r for r in rows if r.algorithm == "isb" and r.swept_value == 0.2]
+        assert isb.trial_mean_acc == survivor["isb"][0]
+        assert isb.acc_std == 0.0
+
+    def test_algorithm_failing_every_trial_drops_only_its_row(self, monkeypatch, caplog):
+        spec = _tiny_spec(trials=2, deform=0.1)
+        real_run_boost = bench.run_boost
+
+        def failing(cfg0, kset, params):
+            if params.mode == "isb" and params.t_max:    # "isb", not "init"
+                raise RuntimeError("boom")
+            return real_run_boost(cfg0, kset, params)
+
+        monkeypatch.setattr(bench, "run_boost", failing)
+        with caplog.at_level(logging.WARNING, logger="mgmboost.bench"):
+            rows = run_experiment(spec)
+        assert [r.algorithm for r in rows] == ["init", "isb_gc"]
+        assert [r.getMessage() for r in caplog.records if "failed for" in r.getMessage()] \
+            == ["all trials failed for deform=0.0 in algorithm isb; row dropped"]
 
     def test_value_whose_trials_all_fail_is_dropped(self, monkeypatch, caplog):
         spec = replace(_tiny_spec(trials=2, deform=0.1), sweep_values=(0.0, 0.2))
@@ -274,6 +300,13 @@ class TestRunExperiment:
                 ("isb", BoostParams(mode="isb", t_max=2)))
         with pytest.raises(ValueError, match="algorithm 'isb' is listed twice"):
             _tiny_spec(algorithms=algs)
+
+    @pytest.mark.parametrize("entry", [("a", 3), ("a",), 3], ids=["params", "short", "bare"])
+    def test_algorithm_that_is_no_pair_named(self, entry):
+        # ("a", 3) met an AttributeError on 'elicit'
+        with pytest.raises(TypeError, match=re.escape(
+                f"algorithm {entry!r} must be a (name, BoostParams) pair")):
+            _tiny_spec(algorithms=(entry,))
 
     def test_seed_sweep_rejected(self):
         # every trial sets its own data seed, so a swept seed cannot apply
@@ -436,7 +469,7 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n-graphs", "1", "n_graphs must be >= 2, got 1"),
+        ("--n-graphs", "1", "n_graphs must be an integer >= 2, got 1"),
         ("--deform", "-1", "deform must be finite and >= 0, got -1.0")])
     def test_match_bad_synth_param_is_usage_error(self, flag, value, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -448,7 +481,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["gen", "--out", str(tmp_path / "x.npz"), "--inliers", "0"])
         assert exc.value.code == 2
-        assert "inliers must be >= 1, got 0" in capsys.readouterr().err
+        assert "inliers must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x.npz").exists()
 
     def test_match_n_est_above_node_count_is_usage_error(self, capsys):
@@ -503,7 +536,7 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--sweep", "inliers", "--values", "0,4"], "inliers must be >= 1, got 0"),
+        (["--sweep", "inliers", "--values", "0,4"], "inliers must be an integer >= 1, got 0"),
         (["--sweep", "deform", "--values", "0", "--inliers", "4", "--elicit", "cst",
           "--n-est", "9"],
          "algorithm 'isb': elicit.n_est=9 exceeds the node count 4 at deform=0.0"),

@@ -1058,7 +1058,7 @@ class TestMst:
     def test_non_finite_weight_named(self, value):
         w = np.ones((4, 4)) - np.eye(4)
         w[1, 3] = w[3, 1] = value
-        with pytest.raises(ValueError, match=re.escape(f"weight (1, 3) = {value} is not finite")):
+        with pytest.raises(ValueError, match=re.escape(f"weights[1, 3] = {value} is not finite")):
             mst(w)
 
     def test_complex_weights_named(self):

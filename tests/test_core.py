@@ -8,12 +8,20 @@ Property coverage:
 - score invariance under simultaneous consistent relabeling (n <= 4)
 - K is dense at any fill while a solver stack holds two of them (n <= 16
   at 2^17 entries, n <= 19 at 2^18), and above only from a third full
+- every real-valued, choice and count parameter of the public entry
+  points either takes a value or rejects it with a ValueError, raised in
+  mgmboost, that names the parameter (strings, booleans, None, NaN, +-inf,
+  out-of-range numbers, arrays)
 """
 
+import functools
 import hashlib
 import itertools
+import math
+import os
 import pickle
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -21,9 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mgmboost
 import mgmboost.core as core
-from mgmboost import (AffinityMatrix, BoostParams, InlierEstimate, MatchConfig, Permutation,
-                      ScoreNormalizer, SynthParams, affinity_score, solve_pairwise)
+from mgmboost import (AffinityMatrix, BoostParams, ExperimentSpec, InlierEstimate, MatchConfig,
+                      Permutation, ScoreNormalizer, SynthParams, affinity_score,
+                      build_affinity_set, enforce_full_consistency, gen_random_points,
+                      init_config, solve_pairwise)
 from mgmboost.core import check_count
 
 from conftest import naive_quad_form, random_affinity, reference_from_basis
@@ -141,6 +152,8 @@ class TestAffinityScore:
         vec = np.eye(2).flatten(order="F")
         assert vec @ k @ vec == 6.0
         assert affinity_score(Permutation.identity(2), AffinityMatrix(k)) == 6.0
+        # anything AffinityMatrix accepts, as power_iteration takes it
+        assert affinity_score(Permutation.identity(2), k) == 6.0
 
     def test_dimension_mismatch(self, rng):
         k = AffinityMatrix(np.zeros((9, 9)))
@@ -276,7 +289,7 @@ class TestNormalizedScore:
         # inf was accepted and made every normalized score 0
         with pytest.raises(ValueError) as exc:
             ScoreNormalizer(float("inf"))
-        assert str(exc.value) == "normalizer must be finite, got inf"
+        assert str(exc.value) == "normalizer must be finite and > 0, got inf"
 
 
 class TestAffinityOrientation:
@@ -488,3 +501,55 @@ def test_bool_count_rejected(name, make, value):
     # bool is a subclass of int, but True is no count of anything
     with pytest.raises(ValueError, match=rf"{name} must be an integer.*, got {value!r}$"):
         make(value)
+
+
+@functools.cache
+def _small_set():
+    """Point-set instances, their affinity set and an initial configuration."""
+    graphs = gen_random_points(SynthParams(n_graphs=3, inliers=4, deform=0.05, seed=1))
+    kset = build_affinity_set(graphs, 0.05)
+    return graphs, kset, init_config(kset, 1.0, 0)
+
+
+def _spec(**fields):
+    return ExperimentSpec(**{"generator": "random_graph", "base": SynthParams(3, 3),
+                             "sweep_param": "deform", "sweep_values": (0.1,),
+                             "algorithms": (("a", BoostParams()),), **fields})
+
+
+# (the parameter's name in the message, a call passing it the value)
+BOUNDARY = [
+    *[(name, lambda v, name=name: BoostParams(**{name: v}))
+      for name in ("mode", "t0", "t_max", "lambda0", "beta", "gamma", "sample_rate", "seed")],
+    *[(name, lambda v, name=name: SynthParams(**{"n_graphs": 3, "inliers": 3, name: v}))
+      for name in ("n_graphs", "inliers", "outliers", "deform", "density", "sigma2",
+                   "coverage", "seed")],
+    ("n_est", InlierEstimate),
+    ("mode", lambda v: InlierEstimate(2, v)),
+    ("normalizer", ScoreNormalizer),
+    *[(name, lambda v, name=name: _spec(**{name: v}))
+      for name in ("generator", "trials", "seed_base", "affinity")],
+    ("beta_w", lambda v: _spec(affinity="len_angle", beta_w=v)),
+    ("coverage", lambda v: init_config(_small_set()[1], v, 0)),
+    ("seed", lambda v: init_config(_small_set()[1], 1.0, v)),
+    ("sigma2", lambda v: build_affinity_set(_small_set()[0], v)),
+    ("affinity", lambda v: build_affinity_set(_small_set()[0], 0.05, kind=v)),
+    ("beta_w", lambda v: build_affinity_set(_small_set()[0], 0.05, "len_angle", v)),
+    ("gamma", lambda v: enforce_full_consistency(_small_set()[2], _small_set()[1], v)),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(BOUNDARY), value=st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.integers(-3, 3), st.floats(-3, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.True_, np.float64(-0.5),
+                     np.int64(-1), np.array(["isb", "isb"])])))
+def test_boundary_value_named(case, value):
+    # a string once met a bare '<=' TypeError, and a boolean passed as a number
+    name, call = case
+    try:
+        call(value)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{name} must "), str(exc)
+        raised_in = traceback.extract_tb(exc.__traceback__)[-1].filename
+        assert os.path.dirname(raised_in) == os.path.dirname(mgmboost.__file__)

@@ -161,15 +161,15 @@ class TestStackedHungarian:
             stacked_hungarian(np.ones((3, 3)))
         profits = np.ones((b, 3, 3))
         profits[-1, 2, 1] = np.nan
-        with pytest.raises(ValueError, match="profit entries must be finite"):
+        with pytest.raises(ValueError, match=r"profit\[.+\] = .+ is not finite"):
             stacked_hungarian(profits)
         # the first non-finite entry in index order is named
         profits[-1, 1, 2] = -np.inf
         with pytest.raises(ValueError, match=re.escape(
-                f"profit entries must be finite, got entry ({b - 1}, 1, 2) = -inf")):
+                f"profit[{b - 1}, 1, 2] = -inf is not finite")):
             stacked_hungarian(profits)
         with pytest.raises(ValueError, match=re.escape(
-                "profit entries must be finite, got entry (1, 2) = -inf")):
+                "profit[1, 2] = -inf is not finite")):
             hungarian(profits[-1])
 
 

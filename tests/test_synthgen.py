@@ -528,7 +528,7 @@ class TestBoundaries:
     @settings(max_examples=40, deadline=None)
     @given(sigma2=BAD_BANDWIDTH)
     def test_bad_sigma2_rejected_naming_value(self, sigma2):
-        named = re.escape(f"sigma2 must be finite and positive, got {sigma2!r}")
+        named = re.escape(f"sigma2 must be finite and > 0, got {sigma2!r}")
         with pytest.raises(ValueError, match=named):
             build_affinity_set(self._graphs(), sigma2)
         with pytest.raises(ValueError, match=named):
@@ -570,8 +570,9 @@ class TestBoundaries:
     @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3", None])
     def test_non_integer_count_named(self, name, value):
         counts = {"n_graphs": 3, "inliers": 4, "outliers": 1, name: value}
+        least = {"n_graphs": 2, "inliers": 1, "outliers": 0}[name]
         with pytest.raises(ValueError, match=re.escape(
-                f"{name} must be an integer, got {value!r}")):
+                f"{name} must be an integer >= {least}, got {value!r}")):
             SynthParams(**counts)
 
     def test_numpy_integer_counts_accepted(self):
