@@ -22,11 +22,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# The solver's budget: ``pairwise.solve_pairs`` power-iterates dense K in
-# stacks of at most this many entries (1 MiB of float64), or one pair's K
-# when it alone is larger, and discretizes profit grids in batches of at
-# most this many entries; ``dense_by_fill`` holds K dense wherever a stack
-# takes two.
+# The solver's budget: ``AffinitySet._stacks`` builds dense K in stacks
+# of at most this many entries (1 MiB of float64), or one pair's K when
+# it alone is larger, and ``pairwise.solve_pairs`` discretizes profit
+# grids in batches of at most this many entries; ``dense_by_fill`` holds
+# K dense wherever a stack takes two.
 STACK_ENTRIES = 1 << 17
 
 # The working-set budget of scoring and boosting: kernel blocks are built,
@@ -129,10 +129,11 @@ def slot_map(count):
 def check_count(name, value, least=0):
     """Raise ValueError, naming the argument and its value, unless
     ``value`` is an integer (Python or numpy, not a float or a bool) >=
-    ``least``."""
+    ``least``; numpy scalars are shown as the Python number."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
                                        and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{name} must be an integer >= {least}, got {shown!r}")
     return value
 
 
@@ -271,8 +272,9 @@ class AffinityMatrix:
     """Non-negative symmetric n^2 x n^2 affinity matrix between two n-node
     graphs, the pairwise solver's input: a dense array or CSR, as
     ``dense_by_fill`` picks from n and the stored entries. Graphs of
-    unequal sizes must first be padded with isolated dummy nodes. ``AffinitySet.get`` builds one for the solver; the
-    boosting loop never holds one."""
+    unequal sizes must first be padded with isolated dummy nodes.
+    ``AffinitySet.get`` builds one for a per-pair solver; the boosting
+    loop never holds one."""
 
     __slots__ = ("n", "data")
 
@@ -349,9 +351,10 @@ class AffinitySet:
     which ``_kernel_sums`` computes from a_c[i] and the gathered
     a_c[j][p][:, p] and sums: its sum is the score vec(X)^T K vec(X) and
     its row sums are node affinities (Zhou & De la Torre, "Factorized Graph
-    Matching", CVPR 2012). ``get`` builds one pair's K for the pairwise
-    solver and ``_dense_stack`` many pairs' at once, evaluating the kernel
-    once per distinct entry; neither keeps it.
+    Matching", CVPR 2012). ``_stacks`` builds the pairwise solver's K,
+    dense or CSR as it decides, the dense pairs' in ``_dense_stack``
+    stacks that evaluate the kernel once per distinct entry, and ``get``
+    one pair's; none keeps it.
 
     The constructor rejects a mask edge (u, u) or one without its mirror
     (v, u), and an attribute that is not finite or not symmetric on an
@@ -433,11 +436,6 @@ class AffinitySet:
                 out += k
         return out
 
-    def _is_dense(self, i, j):
-        """Whether the pair's K is held dense: ``dense_by_fill`` on its
-        |E_i| * |E_j| stored entries."""
-        return dense_by_fill(self.n, self._edges[i] * self._edges[j])
-
     @cached_property
     def _dense_index(self):
         """The m + 1 flat attribute indices ``_dense_stack`` gathers per
@@ -462,26 +460,38 @@ class AffinitySet:
         vals = self._kernel((i + gather)[:, None, :], (j + gather)[:, :, None])
         return vals.reshape(len(i), -1).take(index, axis=1)
 
+    def _stacks(self, i, j):
+        """(positions, K) for the pairs (i[b], j[b]) of the index arrays,
+        graph i[b] the row graph, as ``stacked_power_iteration`` takes them,
+        each K built when reached: each CSR pair alone, then the dense pairs
+        in ``_dense_stack`` stacks of at most STACK_ENTRIES entries, or of
+        one larger K. Only here does ``dense_by_fill`` pick a pair's storage."""
+        n, size = self.n, self.n * self.n
+        dense = np.array([dense_by_fill(n, self._edges[a] * self._edges[b])
+                          for a, b in zip(i.tolist(), j.tolist())], dtype=bool)
+        for b in np.flatnonzero(~dense):
+            # a graph's edges are where its attributes are finite
+            ei, ej = (np.flatnonzero(np.isfinite(self._attrs[0][g])) for g in (i[b], j[b]))
+            vals = self._kernel(i[b] * size + ei, (j[b] * size + ej)[:, None]).ravel()
+            rows = ((ej // n)[:, None] * n + ei // n).ravel()
+            cols = ((ej % n)[:, None] * n + ei % n).ravel()
+            import scipy.sparse as sp    # only for CSR: see the README
+            yield [b], sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+        dense = np.flatnonzero(dense)
+        step = max(1, STACK_ENTRIES // size ** 2)
+        for t in range(0, len(dense), step):
+            at = dense[t:t + step]
+            yield at, self._dense_stack(i[at], j[at])
+
     def get(self, i, j):
-        """K of the pair (i, j) with graph i as the row graph, dense or CSR
-        as ``_is_dense`` picks; CSR is built from the edge lists of both
-        graphs. Built on every call and kept nowhere."""
+        """K of the pair (i, j), graph i the row graph: the one-pair case of
+        ``_stacks`` as one matrix, built on every call and kept nowhere."""
         check_graph_index(i, self.N)
         check_graph_index(j, self.N)
         if i == j:
             raise ValueError("affinity is defined between distinct graphs")
-        n, size = self.n, self.n * self.n
-        if self._is_dense(i, j):
-            return AffinityMatrix._wrap(n, self._dense_stack([i], [j])[0])
-        # a graph's edges are where its attributes are finite
-        ei, ej = (np.flatnonzero(np.isfinite(self._attrs[0][g])) for g in (i, j))
-        vals = self._kernel(i * size + ei, (j * size + ej)[:, None]).ravel()
-        (ui, vi), (uj, vj) = divmod(ei, n), divmod(ej, n)
-        rows = (uj[:, None] * n + ui).ravel()
-        cols = (vj[:, None] * n + vi).ravel()
-        import scipy.sparse as sp    # only for CSR: see the README
-        k = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-        return AffinityMatrix._wrap(n, k)
+        (_, k), = self._stacks(np.array([i]), np.array([j]))
+        return AffinityMatrix._wrap(self.n, k.reshape(k.shape[-1], k.shape[-1]))
 
     def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
         """Sums of candidate matchings' kernel blocks over ``axis``.

@@ -1,9 +1,11 @@
 """Self-contained pairwise matching solver: spectral relaxation by power
 iteration followed by Hungarian discretization.
 
-The solver only sees the affinity matrix; it is a pluggable stand-in for
-any stronger pairwise matcher, and the multi-graph layer treats it as a
-black box returning one permutation per pair.
+The solver only sees affinity matrices, dense or CSR as the affinity set
+holds them (``AffinitySet._stacks`` decides, and stacks the dense ones);
+it is a pluggable stand-in for any stronger pairwise matcher, and the
+multi-graph layer treats it as a black box returning one permutation per
+pair.
 
 Both stages run on short vectors (n or n^2 entries, n up to a few dozen),
 where a numpy call costs more than its arithmetic, so both batch across
@@ -276,28 +278,21 @@ def solve_pairwise(k):
 
 
 def solve_pairs(kset, i, j):
-    """``solve_pairwise(kset.get(i[p], j[p])).perm`` for the pairs of the
-    index arrays ``i`` and ``j``, as one (P, n) array, equal bit for bit.
+    """``solve_pairwise`` on the K of each pair (i[p], j[p]) of the index
+    arrays ``i`` and ``j``, as one (P, n) index array, equal bit for bit.
 
-    Pairs are taken in batches of ``core.STACK_ENTRIES`` profit entries.
-    In each, pairs whose K is dense are power-iterated in stacks of that
-    many entries, each built by ``_dense_stack``, and CSR pairs one by one;
-    the batch's score grids are then discretized by one
-    ``stacked_hungarian`` call.
+    Pairs go in batches of ``core.STACK_ENTRIES`` profit entries. Each K
+    or stack of K that ``kset._stacks`` yields is power-iterated by one
+    call; a batch's score grids are discretized by ``stacked_hungarian``.
     """
     n = kset.n
     out = np.empty((len(i), n), dtype=np.int64)
     batch = max(1, core.STACK_ENTRIES // n ** 2)
-    step = max(1, core.STACK_ENTRIES // n ** 4)
     for s in range(0, len(i), batch):
         ci, cj = i[s:s + batch], j[s:s + batch]
         vecs = np.empty((len(ci), n * n))
-        dense = np.array([kset._is_dense(a, b) for a, b in zip(ci, cj)], dtype=bool)
-        for b in np.flatnonzero(~dense):
-            vecs[b] = power_iteration(kset.get(ci[b], cj[b]))
-        dense = np.flatnonzero(dense)
-        for t in range(0, len(dense), step):
-            rows = dense[t:t + step]
-            vecs[rows] = stacked_power_iteration(kset._dense_stack(ci[rows], cj[rows]))
+        for rows, k in kset._stacks(ci, cj):
+            vecs[rows] = stacked_power_iteration(k)
+            del k   # so the next stack is built with this one freed
         out[s:s + batch] = stacked_hungarian(vecs.reshape(-1, n, n).transpose(0, 2, 1))
     return out

@@ -295,10 +295,9 @@ def load_pointset(path, n_inliers=None, n_outliers=0, seed=0, max_frames=None):
 
 def check_affinity_kind(kind, beta_w):
     """Raise ValueError, naming the value, unless ``kind`` is one of
-    AFFINITY_KINDS and, for len_angle, beta_w lies in [0, 1]."""
+    AFFINITY_KINDS and beta_w lies in [0, 1], for every kind."""
     check_choice("affinity", kind, AFFINITY_KINDS)
-    if kind == "len_angle":
-        check_real("beta_w", beta_w, 0, 1)
+    check_real("beta_w", beta_w, 0, 1)
 
 
 def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):

@@ -331,14 +331,13 @@ class TestRunExperiment:
         ("foo", 0.9, "affinity must be one of ('gauss', 'len_angle'), got 'foo'"),
         ("len_angle", 1.5, "beta_w must lie in [0, 1], got 1.5"),
         ("len_angle", float("nan"), "beta_w must lie in [0, 1], got nan"),
+        # gauss ignores beta_w, but a value outside its range is still refused
+        ("gauss", 1.5, "beta_w must lie in [0, 1], got 1.5"),
     ])
     def test_bad_affinity_named(self, affinity, beta_w, message):
         # every trial used to fail inside build_affinity_set, leaving no rows
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(_tiny_spec(), affinity=affinity, beta_w=beta_w)
-
-    def test_beta_w_ignored_by_gauss_affinity(self):
-        assert replace(_tiny_spec(), beta_w=1.5).beta_w == 1.5
 
     @pytest.mark.parametrize(("param", "values", "message"), [
         ("inliers", "34", "sweep_values must be a sequence of numbers, got '34'"),
@@ -470,7 +469,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-graphs", "1", "n_graphs must be an integer >= 2, got 1"),
-        ("--deform", "-1", "deform must be finite and >= 0, got -1.0")])
+        ("--deform", "-1", "deform must be finite and >= 0, got -1.0"),
+        ("--beta-w", "5", "beta_w must lie in [0, 1], got 5.0")])
     def test_match_bad_synth_param_is_usage_error(self, flag, value, message, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["match", flag, value])

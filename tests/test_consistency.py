@@ -645,7 +645,7 @@ REMOVED_NAMES = ("elicited_unary_consistency", "elicited_unary_consistency_all",
                  "build_affinity_gauss", "build_affinity_len_angle", "_pair_matrix",
                  "quad_form", "shape", "SolverOptions", "best_anchor", "EVAL_KINDS",
                  "kernel_blocks", "DENSE_NODE_LIMIT", "kernel_sums", "dense_stack",
-                 "is_dense", "SWEEP_BATCH_ENTRIES")
+                 "is_dense", "SWEEP_BATCH_ENTRIES", "_is_dense")
 
 
 def test_public_names():

@@ -530,11 +530,13 @@ BOUNDARY = [
     *[(name, lambda v, name=name: _spec(**{name: v}))
       for name in ("generator", "trials", "seed_base", "affinity")],
     ("beta_w", lambda v: _spec(affinity="len_angle", beta_w=v)),
+    ("beta_w", lambda v: _spec(affinity="gauss", beta_w=v)),
     ("coverage", lambda v: init_config(_small_set()[1], v, 0)),
     ("seed", lambda v: init_config(_small_set()[1], 1.0, v)),
     ("sigma2", lambda v: build_affinity_set(_small_set()[0], v)),
     ("affinity", lambda v: build_affinity_set(_small_set()[0], 0.05, kind=v)),
     ("beta_w", lambda v: build_affinity_set(_small_set()[0], 0.05, "len_angle", v)),
+    ("beta_w", lambda v: build_affinity_set(_small_set()[0], 0.05, "gauss", v)),
     ("gamma", lambda v: enforce_full_consistency(_small_set()[2], _small_set()[1], v)),
 ]
 
@@ -553,3 +555,22 @@ def test_boundary_value_named(case, value):
         assert str(exc).startswith(f"{name} must "), str(exc)
         raised_in = traceback.extract_tb(exc.__traceback__)[-1].filename
         assert os.path.dirname(raised_in) == os.path.dirname(mgmboost.__file__)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_affinity_set(_small_set()[0], 0.05, "gauss", beta_w="a"),
+    lambda: _spec(affinity="gauss", beta_w="a"),
+    lambda: _spec(affinity="gauss", beta_w=5),
+], ids=["build_affinity_set", "ExperimentSpec-str", "ExperimentSpec-5"])
+def test_gauss_beta_w_rejected(call):
+    # each passed silently while only len_angle checked beta_w; the fuzz
+    # above also accepts a call that succeeds, so it cannot catch that
+    with pytest.raises(ValueError, match=r"^beta_w must lie in \[0, 1\], got "):
+        call()
+
+
+def test_numpy_count_shown_as_number():
+    # the message read 'got np.int64(-1)', where check_real shows -1
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")
+                       + "$"):
+        SynthParams(3, 3, seed=np.int64(-1))

@@ -432,6 +432,13 @@ def _len_angle_set(n_graphs, n, seed):
     return build_affinity_set(gen_random_points(p), p.sigma2, "len_angle")
 
 
+def _mixed_set(n, seed):
+    """3 random graphs at density 0.9 and 3 at 0.3, in one set."""
+    graphs = [g for density in (0.9, 0.3) for g in gen_random_graphs(
+        SynthParams(n_graphs=3, inliers=n, deform=0.05, density=density, seed=seed))]
+    return build_affinity_set(graphs, 0.05)
+
+
 def _edgeless_set(n):
     empty = GraphInstance(np.zeros((n, n)), n, Permutation.identity(n))
     return build_affinity_set([empty, empty], 0.05)
@@ -442,24 +449,27 @@ class TestBatchedInitConfig:
     where K is CSR, and discretizes them in batches; either way each
     pair's matching equals the per-pair solver's bit for bit."""
 
-    @pytest.mark.parametrize(("make", "dense"), [
-        (lambda: _graph_set(6, 8, 0.9, 1), True),
-        (lambda: _graph_set(5, 13, 0.9, 2), True),
-        (lambda: _graph_set(4, 16, 0.9, 3), True),
-        (lambda: _len_angle_set(5, 17, 4), False),
-        (lambda: _edgeless_set(5), True),
+    @pytest.mark.parametrize(("make", "csr_pairs"), [
+        (lambda: _graph_set(6, 8, 0.9, 1), 0),
+        (lambda: _graph_set(5, 13, 0.9, 2), 0),
+        (lambda: _graph_set(4, 16, 0.9, 3), 0),
+        (lambda: _len_angle_set(5, 17, 4), 10),
+        (lambda: _edgeless_set(5), 0),
         # 66 pairs: at full coverage they are discretized in lockstep
-        (lambda: _graph_set(12, 8, 0.9, 7), True),
-        (lambda: _len_angle_set(12, 17, 8), False),
+        (lambda: _graph_set(12, 8, 0.9, 7), 0),
+        (lambda: _len_angle_set(12, 17, 8), 66),
         # 120 pairs: at coverage 0.5, 60 rows solved in lockstep land in one
         # table beside 60 random rows
-        (lambda: _graph_set(16, 8, 0.9, 9), True),
+        (lambda: _graph_set(16, 8, 0.9, 9), 0),
+        # 3 dense pairs among the dense graphs and 12 CSR pairs in one set,
+        # so the stacks' positions interleave with the CSR pairs'
+        (lambda: _mixed_set(17, 10), 12),
     ], ids=["dense-8", "gauss-13", "gauss-16", "len_angle-17", "edgeless",
-            "gauss-8-N12", "len_angle-17-N12", "gauss-8-N16"])
+            "gauss-8-N12", "len_angle-17-N12", "gauss-8-N16", "mixed-17"])
     @pytest.mark.parametrize("coverage", [1.0, 0.5, 0.2])
-    def test_equals_per_pair_solver(self, make, dense, coverage):
+    def test_equals_per_pair_solver(self, make, csr_pairs, coverage):
         kset = make()
-        assert all(kset._is_dense(i, j) == dense for i, j in kset.pairs())
+        assert sum(kset.get(i, j).is_sparse for i, j in kset.pairs()) == csr_pairs
         for seed in (0, 1):
             assert (init_config(kset, coverage, seed)
                     == init_config(kset, coverage, seed, solve_pairwise))

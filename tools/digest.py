@@ -142,31 +142,32 @@ def case_names():
 
 
 def _kernel_primitives(kset):
-    """``kset``'s ``_dense_stack``, ``_is_dense`` and flat ``_kernel_sums``.
-    Older revisions have them public, with ``kernel_sums`` over (P, A, n)
+    """``kset``'s ``_dense_stack`` and flat ``_kernel_sums``. Older
+    revisions have them public, with ``kernel_sums`` over (P, A, n)
     candidate stacks; ``--against`` runs this script on those revisions
     too, so there the flat call is made as one candidate per pair."""
     if hasattr(kset, "_kernel_sums"):
-        return kset._dense_stack, kset._is_dense, kset._kernel_sums
+        return kset._dense_stack, kset._kernel_sums
 
     def kernel_sums(i, j, perms, rows=None, axis=(1, 2)):
         return kset.kernel_sums(i, j, perms[:, None], rows,
                                 (2, 3) if axis == (1, 2) else 3)[:, 0]
 
-    return kset.dense_stack, kset.is_dense, kernel_sums
+    return kset.dense_stack, kernel_sums
 
 
 def kernel_line(set_name, seed):
     """The printed line of one set's kernel case."""
     _, kset, cfg0, _ = instance_set(set_name, seed)
-    dense_stack, is_dense, kernel_sums = _kernel_primitives(kset)
+    dense_stack, kernel_sums = _kernel_primitives(kset)
     n, h = kset.n, hashlib.sha256()
     iu, ju = np.triu_indices(kset.N, 1)
     i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
     _sha(h, dense_stack(i, j), "<f8")
     for g, k in zip(i.tolist(), j.tolist()):
-        if not is_dense(g, k):
-            csr = kset.get(g, k).data
+        pair = kset.get(g, k)
+        if pair.is_sparse:
+            csr = pair.data
             _sha(h, csr.data, "<f8")
             _sha(h, csr.indices, "<i8")
             _sha(h, csr.indptr, "<i8")
