@@ -8,9 +8,11 @@ geometrically across iterations (graduated regularization). All updates
 within an iteration read the previous snapshot only, so per-pair updates
 are order-independent and the whole sweep is deterministic. A run keeps
 the kernel sums of its first-order candidates, which the second-order
-search extends, recomputes only those whose legs, or kept rows, changed,
-and takes each snapshot's pair scores from the candidates picked; the
-second-order search computes each distinct candidate of a pair once. Each sweep
+search extends, renews only those whose legs, or kept rows, changed,
+and takes each snapshot's pair scores from the candidates picked; a
+renewed candidate equal to X_ij takes the pair's score it already holds,
+so only the others are computed, and the second-order search computes
+each distinct candidate of a pair once. Each sweep
 also counts the consistency of its input from the compositions it
 builds, so only a run's last iterate needs a pass of its own. Optional
 post-processing rewrites the result into an exactly cycle-consistent
@@ -81,7 +83,8 @@ class BoostParams:
 class BoostTrace:
     """Per-iteration snapshots, starting with the initial configuration;
     ``scored`` counts the candidates whose kernel sum an iteration
-    computed (0 for the initial one)."""
+    computed (0 for the initial one), not those it read from sums or
+    pair scores the run holds."""
 
     scores: list[float] = field(default_factory=list)
     consistencies: list[float] = field(default_factory=list)
@@ -113,10 +116,15 @@ class _SweepState:
     it weights, None if it weights none; ``scored`` then counts the
     candidates whose kernel sum the sweep computed, and ``mismatches`` the
     ``anchor_mismatches`` of ``cfg`` over the pairs searched so far. Each
-    pair searched leaves its new X_ij as a row of the (P, n) ``upper``,
+    pair searched leaves its new X_ij as a row of the (P, n) ``upper`` and
     whether that differs from the snapshot's in ``moved`` (all True before
-    the first sweep) and, when J is weighted, its raw kernel sum in ``won``.
-    A second-order run keys candidates by the ``_digit_weights`` ``digits``."""
+    the first sweep). ``won`` holds each pair's raw kernel sum of its X_ij
+    in the snapshot, over the rows its row graph keeps, NaN where that is
+    not known: ``run_boost`` fills it with the initial pair scores when
+    nothing is elicited, a sweep that weights J with the sums of the
+    candidates it picks and one that does not with NaN, and ``start``
+    clears the pairs whose row graph keeps other rows. A second-order run
+    keys candidates by the ``_digit_weights`` ``digits``."""
 
     def __init__(self, kset, norm, second_order=False, sample_rate=1.0, rng=None):
         self.kset, self.norm = kset, norm
@@ -133,27 +141,30 @@ class _SweepState:
         self.pools = self.kept_rows = None
         self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
         self.upper = np.empty((shape[0], kset.n), dtype=np.int64)
-        self.moved, self.won = np.ones(shape[0], dtype=bool), np.empty(shape[0])
+        self.moved, self.won = np.ones(shape[0], dtype=bool), np.full(shape[0], np.nan)
         self.digits = _digit_weights(kset.n) if second_order else None
 
     def start(self, cfg, term=None, est=None):
         """Begin a sweep from ``cfg``. Every candidate is marked stale that
         has a leg X_ik or X_kj among the pairs ``moved`` (k = i and k = j
         give X_ij itself) or whose row graph keeps other rows than in the
-        last sweep: a sum depends on nothing else."""
+        last sweep: a sum depends on nothing else. The held score ``won``
+        of such a row graph's pairs is cleared."""
         self.cfg, self.term, self.scored, self.table = cfg, term, 0, cfg.perm_table()
         self.mismatches = np.zeros(cfg.N, dtype=np.int64)    # settled iterates keep theirs
         legs = np.zeros((cfg.N, cfg.N), dtype=bool)
-        legs[self.ii[self.moved], self.jj[self.moved]] = True
+        legs[self.ii, self.jj] = self.moved
         legs |= legs.T
-        self.stale |= legs[self.ii] | legs[self.jj]
+        self.stale |= legs.take(self.ii, axis=0) | legs.take(self.jj, axis=0)
         self.keep = kept_rows = None
         if est is not None:
             self.keep = keep_masks(cfg, est, self.kset)
             # every graph keeps exactly n_est rows: (N, n_est), ascending
             kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
             if self.kept_rows is not None:
-                self.stale[(kept_rows != self.kept_rows).any(axis=1)[self.ii]] = True
+                other = (kept_rows != self.kept_rows).any(axis=1)[self.ii]
+                self.stale[other] = True
+                self.won[other] = np.nan
         self.kept_rows = kept_rows
         self.cu = unary_consistency_all(cfg, self.keep) if term == "anchor" else None
         self.cp = pairwise_consistency_all(cfg, self.keep) if term == "legs" else None
@@ -168,17 +179,30 @@ class _SweepState:
         rows = None if self.kept_rows is None else self.kept_rows[ii]
         return self.kset._kernel_sums(ii, jj, cands, rows)
 
-    def first_order_sums(self, pairs, cands):
+    def first_order_sums(self, pairs, cands, differs, flat):
         """``kernel_sums`` of the candidates X_ik X_kj, k = pools[p, a], of
-        the row-major ``pairs``, read from ``sums`` after computing the
-        stale entries among them, one candidate per entry."""
+        the row-major ``pairs``, read from ``sums`` after filling the stale
+        entries among them, one candidate per entry. ``differs`` is the
+        (P_g, N, n) ``comps != held`` of the pairs, candidate [p, a] its
+        row ``flat[p, a]`` when flat: a stale candidate equal to the
+        snapshot's X_ij takes the pair's score from ``won`` where that is
+        known, and only the rest are computed."""
         at = self.rowstart[pairs] + self.pools[pairs]
         pos = np.flatnonzero(self.stale.take(at))
         if pos.size:
             fresh = at.take(pos)
             pair = fresh // self.cfg.N
-            self.sums.put(fresh, self.kernel_sums(self.ii[pair], self.jj[pair],
-                                                  cands.reshape(-1, cands.shape[2])[pos]))
+            vals = self.won.take(pair)
+            # each row of differs as one n-byte element, all zero bytes
+            # exactly where the candidate equals X_ij
+            n = differs.shape[2]
+            keys = differs.reshape(-1, n).view((np.void, n)).ravel()
+            new = keys.take(flat.take(pos)) != np.zeros(1, keys.dtype)
+            new |= np.isnan(vals)
+            pair = pair[new]
+            vals[new] = self.kernel_sums(self.ii[pair], self.jj[pair],
+                                         cands.reshape(-1, n).take(pos[new], axis=0))
+            self.sums.put(fresh, vals)
             self.stale.put(fresh, False)
         return self.sums.take(at)
 
@@ -255,14 +279,17 @@ def _pairs_best(pairs, sweep, weights):
     row-major ``pairs`` (a slice or index array) under the evaluation
     a·J + b·C with weights = (a, b), all pairs as one batch; a term whose
     weight is 0 is not computed. The pairs' outcome goes to the sweep's
-    ``upper``, ``moved`` and, if a > 0, ``won``. Every anchor's candidate
+    ``upper``, ``moved`` and ``won``. Every anchor's candidate
     is scored, duplicates included, so anchor-dependent consistency terms
     stay per-anchor and the argmax is exact; the anchor scan order makes
-    exact ties keep the incumbent, then the smallest anchor. First-order kernel sums are read from the sweep's
-    ``sums``, where only stale entries are computed; the consistency terms
-    are computed in full. The pairs' compositions X_ik X_kj, built for
-    every mode, add their mismatches with the stored X_ij to the sweep's
-    ``mismatches``.
+    exact ties keep the incumbent, then the smallest anchor. First-order
+    kernel sums are read from the sweep's ``sums``, where only stale
+    entries are renewed, and of those only the ones whose candidate
+    differs from X_ij, or whose pair's score is not held, are computed;
+    the consistency terms are computed in full. The pairs' compositions
+    X_ik X_kj, built for every mode, are compared with the stored X_ij
+    once: the comparison adds their mismatches to the sweep's
+    ``mismatches`` and marks the candidates equal to X_ij.
 
     The second-order search tries X_iv X_vu X_uj over anchor pairs (v, u)
     of the pool [i, j, rest...], with b = 0; exact ties keep the first in
@@ -278,11 +305,13 @@ def _pairs_best(pairs, sweep, weights):
     ii, jj, pools = sweep.ii[pairs], sweep.jj[pairs], sweep.pools[pairs]
     rows, held = np.arange(len(ii)), table[ii, jj]
     comps = compositions(table, ii, jj)
-    sweep.mismatches += (comps != held[:, None]).sum(axis=0).sum(axis=1)
-    cands = comps[rows[:, None], pools]
+    differs = comps != held[:, None]
+    sweep.mismatches += differs.sum(axis=0).sum(axis=1)
+    flat = rows[:, None] * comps.shape[1] + pools     # each candidate's row of comps, flat
+    cands = comps.reshape(-1, comps.shape[2]).take(flat, axis=0)
     a, b = weights
     if a:
-        sums = sweep.first_order_sums(pairs, cands)
+        sums = sweep.first_order_sums(pairs, cands, differs, flat)
     if sweep.second_order:
         rest = pools[:, 2:]
         rv, ru = np.nonzero(~np.eye(rest.shape[1], dtype=bool))    # row-major v != u
@@ -297,8 +326,7 @@ def _pairs_best(pairs, sweep, weights):
     best = np.argmax(j_term + c_term, axis=1)     # lowest index on exact ties
     sweep.upper[pairs] = picked = cands[rows, best]
     sweep.moved[pairs] = (picked != held).any(axis=1)
-    if a:
-        sweep.won[pairs] = sums[rows, best]
+    sweep.won[pairs] = sums[rows, best] if a else np.nan
     return pools[rows, best], picked
 
 
@@ -331,13 +359,15 @@ def run_boost(cfg0, kset, params):
     if not isinstance(params, BoostParams):
         raise TypeError(f"params must be a BoostParams, got {type(params).__name__}")
     initial = pair_scores(cfg0, kset)
-    norm = ScoreNormalizer(float(initial.max()))
+    norm = ScoreNormalizer._from_scores(initial)
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
         raise ValueError(f"elicit.n_est={params.elicit.n_est} exceeds the node count "
                          f"{cfg0.n}")
     trace = BoostTrace()
     sweep = _SweepState(kset, norm, params.mode == "isb_2nd", params.sample_rate,
-                        np.random.default_rng(params.seed))
+                        np.random.default_rng(params.seed) if params.sample_rate < 1 else None)
+    if params.elicit is None:
+        sweep.won[:] = initial
     # modes whose iterates may cycle keep the best iterate by this trace entry
     best_of = {"isb_cst": trace.consistencies, "isb_gc_p": trace.scores}.get(params.mode)
     kept = None     # (best_of entry, configuration, anchor mismatches) returned

@@ -417,13 +417,15 @@ class AffinitySet:
     def _kernel(self, own, other):
         """Kernel values of the row-graph attributes at ``own`` against the
         column-graph attributes at ``other``, flat indices g*n^2 + u*n + v
-        into the (N, n, n) attributes, the two broadcast together. Off an
-        edge the difference is NaN, and ``fmax`` turns exp(NaN) into
-        exactly +0.0 with no floating-point flag raised; NaN, unlike -inf,
-        keeps numpy's ``exp`` on its fast SIMD path."""
+        into the (N, n, n) attributes, the two broadcast together; ``own``
+        may instead be a tuple of the row-graph values, gathered already,
+        one array per channel. Off an edge the difference is NaN, and
+        ``fmax`` turns exp(NaN) into exactly +0.0 with no floating-point
+        flag raised; NaN, unlike -inf, keeps numpy's ``exp`` on its fast
+        SIMD path."""
         out = None
-        for (weight, sigma2), a in zip(self._channels, self._attrs):
-            k = a.take(own) - a.take(other)
+        for c, ((weight, sigma2), a) in enumerate(zip(self._channels, self._attrs)):
+            k = (own[c] if isinstance(own, tuple) else a.take(own)) - a.take(other)
             np.square(k, out=k)
             np.divide(k, -sigma2, out=k)   # = -(d^2) / sigma2, bit for bit
             np.exp(k, out=k)
@@ -493,6 +495,14 @@ class AffinitySet:
         (_, k), = self._stacks(np.array([i]), np.array([j]))
         return AffinityMatrix._wrap(self.n, k.reshape(k.shape[-1], k.shape[-1]))
 
+    @cached_property
+    def _slot_attrs(self):
+        """Every graph's attributes at the slots of ``slot_map(n)``, an
+        (N, m + 1) array per channel, the row-graph values ``_kernel_sums``
+        takes rows of when all rows are kept."""
+        su, sv, _ = slot_map(self.n)
+        return tuple(a.reshape(self.N, -1)[:, su * self.n + sv] for a in self._attrs)
+
     def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
         """Sums of candidate matchings' kernel blocks over ``axis``.
 
@@ -510,31 +520,34 @@ class AffinitySet:
         edges, so the kernel runs only at the slots of ``slot_map(m)``,
         the pairs u < v and one diagonal entry, and one ``take`` expands
         them into the (m, m) block that is summed; its entries equal those
-        of the kernel at all m^2 entries bit for bit. Blocks are built and
-        summed in order, at most BLOCK_CHUNK_ENTRIES entries (or one
+        of the kernel at all m^2 entries bit for bit. With all rows kept,
+        the row graphs' values come from ``_slot_attrs``. Blocks are built
+        and summed in order, at most BLOCK_CHUNK_ENTRIES entries (or one
         block's) at a time. A row's sum depends only on its own block, so
         it is the same bit for bit in any batch.
         """
         n = self.n
-        own_graph, other_graph = i[:, None] * (n * n), j[:, None] * (n * n)
-        if rows is None:
-            kept, picked = n, perms
-        else:
-            kept, picked = rows.shape[1], np.take_along_axis(perms, rows, axis=1)
+        kept = n if rows is None else rows.shape[1]
         su, sv, expand = slot_map(kept)
+        if rows is None:
+            picked, tables = perms, self._slot_attrs
+        else:
+            picked = np.take_along_axis(perms, rows, axis=1)
+            own_graph = i[:, None] * (n * n)
+        other_graph = j[:, None] * (n * n)
         step = max(1, BLOCK_CHUNK_ENTRIES // max(1, kept ** 2))
-        sums = []
+        sums = np.empty(len(perms) if axis == (1, 2) else (len(perms), kept))
         for s in range(0, len(perms), step):
             if rows is None:
-                own_flat = own_graph[s:s + step] + (su * n + sv)
+                own = tuple(t.take(i[s:s + step], axis=0) for t in tables)
             else:
                 rs = rows[s:s + step]
-                own_flat = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
+                own = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
             ps = picked[s:s + step]
             other_flat = other_graph[s:s + step] + ps[:, su] * n + ps[:, sv]
-            vals = self._kernel(own_flat, other_flat)
-            sums.append(vals.take(expand, axis=1).sum(axis=axis))
-        return np.concatenate(sums) if sums else np.zeros((0, kept, kept)).sum(axis=axis)
+            vals = self._kernel(own, other_flat)
+            vals.take(expand, axis=1).sum(axis=axis, out=sums[s:s + step])
+        return sums
 
 
 def check_config(cfg):
@@ -690,7 +703,17 @@ class ScoreNormalizer:
 
     @classmethod
     def from_initial(cls, cfg, kset):
-        return cls(float(pair_scores(cfg, kset).max()))
+        return cls._from_scores(pair_scores(cfg, kset))
+
+    @classmethod
+    def _from_scores(cls, scores):
+        """The normalizer of the raw initial pair scores ``scores``; raises
+        ValueError naming the cause when every one is 0."""
+        top = float(scores.max())
+        if top == 0:
+            raise ValueError("every initial pair score is 0: no two graphs have edges "
+                             "with a positive kernel")
+        return cls(top)
 
 
 def affinity_score(x, k, keep=None):

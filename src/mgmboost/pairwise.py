@@ -110,11 +110,13 @@ def stacked_power_iteration(k):
 
 def _profit_array(profit, ndim):
     """``profit`` as a float array of ``ndim`` dimensions whose last two
-    are equal, with finite entries; raises naming the first entry that is
-    not."""
+    are equal and not 0, with finite entries; raises naming the first
+    entry that is not. A stack may hold no problems."""
     p = np.asarray(profit, dtype=float)
     if p.ndim != ndim or p.shape[-2] != p.shape[-1]:
         raise ValueError("profit matrix must be square")
+    if p.shape[-1] == 0:
+        raise ValueError(f"profit must have n >= 1 rows and columns, got shape {p.shape}")
     check_finite("profit", p)
     return p
 

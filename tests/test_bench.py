@@ -484,6 +484,13 @@ class TestCli:
         assert "inliers must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x.npz").exists()
 
+    def test_match_without_edges_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["match", "--n-graphs", "3", "--inliers", "4", "--density", "0"])
+        assert exc.value.code == 2
+        assert ("every initial pair score is 0: no two graphs have edges with a positive "
+                "kernel") in capsys.readouterr().err
+
     def test_match_n_est_above_node_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["match", "--elicit", "cst", "--n-est", "3", "--inliers", "2",

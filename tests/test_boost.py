@@ -10,11 +10,14 @@ Property coverage:
 - seeded determinism of configs and traces
 - the weighted mode with zero weight and unit growth reproduces pure
   score boosting exactly
-- the cross-sweep kernel-sum cache gives the tables and traces of runs
-  that recompute every sum, in every mode, eliciting and sample rate;
-  ``BoostTrace.scored`` counts P N candidates in the first sweep and no
-  more later; unelicited snapshots after the initial one, ``isb_2nd``
-  included, take their scores from the sweep, not from ``pair_scores``
+- the cross-sweep kernel-sum cache and the held pair scores give the
+  tables and traces of runs that compute every sum, in every mode,
+  eliciting and sample rate; ``BoostTrace.scored`` counts the stale
+  candidates that differ from X_ij, by Python sets; every first-order
+  sum a sweep reads equals a fresh one bit for bit, also where a held
+  score must not be read; unelicited snapshots after the initial one,
+  ``isb_2nd`` included, take their scores from the sweep, not from
+  ``pair_scores``
 - every trace consistency, counted inside the next sweep, equals a fresh
   ``overall_consistency`` of its iterate, with at most one direct pass
   per run, which post-processing reuses
@@ -785,14 +788,15 @@ class TestSumCache:
         return corrupted_config(np.random.default_rng(3), 7, 7, 0.5), kset
 
     @staticmethod
-    def _every_entry_stale(monkeypatch):
-        """Make every sweep start with all kept sums stale, as a run that
-        recomputes every first-order sum each sweep."""
+    def _compute_every_sum(monkeypatch):
+        """Make every sweep start with all kept sums stale and no pair score
+        known, as a run that computes every first-order sum each sweep."""
         start = _SweepState.start
 
         def all_stale(sweep, *args):
             start(sweep, *args)
             sweep.stale[:] = True
+            sweep.won[:] = np.nan
 
         monkeypatch.setattr(_SweepState, "start", all_stale)
 
@@ -804,7 +808,7 @@ class TestSumCache:
         params = BoostParams(mode=mode, sample_rate=sample_rate, seed=1,
                              elicit=None if elicit is None else InlierEstimate(5, elicit))
         out, trace = run_boost(cfg0, kset, params)
-        self._every_entry_stale(monkeypatch)
+        self._compute_every_sum(monkeypatch)
         ref_out, ref = run_boost(cfg0, kset, params)
         assert out.perm_table().tobytes() == ref_out.perm_table().tobytes()
         assert (trace.scores, trace.consistencies, trace.changes) == \
@@ -849,19 +853,27 @@ class TestSumCache:
         assert len(trace) > 2 and calls == [cfg0]
 
     @pytest.mark.parametrize("mode", ["isb", "isb_gc", "isb_gc_u", "isb_gc_p"])
-    def test_scored_counts(self, mode):
+    def test_scored_counts(self, mode, monkeypatch):
+        # a sweep computes each first-order sum that is stale (every one in
+        # the first sweep, then those with a leg moved by the last sweep)
+        # unless its candidate equals X_ij, whose score the run holds
         cfg0, kset = self._points_run()
+        seen = record_iterates(monkeypatch)
+        _, trace = run_boost(cfg0, kset, BoostParams(mode=mode, t_max=6,
+                                                     enforce_final_consistency=False))
+        iterates = [cfg0] + seen
+        assert len(trace) == len(iterates) > 2
+        want = [0] + [self._first_order_sums(iterates[t - 1], iterates[t - 2] if t > 1 else None)
+                      for t in range(1, len(trace))]
+        assert trace.scored == want
+        # k = i and k = j always give X_ij; some other anchors do too
         pairs = cfg0.N * (cfg0.N - 1) // 2
-        _, trace = run_boost(cfg0, kset, BoostParams(mode=mode, t_max=6))
-        assert len(trace.scored) == len(trace)
-        assert trace.scored[:2] == [0, pairs * cfg0.N]
-        assert max(trace.scored[2:]) <= pairs * cfg0.N
+        assert 0 < want[1] < pairs * (cfg0.N - 2)
 
     def test_scored_counts_second_order(self, monkeypatch):
-        # isb_2nd computes each first-order sum that is stale (every one in
-        # the first sweep, then those with a leg moved by the last sweep) and
-        # once each rest x rest candidate that repeats no first-order one;
-        # isb_cst weighs no score, so it computes none
+        # isb_2nd computes the first-order sums as above and once each
+        # rest x rest candidate that repeats no first-order one; isb_cst
+        # weighs no score, so it computes none
         cfg0, kset = self._points_run()
         seen = record_iterates(monkeypatch)
         _, trace = run_boost(cfg0, kset, BoostParams(mode="isb_2nd", t_max=3,
@@ -875,21 +887,96 @@ class TestSumCache:
         assert trace.scored == [0] * len(trace)
 
     @staticmethod
-    def _second_order_sums(cfg, prev):
-        """Sums a full-pool second-order sweep from ``cfg`` computes, after
-        a sweep from ``prev`` (None before the first sweep), by Python sets."""
+    def _first_order_sums(cfg, prev):
+        """First-order sums a full-pool sweep from ``cfg`` computes, after
+        a sweep from ``prev`` (None before the first sweep) that weighted J
+        on all rows, by Python sets: a candidate X_ik X_kj with a leg moved
+        counts unless it equals X_ij."""
         def moved(a, b):
             return prev is None or (a != b and cfg.get(a, b) != prev.get(a, b))
 
-        total = 0
+        return sum((moved(i, k) or moved(k, j)) and cfg.get(i, k).compose(cfg.get(k, j)) != x
+                   for i, j, x in cfg.pairs() for k in range(cfg.N))
+
+    @classmethod
+    def _second_order_sums(cls, cfg, prev):
+        """Sums a full-pool second-order sweep from ``cfg`` computes, after
+        a sweep from ``prev`` (None before the first sweep), by Python sets."""
+        total = cls._first_order_sums(cfg, prev)
         for i, j, _ in cfg.pairs():
             rest = [k for k in range(cfg.N) if k not in (i, j)]
             first = {cfg.get(i, k).compose(cfg.get(k, j)) for k in [i, j, *rest]}
-            total += sum(moved(i, k) or moved(k, j) for k in [i, j, *rest])
             extra = {cfg.get(i, v).compose(cfg.get(v, u)).compose(cfg.get(u, j))
                      for v in rest for u in rest if v != u}
             total += len(extra - first)
         return total
+
+    @pytest.mark.parametrize(("mode", "extra"), [
+        ("isb_gc", {}),
+        ("isb_gc", {"lambda0": 1.0}),          # weighted sweeps with a = 0
+        ("isb_gc_inv", {"lambda0": 0.0}),      # the same in the swapped blend
+        ("isb_gc", {"elicit": InlierEstimate(5, "affinity")}),
+        ("isb_2nd", {}),
+    ], ids=["gc", "gc_lambda1", "gc_inv_lambda0", "elicited", "2nd"])
+    def test_read_sums_equal_fresh_ones(self, mode, extra, monkeypatch):
+        # every first-order sum a sweep reads, from the kept sums or from
+        # the pair's held score, equals the candidate's sum computed afresh
+        # bit for bit, also where a held score must not be read: after a
+        # sweep that weighted no J, or where the row graph keeps other rows
+        cfg0, kset = self._points_run()
+        read, kept = self._check_reads(monkeypatch, kset), []
+        start = _SweepState.start
+
+        def recorded(sweep, *args):
+            start(sweep, *args)
+            kept.append(sweep.kept_rows)
+
+        monkeypatch.setattr(_SweepState, "start", recorded)
+        params = BoostParams(mode=mode, seed=1, **extra)
+        out, trace = run_boost(cfg0, kset, params)
+        assert read and len(trace) > 3
+        if "elicit" in extra:
+            assert any((a != b).any() for a, b in zip(kept, kept[1:]))
+        self._compute_every_sum(monkeypatch)
+        ref_out, ref = run_boost(cfg0, kset, params)
+        assert out == ref_out
+        assert (trace.scores, trace.consistencies, trace.changes) == \
+            (ref.scores, ref.consistencies, ref.changes)
+        assert sum(trace.scored) < sum(ref.scored)
+
+    def test_no_score_is_held_after_a_sweep_without_j(self, monkeypatch):
+        # no mode weights J after a sweep that did not, so the sweep state
+        # runs a score sweep, a consistency-only one that moves pairs, and
+        # a score sweep again, which must compute the moved pairs' X_ij
+        cfg, kset = self._points_run()
+        read = self._check_reads(monkeypatch, kset)
+        sweep = _SweepState(kset, ScoreNormalizer.from_initial(cfg, kset))
+        moved = []
+        for weights in [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]:
+            sweep.start(cfg, "anchor" if weights[1] else None)
+            for at in sweep.groups:
+                _pairs_best(at, sweep, weights)
+            moved.append(int(np.count_nonzero(sweep.moved)))
+            cfg = MatchConfig._from_upper(cfg.N, sweep.upper)
+        assert moved[1] > 0 and len(read) == 2 * len(sweep.groups)
+
+    @staticmethod
+    def _check_reads(monkeypatch, kset):
+        """Make every ``first_order_sums`` call assert that the sums it
+        returns equal those computed afresh, bit for bit; returns the list
+        to which each call appends its count of sums."""
+        read, first_order_sums = [], _SweepState.first_order_sums
+
+        def checked(sweep, pairs, cands, *equality):
+            got = first_order_sums(sweep, pairs, cands, *equality)
+            ii, jj = sweep.ii[pairs], sweep.jj[pairs]
+            rows = None if sweep.kept_rows is None else sweep.kept_rows[ii]
+            assert got.tobytes() == stacked_kernel_sums(kset, ii, jj, cands, rows).tobytes()
+            read.append(got.size)
+            return got
+
+        monkeypatch.setattr(_SweepState, "first_order_sums", checked)
+        return read
 
 
 class TestSweepGroups:

@@ -33,8 +33,8 @@ import mgmboost
 import mgmboost.core as core
 from mgmboost import (AffinityMatrix, BoostParams, ExperimentSpec, InlierEstimate, MatchConfig,
                       Permutation, ScoreNormalizer, SynthParams, affinity_score,
-                      build_affinity_set, enforce_full_consistency, gen_random_points,
-                      init_config, solve_pairwise)
+                      build_affinity_set, enforce_full_consistency, gen_random_graphs,
+                      gen_random_points, init_config, run_boost, solve_pairwise)
 from mgmboost.core import check_count
 
 from conftest import naive_quad_form, random_affinity, reference_from_basis
@@ -284,6 +284,21 @@ class TestNormalizedScore:
     def test_zero_normalizer_rejected(self):
         with pytest.raises(ValueError):
             ScoreNormalizer(0.0)
+
+    def test_all_zero_initial_scores_name_the_cause(self):
+        # graphs without edges build a set, and init_config solves it, but
+        # no score can be normalized
+        synth = SynthParams(n_graphs=3, inliers=4, density=0.0, seed=0)
+        kset = build_affinity_set(gen_random_graphs(synth), synth.sigma2)
+        cfg = init_config(kset, synth.coverage, synth.seed)
+        message = ("every initial pair score is 0: no two graphs have edges with a "
+                   "positive kernel")
+        with pytest.raises(ValueError) as exc:
+            ScoreNormalizer.from_initial(cfg, kset)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            run_boost(cfg, kset, BoostParams())
+        assert str(exc.value) == message
 
     def test_infinite_normalizer_rejected(self):
         # inf was accepted and made every normalized score 0

@@ -2,10 +2,12 @@
 line on every run, so a difference between two source trees is a
 difference in their outputs (third field) or in the kernel sums they
 computed (fourth), and a kernel case's line moves with any bit of the
-edge kernel (second field). ``--against REV`` finds no difference
-between a tree and itself, and names each case a changed tree moves."""
+edge kernel (second field). Its stderr totals the kernel sums of each
+boosted run once. ``--against REV`` finds no difference between a tree
+and itself, and names each case a changed tree moves."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -67,6 +69,26 @@ def test_sums_computed_move_only_the_fourth_field():
         module.run_boost = scaled
         lines.append(module.digest_line(CASES[0]).split())
     assert lines[0][:3] == lines[1][:3] and lines[0][3] != lines[1][3]
+
+
+def test_stderr_totals_the_sums_of_each_boosted_run_once(capsys):
+    twin = CASES[1].replace("gamma=0.3", "gamma=0.95")    # the same boosted run
+    totals = []
+    for scale in (1, 2):
+        module = _load()
+        boost = module.run_boost
+
+        def scaled(cfg0, kset, params, scale=scale):
+            cfg, trace = boost(cfg0, kset, params)
+            trace.scored = [c * scale for c in trace.scored]
+            return cfg, trace
+
+        module.run_boost = scaled
+        module.main([*CASES, twin])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"3 lines; 2 boosted runs computed \d+ kernel sums", last)
+        totals.append(int(last.split()[-3]))
+    assert totals[1] == 2 * totals[0] > 0
 
 
 def test_kernel_case_moves_with_one_bit_of_the_kernel(monkeypatch):

@@ -169,4 +169,4 @@ def test_trace_lists_digest():
                       " ".join(str(int(c)) for c in trace.changes),
                       " ".join(str(int(c)) for c in trace.scored)])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "13130aed931a25bc785c49c2d62def3b0657b8ac1995e98018abe0176f0a7bfc")
+        "e797152d24a5c27015ef4443f0723067dbcdd1841711047b9227a657a5fe9dc0")

@@ -153,6 +153,14 @@ class TestStackedHungarian:
     def test_empty_stack(self):
         assert stacked_hungarian(np.zeros((0, 3, 3))).shape == (0, 3)
 
+    def test_rejects_empty_profit(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "profit must have n >= 1 rows and columns, got shape (0, 0)")):
+            hungarian(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=re.escape(
+                "profit must have n >= 1 rows and columns, got shape (2, 0, 0)")):
+            stacked_hungarian(np.zeros((2, 0, 0)))
+
     @pytest.mark.parametrize("b", [2, LOCKSTEP_BATCH])
     def test_rejects_bad_input(self, b):
         with pytest.raises(ValueError, match="profit matrix must be square"):

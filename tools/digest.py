@@ -42,7 +42,9 @@ differs in ``scored`` alone), then a count. It exits 1 if any case
 differs.
 
 Name cases on the command line to run only those. The script reports on
-stderr which ``mgmboost`` it imported and how many lines it printed.
+stderr which ``mgmboost`` it imported, how many lines it printed, and the
+total of ``trace.scored`` over the distinct boosted runs behind them: the
+kernel sums they computed, so a scoring change can quote its saving.
 """
 
 from __future__ import annotations
@@ -197,11 +199,18 @@ def _boosted(set_name, seed, mode, elicit, rate):
     for values in (trace.scores, trace.consistencies):
         h.update(" ".join(float(v).hex() for v in values).encode() + b";")
     h.update(_counts(trace.changes))
-    return kset, cfg, h, hashlib.sha256(_counts(trace.scored)).hexdigest()
+    return kset, cfg, h, hashlib.sha256(_counts(trace.scored)).hexdigest(), sum(trace.scored)
 
 
 def _counts(counts):
     return " ".join(str(int(c)) for c in counts).encode() + b";"
+
+
+def _run(name):
+    """The ``_boosted`` arguments of a boosting case and its gamma."""
+    set_name, *fields = name.split("/")
+    f = dict(field.split("=") for field in fields)
+    return (set_name, int(f["seed"]), f["mode"], f["elicit"], float(f["rate"])), float(f["gamma"])
 
 
 def digest_line(name):
@@ -209,11 +218,8 @@ def digest_line(name):
     if name.startswith("kernel/"):
         _, set_name, seed = name.split("/")
         return kernel_line(set_name, int(seed.split("=")[1]))
-    set_name, *fields = name.split("/")
-    f = dict(field.split("=") for field in fields)
-    kset, cfg, h, scored = _boosted(set_name, int(f["seed"]), f["mode"], f["elicit"],
-                                    float(f["rate"]))
-    gamma = float(f["gamma"])
+    run, gamma = _run(name)
+    kset, cfg, h, scored, _ = _boosted(*run)
     h = h.copy()
     _sha(h, enforce_full_consistency(cfg, kset, gamma).perm_table(), "<i8")
     return f"{name} {route(cfg, gamma)} {h.hexdigest()} {scored}"
@@ -271,7 +277,10 @@ def main(argv=None):
         return int(against(args.against, args.cases) > 0)
     for name in names:
         print(digest_line(name), flush=True)
-    print(f"{len(names)} lines", file=sys.stderr)
+    runs = {_run(name)[0] for name in names if not name.startswith("kernel/")}
+    computed = sum(_boosted(*run)[4] for run in runs)
+    print(f"{len(names)} lines; {len(runs)} boosted runs computed {computed} kernel sums",
+          file=sys.stderr)
     return 0
 
 
