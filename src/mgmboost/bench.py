@@ -24,8 +24,8 @@ import numpy as np
 from .boost import BoostParams, run_boost
 from .consistency import overall_consistency
 from .core import (ScoreNormalizer, _index_array, check_choice, check_config, check_count,
-                   check_real, total_score, upper_indices)
-from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind,
+                   check_real, check_type, total_score, upper_indices)
+from .synthgen import (SynthParams, build_affinity_set, check_affinity_kind, check_instances,
                        gen_random_graphs, gen_random_points, init_config,
                        load_pointset, truth_config)
 
@@ -53,6 +53,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_choice("generator", self.generator, GENERATORS)
+        check_type("base", self.base, SynthParams)
         if self.sweep_param == "seed":
             raise ValueError("seed cannot be swept: each trial derives its data seed "
                              "from seed_base, the swept value's index and the trial")
@@ -118,7 +119,7 @@ class ResultRow:
 
 def inlier_rows_from_instances(instances):
     """Per-graph index arrays of the rows that are common inliers."""
-    return [g.inlier_rows for g in instances]
+    return [g.inlier_rows for g in check_instances(instances)]
 
 
 def accuracy(cfg_alg, cfg_truth, inlier_rows):

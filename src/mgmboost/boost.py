@@ -31,7 +31,7 @@ import numpy as np
 
 from . import core
 from .core import (MatchConfig, ScoreNormalizer, check_choice, check_count, check_finite,
-                   check_real, check_same_shape, pair_scores, upper_indices)
+                   check_real, check_same_shape, check_type, pair_scores, upper_indices)
 from .consistency import (InlierEstimate, anchor_mismatches, candidate_consistency,
                           compositions, keep_masks, overall_from_mismatches,
                           pairwise_consistency_all, unary_consistency_all)
@@ -356,8 +356,7 @@ def run_boost(cfg0, kset, params):
     that changes no pair leaves an iterate of known consistency, and only
     a changed last iterate is counted by a pass of its own.
     """
-    if not isinstance(params, BoostParams):
-        raise TypeError(f"params must be a BoostParams, got {type(params).__name__}")
+    check_type("params", params, BoostParams)
     initial = pair_scores(cfg0, kset)
     norm = ScoreNormalizer._from_scores(initial)
     if params.elicit is not None and params.elicit.n_est > cfg0.n:
@@ -415,12 +414,32 @@ def run_boost(cfg0, kset, params):
     return cfg, trace
 
 
+def _spanning_tree(n_graphs, weights):
+    """Maximum spanning tree of the complete graph whose pairs i < j weigh
+    ``weights`` in row-major order, grown from graph 0 by Prim's method.
+    Edges rank in stable descending-weight order (ties row-major, zero
+    weights still edges), a strict order, so the tree is unique: the one
+    Kruskal's method takes. Returns the order the graphs join the tree in,
+    graph 0 first, and each graph's parent (0 for graph 0)."""
+    size = len(weights)
+    iu, ju = (a[np.argsort(-weights, kind="stable")] for a in upper_indices(n_graphs))
+    rank = np.full((n_graphs, n_graphs), size)        # the diagonal ranks past every edge
+    rank[iu, ju] = rank[ju, iu] = np.arange(size)
+    best, parent, visit = np.full(n_graphs, size), np.zeros(n_graphs, dtype=np.int64), []
+    best[:1] = -1                                     # graph 0 joins first
+    for _ in range(n_graphs):
+        k = int(np.argmin(best))                      # the far end of the best edge out of the tree
+        visit.append(k)
+        rank[:, k] = best[k] = size                   # no edge leads back into the tree
+        np.copyto(parent, k, where=rank[k] < best)
+        np.minimum(best, rank[k], out=best)
+    return visit, parent
+
+
 def mst(weights):
     """Maximum spanning tree of a complete weighted graph, as a sorted
-    edge list; ties go to the lexicographically first edge. Kruskal's
-    method takes the upper-triangle edges in stable descending-weight
-    order, so tied edges go in row-major order and zero weights stay
-    edges, and joins their ends by union-find."""
+    edge list: ``_spanning_tree`` of the upper-triangle weights, so ties
+    go to the lexicographically first edge."""
     w = np.asarray(weights)
     if w.dtype.kind not in "biuf":
         raise ValueError(f"weights must be real numbers, got dtype {w.dtype}")
@@ -430,49 +449,20 @@ def mst(weights):
     check_finite("weights", w)
     if not np.array_equal(w, w.T):
         raise ValueError("weights must be symmetric")
-    n = w.shape[0]
-    iu, ju = upper_indices(n)
-    order = np.argsort(-w[iu, ju], kind="stable")
-    parent = list(range(n))     # union-find forest: a root is its own parent
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]     # path halving
-        return a
-
-    tree = []
-    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.append((i, j))
-            if len(tree) == n - 1:
-                break
-    return sorted(tree)
+    _, parent = _spanning_tree(len(w), w[upper_indices(len(w))])
+    return sorted((min(p, k), max(p, k)) for k, p in enumerate(parent.tolist()) if k)
 
 
-def _config_from_tree(cfg, tree):
-    """Rebuild every pairwise matching by composing along the paths of
-    the spanning ``tree``, an edge list, from graph 0; the result is
-    exactly cycle-consistent. Raises ValueError naming the first graph
-    the tree does not reach."""
+def _config_from_tree(cfg, weights):
+    """Rebuild every pairwise matching by composing along the paths from
+    graph 0 of the ``_spanning_tree`` of the row-major pair ``weights``;
+    the result is exactly cycle-consistent."""
     table = cfg.perm_table()
-    adj = [[] for _ in range(cfg.N)]
-    for i, j in tree:
-        adj[i].append(j)
-        adj[j].append(i)
+    visit, parent = _spanning_tree(cfg.N, weights)
     root_to = np.empty((cfg.N, cfg.n), dtype=np.int64)
     root_to[0] = np.arange(cfg.n)
-    reached, todo = [True] + [False] * (cfg.N - 1), [0]
-    while todo:                # a graph is filled before any neighbour reads it
-        p = todo.pop()
-        for k in adj[p]:
-            if not reached[k]:
-                reached[k] = True
-                root_to[k] = table[p, k][root_to[p]]
-                todo.append(k)
-    if not all(reached):
-        raise ValueError(f"tree does not reach graph {reached.index(False)}")
+    for k in visit[1:]:        # a graph joins the tree after its parent
+        root_to[k] = table[parent[k], k][root_to[parent[k]]]
     return MatchConfig.from_basis(np.argsort(root_to, axis=1))
 
 
@@ -541,10 +531,7 @@ def _make_consistent(cfg, kset, gamma, mismatches):
     if not mismatches.any():
         return cfg
     if overall_from_mismatches(mismatches, cfg.n) < gamma:
-        weights = np.zeros((cfg.N, cfg.N))
-        iu, ju = upper_indices(cfg.N)
-        weights[iu, ju] = weights[ju, iu] = pair_scores(cfg, kset)
-        return _config_from_tree(cfg, mst(weights))
+        return _config_from_tree(cfg, pair_scores(cfg, kset))
     if cfg.n >= cfg.N:
-        return _config_from_tree(cfg, mst(pairwise_consistency_all(cfg)))
+        return _config_from_tree(cfg, pairwise_consistency_all(cfg)[upper_indices(cfg.N)])
     return _spectral_sync(cfg)

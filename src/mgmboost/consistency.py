@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Permutation, _kept_count, check_choice, check_config, check_count,
-                   check_graph_index, check_same_shape, upper_indices)
+                   check_graph_index, check_same_shape, check_type, upper_indices)
 
 MASK_MODES = ("consistency", "affinity")
 
@@ -197,8 +197,7 @@ def keep_masks(cfg, est, kset=None):
     once per configuration snapshot and passed as ``keep`` to every metric.
     """
     check_config(cfg)
-    if not isinstance(est, InlierEstimate):
-        raise TypeError(f"est must be an InlierEstimate, got {type(est).__name__}")
+    check_type("est", est, InlierEstimate)
     if est.n_est > cfg.n:
         raise ValueError(f"n_est={est.n_est} exceeds node count {cfg.n}")
     if est.mode == "affinity":

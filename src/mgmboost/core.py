@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -161,6 +161,15 @@ def check_choice(name, value, choices):
     ``value`` is a string among ``choices``."""
     if not (isinstance(value, str) and value in choices):
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_type(name, value, kind):
+    """Raise TypeError, naming the argument and the type it got, unless
+    ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def check_finite(name, array):
@@ -380,7 +389,7 @@ class AffinitySet:
         # which ``_kernel`` turns into exactly 0
         self._channels = []
         self._attrs = []
-        channels = list(channels)
+        channels = list(check_type("channels", channels, Iterable))
         if not channels:
             raise ValueError("need at least one kernel channel")
         for c, channel in enumerate(channels):
@@ -552,15 +561,15 @@ class AffinitySet:
 
 def check_config(cfg):
     """Raise TypeError unless ``cfg`` is a MatchConfig."""
-    if not isinstance(cfg, MatchConfig):
-        raise TypeError(f"configuration must be a MatchConfig, got {type(cfg).__name__}")
+    check_type("configuration", cfg, MatchConfig)
 
 
 def check_same_shape(cfg, kset):
-    """Raise TypeError unless ``cfg`` is a MatchConfig, and ValueError
-    unless it and the affinity set have the same graph count N and node
-    count n."""
+    """Raise TypeError unless ``cfg`` is a MatchConfig and ``kset`` an
+    AffinitySet, and ValueError unless the two have the same graph count
+    N and node count n."""
     check_config(cfg)
+    check_type("kset", kset, AffinitySet)
     if (cfg.N, cfg.n) != (kset.N, kset.n):
         raise ValueError(f"configuration has (N, n) = ({cfg.N}, {cfg.n}), "
                          f"affinity set has ({kset.N}, {kset.n})")

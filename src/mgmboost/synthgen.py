@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffinitySet, MatchConfig, Permutation, check_choice, check_count,
-                   check_finite, check_real, upper_indices)
+                   check_finite, check_real, check_type, upper_indices)
 from .pairwise import solve_pairs
 
 AFFINITY_KINDS = ("gauss", "len_angle")
@@ -71,9 +71,10 @@ class GraphInstance:
             check_finite("coords", self.coords)
         if not np.array_equal(a, a.T) or np.any(np.diag(a) != 0):
             raise ValueError("adjacency must be symmetric with zero diagonal")
-        if not 0 <= self.inlier_count <= a.shape[0]:
-            raise ValueError("inlier_count out of range")
-        if self.truth.n != a.shape[0]:
+        if check_count("inlier_count", self.inlier_count) > a.shape[0]:
+            raise ValueError(f"inlier_count={self.inlier_count} exceeds the node count "
+                             f"{a.shape[0]}")
+        if check_type("truth", self.truth, Permutation).n != a.shape[0]:
             raise ValueError("truth permutation size must match node count")
         self.adjacency = a
 
@@ -89,7 +90,7 @@ class GraphInstance:
     def padded(self, n_total):
         """Zero-padded copy with isolated dummy nodes appended; dummies map
         to fresh reference slots past the existing ones."""
-        if n_total < self.n:
+        if check_count("n_total", n_total) < self.n:
             raise ValueError("cannot pad to a smaller size")
         if n_total == self.n:
             return self
@@ -130,7 +131,7 @@ def gen_random_graphs(p):
     each edge independently with probability 1 - density, clamps negative
     weights to zero, and finally shuffles node order (truth recorded).
     """
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(check_type("p", p, SynthParams).seed)
     ref = rng.uniform(size=p.inliers * (p.inliers - 1) // 2)
     # pairs i < j < inliers, which come in the reference's row-major order
     inlier_pair = upper_indices(p.n_nodes)[1] < p.inliers
@@ -152,7 +153,7 @@ def gen_random_points(p):
     standard-normal points. Edge weights are pairwise Euclidean
     distances, subsampled by ``density`` like the random-graph protocol.
     """
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(check_type("p", p, SynthParams).seed)
     ref_pts = rng.normal(size=(p.inliers, 2))
     iu, ju = upper_indices(p.n_nodes)
 
@@ -162,6 +163,14 @@ def gen_random_points(p):
         pts = np.vstack([ref_pts + rng.normal(0.0, p.deform, size=(p.inliers, 2)),
                          rng.normal(size=(p.outliers, 2))])
         instances.append(_instance(np.linalg.norm(pts[iu] - pts[ju], axis=1), pts, p, rng))
+    return instances
+
+
+def check_instances(instances):
+    """``instances``, after raising TypeError naming the first entry that
+    is not a GraphInstance, if any."""
+    for k, g in enumerate(instances):
+        check_type(f"instance {k}", g, GraphInstance)
     return instances
 
 
@@ -318,6 +327,7 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     check_affinity_kind(kind, beta_w)
     if len(instances) < 2:
         raise ValueError(f"need at least 2 instances to match, got {len(instances)}")
+    check_instances(instances)
     if kind == "gauss":
         n = max(g.n for g in instances)
         weights = np.stack([g.padded(n).adjacency for g in instances])
@@ -344,7 +354,7 @@ def truth_config(instances):
     through the instances' reference labelings."""
     if not instances:
         raise ValueError("truth_config needs at least 1 instance, got an empty list")
-    return MatchConfig.from_basis(np.stack([g.truth.perm for g in instances]))
+    return MatchConfig.from_basis(np.stack([g.truth.perm for g in check_instances(instances)]))
 
 
 def init_config(kset, coverage, seed, solver=None):
@@ -356,6 +366,7 @@ def init_config(kset, coverage, seed, solver=None):
     together by ``solve_pairs``; a ``solver`` callable is instead given
     each pair's ``kset.get(i, j)``.
     """
+    check_type("kset", kset, AffinitySet)
     check_real("coverage", coverage, 0, 1)
     rng = np.random.default_rng(check_count("seed", seed))
     iu, ju = upper_indices(kset.N)
@@ -383,6 +394,7 @@ def save_instances(path, instances):
     others do not, or for one of unequal node counts."""
     if not instances:
         raise ValueError("need at least 1 instance to save, got 0")
+    check_instances(instances)
     bare = [k for k, g in enumerate(instances) if g.coords is None]
     if 0 < len(bare) < len(instances):
         raise ValueError(f"instance {bare[0]} carries no coordinates, but others do")

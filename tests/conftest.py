@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mgmboost import (AffinityMatrix, MatchConfig, Permutation, SynthParams,
+from mgmboost import (AffinityMatrix, AffinitySet, MatchConfig, Permutation, SynthParams,
                       build_affinity_set, gen_random_graphs, gen_random_points)
 from mgmboost.pairwise import MAX_POWER_ITERS, POWER_TOL
 
@@ -348,11 +348,12 @@ def swapped_affinity(k):
     return AffinityMatrix(k.dense()[np.ix_(sigma, sigma)])
 
 
-class ReferenceAffinitySet:
+class ReferenceAffinitySet(AffinitySet):
     """Explicit affinity matrices for every unordered pair of N graphs,
-    with the interface of the library's edge-kernel ``AffinitySet``
-    (``N``, ``n``, ``pairs``, ``get``, ``_kernel_sums``), so tests can
-    boost on arbitrary K. ``get(i, j)`` with i > j returns the swapped
+    an ``AffinitySet`` that overrides the interface boosting reads (``N``,
+    ``n``, ``pairs``, ``get``, ``_kernel_sums``) and skips the edge-kernel
+    constructor, so tests can boost on arbitrary K where the library
+    takes an affinity set. ``get(i, j)`` with i > j returns the swapped
     matrix; kernel sums add blocks gathered from the dense matrices."""
 
     def __init__(self, n_graphs, mats):

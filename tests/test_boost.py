@@ -28,9 +28,9 @@ Property coverage:
   the matchings determine it, holds bounded memory at N = 100, and gives
   a pinned result where the n-th eigenvalue repeats
 - ``mst`` returns the edge list of scipy's ``minimum_spanning_tree`` on
-  dense weight ranks, and the tree walk of ``_config_from_tree`` the
-  root-to-graph matchings of ``breadth_first_order``, on tie-heavy,
-  all-equal, all-zero and random inputs
+  dense weight ranks, on tie-heavy, all-equal, all-zero and random
+  inputs, and ``_config_from_tree`` composes along its tree in an order
+  that gives the root-to-graph matchings of ``breadth_first_order``
 """
 
 import hashlib
@@ -512,6 +512,15 @@ class TestConfigFromTree:
                       for k in range(1, n_graphs))
 
     @staticmethod
+    def tree_weights(tree, n_graphs):
+        """Row-major pair weights whose maximum spanning tree is ``tree``:
+        1 on its edges, 0 elsewhere."""
+        w = np.zeros((n_graphs, n_graphs))
+        for i, j in tree:
+            w[i, j] = 1.0
+        return w[np.triu_indices(n_graphs, 1)]
+
+    @staticmethod
     def tree_path(tree, i, j):
         adj = {}
         for a, b in tree:
@@ -537,7 +546,7 @@ class TestConfigFromTree:
             n_graphs = int(srng.integers(2, 9))
             cfg = random_config(srng, n_graphs, int(srng.integers(1, 6)))
             tree = self.random_tree(srng, n_graphs)
-            out = _config_from_tree(cfg, tree)
+            out = _config_from_tree(cfg, self.tree_weights(tree, n_graphs))
             for i in range(n_graphs):
                 for j in range(n_graphs):
                     path = self.tree_path(tree, i, j)
@@ -547,8 +556,9 @@ class TestConfigFromTree:
                     assert out.get(i, j) == want
 
     def test_root_to_equals_breadth_first_order(self):
-        # the walk gives row 0, X_0k = the composition from graph 0 to k,
-        # exactly as a composition in csgraph's breadth-first order does
+        # composing in the tree's visit order gives row 0, X_0k = the
+        # composition from graph 0 to k, exactly as a composition in
+        # csgraph's breadth-first order does
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order
 
@@ -564,16 +574,8 @@ class TestConfigFromTree:
             want[0] = np.arange(cfg.n)
             for k in order[1:]:
                 want[k] = table[pred[k], k][want[pred[k]]]
-            assert np.array_equal(_config_from_tree(cfg, tree).perm_table()[0], want)
-
-    @pytest.mark.parametrize(("tree", "first"), [
-        ([(0, 1)], 2), ([], 1), ([(0, 2), (1, 3)], 1), ([(0, 1), (1, 2), (0, 2)], 3),
-    ])
-    def test_unreached_graph_named(self, tree, first, rng):
-        # rows of graphs off the tree would come from uninitialized memory
-        cfg = random_config(rng, 4, 3)
-        with pytest.raises(ValueError, match=f"tree does not reach graph {first}$"):
-            _config_from_tree(cfg, tree)
+            out = _config_from_tree(cfg, self.tree_weights(tree, n_graphs))
+            assert np.array_equal(out.perm_table()[0], want)
 
 
 NAN = float("nan")
@@ -1114,6 +1116,10 @@ class TestMst:
     def test_equals_csgraph_on_dense_ranks(self, n, kind, seed):
         w = kind_weights(kind, n, seed)
         assert mst(w) == csgraph_mst(w)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_edge_below_two_graphs(self, n):
+        assert mst(np.zeros((n, n))) == []
 
     def test_two_nodes(self):
         assert mst(np.array([[0.0, 1.0], [1.0, 0.0]])) == [(0, 1)]

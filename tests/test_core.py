@@ -11,7 +11,9 @@ Property coverage:
 - every real-valued, choice and count parameter of the public entry
   points either takes a value or rejects it with a ValueError, raised in
   mgmboost, that names the parameter (strings, booleans, None, NaN, +-inf,
-  out-of-range numbers, arrays)
+  out-of-range numbers, arrays); an affinity set, channel list, parameter
+  struct or base of the wrong type is a TypeError, raised in mgmboost,
+  that names the argument and the type it got
 """
 
 import functools
@@ -31,10 +33,11 @@ from hypothesis import strategies as st
 
 import mgmboost
 import mgmboost.core as core
-from mgmboost import (AffinityMatrix, BoostParams, ExperimentSpec, InlierEstimate, MatchConfig,
-                      Permutation, ScoreNormalizer, SynthParams, affinity_score,
+from mgmboost import (AffinityMatrix, AffinitySet, BoostParams, ExperimentSpec, InlierEstimate,
+                      MatchConfig, Permutation, ScoreNormalizer, SynthParams, affinity_score,
                       build_affinity_set, enforce_full_consistency, gen_random_graphs,
-                      gen_random_points, init_config, run_boost, solve_pairwise)
+                      gen_random_points, init_config, keep_masks, node_affinity_all,
+                      run_boost, solve_pairwise, total_score)
 from mgmboost.core import check_count
 
 from conftest import naive_quad_form, random_affinity, reference_from_basis
@@ -589,3 +592,30 @@ def test_numpy_count_shown_as_number():
     with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")
                        + "$"):
         SynthParams(3, 3, seed=np.int64(-1))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda cfg: total_score(cfg, None), "kset must be an AffinitySet, got NoneType"),
+    (lambda cfg: node_affinity_all(cfg, "x"), "kset must be an AffinitySet, got str"),
+    (lambda cfg: keep_masks(cfg, InlierEstimate(2, "affinity"), "x"),
+     "kset must be an AffinitySet, got str"),
+    (lambda cfg: run_boost(cfg, None, BoostParams()), "kset must be an AffinitySet, got NoneType"),
+    (lambda cfg: init_config(None, 1.0, 0), "kset must be an AffinitySet, got NoneType"),
+    (lambda cfg: ScoreNormalizer.from_initial(cfg, None),
+     "kset must be an AffinitySet, got NoneType"),
+    (lambda cfg: enforce_full_consistency(cfg, None), "kset must be an AffinitySet, got NoneType"),
+    (lambda cfg: AffinitySet(np.zeros((2, 3, 3), dtype=bool), None),
+     "channels must be an Iterable, got NoneType"),
+    (lambda cfg: _spec(base=None), "base must be a SynthParams, got NoneType"),
+    (lambda cfg: gen_random_graphs(None), "p must be a SynthParams, got NoneType"),
+    (lambda cfg: gen_random_points(None), "p must be a SynthParams, got NoneType"),
+], ids=["total_score", "node_affinity_all", "keep_masks", "run_boost", "init_config",
+        "ScoreNormalizer.from_initial", "enforce_full_consistency", "AffinitySet",
+        "ExperimentSpec", "gen_random_graphs", "gen_random_points"])
+def test_wrong_argument_type_named(call, message):
+    # each failed on an attribute of the argument, with a message that did
+    # not name it ('NoneType' object has no attribute 'N', ...)
+    with pytest.raises(TypeError, match="^" + re.escape(message) + "$") as exc:
+        call(_small_set()[2])
+    raised_in = traceback.extract_tb(exc.value.__traceback__)[-1].filename
+    assert os.path.dirname(raised_in) == os.path.dirname(mgmboost.__file__)

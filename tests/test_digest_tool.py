@@ -4,7 +4,8 @@ difference in their outputs (third field) or in the kernel sums they
 computed (fourth), and a kernel case's line moves with any bit of the
 edge kernel (second field). Its stderr totals the kernel sums of each
 boosted run once. ``--against REV`` finds no difference between a tree
-and itself, and names each case a changed tree moves."""
+and itself, names each case a changed tree moves, and totals the kernel
+sums of both trees."""
 
 import importlib.util
 import re
@@ -112,17 +113,24 @@ _AffinitySet._kernel = lambda self, own, other: _np.nextafter(_kernel(self, own,
 """
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
-def test_against_a_revision_names_each_differing_case(tmp_path, capsys):
-    # a repository whose first commit holds this tree's src/ and whose
-    # second nudges the edge kernel
-    shutil.copytree(SCRIPT.parents[1] / "src", tmp_path / "src",
+def _repository(path):
+    """A git repository at ``path`` whose one commit holds this tree's
+    src/; returns the git command prefix that works in it."""
+    shutil.copytree(SCRIPT.parents[1] / "src", path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    git = ["git", "-C", str(tmp_path), "-c", "user.name=digest", "-c",
+    git = ["git", "-C", str(path), "-c", "user.name=digest", "-c",
            "user.email=digest@localhost", "-c", "commit.gpgsign=false"]
     subprocess.run(git + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "src"], check=True)
     subprocess.run(git + ["commit", "-qm", "tree"], check=True)
+    return git
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_against_a_revision_names_each_differing_case(tmp_path, capsys):
+    # a repository whose first commit holds this tree's src/ and whose
+    # second nudges the edge kernel
+    git = _repository(tmp_path)
     with open(tmp_path / "src" / "mgmboost" / "__init__.py", "a") as f:
         f.write(NUDGE)
     subprocess.run(git + ["commit", "-qam", "nudged"], check=True)
@@ -138,3 +146,25 @@ def test_against_a_revision_names_each_differing_case(tmp_path, capsys):
                                                     "2 of 2 cases differ from HEAD"]
     with pytest.raises(SystemExit, match="git archive nosuchrev failed"):
         module.main(["--against", "nosuchrev", kernel])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_against_a_revision_totals_the_sums_of_both_trees(tmp_path, capsys):
+    # this process computes twice the revision's sums
+    _repository(tmp_path)
+    module = _load()
+    module.ROOT = tmp_path
+    boost = module.run_boost
+
+    def doubled(cfg0, kset, params):
+        cfg, trace = boost(cfg0, kset, params)
+        trace.scored = [2 * c for c in trace.scored]
+        return cfg, trace
+
+    module.run_boost = doubled
+    assert module.main(["--against", "HEAD", *CASES]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "2 of 2 cases differ from HEAD"
+    last = re.fullmatch(r"2 lines; 2 boosted runs computed (\d+) kernel sums here, (\d+) at HEAD",
+                        err.splitlines()[-1])
+    assert last and int(last.group(1)) == 2 * int(last.group(2)) > 0

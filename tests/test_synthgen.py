@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -747,6 +748,36 @@ class TestBoundaries:
         points = gen_random_points(SynthParams(n_graphs=2, inliers=5, seed=3))[:count]
         with pytest.raises(ValueError, match=f"need at least 2 instances to match, got {count}"):
             build_affinity_set(points, 0.05, kind)
+
+    @pytest.mark.parametrize(("call", "error", "message"), [
+        (lambda g: GraphInstance(np.zeros((3, 3)), 1.5, Permutation.identity(3)), ValueError,
+         "inlier_count must be an integer >= 0, got 1.5"),
+        (lambda g: GraphInstance(np.zeros((3, 3)), True, Permutation.identity(3)), ValueError,
+         "inlier_count must be an integer >= 0, got True"),
+        (lambda g: GraphInstance(np.zeros((3, 3)), 4, Permutation.identity(3)), ValueError,
+         "inlier_count=4 exceeds the node count 3"),
+        (lambda g: GraphInstance(np.zeros((3, 3)), 1, [0, 1, 2]), TypeError,
+         "truth must be a Permutation, got list"),
+        (lambda g: g[0].padded(4.5), ValueError, "n_total must be an integer >= 0, got 4.5"),
+        (lambda g: build_affinity_set([x.adjacency for x in g], 0.05), TypeError,
+         "instance 0 must be a GraphInstance, got ndarray"),
+        (lambda g: truth_config([g[0], g[1].truth]), TypeError,
+         "instance 1 must be a GraphInstance, got Permutation"),
+        (lambda g: save_instances(os.devnull, [g[0], g[1], None]), TypeError,
+         "instance 2 must be a GraphInstance, got NoneType"),
+        (lambda g: inlier_rows_from_instances([g[0].adjacency]), TypeError,
+         "instance 0 must be a GraphInstance, got ndarray"),
+    ], ids=["fractional-inlier_count", "bool-inlier_count", "large-inlier_count",
+            "truth-list", "padded", "build_affinity_set", "truth_config", "save_instances",
+            "inlier_rows_from_instances"])
+    def test_bad_instance_argument_named(self, call, error, message):
+        # inlier_count 1.5 was accepted with inlier rows [0, 1], padded(4.5)
+        # failed inside numpy, and the rest on an attribute of the argument
+        graphs = gen_random_graphs(SynthParams(n_graphs=3, inliers=4, seed=2))
+        with pytest.raises(error, match="^" + re.escape(message) + "$") as exc:
+            call(graphs)
+        raised_in = traceback.extract_tb(exc.value.__traceback__)[-1].filename
+        assert os.path.dirname(raised_in) == os.path.dirname(mgmboost.__file__)
 
 
 def _gauss_run(n_graphs, n, start, gamma):

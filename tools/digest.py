@@ -38,8 +38,8 @@ This extracts the revision's ``src/`` with ``git archive`` into a
 temporary directory, runs the same cases on it in a subprocess while
 running them here, and prints each case whose line differs, with the
 fields that differ (a change that moves only the number of sums computed
-differs in ``scored`` alone), then a count. It exits 1 if any case
-differs.
+differs in ``scored`` alone), then a count, and on stderr the kernel sums
+computed here next to the revision's. It exits 1 if any case differs.
 
 Name cases on the command line to run only those. The script reports on
 stderr which ``mgmboost`` it imported, how many lines it printed, and the
@@ -54,6 +54,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -229,7 +230,8 @@ def against(rev, cases):
     """Run ``cases`` (all when empty) here and, in a subprocess at the same
     time, on the ``src/`` of git revision ``rev`` of the repository at
     ROOT; print each case whose line differs, with the fields that differ,
-    and a count. Returns the count."""
+    and a count, and on stderr the ``sums_line`` here with the revision's
+    total of kernel sums. Returns the count."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                              capture_output=True)
     if archive.returncode:
@@ -258,7 +260,18 @@ def against(rev, cases):
             differ += 1
             print(f"{name}: {', '.join(moved)} differ", flush=True)
     print(f"{differ} of {len(names)} cases differ from {rev}")
+    there = re.search(r"computed (\d+) kernel sums$", log, re.M).group(1)
+    print(f"{sums_line(names)} here, {there} at {rev}", file=sys.stderr)
     return differ
+
+
+def sums_line(names):
+    """``<L> lines; <R> boosted runs computed <S> kernel sums`` of the cases
+    ``names``: S totals ``trace.scored`` over the distinct boosted runs
+    behind them, each run once."""
+    runs = {_run(name)[0] for name in names if not name.startswith("kernel/")}
+    computed = sum(_boosted(*run)[4] for run in runs)
+    return f"{len(names)} lines; {len(runs)} boosted runs computed {computed} kernel sums"
 
 
 def main(argv=None):
@@ -277,10 +290,7 @@ def main(argv=None):
         return int(against(args.against, args.cases) > 0)
     for name in names:
         print(digest_line(name), flush=True)
-    runs = {_run(name)[0] for name in names if not name.startswith("kernel/")}
-    computed = sum(_boosted(*run)[4] for run in runs)
-    print(f"{len(names)} lines; {len(runs)} boosted runs computed {computed} kernel sums",
-          file=sys.stderr)
+    print(sums_line(names), file=sys.stderr)
     return 0
 
 
