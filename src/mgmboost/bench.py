@@ -216,6 +216,7 @@ def run_experiment(spec, workers=1):
     and aggregate one ResultRow per (algorithm, swept value) over the
     trials in which that algorithm did not fail. Deterministic given the
     seed base, except wall times."""
+    check_type("spec", spec, ExperimentSpec)
     check_count("workers", workers, 1)
     cells = [(si, tr) for si in range(len(spec.sweep_values)) for tr in range(spec.trials)]
     if workers > 1:

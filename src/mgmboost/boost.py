@@ -138,7 +138,7 @@ class _SweepState:
         group = max(1, core.BLOCK_CHUNK_ENTRIES // (kset.N ** (2 if second_order else 1) * kset.n))
         self.groups = [slice(s, s + group) for s in range(0, shape[0], group)]
         self.rowstart = np.arange(0, shape[0] * shape[1], shape[1])[:, None]
-        self.pools = self.kept_rows = None
+        self.pools = self.keep = None
         self.sums, self.stale = np.zeros(shape), np.ones(shape, dtype=bool)
         self.upper = np.empty((shape[0], kset.n), dtype=np.int64)
         self.moved, self.won = np.ones(shape[0], dtype=bool), np.full(shape[0], np.nan)
@@ -156,16 +156,11 @@ class _SweepState:
         legs[self.ii, self.jj] = self.moved
         legs |= legs.T
         self.stale |= legs.take(self.ii, axis=0) | legs.take(self.jj, axis=0)
-        self.keep = kept_rows = None
-        if est is not None:
-            self.keep = keep_masks(cfg, est, self.kset)
-            # every graph keeps exactly n_est rows: (N, n_est), ascending
-            kept_rows = np.nonzero(self.keep)[1].reshape(cfg.N, -1)
-            if self.kept_rows is not None:
-                other = (kept_rows != self.kept_rows).any(axis=1)[self.ii]
-                self.stale[other] = True
-                self.won[other] = np.nan
-        self.kept_rows = kept_rows
+        last, self.keep = self.keep, None if est is None else keep_masks(cfg, est, self.kset)
+        if last is not None:
+            other = (last != self.keep).any(axis=1)[self.ii]
+            self.stale[other] = True
+            self.won[other] = np.nan
         self.cu = unary_consistency_all(cfg, self.keep) if term == "anchor" else None
         self.cp = pairwise_consistency_all(cfg, self.keep) if term == "legs" else None
         if self.pools is None or self.sample_rate < 1.0:
@@ -176,8 +171,7 @@ class _SweepState:
         (ii[s], jj[s]), ii < jj, as an (S,) array; when eliciting, only the
         rows kept for the row graph count."""
         self.scored += len(cands)
-        rows = None if self.kept_rows is None else self.kept_rows[ii]
-        return self.kset._kernel_sums(ii, jj, cands, rows)
+        return self.kset._kernel_sums(ii, jj, cands, self.keep)
 
     def first_order_sums(self, pairs, cands, differs, flat):
         """``kernel_sums`` of the candidates X_ik X_kj, k = pools[p, a], of
@@ -399,7 +393,7 @@ def run_boost(cfg0, kset, params):
         cfg = MatchConfig._from_upper(cfg.N, sweep.upper)
         # a sweep that scored J on all rows computed the raw sum of each new
         # X_ij, equal to a fresh one bit for bit
-        record(sweep.won if a and sweep.kept_rows is None else pair_scores(cfg, kset),
+        record(sweep.won if a and sweep.keep is None else pair_scores(cfg, kset),
                changed, sweep.scored)
         if changed == 0 and (weighted or not params.mode.startswith("isb_gc")):
             break

@@ -215,9 +215,9 @@ def keep_masks(cfg, est, kset=None):
 def inlier_mask(x, keep_row):
     """Apply a row mask to a matching matrix: the rows in the boolean
     ``keep_row`` (one graph's row of keep_masks) stay, all other rows
-    become zero. Returns the masked dense matrix (no longer a permutation
-    unless every row is kept)."""
+    become zero; None keeps every row. Returns the masked dense matrix (no
+    longer a permutation unless every row is kept)."""
     m = x.matrix if isinstance(x, Permutation) else np.array(x, dtype=float)
-    _kept_count(keep_row, (m.shape[0],))
-    m[~keep_row] = 0.0
+    if _kept_count(keep_row, (m.shape[0],)) < m.shape[0]:
+        m[~keep_row] = 0.0
     return m

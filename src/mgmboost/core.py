@@ -246,7 +246,8 @@ class Permutation:
 
     @classmethod
     def random(cls, n, rng):
-        return cls(rng.permutation(check_count("n_nodes", n)))
+        check_count("n_nodes", n)
+        return cls(check_type("rng", rng, np.random.Generator).permutation(n))
 
     @property
     def matrix(self):
@@ -504,23 +505,28 @@ class AffinitySet:
         (_, k), = self._stacks(np.array([i]), np.array([j]))
         return AffinityMatrix._wrap(self.n, k.reshape(k.shape[-1], k.shape[-1]))
 
+    def _slot_table(self, rows):
+        """Each graph's attributes at the slots of ``slot_map(m)`` of its
+        row in the (N, m) ``rows``, an (N, m(m-1)/2 + 1) array per channel."""
+        su, sv, _ = slot_map(rows.shape[1])
+        at = rows[:, su] * self.n + rows[:, sv]
+        return tuple(np.take_along_axis(a.reshape(self.N, -1), at, axis=1) for a in self._attrs)
+
     @cached_property
     def _slot_attrs(self):
-        """Every graph's attributes at the slots of ``slot_map(n)``, an
-        (N, m + 1) array per channel, the row-graph values ``_kernel_sums``
-        takes rows of when all rows are kept."""
-        su, sv, _ = slot_map(self.n)
-        return tuple(a.reshape(self.N, -1)[:, su * self.n + sv] for a in self._attrs)
+        """``_slot_table`` of every graph's n rows, kept for the set."""
+        return self._slot_table(np.broadcast_to(np.arange(self.n), (self.N, self.n)))
 
-    def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
+    def _kernel_sums(self, i, j, perms, keep=None, axis=(1, 2)):
         """Sums of candidate matchings' kernel blocks over ``axis``.
 
         Row s of the (S, n) index array ``perms`` is a candidate matching
         of the pair (i[s], j[s]), graph i[s] the row graph, for (S,) graph
-        index arrays ``i`` and ``j``. ``rows``, when given, is an (S, m)
-        array of the kept rows of each row graph, ascending; all n are
-        kept by default. Block entry [s, u, v] is the K entry linking rows
-        r[u] and r[v] of the candidate. The default ``axis`` gives each
+        index arrays ``i`` and ``j``. ``keep``, when given, is the (N, n)
+        boolean keep mask of ``keep_masks``, every graph keeping the same
+        number m of rows; all n are kept by default. Block entry [s, u, v]
+        is the K entry linking the candidate's u-th and v-th kept rows of
+        its row graph, ascending. The default ``axis`` gives each
         candidate's score, an (S,) array; ``axis=2`` its per-row node
         affinities, an (S, m) array. Nothing is checked: only the library
         calls this, with graph indices i != j and permutations.
@@ -529,29 +535,27 @@ class AffinitySet:
         edges, so the kernel runs only at the slots of ``slot_map(m)``,
         the pairs u < v and one diagonal entry, and one ``take`` expands
         them into the (m, m) block that is summed; its entries equal those
-        of the kernel at all m^2 entries bit for bit. With all rows kept,
-        the row graphs' values come from ``_slot_attrs``. Blocks are built
-        and summed in order, at most BLOCK_CHUNK_ENTRIES entries (or one
-        block's) at a time. A row's sum depends only on its own block, so
-        it is the same bit for bit in any batch.
+        of the kernel at all m^2 entries bit for bit. The row graphs'
+        values come from a ``_slot_table``, ``_slot_attrs`` when all rows
+        are kept. Blocks are built and summed in order, at most
+        BLOCK_CHUNK_ENTRIES entries (or one block's) at a time. A row's sum
+        depends only on its own block, so it is the same bit for bit in any
+        batch.
         """
         n = self.n
-        kept = n if rows is None else rows.shape[1]
-        su, sv, expand = slot_map(kept)
-        if rows is None:
+        if keep is None:
             picked, tables = perms, self._slot_attrs
         else:
-            picked = np.take_along_axis(perms, rows, axis=1)
-            own_graph = i[:, None] * (n * n)
+            rows = np.nonzero(keep)[1].reshape(self.N, -1)    # (N, m), ascending
+            picked = np.take_along_axis(perms, rows.take(i, axis=0), axis=1)
+            tables = self._slot_table(rows)
+        kept = picked.shape[1]
+        su, sv, expand = slot_map(kept)
         other_graph = j[:, None] * (n * n)
         step = max(1, BLOCK_CHUNK_ENTRIES // max(1, kept ** 2))
         sums = np.empty(len(perms) if axis == (1, 2) else (len(perms), kept))
         for s in range(0, len(perms), step):
-            if rows is None:
-                own = tuple(t.take(i[s:s + step], axis=0) for t in tables)
-            else:
-                rs = rows[s:s + step]
-                own = own_graph[s:s + step] + rs[:, su] * n + rs[:, sv]
+            own = tuple(t.take(i[s:s + step], axis=0) for t in tables)
             ps = picked[s:s + step]
             other_flat = other_graph[s:s + step] + ps[:, su] * n + ps[:, sv]
             vals = self._kernel(own, other_flat)
@@ -642,6 +646,7 @@ class MatchConfig:
     def random(cls, n_graphs, n_nodes, rng):
         check_count("n_nodes", n_nodes)
         pairs = len(upper_indices(check_count("n_graphs", n_graphs))[0])
+        check_type("rng", rng, np.random.Generator)
         rows = [rng.permutation(n_nodes) for _ in range(pairs)]
         upper = np.array(rows, dtype=np.int64).reshape(len(rows), n_nodes)
         return cls._from_upper(n_graphs, upper)

@@ -167,8 +167,10 @@ def gen_random_points(p):
 
 
 def check_instances(instances):
-    """``instances``, after raising TypeError naming the first entry that
-    is not a GraphInstance, if any."""
+    """``instances``, after raising TypeError naming its type unless it is
+    a list or tuple, or naming its first entry that is not a GraphInstance."""
+    if not isinstance(instances, (list, tuple)):
+        raise TypeError(f"instances must be a list or tuple, got {type(instances).__name__}")
     for k, g in enumerate(instances):
         check_type(f"instance {k}", g, GraphInstance)
     return instances
@@ -325,9 +327,8 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
     """
     check_real("sigma2", sigma2, 0, math.inf, open_low=True, open_high=True)
     check_affinity_kind(kind, beta_w)
-    if len(instances) < 2:
+    if len(check_instances(instances)) < 2:
         raise ValueError(f"need at least 2 instances to match, got {len(instances)}")
-    check_instances(instances)
     if kind == "gauss":
         n = max(g.n for g in instances)
         weights = np.stack([g.padded(n).adjacency for g in instances])
@@ -352,9 +353,9 @@ def build_affinity_set(instances, sigma2, kind="gauss", beta_w=0.9):
 def truth_config(instances):
     """Ground-truth matching configuration: the consistent configuration
     through the instances' reference labelings."""
-    if not instances:
+    if not check_instances(instances):
         raise ValueError("truth_config needs at least 1 instance, got an empty list")
-    return MatchConfig.from_basis(np.stack([g.truth.perm for g in check_instances(instances)]))
+    return MatchConfig.from_basis(np.stack([g.truth.perm for g in instances]))
 
 
 def init_config(kset, coverage, seed, solver=None):
@@ -392,9 +393,8 @@ def save_instances(path, instances):
     exactly ``path``, with no suffix appended. Raises ValueError for no
     instances, for a list in which some instances carry coordinates and
     others do not, or for one of unequal node counts."""
-    if not instances:
+    if not check_instances(instances):
         raise ValueError("need at least 1 instance to save, got 0")
-    check_instances(instances)
     bare = [k for k, g in enumerate(instances) if g.coords is None]
     if 0 < len(bare) < len(instances):
         raise ValueError(f"instance {bare[0]} carries no coordinates, but others do")
@@ -412,7 +412,8 @@ def save_instances(path, instances):
 def load_instances(path):
     """Instances from a ``save_instances`` archive. Raises ValueError
     naming the path for a file that is not an .npz archive, an archive
-    missing one of its arrays, or arrays of different lengths."""
+    missing one of its arrays, or arrays of different lengths, and naming
+    the path and the instance for one that ``GraphInstance`` rejects."""
     try:
         data = np.load(path)
     except (EOFError, ValueError):      # empty, or neither .npy nor .npz
@@ -433,7 +434,12 @@ def load_instances(path):
         raise ValueError(f"{path}: arrays differ in length: adjacency "
                          f"{lengths['adjacency']}, {', '.join(short)}")
     coords = arrays.get("coords")
-    return [GraphInstance(arrays["adjacency"][g], int(arrays["inlier_counts"][g]),
-                          Permutation(arrays["truth"][g]),
-                          coords[g] if coords is not None else None)
-            for g in range(lengths["adjacency"])]
+    instances = []
+    for g in range(lengths["adjacency"]):
+        try:
+            instances.append(GraphInstance(
+                arrays["adjacency"][g], arrays["inlier_counts"][g].item(),
+                Permutation(arrays["truth"][g]), coords[g] if coords is not None else None))
+        except ValueError as exc:
+            raise ValueError(f"{path}: instance {g}: {exc}") from None
+    return instances

@@ -381,14 +381,22 @@ class ReferenceAffinitySet(AffinitySet):
     def pairs(self):
         return sorted(self._mats)
 
-    def _kernel_sums(self, i, j, perms, rows=None, axis=(1, 2)):
-        if rows is None:
-            rows = np.broadcast_to(np.arange(self.n), perms.shape)
+    def _kernel_sums(self, i, j, perms, keep=None, axis=(1, 2)):
+        rows = candidate_rows(keep, i, self.n)
         blocks = np.empty((len(perms), rows.shape[1], rows.shape[1]))
         for s, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
             idx = perms[s, rows[s]] * self.n + rows[s]
             blocks[s] = self.get(a, b).dense()[np.ix_(idx, idx)]
         return blocks.sum(axis=axis)
+
+
+def candidate_rows(keep, i, n):
+    """The rows of each candidate's row graph i[s] that the (N, n) mask
+    ``keep`` keeps, ascending, as an (S, m) array; all n when it is None.
+    Every graph must keep the same number m of rows."""
+    if keep is None:
+        return np.broadcast_to(np.arange(n), (len(i), n))
+    return np.array([np.flatnonzero(row) for row in keep]).reshape(len(keep), -1)[i]
 
 
 def reference_kernel(kset, own, other):
@@ -424,15 +432,15 @@ def reference_dense_stack(kset, i, j, kernel=None):
     return k.reshape(-1, size, size)
 
 
-def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(1, 2), kernel=None):
+def reference_kernel_sums(kset, i, j, perms, keep=None, axis=(1, 2), kernel=None):
     """``_kernel_sums`` of an edge-kernel ``AffinitySet`` with the kernel
-    run at all m^2 entries of every candidate's (m, m) block, gathered
-    through flat indices offset + u*n + v, in one batch. The kernel
-    arithmetic is the set's own, or ``kernel(kset, own, other)`` when
-    given, and every block is summed with the same shape and axis, so the
-    sums must equal ``_kernel_sums`` bit for bit."""
+    run at all m^2 entries of every candidate's (m, m) block over the rows
+    ``keep`` keeps, gathered through flat indices offset + u*n + v, in one
+    batch. The kernel arithmetic is the set's own, or ``kernel(kset, own,
+    other)`` when given, and every block is summed with the same shape and
+    axis, so the sums must equal ``_kernel_sums`` bit for bit."""
     n = kset.n
-    rows = np.broadcast_to(np.arange(n), perms.shape) if rows is None else rows
+    rows = candidate_rows(keep, i, n)
     picked = np.take_along_axis(perms, rows, axis=1)
 
     def flat_pairs(nodes, graph):
@@ -443,14 +451,13 @@ def reference_kernel_sums(kset, i, j, perms, rows=None, axis=(1, 2), kernel=None
     return k.sum(axis=axis)
 
 
-def stacked_kernel_sums(kset, i, j, cands, rows=None):
+def stacked_kernel_sums(kset, i, j, cands, keep=None):
     """``kset._kernel_sums`` of the (P, C, n) candidates of the pairs
-    (i[p], j[p]), each pair's kept rows the (P, m) ``rows[p]``, as a
+    (i[p], j[p]), over the rows the (N, n) mask ``keep`` keeps, as a
     (P, C) array: every pair's C candidates scored as consecutive rows."""
     count = cands.shape[1]
-    rows = None if rows is None else np.repeat(rows, count, axis=0)
     return kset._kernel_sums(np.repeat(i, count), np.repeat(j, count),
-                             cands.reshape(-1, cands.shape[2]), rows).reshape(-1, count)
+                             cands.reshape(-1, cands.shape[2]), keep).reshape(-1, count)
 
 
 def second_order_candidates(sweep):

@@ -10,10 +10,10 @@ Property coverage:
 - get(j, i) is the index-swapped get(i, j)
 - chunked batches equal unchunked ones, and chunking bounds their memory
 - any subset or reordering of the candidate rows scores bit for bit as
-  those rows of the full call, with and without kept rows
+  those rows of the full call, with and without a keep mask
 - kernel sums from each block's m + 1 slot values equal the kernel at all
-  m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all or
-  per-row kept rows, scores and row sums)
+  m^2 block entries bit for bit (gauss and len_angle, n = 1-16, all rows
+  or a keep mask whose rows differ between graphs, scores and row sums)
 - the set, its scores and a boosting sweep stay O(N n^2) in memory; a
   whole run at N = 60 stays under 4 MiB with its cross-sweep sum cache,
   and so does a second-order sweep at N = 30
@@ -51,6 +51,12 @@ def _pair_indices(rng, kset, size):
     """Graph indices i and j != i of ``size`` random ordered pairs."""
     i = rng.integers(0, kset.N, size=size)
     return i, (i + 1 + rng.integers(0, kset.N - 1, size=size)) % kset.N
+
+
+def _random_keep(rng, kset, kept):
+    """An (N, n) keep mask in which each graph keeps ``kept`` rows of its
+    own, drawn at random."""
+    return rng.permuted(np.broadcast_to(np.arange(kset.n) < kept, (kset.N, kset.n)), axis=1)
 
 
 def _reference(kset, i, j, perms, keep=None):
@@ -104,17 +110,15 @@ def test_dense_stack_equals_full_broadcast():
 def test_scores_equal_explicit_quadratic_form(seed):
     # gauss on random graphs and len_angle on point sets with outliers, at
     # n <= 16 (dense K) and n = 17 (CSR K); i < j and i > j; with and
-    # without a row mask
+    # without a keep mask
     rng = np.random.default_rng(seed)
     for kset in builder_affinity_sets(seed):
         n = kset.n
         for i, j in [(0, 1), (2, 1), (3, 0), (1, 3)]:
             perms = _candidates(rng, n, 6)
-            keep = rng.uniform(size=n) < 0.6
-            for rows in (None, np.tile(np.flatnonzero(keep), (6, 1))):
-                got = kset._kernel_sums(np.full(6, i), np.full(6, j), perms, rows)
-                fast, naive = _reference(kset, i, j, perms,
-                                         None if rows is None else keep)
+            for keep in (None, _random_keep(rng, kset, rng.integers(1, n + 1))):
+                got = kset._kernel_sums(np.full(6, i), np.full(6, j), perms, keep)
+                fast, naive = _reference(kset, i, j, perms, None if keep is None else keep[i])
                 _assert_scores(got, fast, naive, n)
 
 
@@ -165,20 +169,19 @@ def _kernel_set(kind, n, density=0.7):
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["gauss", "len_angle"]), n=st.sampled_from([1, 2, 3, 8, 14, 16]),
-       kept_rows=st.booleans(), axis=st.sampled_from([(1, 2), 2]), size=st.integers(1, 20),
+       masked=st.booleans(), axis=st.sampled_from([(1, 2), 2]), size=st.integers(1, 20),
        data=st.data())
-def test_kernel_sums_equal_full_block_reference(kind, n, kept_rows, axis, size, data):
+def test_kernel_sums_equal_full_block_reference(kind, n, masked, axis, size, data):
     # the kernel at each candidate's m + 1 slots, expanded through the slot
     # map, sums bit for bit as the kernel at all m^2 entries of its block
     kset = _kernel_set(kind, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     i, j = _pair_indices(rng, kset, size)
     perms = rng.permuted(np.broadcast_to(np.arange(n), (size, n)), axis=1)
-    kept = data.draw(st.one_of(st.just(1), st.integers(1, n))) if kept_rows else n
-    rows = (np.sort([rng.choice(n, kept, replace=False) for _ in range(size)], axis=1)
-            if kept_rows else None)
-    got = kset._kernel_sums(i, j, perms, rows, axis)
-    want = reference_kernel_sums(kset, i, j, perms, rows, axis)
+    kept = data.draw(st.one_of(st.just(1), st.integers(1, n))) if masked else n
+    keep = _random_keep(rng, kset, kept) if masked else None
+    got = kset._kernel_sums(i, j, perms, keep, axis)
+    want = reference_kernel_sums(kset, i, j, perms, keep, axis)
     assert got.shape == want.shape == ((size,) if axis == (1, 2) else (size, kept))
     assert np.array_equal(got, want)
 
@@ -196,7 +199,7 @@ def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
     # five candidates per ordered pair, one per row
     fi, fj = np.repeat(i, 5), np.repeat(j, 5)
     perms = rng.permuted(np.broadcast_to(np.arange(n), (len(fi), n)), axis=1)
-    rows = np.sort([rng.choice(n, n - 3, replace=False) for _ in range(len(fi))], axis=1)
+    keep = _random_keep(rng, kset, n - 3)
     want = reference_dense_stack(kset, i, j, reference_kernel)
     with np.errstate(all="raise"):
         assert kset._dense_stack(i, j).tobytes() == want.tobytes()
@@ -205,10 +208,10 @@ def test_nan_off_the_edges_equals_infinite_sentinels(kind, density, n):
             k = kset.get(g, h)
             csr += k.is_sparse
             assert k.dense().tobytes() == want[b].tobytes()
-        for r in (None, rows):
+        for k in (None, keep):
             for axis in ((1, 2), 2):
-                got = kset._kernel_sums(fi, fj, perms, r, axis)
-                assert got.tobytes() == reference_kernel_sums(kset, fi, fj, perms, r, axis,
+                got = kset._kernel_sums(fi, fj, perms, k, axis)
+                assert got.tobytes() == reference_kernel_sums(kset, fi, fj, perms, k, axis,
                                                               reference_kernel).tobytes()
     # the CSR branch of get is taken at n = 17 below 1/3 fill
     assert (csr > 0) == (n == 17 and density in (None, 0.0, 0.5))
@@ -228,19 +231,18 @@ def test_swapped_orientation_is_index_swap():
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):
-    # 120 candidates of random pairs, each with its own kept rows
+    # 120 candidates of random pairs, each graph keeping rows of its own
     rng = np.random.default_rng(5)
     kset = builder_affinity_sets(5)[1]       # len_angle, two channels, n = 10
     perms = _candidates(rng, kset.n, 120)
     i, j = _pair_indices(rng, kset, 120)
-    rows = np.sort([rng.choice(kset.n, size=4, replace=False) for _ in range(120)], axis=1)
-    whole = kset._kernel_sums(i, j, perms, rows)
+    keep = _random_keep(rng, kset, 4)
+    whole = kset._kernel_sums(i, j, perms, keep)
     for s in range(120):
-        keep = np.isin(np.arange(kset.n), rows[s])
-        fast, _ = _reference(kset, i[s], j[s], perms[s:s + 1], keep)
+        fast, _ = _reference(kset, i[s], j[s], perms[s:s + 1], keep[i[s]])
         assert np.array_equal(whole[s:s + 1], fast)
     monkeypatch.setattr(core, "BLOCK_CHUNK_ENTRIES", 6 * 4 ** 2)   # 20 chunks
-    assert np.array_equal(kset._kernel_sums(i, j, perms, rows), whole)
+    assert np.array_equal(kset._kernel_sums(i, j, perms, keep), whole)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -253,15 +255,13 @@ def test_row_subsets_score_bit_for_bit(seed):
         n, size = kset.n, 30
         i, j = _pair_indices(rng, kset, size)
         perms = _candidates(rng, n, size)
-        rows = np.sort([rng.choice(n, size=n - 3, replace=False) for _ in range(size)],
-                       axis=1)
+        keep = _random_keep(rng, kset, n - 3)
         for pick in (rng.permutation(size), np.sort(rng.choice(size, 7, replace=False)),
                      rng.choice(size, 12), np.array([size - 1])):
-            for r in (None, rows):
+            for k in (None, keep):
                 for axis in ((1, 2), 2):
-                    whole = kset._kernel_sums(i, j, perms, r, axis)
-                    part = kset._kernel_sums(i[pick], j[pick], perms[pick],
-                                             None if r is None else r[pick], axis)
+                    whole = kset._kernel_sums(i, j, perms, k, axis)
+                    part = kset._kernel_sums(i[pick], j[pick], perms[pick], k, axis)
                     assert part.tobytes() == whole[pick].tobytes()
 
 
@@ -431,8 +431,8 @@ def test_kernel_sums_of_no_pairs_is_empty(kept, axis):
     # an empty batch once failed in np.concatenate
     kset = _kernel_set("gauss", 8)
     empty = np.zeros(0, dtype=np.int64)
-    rows = None if kept is None else np.zeros((0, kept), dtype=np.int64)
-    got = kset._kernel_sums(empty, empty, np.zeros((0, kset.n), dtype=np.int64), rows, axis)
+    keep = None if kept is None else _random_keep(np.random.default_rng(0), kset, kept)
+    got = kset._kernel_sums(empty, empty, np.zeros((0, kset.n), dtype=np.int64), keep, axis)
     assert got.dtype == np.float64
     assert got.shape == ((0,) if axis == (1, 2) else (0, kept or kset.n))
 

@@ -373,8 +373,7 @@ class TestDistinctSums:
         sweep.start(cfg, est=InlierEstimate(max(1, n - 2), "affinity") if elicit else None)
         ii, jj, first = sweep.ii, sweep.jj, sweep.pools.shape[1]
         cands = second_order_candidates(sweep)       # row v = i is the first-order one
-        rows = None if sweep.kept_rows is None else sweep.kept_rows[ii]
-        want = stacked_kernel_sums(kset, ii, jj, cands, rows)
+        want = stacked_kernel_sums(kset, ii, jj, cands, sweep.keep)
         got = sweep.distinct_sums(ii, jj, cands, want[:, :first])
         assert np.array_equal(got, want)
         # one sum per candidate that no first-order one and no earlier one repeats
@@ -931,7 +930,7 @@ class TestSumCache:
 
         def recorded(sweep, *args):
             start(sweep, *args)
-            kept.append(sweep.kept_rows)
+            kept.append(sweep.keep)
 
         monkeypatch.setattr(_SweepState, "start", recorded)
         params = BoostParams(mode=mode, seed=1, **extra)
@@ -972,8 +971,8 @@ class TestSumCache:
         def checked(sweep, pairs, cands, *equality):
             got = first_order_sums(sweep, pairs, cands, *equality)
             ii, jj = sweep.ii[pairs], sweep.jj[pairs]
-            rows = None if sweep.kept_rows is None else sweep.kept_rows[ii]
-            assert got.tobytes() == stacked_kernel_sums(kset, ii, jj, cands, rows).tobytes()
+            assert got.tobytes() == stacked_kernel_sums(kset, ii, jj, cands,
+                                                        sweep.keep).tobytes()
             read.append(got.size)
             return got
 

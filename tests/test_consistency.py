@@ -426,6 +426,14 @@ class TestNodeAffinity:
 
 
 class TestInlierMask:
+    @pytest.mark.parametrize("x", [Permutation([2, 0, 1]), np.eye(3)[[1, 2, 0]]],
+                             ids=["permutation", "matrix"])
+    def test_no_mask_keeps_every_row(self, x):
+        # None raised "bad operand type for unary ~"; every other keep
+        # argument reads None as every row kept
+        full = x.matrix if isinstance(x, Permutation) else x
+        assert np.array_equal(inlier_mask(x, None), full)
+
     def test_keep_all_is_identity_operation(self, rng):
         cfg = random_config(rng, 4, 4)
         x = cfg.get(0, 1)

@@ -36,8 +36,9 @@ import mgmboost.core as core
 from mgmboost import (AffinityMatrix, AffinitySet, BoostParams, ExperimentSpec, InlierEstimate,
                       MatchConfig, Permutation, ScoreNormalizer, SynthParams, affinity_score,
                       build_affinity_set, enforce_full_consistency, gen_random_graphs,
-                      gen_random_points, init_config, keep_masks, node_affinity_all,
-                      run_boost, solve_pairwise, total_score)
+                      gen_random_points, init_config, inlier_rows_from_instances, keep_masks,
+                      node_affinity_all, run_boost, run_experiment, save_instances,
+                      solve_pairwise, total_score, truth_config)
 from mgmboost.core import check_count
 
 from conftest import naive_quad_form, random_affinity, reference_from_basis
@@ -609,12 +610,27 @@ def test_numpy_count_shown_as_number():
     (lambda cfg: _spec(base=None), "base must be a SynthParams, got NoneType"),
     (lambda cfg: gen_random_graphs(None), "p must be a SynthParams, got NoneType"),
     (lambda cfg: gen_random_points(None), "p must be a SynthParams, got NoneType"),
+    (lambda cfg: build_affinity_set(None, 0.05), "instances must be a list or tuple, got NoneType"),
+    (lambda cfg: build_affinity_set((g for g in _small_set()[0]), 0.05),
+     "instances must be a list or tuple, got generator"),
+    (lambda cfg: truth_config(None), "instances must be a list or tuple, got NoneType"),
+    (lambda cfg: save_instances(os.devnull, None),
+     "instances must be a list or tuple, got NoneType"),
+    (lambda cfg: inlier_rows_from_instances(None),
+     "instances must be a list or tuple, got NoneType"),
+    (lambda cfg: Permutation.random(3, None), "rng must be a Generator, got NoneType"),
+    (lambda cfg: MatchConfig.random(3, 3, None), "rng must be a Generator, got NoneType"),
+    (lambda cfg: run_experiment(None), "spec must be an ExperimentSpec, got NoneType"),
 ], ids=["total_score", "node_affinity_all", "keep_masks", "run_boost", "init_config",
         "ScoreNormalizer.from_initial", "enforce_full_consistency", "AffinitySet",
-        "ExperimentSpec", "gen_random_graphs", "gen_random_points"])
+        "ExperimentSpec", "gen_random_graphs", "gen_random_points", "build_affinity_set",
+        "build_affinity_set-generator", "truth_config", "save_instances",
+        "inlier_rows_from_instances", "Permutation.random", "MatchConfig.random",
+        "run_experiment"])
 def test_wrong_argument_type_named(call, message):
-    # each failed on an attribute of the argument, with a message that did
-    # not name it ('NoneType' object has no attribute 'N', ...)
+    # each failed on an attribute of the argument, or on its length or
+    # truthiness, with a message that did not name it ('NoneType' object
+    # has no attribute 'N', ...)
     with pytest.raises(TypeError, match="^" + re.escape(message) + "$") as exc:
         call(_small_set()[2])
     raised_in = traceback.extract_tb(exc.value.__traceback__)[-1].filename

@@ -513,6 +513,19 @@ class TestInstanceRoundTrip:
             assert np.array_equal(a.coords, b.coords)
             assert a.truth == b.truth
             assert a.inlier_count == b.inlier_count
+            assert type(b.inlier_count) is int
+
+    def test_fractional_archived_inlier_count_rejected(self, tmp_path):
+        # int() read 1.5 and 2.7 as 1 and 2 inliers
+        path = str(tmp_path / "dump.npz")
+        save_instances(path, gen_random_points(SynthParams(n_graphs=2, inliers=4, seed=13)))
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["inlier_counts"] = np.array([1.5, 2.7])
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: instance 0: inlier_count must be an integer >= 0, got 1.5") + "$"):
+            load_instances(path)
 
 
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])

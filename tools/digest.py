@@ -26,20 +26,22 @@ set and seed digests the edge kernel itself: ``_dense_stack`` of every
 pair in both orientations, the CSR data, indices and indptr of ``get``
 for every ordered pair it builds as CSR, and ``_kernel_sums`` of the
 initial table's first-order candidates X_ik X_kj and of fixed random
-candidates, each with all rows and with fixed kept rows, as scores and as
-row sums.
+candidates, each with all rows and with one fixed (N, n) keep mask, as
+scores and as row sums.
 
 A change that must keep outputs bit-identical is checked against the
 source tree of a git revision::
 
     PYTHONPATH=src python tools/digest.py --against HEAD~1
 
-This extracts the revision's ``src/`` with ``git archive`` into a
-temporary directory, runs the same cases on it in a subprocess while
-running them here, and prints each case whose line differs, with the
-fields that differ (a change that moves only the number of sums computed
-differs in ``scored`` alone), then a count, and on stderr the kernel sums
-computed here next to the revision's. It exits 1 if any case differs.
+The revision must be 56ae898 or later, where ``_kernel_sums`` and
+``_dense_stack`` are private. This extracts the revision's ``src/`` with
+``git archive`` into a temporary directory, runs the same cases on it in
+a subprocess while running them here, and prints each case whose line
+differs, with the fields that differ (a change that moves only the number
+of sums computed differs in ``scored`` alone), then a count, and on
+stderr the kernel sums computed here next to the revision's. It exits 1
+if any case differs.
 
 Name cases on the command line to run only those. The script reports on
 stderr which ``mgmboost`` it imported, how many lines it printed, and the
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import itertools
 import os
@@ -144,29 +147,28 @@ def case_names():
         yield "kernel/{}/seed={}".format(*cell)
 
 
-def _kernel_primitives(kset):
-    """``kset``'s ``_dense_stack`` and flat ``_kernel_sums``. Older
-    revisions have them public, with ``kernel_sums`` over (P, A, n)
-    candidate stacks; ``--against`` runs this script on those revisions
-    too, so there the flat call is made as one candidate per pair."""
-    if hasattr(kset, "_kernel_sums"):
-        return kset._dense_stack, kset._kernel_sums
+def _kernel_sums(kset):
+    """``kset._kernel_sums`` as it takes the (N, n) keep mask. Revisions
+    before the mask take each candidate's kept rows instead; there the
+    call passes the mask's rows of each candidate's row graph."""
+    if "keep" in inspect.signature(kset._kernel_sums).parameters:
+        return kset._kernel_sums
 
-    def kernel_sums(i, j, perms, rows=None, axis=(1, 2)):
-        return kset.kernel_sums(i, j, perms[:, None], rows,
-                                (2, 3) if axis == (1, 2) else 3)[:, 0]
+    def kernel_sums(i, j, perms, keep=None, axis=(1, 2)):
+        rows = None if keep is None else np.nonzero(keep)[1].reshape(len(keep), -1)[i]
+        return kset._kernel_sums(i, j, perms, rows, axis)
 
-    return kset.dense_stack, kernel_sums
+    return kernel_sums
 
 
 def kernel_line(set_name, seed):
     """The printed line of one set's kernel case."""
     _, kset, cfg0, _ = instance_set(set_name, seed)
-    dense_stack, kernel_sums = _kernel_primitives(kset)
+    kernel_sums = _kernel_sums(kset)
     n, h = kset.n, hashlib.sha256()
     iu, ju = np.triu_indices(kset.N, 1)
     i, j = np.concatenate([iu, ju]), np.concatenate([ju, iu])
-    _sha(h, dense_stack(i, j), "<f8")
+    _sha(h, kset._dense_stack(i, j), "<f8")
     for g, k in zip(i.tolist(), j.tolist()):
         pair = kset.get(g, k)
         if pair.is_sparse:
@@ -176,16 +178,16 @@ def kernel_line(set_name, seed):
             _sha(h, csr.indptr, "<i8")
     rng = np.random.default_rng(seed)
     fixed = rng.permuted(np.broadcast_to(np.arange(n), (len(i), 4, n)), axis=2)
-    rows = np.sort(rng.permuted(np.broadcast_to(np.arange(n), (len(i), n)), axis=1)
-                   [:, :max(1, n - n // 3)], axis=1)
+    keep = rng.permuted(np.broadcast_to(np.arange(n) < max(1, n - n // 3), (kset.N, n)),
+                        axis=1)
     # each pair's candidates as consecutive rows, so the sums come in the
     # order of a (P, A) array of them
     for perms in (compositions(cfg0.perm_table(), i, j), fixed):
         count = perms.shape[1]
         fi, fj = np.repeat(i, count), np.repeat(j, count)
-        for r in (None, np.repeat(rows, count, axis=0)):
+        for k in (None, keep):
             for axis in ((1, 2), 2):
-                _sha(h, kernel_sums(fi, fj, perms.reshape(-1, n), r, axis), "<f8")
+                _sha(h, kernel_sums(fi, fj, perms.reshape(-1, n), k, axis), "<f8")
     return f"kernel/{set_name}/seed={seed} {h.hexdigest()}"
 
 
